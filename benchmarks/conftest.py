@@ -5,10 +5,13 @@ and does three things:
 
 1. times the underlying computation via pytest-benchmark;
 2. prints the regenerated rows/series in the paper's layout;
-3. writes the same text to ``benchmarks/results/<artifact>.txt`` so
-   EXPERIMENTS.md can quote stable outputs.
+3. on a ``--benchmark-only`` run, writes the same text to
+   ``benchmarks/results/<artifact>.txt`` so EXPERIMENTS.md can quote
+   stable outputs (a plain ``pytest`` run only prints it).
 
-Run with ``pytest benchmarks/ --benchmark-only``.
+Regenerate the artifacts with ``pytest benchmarks/ --benchmark-only``.
+Engines meter peak memory only on request (``measure_memory=True``), so
+the timings are of the unmetered default path.
 """
 
 from __future__ import annotations
@@ -48,13 +51,17 @@ def results_dir() -> Path:
 
 
 @pytest.fixture
-def emit(results_dir, capsys):
-    """Print a report block and persist it under benchmarks/results/."""
+def emit(request, results_dir, capsys):
+    """Print a report block; persist it under benchmarks/results/ only
+    on a ``--benchmark-only`` run, so a plain test run never rewrites
+    the committed artifacts."""
+    persist = request.config.getoption("benchmark_only", default=False)
 
     def _emit(artifact: str, text: str) -> None:
         with capsys.disabled():
             print(f"\n{'=' * 72}\n{text}\n{'=' * 72}")
-        (results_dir / f"{artifact}.txt").write_text(text + "\n")
+        if persist:
+            (results_dir / f"{artifact}.txt").write_text(text + "\n")
 
     return _emit
 
@@ -63,28 +70,3 @@ def minsup_label(minsup: float) -> str:
     """Render a fraction as the paper's percent labels (0.1%, 5%...)."""
     return f"{minsup * 100:g}%"
 
-
-@pytest.fixture(autouse=True, scope="module")
-def unmetered_engines():
-    """Benchmark timings must not pay the tracemalloc tax.
-
-    Engines meter loop peak memory by default (``measure_memory=True``,
-    ~10x overhead on the allocation-heavy tuple kernel).  The committed
-    artifacts in ``results/`` quote wall-clock, so inside the benchmark
-    modules every engine that exposes the knob defaults to unmetered;
-    individual benches can still pass ``measure_memory=True``.
-    (Module-scoped, not session-scoped: a combined ``pytest`` run over
-    benchmarks *and* tests must see the defaults restored before the
-    test packages execute.)
-    """
-    from repro.registry import engine_specs
-
-    flipped = []
-    for spec in engine_specs():
-        defaults = spec.runner.__kwdefaults__
-        if defaults and defaults.get("measure_memory") is True:
-            defaults["measure_memory"] = False
-            flipped.append(defaults)
-    yield
-    for defaults in flipped:
-        defaults["measure_memory"] = True

@@ -8,9 +8,9 @@ standardized on, over both in-memory SETM engines, and writes
 rows/second, and loop peak memory — so future PRs have a committed
 baseline to beat.
 
-Timing rounds run with ``measure_memory=False`` (tracemalloc taxes
-every allocation, which would poison the wall-clock numbers); each
-engine then takes one separate metered run to record
+Timing rounds run the unmetered default path (tracemalloc taxes every
+allocation, which would poison the wall-clock numbers); each engine
+then takes one separate ``measure_memory=True`` run to record
 ``peak_memory_bytes``.
 
 The Table 6.2 workload (and the ``--tiny`` smoke) additionally runs a
@@ -308,12 +308,12 @@ def _bench_engine(
     best = None
     for _ in range(rounds):
         started = time.perf_counter()
-        result = runner(database, minsup, measure_memory=False, **options)
+        result = runner(database, minsup, **options)
         elapsed = time.perf_counter() - started
         if best is None or elapsed < best[0]:
             best = (elapsed, result)
     elapsed, result = best
-    metered = runner(database, minsup, **options)
+    metered = runner(database, minsup, measure_memory=True, **options)
     candidate_rows = sum(
         stats.candidate_instances for stats in result.iterations
     )
@@ -533,7 +533,7 @@ def _bench_transport_sweep(
             f"transport sweep on {name}: 'pickle' must come first "
             "(it is the bytes_copied_reduction baseline)"
         )
-    options: dict = {"measure_memory": False}
+    options: dict = {}
     if parallel_threshold is not None:
         options["parallel_threshold"] = parallel_threshold
     pickle_rows: dict[int, dict] = {}  # workers -> baseline entry
@@ -657,9 +657,6 @@ def _bench_serve(
         "config": {
             "support": minsup,
             "algorithm": "setm-columnar",
-            # Unmetered, like the direct timing rounds (tracemalloc
-            # taxes every allocation and would poison the latencies).
-            "options": {"measure_memory": False},
         },
     }
     direct_rps = 1.0 / direct_elapsed if direct_elapsed > 0 else None
@@ -828,7 +825,7 @@ def _ingest_leg(
             f"ingest scenario on {name}: {fmt} chunked encode differs "
             "from the whole-file encode; refusing to record"
         )
-    mined = setm_columnar(dataset, minsup, measure_memory=False)
+    mined = setm_columnar(dataset, minsup)
     if not (
         reference.same_patterns_as(mined)
         and reference.iterations == mined.iterations
@@ -1040,10 +1037,7 @@ def _bench_incremental(
         try:
             started = time.perf_counter()
             base_result = setm_incremental(
-                dataset,
-                minsup,
-                state_dir=state_dir,
-                measure_memory=False,
+                dataset, minsup, state_dir=state_dir
             )
             base_elapsed = round(time.perf_counter() - started, 6)
             if base_result.extra["incremental"]["mode"] != "full":
@@ -1072,9 +1066,7 @@ def _bench_incremental(
                 columnar_result = None
                 for _ in range(rounds):
                     started = time.perf_counter()
-                    candidate = setm_columnar(
-                        dataset, minsup, measure_memory=False
-                    )
+                    candidate = setm_columnar(dataset, minsup)
                     elapsed = time.perf_counter() - started
                     if columnar_best is None or elapsed < columnar_best:
                         columnar_best, columnar_result = elapsed, candidate
@@ -1089,10 +1081,7 @@ def _bench_incremental(
                     rebuild_dir = root / f"rebuild-{batch}-{attempt}"
                     started = time.perf_counter()
                     candidate = setm_incremental(
-                        dataset,
-                        minsup,
-                        state_dir=rebuild_dir,
-                        measure_memory=False,
+                        dataset, minsup, state_dir=rebuild_dir
                     )
                     elapsed = time.perf_counter() - started
                     shutil.rmtree(rebuild_dir)
@@ -1115,10 +1104,7 @@ def _bench_incremental(
                     shutil.copytree(snapshot, state_dir)
                     started = time.perf_counter()
                     candidate = setm_incremental(
-                        dataset,
-                        minsup,
-                        state_dir=state_dir,
-                        measure_memory=False,
+                        dataset, minsup, state_dir=state_dir
                     )
                     elapsed = time.perf_counter() - started
                     if delta_best is None or elapsed < delta_best:

@@ -61,7 +61,7 @@ from repro.config import INPUT_FORMATS, MiningConfig
 from repro.core.transactions import TransactionDatabase
 from repro.errors import ReproError
 from repro.miner import Miner
-from repro.registry import available_engines, engine_specs
+from repro.registry import available_engines, engine_specs, get_engine
 from repro.data.example import paper_example_database
 from repro.data.hypothetical import generate_hypothetical_database
 from repro.data.io import (
@@ -388,6 +388,15 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
         options["workers"] = args.workers
     if args.transport is not None:
         options["transport"] = args.transport
+    if args.json:
+        # The document reports peak_memory_bytes, and metering is
+        # opt-in: ask whichever engine will run (--state reroutes to
+        # the incremental engine) when it offers it.
+        spec = get_engine(args.algorithm)
+        if args.state is not None and not spec.incremental:
+            spec = get_engine("setm-incremental")
+        if "measure_memory" in (spec.accepted_options or ()):
+            options["measure_memory"] = True
     config = MiningConfig(
         support=(
             args.minsup_count if args.minsup_count is not None else args.minsup

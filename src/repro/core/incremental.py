@@ -66,7 +66,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import tracemalloc
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -82,6 +81,7 @@ from repro.core.columns import (
     suffix_extend,
     unpack_key,
 )
+from repro.core.metering import memory_meter
 from repro.core.result import IterationStats, MiningResult
 from repro.core.setm import run_figure4_loop
 from repro.core.setm_columnar import ColumnarKernel
@@ -690,12 +690,7 @@ def _mine_delta(
     Returns the result plus the merged maps as the next base state.
     """
     started = time.perf_counter()
-    started_tracing = measure_memory and not tracemalloc.is_tracing()
-    if started_tracing:
-        tracemalloc.start()
-    if measure_memory:
-        tracemalloc.reset_peak()
-    try:
+    with memory_meter(measure_memory) as traced_peak:
         catalog = dataset.catalog
         base = dataset.base
         threshold = absolute_support_threshold(
@@ -903,8 +898,8 @@ def _mine_delta(
             ),
             "base_rows_rescanned": base_rows_rescanned,
         }
-        if measure_memory:
-            extra["peak_memory_bytes"] = tracemalloc.get_traced_memory()[1]
+        if traced_peak is not None:
+            extra["peak_memory_bytes"] = traced_peak()
         result = MiningResult(
             algorithm="setm-incremental",
             num_transactions=dataset.num_transactions,
@@ -937,9 +932,6 @@ def _mine_delta(
             levels=merged_levels,
         )
         return result, new_state
-    finally:
-        if started_tracing:
-            tracemalloc.stop()
 
 
 # -- the engine --------------------------------------------------------------------
@@ -988,7 +980,7 @@ def setm_incremental(
     max_length: int | None = None,
     state_dir: str | os.PathLike | None = None,
     count_via: Literal["auto", "sort", "hash"] = "auto",
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """SETM whose count state persists, so appends mine only the delta.
 
@@ -1001,6 +993,8 @@ def setm_incremental(
     saved maps.  Results are byte-identical either way;
     ``extra["incremental"]`` reports which mode ran, the delta size,
     state hits, and the targeted-recount fraction.
+    ``measure_memory=True`` (off by default) records the run's peak
+    traced memory in ``extra["peak_memory_bytes"]``, as for ``setm``.
 
     Raises
     ------

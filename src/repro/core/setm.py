@@ -72,12 +72,13 @@ paper's ``|R'_k|`` and ``|R_k|``.
 from __future__ import annotations
 
 import time
-import tracemalloc
 from collections import Counter
 from collections.abc import Sequence
+from contextlib import closing
 from typing import Any, Literal, Protocol
 
 from repro.core.columns import count_sorted_rows
+from repro.core.metering import memory_meter
 from repro.core.result import IterationStats, MiningResult, Pattern
 from repro.core.transactions import Item, TransactionDatabase
 from repro.registry import register_engine
@@ -265,36 +266,28 @@ def run_figure4_loop(
     algorithm: str,
     max_length: int | None = None,
     extra: dict[str, Any] | None = None,
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """Figure 4's control flow, shared by every SETM kernel.
 
     Everything representation-independent lives here: the support
     threshold, the ``repeat ... until R_k = {}`` loop, the per-iteration
     :class:`IterationStats`, per-iteration wall-clock telemetry
-    (``extra["iteration_seconds"]``), peak-memory accounting
-    (``extra["peak_memory_bytes"]``, measured with :mod:`tracemalloc`),
-    and the final :class:`MiningResult` assembly.  The kernel supplies
-    the representation-specific steps and lifecycle hooks — see
+    (``extra["iteration_seconds"]``), opt-in peak-memory accounting
+    (``measure_memory=True`` records ``extra["peak_memory_bytes"]``,
+    measured with :func:`~repro.core.metering.memory_meter`), and the
+    final :class:`MiningResult` assembly.  The kernel supplies the
+    representation-specific steps and lifecycle hooks — see
     :class:`SetmKernel`.
     """
     started = time.perf_counter()
     threshold = database.absolute_support(minimum_support)
 
-    # Peak resident memory of the mining loop, for every engine alike —
-    # and the measurement the out-of-core engine's budget acceptance is
-    # held to.  When the caller already traces, reuse the trace (resetting
-    # the peak so the figure covers this run only) instead of restarting.
-    # ``measure_memory=False`` skips metering entirely: tracemalloc taxes
-    # every allocation (~10x on the tuple kernel), so timing-sensitive
-    # callers (the benchmark runner's timing rounds) opt out and take one
-    # separate metered run instead.
-    started_tracing = measure_memory and not tracemalloc.is_tracing()
-    if started_tracing:
-        tracemalloc.start()
-    if measure_memory:
-        tracemalloc.reset_peak()
-    try:
+    # Peak resident memory of the mining loop is opt-in: tracemalloc
+    # taxes every allocation (~10x on the tuple kernel), and only the
+    # callers that report the figure (``repro mine --json``, the bench
+    # runner's metered run, the out-of-core budget acceptance) ask.
+    with memory_meter(measure_memory) as traced_peak, closing(kernel):
         # R_1 := SALES.  "sort R1 on item; C1 := generate counts from
         # R1" — the pseudocode's C_1 carries no HAVING clause; the
         # Section 3.1 SQL applies one.  We compute both: unfiltered
@@ -372,8 +365,8 @@ def run_figure4_loop(
             **kernel.extra_stats(),
             "iteration_seconds": iteration_seconds,
         }
-        if measure_memory:
-            loop_extra["peak_memory_bytes"] = tracemalloc.get_traced_memory()[1]
+        if traced_peak is not None:
+            loop_extra["peak_memory_bytes"] = traced_peak()
         return MiningResult(
             algorithm=algorithm,
             num_transactions=database.num_transactions,
@@ -388,10 +381,6 @@ def run_figure4_loop(
             elapsed_seconds=time.perf_counter() - started,
             extra=loop_extra,
         )
-    finally:
-        if started_tracing:
-            tracemalloc.stop()
-        kernel.close()
 
 
 class TupleKernel(KernelLifecycle):
@@ -456,7 +445,7 @@ def setm(
     *,
     max_length: int | None = None,
     count_via: Literal["sort", "hash"] = "sort",
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """Run Algorithm SETM and return every count relation ``C_k``.
 
@@ -477,8 +466,8 @@ def setm(
         the counting-strategy ablation benchmark.
     measure_memory:
         Record loop peak memory in ``extra["peak_memory_bytes"]``
-        (:mod:`tracemalloc`; the default).  ``False`` skips metering for
-        timing-sensitive runs — tracemalloc taxes every allocation.
+        (:mod:`tracemalloc`).  Off by default: tracemalloc taxes every
+        allocation.
 
     Returns
     -------

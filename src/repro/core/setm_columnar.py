@@ -149,7 +149,7 @@ def setm_columnar(
     *,
     max_length: int | None = None,
     count_via: Literal["auto", "sort", "hash"] = "auto",
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """Run SETM on the columnar kernel; same results, several times faster.
 
@@ -169,6 +169,9 @@ def setm_columnar(
         paper-shaped strategy, vectorized as ``np.unique`` when numpy
         is available).  Identical counts any way; the knob feeds the
         counting-strategy ablation benchmark.
+    measure_memory:
+        Record loop peak memory in ``extra["peak_memory_bytes"]``; off
+        by default (see :func:`repro.core.setm.setm`).
 
     Returns
     -------

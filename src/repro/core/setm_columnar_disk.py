@@ -409,7 +409,7 @@ def setm_columnar_disk(
     count_via: Literal["auto", "sort", "hash"] = "auto",
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
     spill_dir: str | os.PathLike | None = None,
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """Mine with bounded resident memory; identical results to ``setm``.
 
@@ -435,6 +435,9 @@ def setm_columnar_disk(
         Directory for the run's private spill files (a fresh
         subdirectory is created and removed); defaults to the system
         temporary directory.
+    measure_memory:
+        Record loop peak memory in ``extra["peak_memory_bytes"]``; off
+        by default (see :func:`repro.core.setm.setm`).
 
     Returns
     -------
@@ -443,7 +446,8 @@ def setm_columnar_disk(
         :func:`repro.core.setm.setm`.  ``extra`` additionally carries
         ``memory_budget_bytes`` and a ``"spill"`` block — partitions
         per iteration, bytes written/read, chunks written — plus the
-        loop-level ``peak_memory_bytes`` every kernel reports.
+        loop-level ``peak_memory_bytes`` under ``measure_memory=True``
+        (what the budget is checked against).
     """
     return run_figure4_loop(
         database,

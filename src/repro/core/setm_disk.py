@@ -225,7 +225,7 @@ def setm_disk(
     sort_memory_pages: int = 32,
     max_length: int | None = None,
     track_sort_order: bool = False,
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """Run disk-based SETM and report both patterns and page accesses.
 
@@ -253,6 +253,9 @@ def setm_disk(
         tracked across iterations").  Off by default to match Figure 4
         verbatim ("We have not included in this algorithm the
         optimizations mentioned in Section 4.3").
+    measure_memory:
+        Record loop peak memory in ``extra["peak_memory_bytes"]``; off
+        by default (see :func:`repro.core.setm.setm`).
 
     Returns
     -------

@@ -549,7 +549,7 @@ def setm_parallel(
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
     start_method: str | None = None,
     transport: str | None = None,
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """Mine with pooled partition counting; identical results to ``setm``.
 
@@ -586,6 +586,9 @@ def setm_parallel(
         ``"auto"``/``None`` (prefer ``shm``, proven by a per-pool
         handshake, demoting to ``pickle`` on failure).  Results are
         byte-identical on every transport.
+    measure_memory:
+        Record loop peak memory in ``extra["peak_memory_bytes"]``; off
+        by default (see :func:`repro.core.setm.setm`).
 
     Returns
     -------

@@ -355,7 +355,7 @@ def setm_spill_parallel(
     workers: int | None = None,
     start_method: str | None = None,
     transport: str | None = None,
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """Mine with pooled counting of on-disk partitions; identical to ``setm``.
 
@@ -394,6 +394,9 @@ def setm_spill_parallel(
         through named shared-memory segments), or ``"auto"``/``None``
         (prefer ``mmap`` — the partitions already live in files).
         Results are byte-identical on every transport.
+    measure_memory:
+        Record loop peak memory in ``extra["peak_memory_bytes"]``; off
+        by default (see :func:`repro.core.setm.setm`).
 
     Returns
     -------

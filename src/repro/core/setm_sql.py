@@ -219,7 +219,7 @@ def setm_sql(
     backend: SQLBackend | None = None,
     strategy: str = "sort-merge",
     max_length: int | None = None,
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """Mine ``database`` by executing the paper's SQL on ``backend``.
 
@@ -240,8 +240,8 @@ def setm_sql(
     max_length:
         Optional cap on pattern length.
     measure_memory:
-        Record loop peak memory in ``extra["peak_memory_bytes"]``
-        (the default); ``False`` for timing-sensitive runs.
+        Record loop peak memory in ``extra["peak_memory_bytes"]``; off
+        by default (see :func:`repro.core.setm.setm`).
 
     Returns
     -------

@@ -111,7 +111,7 @@ def sqlite_mine(
     *,
     strategy: str = "sort-merge",
     max_length: int | None = None,
-    measure_memory: bool = True,
+    measure_memory: bool = False,
 ) -> MiningResult:
     """Run SETM's SQL on sqlite3 and return the standard result object."""
     backend = SQLiteBackend(database)

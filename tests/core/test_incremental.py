@@ -107,7 +107,6 @@ class TestDeltaEquivalence:
                     minsup,
                     max_length=max_length,
                     state_dir=state_dir,
-                    measure_memory=False,
                 )
                 assert first.extra["incremental"]["mode"] == "full"
                 _assert_identical(
@@ -116,7 +115,6 @@ class TestDeltaEquivalence:
                         dataset.database(decoded=True),
                         minsup,
                         max_length=max_length,
-                        measure_memory=False,
                     ),
                 )
 
@@ -135,7 +133,6 @@ class TestDeltaEquivalence:
                         minsup,
                         max_length=max_length,
                         state_dir=state_dir,
-                        measure_memory=False,
                     )
                     telemetry = result.extra["incremental"]
                     assert telemetry["mode"] == "delta"
@@ -155,7 +152,6 @@ class TestDeltaEquivalence:
                             prefix,
                             minsup,
                             max_length=max_length,
-                            measure_memory=False,
                         ),
                     )
             finally:
@@ -188,7 +184,6 @@ class TestStateRoundTrip:
                 dataset,
                 kwargs.pop("support", 0.4),
                 state_dir=root / "state",
-                measure_memory=False,
                 **kwargs,
             )
         finally:
@@ -241,9 +236,7 @@ class TestStateRoundTrip:
             _write([{"a"}], delta, next_tid)
             dataset.append_chunks(open_chunk_source(delta))
             with pytest.raises(StateMismatchError, match="support"):
-                setm_incremental(
-                    dataset, 0.2, state_dir=state_dir, measure_memory=False
-                )
+                setm_incremental(dataset, 0.2, state_dir=state_dir)
         finally:
             dataset.close()
 
@@ -259,9 +252,7 @@ class TestStateRoundTrip:
         )
         try:
             with pytest.raises(StateMismatchError):
-                setm_incremental(
-                    dataset, 0.4, state_dir=state_dir, measure_memory=False
-                )
+                setm_incremental(dataset, 0.4, state_dir=state_dir)
         finally:
             dataset.close()
 
@@ -273,9 +264,7 @@ class TestCrashCleanup:
         )
         state_dir = tmp_path / "state"
         try:
-            setm_incremental(
-                dataset, 0.3, state_dir=state_dir, measure_memory=False
-            )
+            setm_incremental(dataset, 0.3, state_dir=state_dir)
             before = MiningState.load(state_dir)
 
             delta = tmp_path / "delta.basket"
@@ -287,9 +276,7 @@ class TestCrashCleanup:
 
             monkeypatch.setattr(incremental, "suffix_extend", boom)
             with pytest.raises(RuntimeError, match="mid-merge"):
-                setm_incremental(
-                    dataset, 0.3, state_dir=state_dir, measure_memory=False
-                )
+                setm_incremental(dataset, 0.3, state_dir=state_dir)
             monkeypatch.undo()
 
             assert list(state_dir.glob("*.tmp")) == []
@@ -297,9 +284,7 @@ class TestCrashCleanup:
             assert after.generation == before.generation
             assert after.levels == before.levels
             # The untouched state still supports the delta re-mine.
-            recovered = setm_incremental(
-                dataset, 0.3, state_dir=state_dir, measure_memory=False
-            )
+            recovered = setm_incremental(dataset, 0.3, state_dir=state_dir)
             assert recovered.extra["incremental"]["mode"] == "delta"
         finally:
             dataset.close()

@@ -198,7 +198,7 @@ class TestLoopLifecycle:
         from repro.core.setm_disk import setm_disk
 
         for engine in (setm, setm_columnar, setm_columnar_disk, setm_disk):
-            result = engine(example_db, 0.30)
+            result = engine(example_db, 0.30, measure_memory=True)
             assert result.extra["peak_memory_bytes"] > 0, engine
 
     def test_measure_memory_false_skips_metering(self, example_db):
@@ -214,11 +214,118 @@ class TestLoopLifecycle:
 
         tracemalloc.start()
         try:
-            result = setm(example_db, 0.30)
+            result = setm(example_db, 0.30, measure_memory=True)
             assert tracemalloc.is_tracing()
             assert result.extra["peak_memory_bytes"] > 0
         finally:
             tracemalloc.stop()
+
+    def test_overlapping_metered_runs_share_one_trace(self, example_db):
+        """Two metered loops on two threads, as under serve's scheduler.
+
+        The late run starts after the early one allocated 8 MiB, so its
+        start must not reset the shared peak under the early run; the
+        early run finishes first, so its exit must not end the trace the
+        late run still reads its peak from.
+        """
+        import threading
+        import tracemalloc
+
+        from repro.core.setm import TupleKernel, run_figure4_loop
+
+        both_metered = threading.Barrier(2, timeout=30)
+        early_allocated = threading.Event()
+        early_done = threading.Event()
+        big = 8 << 20
+
+        class Overlapping(TupleKernel):
+            def __init__(self, database, *, early):
+                super().__init__(database)
+                self._early = early
+
+            def begin_iteration(self, k):
+                if k == 1:
+                    if self._early:
+                        buffer = bytearray(big)
+                        del buffer
+                        early_allocated.set()
+                    both_metered.wait()
+
+            def extra_stats(self):
+                if not self._early:
+                    assert early_done.wait(timeout=30)
+                return {}
+
+        peaks: dict[str, int] = {}
+        errors: list[BaseException] = []
+
+        def run(early: bool) -> None:
+            try:
+                result = run_figure4_loop(
+                    example_db,
+                    0.30,
+                    Overlapping(example_db, early=early),
+                    algorithm="probe",
+                    measure_memory=True,
+                )
+                peaks["early" if early else "late"] = result.extra[
+                    "peak_memory_bytes"
+                ]
+            except Exception as error:  # surfaced below
+                errors.append(error)
+                both_metered.abort()
+            finally:
+                if early:
+                    early_done.set()
+
+        assert not tracemalloc.is_tracing()
+        early = threading.Thread(target=run, args=(True,))
+        late = threading.Thread(target=run, args=(False,))
+        early.start()
+        assert early_allocated.wait(timeout=30)
+        late.start()
+        for thread in (early, late):
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert peaks["early"] >= big
+        assert peaks["late"] > 0
+        assert not tracemalloc.is_tracing()
+
+    def test_meter_refcount_survives_thread_churn(self):
+        """Many threads entering and leaving the meter at once: a lost
+        update of the run count would stop the trace under a live run
+        (zero peak) or leave it running after the last one."""
+        import sys
+        import threading
+        import tracemalloc
+
+        from repro.core.metering import memory_meter
+
+        errors: list[str] = []
+
+        def churn() -> None:
+            for _ in range(200):
+                with memory_meter(True) as traced_peak:
+                    block = bytearray(4096)
+                    if not (tracemalloc.is_tracing() and traced_peak() > 0):
+                        errors.append("trace ended under a live run")
+                    del block
+
+        assert not tracemalloc.is_tracing()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert not tracemalloc.is_tracing()
 
     def test_hooks_called_once_per_iteration_and_close_always(
         self, example_db

@@ -57,15 +57,19 @@ def table62_db() -> TransactionDatabase:
 
 @pytest.fixture(scope="module")
 def table62_reference(table62_db):
-    """``setm`` on the Table 6.2 workload (unmetered: it is the oracle)."""
-    return setm(table62_db, 0.005, measure_memory=False)
+    """``setm`` on the Table 6.2 workload: the oracle."""
+    return setm(table62_db, 0.005)
 
 
 @pytest.fixture(scope="module")
 def table62_budgeted(table62_db):
-    """The out-of-core run the acceptance criteria are checked against."""
+    """The out-of-core run the acceptance criteria are checked against
+    (metered: the budget is held to its peak)."""
     return setm_columnar_disk(
-        table62_db, 0.005, memory_budget_bytes=TABLE62_BUDGET
+        table62_db,
+        0.005,
+        memory_budget_bytes=TABLE62_BUDGET,
+        measure_memory=True,
     )
 
 
@@ -143,7 +147,7 @@ class TestTable62Acceptance:
     def test_peak_memory_below_unbudgeted_columnar(
         self, table62_budgeted, table62_db
     ):
-        unbudgeted = setm_columnar(table62_db, 0.005)
+        unbudgeted = setm_columnar(table62_db, 0.005, measure_memory=True)
         assert (
             table62_budgeted.extra["peak_memory_bytes"]
             < unbudgeted.extra["peak_memory_bytes"]
@@ -168,15 +172,17 @@ class TestKeyDistributionDrift:
         db = TransactionDatabase(transactions)
         budget = 256 * 1024
 
-        reference = setm(db, 0.002, measure_memory=False)
-        budgeted = setm_columnar_disk(db, 0.002, memory_budget_bytes=budget)
+        reference = setm(db, 0.002)
+        budgeted = setm_columnar_disk(
+            db, 0.002, memory_budget_bytes=budget, measure_memory=True
+        )
         assert budgeted.same_patterns_as(reference)
         assert budgeted.iterations == reference.iterations
         assert budgeted.extra["spill"]["max_partitions"] >= 2
         # The bound is the point: with drift-blind boundaries nearly all
         # of R'_2 lands in one partition and peak memory approaches the
         # unbudgeted engine's.
-        unbudgeted = setm_columnar(db, 0.002)
+        unbudgeted = setm_columnar(db, 0.002, measure_memory=True)
         assert (
             budgeted.extra["peak_memory_bytes"]
             < unbudgeted.extra["peak_memory_bytes"] / 2

@@ -42,7 +42,7 @@ def quest_references():
     for seed in (0, 1):
         db = _quest_db(seed)
         for minsup in (0.01, 0.03):
-            grid[(seed, minsup)] = (db, setm(db, minsup, measure_memory=False))
+            grid[(seed, minsup)] = (db, setm(db, minsup))
     return grid
 
 
@@ -59,7 +59,6 @@ class TestDifferentialGrid:
             minsup,
             workers=workers,
             parallel_threshold=0,
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -78,9 +77,7 @@ class TestDifferentialGrid:
 
     def test_rules_identical_to_setm(self, quest_references):
         db, reference = quest_references[(0, 0.01)]
-        result = setm_parallel(
-            db, 0.01, workers=2, parallel_threshold=0, measure_memory=False
-        )
+        result = setm_parallel(db, 0.01, workers=2, parallel_threshold=0)
         assert generate_rules(result, 0.5) == generate_rules(reference, 0.5)
 
     def test_max_length(self, quest_references):
@@ -99,7 +96,6 @@ class TestDifferentialGrid:
             workers=2,
             parallel_threshold=0,
             start_method="spawn",
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -120,11 +116,9 @@ class TestBigKeyFallback:
             (tid, core + rng.sample(items, 2)) for tid in range(100, 125)
         ]
         db = TransactionDatabase(transactions)
-        reference = setm(db, 0.25, measure_memory=False)
+        reference = setm(db, 0.25)
         assert reference.max_pattern_length >= 8  # keys really overflow
-        result = setm_parallel(
-            db, 0.25, workers=2, parallel_threshold=0, measure_memory=False
-        )
+        result = setm_parallel(db, 0.25, workers=2, parallel_threshold=0)
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
 

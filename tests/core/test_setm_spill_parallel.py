@@ -55,7 +55,7 @@ def quest_references():
     for seed in (0, 1):
         db = _quest_db(seed)
         for minsup in (0.01, 0.03):
-            grid[(seed, minsup)] = (db, setm(db, minsup, measure_memory=False))
+            grid[(seed, minsup)] = (db, setm(db, minsup))
     return grid
 
 
@@ -72,7 +72,6 @@ class TestDifferentialGrid:
             minsup,
             workers=workers,
             memory_budget_bytes=GRID_BUDGET,
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -101,7 +100,6 @@ class TestDifferentialGrid:
             0.01,
             workers=2,
             memory_budget_bytes=GRID_BUDGET,
-            measure_memory=False,
         )
         assert generate_rules(result, 0.5) == generate_rules(reference, 0.5)
 
@@ -125,7 +123,6 @@ class TestDifferentialGrid:
             workers=2,
             memory_budget_bytes=GRID_BUDGET,
             start_method="spawn",
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -140,11 +137,8 @@ class TestDifferentialGrid:
             0.01,
             workers=2,
             memory_budget_bytes=GRID_BUDGET,
-            measure_memory=False,
         )
-        serial = setm_columnar_disk(
-            db, 0.01, memory_budget_bytes=GRID_BUDGET, measure_memory=False
-        )
+        serial = setm_columnar_disk(db, 0.01, memory_budget_bytes=GRID_BUDGET)
         assert pooled.same_patterns_as(serial)
         assert pooled.iterations == serial.iterations
         # Same budget => same partition plan; only the consumer differs.
@@ -168,14 +162,13 @@ class TestBigKeyFallback:
             (tid, core + rng.sample(items, 2)) for tid in range(100, 125)
         ]
         db = TransactionDatabase(transactions)
-        reference = setm(db, 0.25, measure_memory=False)
+        reference = setm(db, 0.25)
         assert reference.max_pattern_length >= 8  # keys really overflow
         result = setm_spill_parallel(
             db,
             0.25,
             workers=2,
             memory_budget_bytes=1024,
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -318,24 +311,22 @@ class TestFailureInjection:
             0.01,
             workers=2,
             memory_budget_bytes=GRID_BUDGET,
-            measure_memory=False,
         )
         assert pools._POOLS.get(key) is pool
-        assert result.same_patterns_as(setm(db, 0.01, measure_memory=False))
+        assert result.same_patterns_as(setm(db, 0.01))
         assert result.extra["parallel"]["parallel_iterations"]
 
     def test_broken_pool_is_recreated_for_the_next_run(self):
         from repro.core import setm_parallel as pools
 
         db = self._grid_db()
-        reference = setm(db, 0.01, measure_memory=False)
+        reference = setm(db, 0.01)
         # Prime the cache, then break the pool outright.
         first = setm_spill_parallel(
             db,
             0.01,
             workers=2,
             memory_budget_bytes=GRID_BUDGET,
-            measure_memory=False,
         )
         assert first.same_patterns_as(reference)
         key = (first.extra["parallel"]["start_method"], 2)
@@ -352,7 +343,6 @@ class TestFailureInjection:
             0.01,
             workers=2,
             memory_budget_bytes=GRID_BUDGET,
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.extra["parallel"]["parallel_iterations"]

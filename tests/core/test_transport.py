@@ -81,7 +81,7 @@ def grid():
             seed=0,
         )
     )
-    return db, setm(db, 0.02, measure_memory=False)
+    return db, setm(db, 0.02)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ def big_key_grid():
         (tid, core + rng.sample(items, 2)) for tid in range(100, 125)
     ]
     db = TransactionDatabase(transactions)
-    reference = setm(db, 0.25, measure_memory=False)
+    reference = setm(db, 0.25)
     assert reference.max_pattern_length >= 8  # keys really overflow
     return db, reference
 
@@ -116,7 +116,6 @@ class TestConformanceMatrix:
             parallel_threshold=0,
             start_method=start_method,
             transport=transport,
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -150,7 +149,6 @@ class TestConformanceMatrix:
             memory_budget_bytes=_SPILL_BUDGET,
             start_method=start_method,
             transport=transport,
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -178,7 +176,6 @@ class TestConformanceMatrix:
             workers=2,
             parallel_threshold=0,
             transport=transport,
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -192,7 +189,6 @@ class TestConformanceMatrix:
             workers=2,
             memory_budget_bytes=4096,
             transport="mmap",
-            measure_memory=False,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -225,7 +221,6 @@ class TestLeakAudit:
                 0.02,
                 kernel,
                 algorithm="setm-parallel",
-                measure_memory=False,
             )
         assert leaked_segment_names() == ()
 

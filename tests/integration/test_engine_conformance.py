@@ -215,7 +215,7 @@ def grid_references():
             grid[(seed, minsup)] = (
                 db,
                 bruteforce(db, minsup),
-                setm(db, minsup, measure_memory=False),
+                setm(db, minsup),
             )
     return grid
 
@@ -233,8 +233,6 @@ def _row(name: str) -> ConformanceRow:
 def _run(name: str, database, minsup: float):
     spec = get_engine(name)
     options = dict(_row(name).options)
-    if spec.accepted_options and "measure_memory" in spec.accepted_options:
-        options["measure_memory"] = False
     return spec, spec.run(database, minsup, options=options)
 
 
@@ -349,7 +347,7 @@ class TestConformanceMatrix:
         db = generate_quest_dataset(
             QuestConfig(num_transactions=400, avg_transaction_len=6)
         )
-        reference = setm(db, 0.02, measure_memory=False)
+        reference = setm(db, 0.02)
         assert sqlite_mine(db, 0.02).same_patterns_as(reference)
         assert setm_sql(db, 0.02).same_patterns_as(reference)
 
@@ -481,8 +479,6 @@ class TestDeltaTier:
         spec = get_engine(name)
         options = dict(DELTA_CONFORMANCE[name].options)
         options["state_dir"] = str(tmp_path / "state")
-        if spec.accepted_options and "measure_memory" in spec.accepted_options:
-            options["measure_memory"] = False
 
         dataset = stream_encode(open_chunk_source(paths[0]))
         try:
@@ -496,7 +492,7 @@ class TestDeltaTier:
                 telemetry = result.extra["incremental"]
                 assert telemetry["delta_rows"] < telemetry["total_rows"]
 
-            reference = setm(db, minsup, measure_memory=False)
+            reference = setm(db, minsup)
             assert result.count_relations == reference.count_relations
             assert (
                 result.unfiltered_item_counts
