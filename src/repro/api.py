@@ -12,11 +12,14 @@ with a :class:`~repro.config.MiningConfig`:
 >>> [str(r) for r in rules]
 ['butter ==> bread, [100.0%, 66.7%]', 'bread ==> butter, [100.0%, 66.7%]']
 
-``MiningConfig.algorithm`` selects the engine; ``"setm"`` (the paper's
-contribution) is the default.  All engines return identical patterns —
-the test suite holds them to that — so the choice only affects *how* the
-work is done.  Engines self-register in :mod:`repro.registry` with
-capability metadata; ``repro.registry.available_engines()`` lists them:
+``MiningConfig.algorithm`` selects the engine; the default is
+:data:`repro.config.DEFAULT_ENGINE` (``"setm-columnar"``, the paper's
+SETM on array columns).  ``"setm"``, Figure 4 transliterated tuple by
+tuple, is the opt-in faithful reference.  All engines return identical
+patterns — the test suite holds them to that — so the choice only
+affects *how* the work is done.  Engines self-register in
+:mod:`repro.registry` with capability metadata;
+``repro.registry.available_engines()`` lists them:
 
 ===================  ==========================================================
 ``setm``             In-memory Algorithm SETM (Figure 4)
@@ -44,7 +47,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable, Iterator, MutableMapping
 
-from repro.config import MiningConfig
+from repro.config import DEFAULT_ENGINE, MiningConfig
 from repro.core.result import MiningResult
 from repro.errors import InvalidSupportError
 from repro.core.rules import Rule
@@ -99,7 +102,7 @@ def mine_frequent_itemsets(
     database: TransactionDatabase,
     minimum_support: float,
     *,
-    algorithm: str = "setm",
+    algorithm: str = DEFAULT_ENGINE,
     **options: object,
 ) -> MiningResult:
     """Find all patterns with support at least ``minimum_support``.
@@ -113,7 +116,8 @@ def mine_frequent_itemsets(
     minimum_support:
         Fraction of transactions in ``(0, 1]`` a pattern must appear in.
     algorithm:
-        A registered engine name (default ``"setm"``).
+        A registered engine name (default
+        :data:`~repro.config.DEFAULT_ENGINE`).
     options:
         Passed through to the engine (e.g. ``max_length=3``,
         ``buffer_pages=128`` for ``setm-disk``) after validation against
@@ -128,7 +132,7 @@ def mine_association_rules(
     minimum_support: float,
     minimum_confidence: float,
     *,
-    algorithm: str = "setm",
+    algorithm: str = DEFAULT_ENGINE,
     **options: object,
 ) -> tuple[MiningResult, list[Rule]]:
     """Mine patterns, then generate the Section 5 rules from them.

@@ -24,7 +24,7 @@ Examples::
     python -m repro mine r.basket --minsup 0.01 --minconf 0.7
     python -m repro mine r.basket --minsup-count 25 --algorithm setm-disk \\
         --buffer-pages 128
-    python -m repro mine r.basket --engine setm-columnar --json
+    python -m repro mine r.basket --engine setm --json
     python -m repro mine r.basket --engine setm-columnar-disk \\
         --memory-budget 64M
     python -m repro mine r.basket --engine setm-parallel --workers 4
@@ -57,7 +57,7 @@ from repro.analysis.cost_model import (
     strategy_speedup,
 )
 from repro.analysis.report import format_kv_block, format_table
-from repro.config import INPUT_FORMATS, MiningConfig
+from repro.config import DEFAULT_ENGINE, INPUT_FORMATS, MiningConfig
 from repro.core.transactions import TransactionDatabase
 from repro.errors import ReproError
 from repro.miner import Miner
@@ -94,9 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--minconf", type=float, default=0.5,
                       help="minimum confidence fraction (default 0.5)")
     mine.add_argument("--algorithm", "--engine", dest="algorithm",
-                      default="setm", choices=available_engines(),
-                      help="mining engine (default setm); --engine is "
-                           "an alias")
+                      default=DEFAULT_ENGINE, choices=available_engines(),
+                      help=f"mining engine (default {DEFAULT_ENGINE}; "
+                           "setm is the faithful tuple-at-a-time "
+                           "reference); --engine is an alias")
     mine.add_argument("--max-length", type=int, default=None,
                       help="cap on pattern length")
     mine.add_argument("--buffer-pages", type=int, default=None,

@@ -9,7 +9,8 @@ construction, and carries:
   count (an ``int >= 1``, "at least 3 transactions");
 * ``confidence`` — optional fractional confidence in ``(0, 1]`` for rule
   generation;
-* ``algorithm`` — a registry name (see :mod:`repro.registry`);
+* ``algorithm`` — a registry name (see :mod:`repro.registry`), by
+  default :data:`DEFAULT_ENGINE`;
 * ``max_length`` — optional cap on pattern length;
 * ``options`` — engine options, either plain (``{"buffer_pages": 128}``,
   ``{"workers": 4}``) or namespaced per engine
@@ -32,7 +33,13 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvalidConfigError, InvalidSupportError
 
-__all__ = ["INPUT_FORMATS", "MiningConfig"]
+__all__ = ["DEFAULT_ENGINE", "INPUT_FORMATS", "MiningConfig"]
+
+#: The engine a run uses when the caller names none — the one the
+#: ``MINE`` planner picks for a query with no special requirements.
+#: ``"setm"``, the tuple-at-a-time transliteration of Figure 4, stays
+#: registered as the faithful reference and oracle; name it to get it.
+DEFAULT_ENGINE = "setm-columnar"
 
 #: Valid ``input_format`` values: ``"auto"`` sniffs magic bytes and the
 #: file extension; the rest name a decoder in :mod:`repro.data.formats`.
@@ -83,7 +90,8 @@ class MiningConfig:
         Minimum confidence in ``(0, 1]``; required only when rules are
         generated (``Miner.rules``), ``None`` for pattern-only runs.
     algorithm:
-        Engine name resolved through :mod:`repro.registry`.
+        Engine name resolved through :mod:`repro.registry`
+        (default :data:`DEFAULT_ENGINE`).
     max_length:
         Optional cap on pattern length (``None`` mines to exhaustion,
         matching the paper's ``until R_k = {}``).
@@ -114,7 +122,7 @@ class MiningConfig:
 
     support: float | int = 0.01
     confidence: float | None = None
-    algorithm: str = "setm"
+    algorithm: str = DEFAULT_ENGINE
     max_length: int | None = None
     options: Mapping[str, object] = field(default_factory=dict)
     input_format: str | None = None

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import MiningConfig
+from repro.config import DEFAULT_ENGINE, MiningConfig
 from repro.errors import InvalidConfigError, InvalidSupportError
 
 
@@ -108,7 +108,7 @@ class TestImmutability:
         other = config.replace(algorithm="apriori")
         assert other.algorithm == "apriori"
         assert other.confidence == 0.9
-        assert config.algorithm == "setm"
+        assert config.algorithm == DEFAULT_ENGINE
 
     def test_equality_is_by_value(self):
         assert MiningConfig(support=0.5) == MiningConfig(support=0.5)

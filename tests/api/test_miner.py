@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import mine_association_rules, mine_frequent_itemsets
-from repro.config import MiningConfig
+from repro.config import DEFAULT_ENGINE, MiningConfig
 from repro.errors import (
     EngineOptionError,
     InvalidConfigError,
@@ -63,7 +63,7 @@ class TestFrequentItemsets:
     def test_session_timing_recorded(self, example_db):
         result = Miner(example_db).frequent_itemsets(MiningConfig(support=0.3))
         session = result.extra["session"]
-        assert session["engine"] == "setm"
+        assert session["engine"] == DEFAULT_ENGINE
         assert session["api_elapsed_seconds"] >= 0.0
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro.api import ALGORITHMS, mine_association_rules, mine_frequent_itemsets
+from repro.config import DEFAULT_ENGINE
 from repro.errors import (
     InvalidSupportError,
     ReproError,
@@ -32,9 +33,9 @@ class TestRegistry:
             "bruteforce",
         } == set(ALGORITHMS)
 
-    def test_default_algorithm_is_setm(self, example_db):
+    def test_default_algorithm_is_default_engine(self, example_db):
         result = mine_frequent_itemsets(example_db, 0.30)
-        assert result.algorithm == "setm"
+        assert result.algorithm == DEFAULT_ENGINE
 
     def test_unknown_algorithm_message_lists_registry(self, example_db):
         with pytest.raises(ValueError) as excinfo:

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import DEFAULT_ENGINE, MiningConfig
 from repro.errors import PlanError
 from repro.query import DatasetStats, parse_query, plan_query, render_plan
 
@@ -266,6 +267,17 @@ class TestPinnedChoices:
             d for d in plan.decisions() if d.choice == "relaxed parallel"
         ]
         assert relaxed and "lowest-priority" in relaxed[0].reason
+
+    @pytest.mark.parametrize(
+        "stats", [SMALL, BIG, STREAMED], ids=["small", "big", "streamed"]
+    )
+    @pytest.mark.parametrize("target", ["RULES", "ITEMSETS"])
+    def test_no_requirements_selects_the_default_engine(self, stats, target):
+        """A bare statement runs the engine ``Miner`` runs by default, so
+        the ``MINE`` and ``Miner`` front doors cannot drift apart."""
+        plan = _plan(f"MINE {target} FROM sales WHERE support >= 0.01", stats)
+        assert plan.engine == DEFAULT_ENGINE
+        assert plan.config.algorithm == MiningConfig().algorithm
 
     def test_unknown_using_engine_is_a_plan_error(self):
         with pytest.raises(PlanError, match="unknown engine"):

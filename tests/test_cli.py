@@ -157,7 +157,7 @@ class TestMine:
         import json
 
         code, output = run_cli(
-            "mine", example_basket,
+            "mine", example_basket, "--algorithm", "setm",
             "--minsup", "0.3", "--minconf", "0.7", "--json",
         )
         assert code == 0
