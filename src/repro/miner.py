@@ -153,8 +153,11 @@ class Miner:
         config = self._resolve_config(config, overrides)
         key = self._pattern_key(config)
         with self._cache_lock:
-            cached = self._hit(key)
+            cached = self._results.get(key)
             if cached is not None:
+                self._hits += 1
+                self._results.move_to_end(key)
+                self._last_result = cached
                 return cached
             self._misses += 1
         spec = get_engine(config.algorithm)
@@ -183,31 +186,6 @@ class Miner:
                     self._results.popitem(last=False)
                     self._evictions += 1
         return result
-
-    def cached(
-        self, config: MiningConfig | None = None, **overrides: object
-    ) -> MiningResult | None:
-        """The cached result for ``config``, or ``None`` — never mines.
-
-        A hit is served and counted exactly as :meth:`frequent_itemsets`
-        serves it; a miss counts nothing, so a caller that goes on to
-        mine through :meth:`frequent_itemsets` records one miss, not
-        two.  The key includes the dataset's current generation, so a
-        hit is never stale.
-        """
-        config = self._resolve_config(config, overrides)
-        key = self._pattern_key(config)
-        with self._cache_lock:
-            return self._hit(key)
-
-    def _hit(self, key: tuple) -> MiningResult | None:
-        """Serve ``key`` from the cache; the caller holds the cache lock."""
-        cached = self._results.get(key)
-        if cached is not None:
-            self._hits += 1
-            self._results.move_to_end(key)
-            self._last_result = cached
-        return cached
 
     def rules(
         self, config: MiningConfig | None = None, **overrides: object
@@ -253,16 +231,6 @@ class Miner:
         StateVersionError
             The saved state was written by a different format version.
         """
-        return self.frequent_itemsets(self.delta_config(config, **overrides))
-
-    def delta_config(
-        self, config: MiningConfig | None = None, **overrides: object
-    ) -> MiningConfig:
-        """The config :meth:`mine_delta` runs for ``config``.
-
-        Resolves it, requires a ``state_dir``, and switches a
-        non-incremental ``algorithm`` to ``"setm-incremental"``.
-        """
         config = self._resolve_config(config, overrides)
         if config.state_dir is None:
             raise InvalidConfigError(
@@ -272,7 +240,7 @@ class Miner:
         spec = get_engine(config.algorithm)
         if not spec.incremental:
             config = config.replace(algorithm="setm-incremental")
-        return config
+        return self.frequent_itemsets(config)
 
     def explain(self, config: MiningConfig | None = None, **overrides: object) -> str:
         """Describe how ``config`` would run — without mining anything.

@@ -10,10 +10,7 @@ Query-shaped requests — ``mine``, ``patterns``, ``support_of``,
 :mod:`repro.query` ``MINE`` statement planned server-side) — run
 through the bounded :class:`~repro.serve.scheduler.RequestScheduler`;
 control-plane requests (``ping``, ``stats``, ``drain``) are answered
-inline so a saturated queue can still be observed and drained.  A
-request whose result is already cached answers without taking the
-dataset's lock, so it never waits behind another request's mine; mines,
-appends and refreshes of one dataset serialize on that lock.
+inline so a saturated queue can still be observed and drained.
 
 Datasets registered in stream-encoded form
 (:class:`~repro.data.ingest.EncodedDataset`) stay *live*: the ``append``
@@ -132,9 +129,8 @@ class _HostedDataset:
         # (not just materialized away) so the ``append`` op can extend
         # it in place and the miner sees every generation bump.
         self.encoded_dataset = encoded_dataset
-        # Serializes dataset mutation (append, refresh) and mining of
-        # the same dataset; cache hits answer without it, and different
-        # datasets stay concurrent.
+        # Serializes dataset mutation (append) against in-flight mining
+        # of the same dataset; different datasets stay concurrent.
         self.lock = threading.RLock()
         # Decoded views of cached results, keyed by id(result).  The
         # strong reference to the result keeps the id stable; entries
@@ -312,20 +308,15 @@ class MiningService:
         if request.op == "query":
             return self._op_query(request, hosted)
         config = self._pin_spill_dir(request.config)
-        hosted.miner.engine_spec(config)  # fail typed before any work
-        result = None
         if request.op == "refresh":
-            # A refresh writes the incremental state, so like append it
-            # looks up and mines under the dataset lock.
-            config = hosted.miner.delta_config(
-                self._pin_state_dir(request.dataset, config)
-            )
-        else:
-            result = hosted.miner.cached(config)
-        cache_hit = result is not None
-        if not cache_hit:
-            with hosted.lock:
-                result, cache_hit = self._mine_locked(hosted, config)
+            config = self._pin_state_dir(request.dataset, config)
+        hosted.miner.engine_spec(config)  # fail typed before any work
+        cache_info_before = hosted.miner.cache_info()
+        with hosted.lock:
+            if request.op == "refresh":
+                result = hosted.miner.mine_delta(config)
+            else:
+                result = hosted.miner.frequent_itemsets(config)
         # Stream-encoded datasets mine in label space already (their
         # kernels decode through the live catalog); only whole-file
         # registrations need the id-to-label pass.
@@ -342,7 +333,13 @@ class MiningService:
         document = handler(request, config, decoded)
         if request.op == "refresh":
             document["incremental"] = result.extra.get("incremental")
-        document["server"] = {"engine": engine_name, "cache_hit": cache_hit}
+        document["server"] = {
+            "engine": engine_name,
+            "cache_hit": (
+                hosted.miner.cache_info()["hits"]
+                > cache_info_before["hits"]
+            ),
+        }
         return document
 
     def _op_mine(
@@ -477,28 +474,24 @@ class MiningService:
         # Lazy, like the data layer: the serve core stays importable
         # without dragging the query front-end in for servers that
         # never see a ``query`` request.
-        from repro.query import build_document
+        from repro.query import build_document, dataset_stats, plan_query
         from repro.query.plan import render_plan
 
         ast = request.params["ast"]
-        if request.params.get("explain"):
-            with hosted.lock:
-                plan = self._plan(hosted, ast)
-            return {"explain": render_plan(plan), "engine": plan.engine}
-        # Planning reads the dataset's size, which an append changes in
-        # place.  A plan made without the lock may therefore pick its
-        # engine from a half-appended size; that only ever serves a
-        # cache hit (every engine's answer is the same).  A miss plans
-        # again under the lock before it mines.
-        plan = self._plan(hosted, ast)
-        result = hosted.miner.cached(self._pin_spill_dir(plan.config))
-        cache_hit = result is not None
-        if not cache_hit:
-            with hosted.lock:
-                plan = self._plan(hosted, ast)
-                result, cache_hit = self._mine_locked(
-                    hosted, self._pin_spill_dir(plan.config)
-                )
+        cache_info_before = hosted.miner.cache_info()
+        with hosted.lock:
+            stats = dataset_stats(
+                hosted.database,
+                name=hosted.name,
+                state_dir=ast.option("state"),
+            )
+            plan = plan_query(ast, stats)
+            if request.params.get("explain"):
+                return {"explain": render_plan(plan), "engine": plan.engine}
+            # Spill pinning happens *after* the explain short-circuit so
+            # rendered plans never leak the service's temp directories.
+            plan.config = self._pin_spill_dir(plan.config)
+            result = hosted.miner.frequent_itemsets(plan.config)
         if hosted.encoded_dataset is not None:
             decoded = result
         else:
@@ -509,43 +502,18 @@ class MiningService:
         document = build_document(plan, decoded, rules)
         with self._lock:
             self._by_engine[plan.engine] += 1
-        document["server"] = {"engine": plan.engine, "cache_hit": cache_hit}
+        document["server"] = {
+            "engine": plan.engine,
+            "cache_hit": (
+                hosted.miner.cache_info()["hits"]
+                > cache_info_before["hits"]
+            ),
+        }
         return document
 
     _op_refresh = _op_mine
 
     # -- shared mining plumbing -----------------------------------------------------
-
-    @staticmethod
-    def _mine_locked(
-        hosted: _HostedDataset, config: MiningConfig
-    ) -> tuple[MiningResult, bool]:
-        """``(result, cache_hit)`` for ``config``; the caller holds the lock.
-
-        Callers look the cache up first without the lock, so a hit never
-        waits behind another request's mine.  This second look, under
-        the lock, turns a request that queued behind an identical miss
-        into a hit on that run's result instead of a second mine.
-        """
-        result = hosted.miner.cached(config)
-        if result is not None:
-            return result, True
-        return hosted.miner.frequent_itemsets(config), False
-
-    @staticmethod
-    def _plan(hosted: _HostedDataset, ast):
-        """Plan ``ast`` over ``hosted``'s current statistics.
-
-        The plan's config is left unpinned so an explained plan never
-        shows the service's temporary directories; callers that mine
-        pin it with :meth:`_pin_spill_dir`.
-        """
-        from repro.query import dataset_stats, plan_query
-
-        stats = dataset_stats(
-            hosted.database, name=hosted.name, state_dir=ast.option("state")
-        )
-        return plan_query(ast, stats)
 
     def _pin_state_dir(self, name: str, config: MiningConfig) -> MiningConfig:
         """Default ``refresh`` runs to the service's per-dataset state dir.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -416,198 +415,6 @@ class TestAdmissionControl:
             gate.set()
             service.drain()
             unregister_engine("test-serve-gate")
-
-
-class TestHitsDoNotWait:
-    """A cache hit answers while another request's mine holds the
-    dataset lock; a request queued behind an identical miss reuses that
-    run instead of mining again."""
-
-    @pytest.fixture
-    def blocking_engine(self):
-        gate = threading.Event()
-        started = threading.Event()
-        calls: list[float] = []
-
-        @register_engine("test-serve-block")
-        def blocked(database, minimum_support, *, max_length=None):
-            calls.append(minimum_support)
-            started.set()
-            assert gate.wait(30)
-            return MiningResult(
-                algorithm="test-serve-block",
-                num_transactions=database.num_transactions,
-                minimum_support=minimum_support,
-                support_threshold=3,
-                count_relations={},
-            )
-
-        try:
-            yield gate, started, calls
-        finally:
-            gate.set()
-            unregister_engine("test-serve-block")
-
-    @pytest.mark.parametrize(
-        "request_",
-        [
-            {"op": "mine", "dataset": "example", "config": {"support": 0.3}},
-            {
-                "op": "query",
-                "query": "MINE ITEMSETS FROM example WHERE support >= 0.3",
-            },
-        ],
-        ids=["mine", "query"],
-    )
-    def test_hit_answers_while_a_miss_holds_the_lock(
-        self, service, blocking_engine, request_
-    ):
-        gate, started, _ = blocking_engine
-        ok(service.handle(dict(request_)))  # warm the cache
-        miss = threading.Thread(
-            target=service.handle,
-            args=(
-                {
-                    "op": "mine",
-                    "dataset": "example",
-                    "config": {"support": 0.3, "algorithm": "test-serve-block"},
-                },
-            ),
-        )
-        miss.start()
-        assert started.wait(30)
-        # The blocked engine now mines under the dataset lock.
-        results: list[tuple[int, dict]] = []
-        hit = threading.Thread(
-            target=lambda: results.append(service.handle(dict(request_)))
-        )
-        hit.start()
-        hit.join(10)
-        answered_while_blocked = not hit.is_alive()
-        gate.set()
-        hit.join(30)
-        miss.join(30)
-        assert answered_while_blocked, "a cache hit waited for another mine"
-        assert ok(results[0])["server"]["cache_hit"] is True
-
-    def test_queued_identical_miss_becomes_a_hit(
-        self, service, blocking_engine
-    ):
-        gate, started, calls = blocking_engine
-        request = {
-            "op": "mine",
-            "dataset": "example",
-            "config": {"support": 0.3, "algorithm": "test-serve-block"},
-        }
-        results: list[tuple[int, dict]] = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(service.handle(dict(request)))
-            )
-            for _ in range(2)
-        ]
-        threads[0].start()
-        assert started.wait(30)
-        threads[1].start()
-        gate.set()
-        for thread in threads:
-            thread.join(30)
-        assert len(calls) == 1
-        assert sorted(
-            ok(result)["server"]["cache_hit"] for result in results
-        ) == [False, True]
-
-
-class TestConcurrentAppends:
-    """Cache hits answered without the dataset lock stay linearizable
-    under appends: every answer is a from-scratch mine of one
-    generation, and no client sees a generation go backwards."""
-
-    def test_every_answer_is_one_generation_and_never_goes_back(
-        self, tmp_path
-    ):
-        from repro.core.transactions import TransactionDatabase
-        from repro.data.formats import open_chunk_source
-        from repro.data.ingest import load_dataset
-        from repro.data.io import write_basket_file
-        from repro.data.quest import QuestConfig, generate_quest_dataset
-
-        transactions = list(
-            generate_quest_dataset(
-                QuestConfig(num_transactions=300, avg_transaction_len=6,
-                            avg_pattern_len=2, seed=4)
-            )
-        )
-        paths = []
-        for start, stop in ((0, 200), (200, 250), (250, 300)):
-            path = tmp_path / f"from{start}.basket"
-            write_basket_file(
-                TransactionDatabase(
-                    (t.trans_id, t.items) for t in transactions[start:stop]
-                ),
-                path,
-            )
-            paths.append(str(path))
-        support = 0.05
-        # expected[g]: the from-scratch answer at generation g.
-        reference = load_dataset(paths[0])
-        expected = []
-        for path in [None, *paths[1:]]:
-            if path is not None:
-                reference.append_chunks(open_chunk_source(path))
-            payload = result_payload(
-                Miner(reference).frequent_itemsets(
-                    MiningConfig(support=support)
-                )
-            )
-            expected.append(json.dumps(payload, sort_keys=True))
-        assert len(set(expected)) == 3
-
-        service = MiningService(
-            {"d": load_dataset(paths[0])}, workers=4, queue_depth=64
-        )
-        requests = [
-            {"op": "mine", "dataset": "d", "config": {"support": support}},
-            {
-                "op": "query",
-                "query": f"MINE ITEMSETS FROM d WHERE support >= {support}",
-            },
-        ]
-        seen: list[list[int]] = [[] for _ in range(6)]
-
-        def client(index: int) -> None:
-            for step in range(12):
-                status, document = service.handle(dict(requests[step % 2]))
-                assert status == 200, document
-                seen[index].append(
-                    expected.index(
-                        json.dumps(document["result"], sort_keys=True)
-                    )
-                )
-
-        # More serve workers than cores, switching threads often.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=7) as pool:
-                futures = [pool.submit(client, i) for i in range(6)]
-                for path in paths[1:]:
-                    time.sleep(0.01)
-                    ok(service.handle(
-                        {"op": "append", "dataset": "d", "path": path}
-                    ))
-                for future in futures:
-                    future.result(timeout=120)
-            final = ok(service.handle(dict(requests[0])))
-            cache = service.stats()["cache"]
-        finally:
-            sys.setswitchinterval(interval)
-            service.drain()
-        for generations in seen:
-            assert generations == sorted(generations), generations
-        assert json.dumps(final["result"], sort_keys=True) == expected[-1]
-        # One lookup per request: a hit, or the one miss that mined.
-        assert cache["hits"] + cache["misses"] == 6 * 12 + 1
 
 
 class TestStats:
