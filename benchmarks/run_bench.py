@@ -978,6 +978,26 @@ def _bench_ingest(
     }
 
 
+def _delta_work_violations(telemetry: dict) -> list[str]:
+    """What a delta mine's telemetry shows beyond delta-only work."""
+    checks = [
+        (telemetry["mode"] == "delta", f"mode {telemetry['mode']!r}"),
+        (
+            telemetry["delta_rows"]
+            == telemetry["total_rows"] - telemetry["base_rows"],
+            f"counted {telemetry['delta_rows']} delta rows of "
+            f"{telemetry['total_rows']} total and "
+            f"{telemetry['base_rows']} base",
+        ),
+        (telemetry["state_hits"] > 0, "no state hits"),
+        (
+            telemetry["recount_fraction"] < 1,
+            f"recount fraction {telemetry['recount_fraction']}",
+        ),
+    ]
+    return [message for ok, message in checks if not ok]
+
+
 def _bench_incremental(
     name: str,
     database,
@@ -1007,6 +1027,13 @@ def _bench_incremental(
     (total rebuild time over total delta time) clears
     ``speedup_floor``.  All mines are serial, so the ratio is honest
     on any host — no ``coordination_overhead_only`` tagging needed.
+
+    Every batch must also pass a deterministic work bound read from the
+    delta mine's ``extra["incremental"]`` telemetry: it ran the delta
+    path, counted exactly the appended rows, reused saved state, and
+    recounted less than everything.  A delta mine that re-mines or
+    recounts the whole base fails it on any host, however noisy its
+    clock.
     """
     txns = list(database)
     base_count = max(1, int(len(txns) * base_fraction))
@@ -1111,10 +1138,12 @@ def _bench_incremental(
                         delta_best, delta_result = elapsed, candidate
 
                 telemetry = delta_result.extra["incremental"]
-                if telemetry["mode"] != "delta":
+                violations = _delta_work_violations(telemetry)
+                if violations:
                     raise SystemExit(
                         f"incremental scenario on {name}: batch {batch} "
-                        "never took the delta path; nothing measured"
+                        f"did more than delta work ({'; '.join(violations)})"
+                        "; refusing to record"
                     )
                 for label, reference in (
                     ("full-rebuild", full_result),
@@ -1137,7 +1166,9 @@ def _bench_incremental(
                 speedup = round(full_best / delta_best, 3)
                 entry = {
                     "batch": batch,
+                    "mode": telemetry["mode"],
                     "delta_transactions": telemetry["delta_transactions"],
+                    "base_rows": telemetry["base_rows"],
                     "delta_rows": telemetry["delta_rows"],
                     "total_rows": telemetry["total_rows"],
                     "state_hits": telemetry["state_hits"],

@@ -37,15 +37,13 @@ affects *how* the work is done.  Engines self-register in
 This module keeps the original flat functions —
 :func:`mine_frequent_itemsets`, :func:`mine_association_rules`, and the
 ``ALGORITHMS`` mapping — as thin compatibility wrappers over the session
-layer.  They are not deprecated for *reading*; mutating ``ALGORITHMS``
-emits a :class:`DeprecationWarning` (register engines with
-:func:`repro.registry.register_engine` instead).
+layer.  ``ALGORITHMS`` is a read-only view of the engine registry
+(register engines with :func:`repro.registry.register_engine`).
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Callable, Iterator, MutableMapping
+from collections.abc import Callable, Iterator, Mapping
 
 from repro.config import DEFAULT_ENGINE, MiningConfig
 from repro.core.result import MiningResult
@@ -53,12 +51,7 @@ from repro.errors import InvalidSupportError
 from repro.core.rules import Rule
 from repro.core.transactions import TransactionDatabase
 from repro.miner import Miner
-from repro.registry import (
-    available_engines,
-    find_engine,
-    register_engine,
-    unregister_engine,
-)
+from repro.registry import available_engines, find_engine
 
 __all__ = ["ALGORITHMS", "mine_association_rules", "mine_frequent_itemsets"]
 
@@ -147,13 +140,13 @@ def mine_association_rules(
     return result, miner.rules(config)
 
 
-class _AlgorithmsView(MutableMapping):
+class _AlgorithmsView(Mapping):
     """Legacy ``ALGORITHMS`` mapping, live-backed by the engine registry.
 
-    Reading (``ALGORITHMS["setm"]``, iteration, ``len``) is supported
-    unchanged and reflects the current registry.  Mutation still works
-    but emits a :class:`DeprecationWarning`: new engines should register
-    through :func:`repro.registry.register_engine`, which also carries
+    Reading (``ALGORITHMS["setm"]``, iteration, ``len``) reflects the
+    current registry.  The view is read-only — item assignment and
+    deletion raise :class:`TypeError`; new engines register through
+    :func:`repro.registry.register_engine`, which also carries
     capability metadata.
     """
 
@@ -169,30 +162,6 @@ class _AlgorithmsView(MutableMapping):
     def __len__(self) -> int:
         return len(available_engines())
 
-    def __setitem__(
-        self, name: str, runner: Callable[..., MiningResult]
-    ) -> None:
-        warnings.warn(
-            "mutating repro.api.ALGORITHMS is deprecated; use "
-            "repro.registry.register_engine instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # The callable's signature is unknown, so option checking is
-        # disabled for engines injected this way.
-        register_engine(name, accepted_options=None, replace=True)(runner)
-
-    def __delitem__(self, name: str) -> None:
-        warnings.warn(
-            "mutating repro.api.ALGORITHMS is deprecated; use "
-            "repro.registry.unregister_engine instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if find_engine(name) is None:
-            raise KeyError(name)
-        unregister_engine(name)
-
     def copy(self) -> dict[str, Callable[..., MiningResult]]:
         """A plain-dict snapshot — dict-API parity for old read-side code."""
         return {name: self[name] for name in self}
@@ -202,4 +171,4 @@ class _AlgorithmsView(MutableMapping):
 
 
 #: Legacy algorithm registry view: name -> callable(db, minsup, **kwargs).
-ALGORITHMS: MutableMapping[str, Callable[..., MiningResult]] = _AlgorithmsView()
+ALGORITHMS: Mapping[str, Callable[..., MiningResult]] = _AlgorithmsView()

@@ -396,7 +396,7 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
         spec = get_engine(args.algorithm)
         if args.state is not None and not spec.incremental:
             spec = get_engine("setm-incremental")
-        if "measure_memory" in (spec.accepted_options or ()):
+        if "measure_memory" in spec.accepted_options:
             options["measure_memory"] = True
     config = MiningConfig(
         support=(
@@ -568,11 +568,7 @@ def _cmd_engines(args: argparse.Namespace, out) -> int:
                 "parallel": spec.parallel,
                 "streaming_ingest": spec.streaming_ingest,
                 "incremental": spec.incremental,
-                "accepted_options": (
-                    None
-                    if spec.accepted_options is None
-                    else sorted(spec.accepted_options)
-                ),
+                "accepted_options": sorted(spec.accepted_options),
             }
             for spec in specs
         ]
@@ -588,11 +584,7 @@ def _cmd_engines(args: argparse.Namespace, out) -> int:
             "yes" if spec.streaming_ingest else "no",
             "yes" if spec.incremental else "no",
             "yes" if spec.reports_page_accesses else "no",
-            (
-                "(unchecked)"
-                if spec.accepted_options is None
-                else ", ".join(sorted(spec.accepted_options)) or "-"
-            ),
+            ", ".join(sorted(spec.accepted_options)) or "-",
         )
         for spec in specs
     ]

@@ -32,21 +32,28 @@ instance relations, and the choice is the whole performance story:
      :func:`suffix_extend` then produces ``R'_k`` as a handful of
      C-driven ``map``/``chain`` passes (gather indices, suffix ranges,
      item gathers) with no per-row Python at all.
-  3. **Packed-integer patterns.**  A pattern is one mixed-radix integer
-     (:func:`pack_keys`); the merge maintains it incrementally
-     (``key' = key * base + item``), so counting is a single
-     :class:`collections.Counter` pass or a key-free integer sort
-     (:func:`count_packed_keys`) — never ``tuple(row[1:])`` — and the
-     minimum-support filter is an ``itertools.compress`` index copy
-     (:func:`filter_by_keys`).
+  3. **Rank-keyed patterns.**  A pattern is one integer key built on
+     the previous level's frequent set: ``key = rank * base + item``,
+     where ``rank`` is the position of the pattern's ``(k-1)``-prefix
+     in the sorted ``F_{k-1}`` keys (:func:`prefix_ranks`) — the paper's
+     "simple table look-ups on relation ``C_{k-1}``" as an integer row
+     reference.  At ``k <= 2`` the prefix is the item id itself.  The
+     merge computes the ranks once per ``R_{k-1}`` row, so counting is
+     a single :class:`collections.Counter` pass or a key-free integer
+     sort (:func:`count_packed_keys`) — never ``tuple(row[1:])`` — and
+     the minimum-support filter is an ``itertools.compress`` index copy
+     (:func:`filter_by_keys`).  Ranks follow lexicographic prefix
+     order, so key order is pattern order, and a key is bounded by
+     ``|F_{k-1}| * base``: it always fits 64 bits.
 
-  The packed key column and ``last_sid`` together determine every
-  logical column (``item_j`` by unpacking the key, ``trans_id`` by
-  reading the sales tid at ``last_sid``), so inside the mining loop a
-  relation physically carries only those two; the trans_id and item-id
-  arrays materialize on first access (:attr:`InstanceRelation.tids`,
-  :attr:`InstanceRelation.items`) for callers that want the plain
-  columnar view.
+  The key column and ``last_sid`` together determine every logical
+  column (``trans_id`` by reading the sales tid at ``last_sid``; the
+  items through :class:`FrequentLevels`, which maps a key back to its
+  item ids level by level), so inside the mining loop a relation
+  physically carries only those two; the trans_id and (for ``k <= 2``)
+  item-id arrays materialize on first access
+  (:attr:`InstanceRelation.tids`, :attr:`InstanceRelation.items`) for
+  callers that want the plain columnar view.
 
 Vectorized fast path
 --------------------
@@ -57,12 +64,10 @@ When :mod:`numpy` is importable, the three hot primitives
 ``np.unique`` for counting, ``np.isin`` masking for the filter —
 operating on zero-copy ``frombuffer`` views of the same ``array('q')``
 buffers.  numpy is strictly optional: every primitive keeps the
-stdlib ``map``/``chain``/``compress`` implementation, the two paths are
-differentially tested against each other, and the vectorized merge
-falls back per-iteration when a packed key would no longer fit in 64
-bits (``base ** k > 2^63 - 1``; Python's arbitrary-precision integers
-take over).  No behaviour differs between paths beyond the emission
-order of hash-counted groups, which nothing downstream depends on.
+stdlib ``map``/``chain``/``compress``/``bisect`` implementation, and the
+two paths are differentially tested against each other.  No behaviour
+differs between paths beyond the emission order of hash-counted
+groups, which nothing downstream depends on.
 
 The tuple engine stays the faithful reference; this kernel feeds the
 ``setm-columnar`` engine (:mod:`repro.core.setm_columnar`) and is
@@ -81,9 +86,10 @@ from __future__ import annotations
 
 import struct
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
 from itertools import chain, compress, repeat
 from operator import add, sub
 from typing import Literal
@@ -96,6 +102,7 @@ except ImportError:  # minimal installs (e.g. CI) use the stdlib path
     _np = None
 
 __all__ = [
+    "FrequentLevels",
     "InstanceRelation",
     "SalesIndex",
     "chunk_frames",
@@ -103,12 +110,11 @@ __all__ = [
     "count_sorted_rows",
     "extension_counts",
     "filter_by_keys",
-    "pack_keys",
+    "prefix_ranks",
     "read_chunks",
     "suffix_extend",
     "take",
     "tid_group_bounds",
-    "unpack_key",
 ]
 
 #: Typecode of every materialized column: signed 64-bit, enough for any
@@ -116,16 +122,11 @@ __all__ = [
 #: trivially).
 COLUMN_TYPECODE = "q"
 
-
-#: Largest packed key the vectorized path can hold; beyond this the
-#: stdlib path's arbitrary-precision integers take over.
-_INT64_MAX = 2**63 - 1
-
 #: Spill-chunk framing (see :meth:`InstanceRelation.to_chunk_bytes`):
-#: magic, flags byte, pad, k (uint32), rows (int64), payload bytes (int64).
+#: magic, a reserved flags byte (always 0), pad, k (uint32), rows
+#: (int64), payload bytes (int64).
 _CHUNK_MAGIC = b"RKC1"
 _CHUNK_HEADER = struct.Struct("<4sBxIqq")
-_CHUNK_FLAG_BIG_KEYS = 0x01
 
 
 def _column(values: Iterable[int] = ()) -> array:
@@ -148,13 +149,6 @@ def _as_int64(values: Sequence[int]) -> "_np.ndarray":
     return _np.fromiter(values, dtype=_np.int64, count=len(values))
 
 
-def _as_plain(values: Sequence[int]) -> Sequence[int]:
-    """Python-int form of a column (for the arbitrary-precision path)."""
-    if _np is not None and isinstance(values, _np.ndarray):
-        return values.tolist()
-    return values
-
-
 class InstanceRelation:
     """An ``R_k`` relation as flat integer columns.
 
@@ -168,18 +162,20 @@ class InstanceRelation:
     Physically a relation stores whichever columns it was built from:
 
     ``keys``
-        The packed-integer pattern of each row (see :func:`pack_keys`),
-        maintained incrementally by the merge so counting and filtering
-        never rebuild per-row tuples.
+        The rank-keyed pattern of each row (``rank * base + item``, see
+        :func:`suffix_extend`), built by the merge so counting and
+        filtering never rebuild per-row tuples.
     ``last_sid``
         Global ``SALES`` position of each row's last item — the cursor
         the suffix merge of :func:`suffix_extend` resumes from.
 
     Those two columns determine the rest, so relations produced inside
-    the mining loop carry only them; ``tids`` and ``items`` materialize
-    lazily (tid = sales tid at ``last_sid``; ``item_j`` by unpacking
-    ``keys``).  Relations built from raw rows (:meth:`from_rows`) are
-    eager instead and gain ``keys`` via :meth:`with_keys`.
+    the mining loop carry only them; ``tids`` and, for ``k <= 2``,
+    ``items`` materialize lazily (tid = sales tid at ``last_sid``; the
+    items by splitting the key, whose prefix is still an item id).
+    Deeper keys point into the previous level's frequent set, which the
+    kernel's :class:`FrequentLevels` holds.  Relations built from raw
+    rows (:meth:`from_rows`) are eager instead and carry no ``keys``.
     """
 
     __slots__ = ("_tids", "_items", "last_sid", "keys", "_k", "_index")
@@ -231,7 +227,7 @@ class InstanceRelation:
         is built by one C-driven ``map`` over the chained transactions;
         ``last_sid`` is the identity (row ``s``'s only item sits at
         sales position ``s``), ``keys`` aliases the item column (a
-        1-pattern's packed key *is* its item id), and the trans_id
+        1-pattern's key *is* its item id), and the trans_id
         column materializes lazily through the attached
         :class:`SalesIndex`.
         """
@@ -319,24 +315,27 @@ class InstanceRelation:
 
     @property
     def items(self) -> tuple[array, ...]:
-        """The item-id columns (materialized on first access if needed)."""
-        if self._items is None:
-            base = self._require_index().base
-            columns: list[array] = []
-            keys: Iterable[int] = self.keys
-            for _ in range(self._k):
-                keys = list(keys)
-                columns.append(_column(key % base for key in keys))
-                keys = (key // base for key in keys)
-            columns.reverse()
-            self._items = tuple(columns)
-        return self._items
+        """The item-id columns (materialized on first access if needed).
 
-    def with_keys(self, base: int) -> "InstanceRelation":
-        """Ensure the packed-keys column exists (see :func:`pack_keys`)."""
-        if self.keys is None:
-            self.keys = pack_keys(self, base)
-        return self
+        Derivable from the keys alone only for ``k <= 2``; a deeper
+        key's rank resolves through the run's :class:`FrequentLevels`.
+        """
+        if self._items is None:
+            if self._k > 2:
+                raise ValueError(
+                    f"a k={self._k} key points into F_{self._k - 1}; "
+                    "decode it through FrequentLevels.items"
+                )
+            base = self._require_index().base
+            keys = self.keys
+            if self._k == 1:
+                self._items = (_column(keys),)
+            else:
+                self._items = (
+                    _column(key // base for key in keys),
+                    _column(key % base for key in keys),
+                )
+        return self._items
 
     def row(self, index: int) -> tuple[int, ...]:
         """Materialize one row as a tuple (tests and debugging only)."""
@@ -355,15 +354,12 @@ class InstanceRelation:
         """Serialize this relation's ``(keys, last_sid)`` columns to one chunk.
 
         The spill format of the out-of-core engine: a fixed header
-        (magic, flags, ``k``, row count, payload length) followed by the
-        ``last_sid`` column as flat native int64 and the ``keys`` column
-        either as flat int64 (the common case) or — when a packed key no
-        longer fits 64 bits, the same condition that sends
-        :func:`suffix_extend` to its big-integer fallback — as
-        length-prefixed big-endian integers.  ``(keys, last_sid, k)``
-        fully determine a loop relation (tids and item columns derive
-        from them), so the round trip is lossless; chunks are
-        process-private scratch, hence native byte order.
+        (magic, a reserved flags byte, ``k``, row count, payload length)
+        followed by the ``last_sid`` and ``keys`` columns as flat native
+        int64 — rank keys always fit 64 bits.  ``(keys, last_sid, k)``
+        fully determine a loop relation within its run, so the round
+        trip is lossless; chunks are process-private scratch, hence
+        native byte order.
 
         Requires the ``keys`` and ``last_sid`` columns (relations built
         by ``sales_from_database``/``suffix_extend`` have them).
@@ -375,18 +371,9 @@ class InstanceRelation:
                 "chunk serialization needs the keys/last_sid columns; "
                 "build relations with sales_from_database/suffix_extend"
             )
-        sid_bytes = _int64_column_bytes(sids)
-        try:
-            key_bytes = _int64_column_bytes(keys)
-            flags = 0
-        except OverflowError:
-            # The > 64-bit fallback: packed keys are arbitrary-precision
-            # Python integers; store each as length-prefixed big-endian.
-            key_bytes = _bigint_column_bytes(keys)
-            flags = _CHUNK_FLAG_BIG_KEYS
-        payload = sid_bytes + key_bytes
+        payload = _int64_column_bytes(sids) + _int64_column_bytes(keys)
         header = _CHUNK_HEADER.pack(
-            _CHUNK_MAGIC, flags, self._k, len(self), len(payload)
+            _CHUNK_MAGIC, 0, self._k, len(self), len(payload)
         )
         return header + payload
 
@@ -406,22 +393,11 @@ class InstanceRelation:
         ``index`` reattaches the run's shared :class:`SalesIndex` so the
         lazy ``tids``/``items`` columns keep deriving.
         """
-        magic, flags, k, n, payload_len = _CHUNK_HEADER.unpack_from(data, offset)
-        if magic != _CHUNK_MAGIC:
-            raise ValueError(
-                f"bad chunk magic {magic!r} at offset {offset}"
-            )
-        body = offset + _CHUNK_HEADER.size
-        end = body + payload_len
+        k, n, sid_offset, key_offset, end = _chunk_frame(data, offset)
         sids = array(COLUMN_TYPECODE)
-        sids.frombytes(data[body : body + 8 * n])
-        cursor = body + 8 * n
-        if flags & _CHUNK_FLAG_BIG_KEYS:
-            keys: Sequence[int] = _bigint_column_from_bytes(data, cursor, end, n)
-        else:
-            key_column = array(COLUMN_TYPECODE)
-            key_column.frombytes(data[cursor:end])
-            keys = key_column
+        sids.frombytes(data[sid_offset:key_offset])
+        keys = array(COLUMN_TYPECODE)
+        keys.frombytes(data[key_offset:end])
         relation = cls(
             None, None, last_sid=sids, keys=keys, k=k, index=index
         )
@@ -429,7 +405,7 @@ class InstanceRelation:
 
 
 def _int64_column_bytes(values: Sequence[int]) -> bytes:
-    """Flat native-int64 bytes of a column; ``OverflowError`` on big ints."""
+    """Flat native-int64 bytes of a column."""
     if _np is not None and isinstance(values, _np.ndarray):
         return values.tobytes()
     if isinstance(values, array):
@@ -437,35 +413,19 @@ def _int64_column_bytes(values: Sequence[int]) -> bytes:
     return array(COLUMN_TYPECODE, values).tobytes()
 
 
-def _bigint_column_bytes(keys: Sequence[int]) -> bytes:
-    """Length-prefixed big-endian encoding for > 64-bit packed keys."""
-    parts: list[bytes] = []
-    for key in keys:
-        value = int(key)
-        if value < 0:
-            raise ValueError(f"packed keys are non-negative; got {value}")
-        blob = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-        parts.append(struct.pack("<I", len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
-
-
-def _bigint_column_from_bytes(
-    data: bytes, start: int, end: int, n: int
-) -> list[int]:
-    """Invert :func:`_bigint_column_bytes`; returns a plain int list."""
-    keys: list[int] = []
-    cursor = start
-    for _ in range(n):
-        (length,) = struct.unpack_from("<I", data, cursor)
-        cursor += 4
-        keys.append(int.from_bytes(data[cursor : cursor + length], "big"))
-        cursor += length
-    if cursor != end:
+def _chunk_frame(data, offset: int) -> tuple[int, int, int, int, int]:
+    """One chunk header at ``offset``: ``(k, n, sid_offset, key_offset, end)``."""
+    magic, flags, k, n, payload_len = _CHUNK_HEADER.unpack_from(data, offset)
+    body = offset + _CHUNK_HEADER.size
+    end = body + payload_len
+    if magic != _CHUNK_MAGIC:
+        raise ValueError(f"bad chunk magic {magic!r} at offset {offset}")
+    if flags or payload_len != 16 * n:
         raise ValueError(
-            f"chunk payload length mismatch: ended at {cursor}, expected {end}"
+            f"unsupported chunk flags {flags} or payload length "
+            f"{payload_len} for {n} rows at offset {offset}"
         )
-    return keys
+    return k, n, body, body + 8 * n, end
 
 
 def read_chunks(
@@ -480,14 +440,12 @@ def read_chunks(
         yield relation
 
 
-def chunk_frames(
-    data,
-) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+def chunk_frames(data) -> Iterator[tuple[int, int, int, int, int]]:
     """Walk chunk *framing* in ``data`` without decoding any column.
 
-    Yields ``(flags, k, n, start, sid_offset, key_offset, end)`` per
-    chunk: the header fields plus the byte offsets of the ``last_sid``
-    column, the ``keys`` column, and the chunk's end.  ``data`` may be
+    Yields ``(k, n, sid_offset, key_offset, end)`` per chunk: the header
+    fields plus the byte offsets of the ``last_sid`` column, the
+    ``keys`` column, and the chunk's end.  ``data`` may be
     any buffer (bytes, a :class:`memoryview` over shared memory, an
     ``mmap``) — nothing is sliced or copied, which is the point: the
     zero-copy transport decoders use these offsets to construct int64
@@ -497,14 +455,9 @@ def chunk_frames(
     offset = 0
     total = len(data)
     while offset < total:
-        magic, flags, k, n, payload_len = _CHUNK_HEADER.unpack_from(
-            data, offset
-        )
-        if magic != _CHUNK_MAGIC:
-            raise ValueError(f"bad chunk magic {magic!r} at offset {offset}")
-        body = offset + _CHUNK_HEADER.size
-        yield flags, k, n, offset, body, body + 8 * n, body + payload_len
-        offset = body + payload_len
+        frame = _chunk_frame(data, offset)
+        yield frame
+        offset = frame[-1]
 
 
 def extension_counts(
@@ -560,9 +513,9 @@ class SalesIndex:
     :func:`suffix_extend` reads this array instead of re-merging
     trans_id groups every iteration.
 
-    ``base`` is the pattern-packing radix: one more than the largest
-    dictionary id, so packed keys are injective and numerically ordered
-    like their patterns.  The per-row trans_id column is derived from
+    ``base`` is the pattern-key radix: one more than the largest
+    dictionary id, so ``rank * base + item`` keys are injective and
+    numerically ordered like their patterns.  The per-row trans_id column is derived from
     ``(trans_ids, run_lengths)`` lazily — the mining loop never reads
     it.
     """
@@ -663,8 +616,29 @@ def take(relation: InstanceRelation, indices: Sequence[int]) -> InstanceRelation
     )
 
 
+def prefix_ranks(
+    keys: Sequence[int], prefixes: Sequence[int] | None
+) -> Sequence[int]:
+    """Each key's row number in the sorted ``F_{k-1}`` keys ``prefixes``.
+
+    The one place a level's key is turned into the row reference the
+    next level's keys are built on (``rank * base + item``): a
+    ``searchsorted`` pass with numpy, ``bisect`` otherwise.  Every key
+    must occur in ``prefixes`` — ``R_{k-1}`` holds only supported
+    patterns.  ``prefixes=None`` stands for ``F_1``'s level, whose
+    prefix is the item id itself, and returns ``keys`` unchanged.
+    """
+    if prefixes is None:
+        return keys
+    if _np is not None:
+        return _np.searchsorted(_as_int64(prefixes), _as_int64(keys))
+    return list(map(partial(bisect_left, prefixes), keys))
+
+
 def suffix_extend(
-    r_prev: InstanceRelation, index: SalesIndex
+    r_prev: InstanceRelation,
+    index: SalesIndex,
+    prefixes: Sequence[int] | None = None,
 ) -> InstanceRelation:
     """The merge-scan join of Figure 4, fused and columnar.
 
@@ -676,12 +650,14 @@ def suffix_extend(
     ``last_sid[r]+1 .. ends[last_sid[r]]`` — so the whole join is a
     handful of C-driven bulk passes with no per-row Python:
 
-    1. per-row extension counts — one ``map`` over ``ext_counts``;
-    2. the new ``last_sid`` column — ``chain``-flattened ``range`` runs;
-    3. the packed keys (``key' = key * base + item``) — previous keys
-       are scaled *before* expansion (|R_{k-1}| multiplications, not
-       |R'_k|), replicated by ``chain``-flattened ``repeat`` runs, and
-       added to the sales items at the new positions.
+    1. per-row extension counts — one gather over ``ext_counts``;
+    2. the new ``last_sid`` column — flattened ``range`` runs;
+    3. the rank keys (``key' = rank * base + item``) — each previous
+       key becomes its rank in ``prefixes``, the sorted ``F_{k-1}``
+       keys (:func:`prefix_ranks`; ``None`` when extending ``R_1``,
+       whose key is the item id), ranks are scaled *before* expansion
+       (|R_{k-1}| multiplications, not |R'_k|), replicated, and added
+       to the sales items at the new positions.
 
     Output rows come out sorted by ``(trans_id, item_1, ..., item_k)``
     (prev rows are walked in sorted order; suffixes ascend within a
@@ -695,12 +671,11 @@ def suffix_extend(
             "suffix_extend needs last_sid/keys columns; build relations "
             "with sales_from_database/suffix_extend, not raw constructors"
         )
-    if _np is not None and index.base ** (r_prev.k + 1) <= _INT64_MAX:
+    ranks = prefix_ranks(prev_keys, prefixes)
+    if _np is not None:
         # Vectorized ragged-range expansion: whole-column int64 ops on
-        # zero-copy views.  Guarded so a packed key never overflows 64
-        # bits — deeper patterns fall back to Python's big integers.
+        # zero-copy views.
         sids_np = _as_int64(sids)
-        keys_np = _as_int64(prev_keys)
         counts_np = index.ext_counts[sids_np]
         total = int(counts_np.sum())
         offsets = _np.arange(total) - _np.repeat(
@@ -708,7 +683,7 @@ def suffix_extend(
         )
         new_sids_np = _np.repeat(sids_np + 1, counts_np) + offsets
         new_keys_np = (
-            _np.repeat(keys_np * index.base, counts_np)
+            _np.repeat(_as_int64(ranks) * index.base, counts_np)
             + index.items_np[new_sids_np]
         )
         return InstanceRelation(
@@ -720,26 +695,18 @@ def suffix_extend(
             index=index,
         )
 
-    # stdlib path (and the > 64-bit fallback: plain Python integers).
-    if _np is not None:
-        # Reached only on key overflow: gather the counts vectorized,
-        # then drop every column to Python ints for big-int packing.
-        counts: Sequence[int] = index.ext_counts[_as_int64(sids)].tolist()
-        starts: Sequence[int] = [s + 1 for s in _as_plain(sids)]
-        prev_keys = _as_plain(prev_keys)
+    ext_counts = index.ext_counts
+    if isinstance(sids, range) and sids == range(len(ext_counts)):
+        # R_1's identity cursor: the per-row gathers collapse away.
+        counts: Sequence[int] = ext_counts
+        starts: Sequence[int] = range(1, len(ranks) + 1)
     else:
-        ext_counts = index.ext_counts
-        if isinstance(sids, range) and sids == range(len(ext_counts)):
-            # R_1's identity cursor: the per-row gathers collapse away.
-            counts = ext_counts
-            starts = range(1, len(prev_keys) + 1)
-        else:
-            counts = list(map(ext_counts.__getitem__, sids))
-            starts = list(map((1).__add__, sids))
+        counts = list(map(ext_counts.__getitem__, sids))
+        starts = list(map((1).__add__, sids))
     new_sids = list(
         chain.from_iterable(map(range, starts, map(add, starts, counts)))
     )
-    scaled = map(index.base.__mul__, prev_keys)
+    scaled = map(index.base.__mul__, ranks)
     keys = list(
         map(
             add,
@@ -757,35 +724,67 @@ def suffix_extend(
     )
 
 
-def pack_keys(relation: InstanceRelation, base: int) -> list[int]:
-    """One packed integer per row: the item columns in mixed radix ``base``.
+class FrequentLevels:
+    """Each level's sorted frequent keys, and the item ids they spell.
 
-    ``base`` must exceed every item id, so distinct patterns map to
-    distinct keys and numeric key order equals lexicographic pattern
-    order.  Packing is column-at-a-time (one zip-driven pass per extra
-    column), never ``tuple(row[1:])``.  The engine's merge maintains the
-    keys incrementally (``relation.keys``); this standalone form exists
-    for relations built from raw rows.
+    A rank key is a row reference: a level-``k`` key
+    ``rank * base + item`` (``k >= 3``) names row ``rank`` of the sorted
+    ``F_{k-1}`` keys plus one item, so a key means nothing without the
+    previous level's frequent set.  This table holds those sets —
+    :meth:`add` records ``F_k`` once its HAVING clause has run,
+    :meth:`prefixes` hands it to :func:`suffix_extend` for the next
+    merge — and decodes keys back to item-id tuples through per-level
+    lookup tables, ``ids_k[rank] = ids_{k-1}[key // base] +
+    (key % base,)``, built on first use.  At ``k <= 2`` a key's prefix
+    is the item id itself, so no table is needed.
     """
-    columns = relation.items
-    keys = list(columns[0])
-    for column in columns[1:]:
-        keys = [key * base + item for key, item in zip(keys, column)]
-    return keys
 
+    __slots__ = ("base", "_keys", "_ids")
 
-def unpack_key(key: int, k: int, base: int) -> tuple[int, ...]:
-    """Invert :func:`pack_keys` for one key back to ``k`` item ids."""
-    ids = [0] * k
-    for position in range(k - 1, -1, -1):
-        key, ids[position] = divmod(key, base)
-    return tuple(ids)
+    def __init__(self, base: int) -> None:
+        self.base = base
+        self._keys: dict[int, Sequence[int]] = {}
+        self._ids: dict[int, list[tuple[int, ...]]] = {}
+
+    def add(self, k: int, keys: Iterable[int]) -> None:
+        """Record level ``k``'s frequent keys ``F_k`` (any order)."""
+        ordered = sorted(keys)
+        self._keys[k] = (
+            _np.array(ordered, dtype=_np.int64)
+            if _np is not None
+            else _column(ordered)
+        )
+
+    def prefixes(self, k: int) -> Sequence[int] | None:
+        """The sorted ``F_k`` keys level ``k + 1`` ranks into.
+
+        ``None`` at ``k = 1``: a 2-pattern's prefix is its item id.
+        """
+        return self._keys[k] if k >= 2 else None
+
+    def items(self, key: int, k: int) -> tuple[int, ...]:
+        """The item ids of level-``k`` pattern ``key``."""
+        if k == 1:
+            return (key,)
+        prefix, item = divmod(key, self.base)
+        if k == 2:
+            return (prefix, item)
+        return self._table(k - 1)[prefix] + (item,)
+
+    def _table(self, k: int) -> list[tuple[int, ...]]:
+        table = self._ids.get(k)
+        if table is None:
+            keys = self._keys[k]
+            if _np is not None and isinstance(keys, _np.ndarray):
+                keys = keys.tolist()
+            table = self._ids[k] = [self.items(key, k) for key in keys]
+        return table
 
 
 def count_packed_keys(
     keys: Sequence[int], *, via: Literal["auto", "sort", "hash"] = "auto"
 ) -> list[tuple[int, int]]:
-    """Group counts over packed keys.
+    """Group counts over pattern keys.
 
     ``via="hash"`` is one :class:`collections.Counter` pass (C-speed
     integer hashing), emitted in deterministic first-occurrence order.
@@ -797,15 +796,13 @@ def count_packed_keys(
     picks the fastest available strategy (vectorized sort, else hash).
     All strategies produce the same multiset of ``(key, count)`` pairs.
     """
-    # Keys held in an ndarray or array('q') are 64-bit by construction;
-    # a plain list may carry overflow-fallback big integers, which only
-    # the pure-Python strategies can hold.
-    vectorizable = _np is not None and isinstance(keys, (_np.ndarray, array))
     if via == "auto":
-        via = "sort" if vectorizable else "hash"
+        via = "sort" if _np is not None else "hash"
     if via == "hash":
-        return list(Counter(_as_plain(keys)).items())
-    if vectorizable:
+        if _np is not None and isinstance(keys, _np.ndarray):
+            keys = keys.tolist()
+        return list(Counter(keys).items())
+    if _np is not None:
         unique, counts = _np.unique(_as_int64(keys), return_counts=True)
         return list(zip(unique.tolist(), counts.tolist()))
     ordered = sorted(keys)
@@ -823,7 +820,7 @@ def count_packed_keys(
 def filter_by_keys(
     relation: InstanceRelation, supported: set[int]
 ) -> InstanceRelation:
-    """``R_k`` from ``R'_k``: keep rows whose packed key is supported.
+    """``R_k`` from ``R'_k``: keep rows whose pattern key is supported.
 
     One membership ``map`` builds the selector, then every physical
     column is copied through ``itertools.compress`` — all C-level
@@ -835,12 +832,10 @@ def filter_by_keys(
     if keys is None:
         raise ValueError("filter_by_keys needs the packed-keys column")
     if _np is not None and isinstance(keys, _np.ndarray):
-        # A supported set may carry > 64-bit keys (from a sibling big-int
-        # partition of the out-of-core engine); those cannot occur in an
-        # int64 column, so drop them before the C conversion.
-        wanted = [key for key in supported if -_INT64_MAX - 1 <= key <= _INT64_MAX]
-        mask = _np.isin(keys, _np.fromiter(wanted, dtype=_np.int64,
-                                           count=len(wanted)))
+        mask = _np.isin(
+            keys,
+            _np.fromiter(supported, dtype=_np.int64, count=len(supported)),
+        )
         if bool(mask.all()):
             return relation
         last_sid = relation.last_sid

@@ -47,18 +47,23 @@ count maps fully determine the result, and cursors could not serve the
 newly-frequent-prefix recount anyway (those instances were never
 materialized by the base run).
 
-On-disk format
---------------
+On-disk format (state version 2)
+--------------------------------
 A state directory holds ``state.json`` (version, dataset fingerprint,
 config identity, catalog labels) plus ``levels.bin`` — one serialized
 chunk per level reusing the spill-chunk framing of
 :meth:`~repro.core.columns.InstanceRelation.to_chunk_bytes` (counts ride
-in the ``last_sid`` column, packed keys in ``keys`` with the > 64-bit
-fallback).  Writes are temp-file + ``os.replace`` atomic with the
-manifest as the commit point; version skew refuses typed
-(:class:`~repro.errors.StateVersionError`), a state that does not cover
-the dataset or config refuses typed
-(:class:`~repro.errors.StateMismatchError`).
+in the ``last_sid`` column, the mining loop's rank keys in ``keys`` as
+flat int64).  A level-``k`` key ``rank * base + item`` points at row
+``rank`` of the saved ``F_{k-1}`` — the level-``k-1`` keys whose count
+reaches the saved run's threshold — so a delta mine re-keys the state
+level by level into its own ``F_{k-1}`` (:func:`_translate_level`).
+Version 1 stored mixed-radix packed keys, which do not fit 64 bits on
+deep patterns; it is refused typed like any other version skew
+(:class:`~repro.errors.StateVersionError`): delete the directory and
+mine again.  Writes are temp-file + ``os.replace`` atomic with the
+manifest as the commit point; a state that does not cover the dataset
+or config refuses typed (:class:`~repro.errors.StateMismatchError`).
 """
 
 from __future__ import annotations
@@ -74,12 +79,13 @@ from typing import Any, Literal
 
 from repro.core.columns import (
     COLUMN_TYPECODE,
+    FrequentLevels,
     InstanceRelation,
     count_packed_keys,
     filter_by_keys,
+    prefix_ranks,
     read_chunks,
     suffix_extend,
-    unpack_key,
 )
 from repro.core.metering import memory_meter
 from repro.core.result import IterationStats, MiningResult
@@ -102,11 +108,9 @@ except ImportError:  # minimal installs use the transaction-scan recount
 __all__ = ["MiningState", "STATE_VERSION", "setm_incremental"]
 
 #: On-disk state format version; bumped on any incompatible change.
-STATE_VERSION = 1
-
-#: Largest packed key the vectorized recount can hold (mirrors the
-#: guard of :func:`~repro.core.columns.suffix_extend`).
-_INT64_MAX = 2**63 - 1
+#: Version 2 stores rank keys (see :func:`_translate_level`); version 1
+#: stored mixed-radix packed keys.
+STATE_VERSION = 2
 
 _MANIFEST_NAME = "state.json"
 _LEVELS_NAME = "levels.bin"
@@ -121,9 +125,9 @@ def _is_absolute(support: float | int) -> bool:
 
 
 #: A level map as parallel columns: ``(keys, counts)``, sorted by key.
-#: Columns are ``array('q')`` / numpy int64 (or a plain list when a
-#: packed key overflows 64 bits) — the exact shape the on-disk chunk
-#: format stores, so save/load never converts through dicts.
+#: Columns are ``array('q')`` / numpy int64 — the exact shape the
+#: on-disk chunk format stores, so save/load never converts through
+#: dicts.
 LevelPair = tuple[Sequence[int], Sequence[int]]
 
 _EMPTY_PAIR: LevelPair = (_column(), _column())
@@ -132,11 +136,7 @@ _EMPTY_PAIR: LevelPair = (_column(), _column())
 def _pair_from_dict(counts: dict[int, int]) -> LevelPair:
     """A count map as a sorted ``(keys, counts)`` column pair."""
     keys = sorted(counts)
-    values = _column(map(counts.__getitem__, keys))
-    try:
-        return _column(keys), values
-    except OverflowError:  # > 64-bit packed keys stay plain ints
-        return keys, values
+    return _column(keys), _column(map(counts.__getitem__, keys))
 
 
 def _as_np(column) -> "_np.ndarray":
@@ -197,13 +197,17 @@ def _combine_np(parts: list[LevelPair]) -> LevelPair:
 class MiningState:
     """The materialized per-level candidate count maps of one mine.
 
-    ``levels[k]`` holds each packed pattern key the Figure-4 loop
+    ``levels[k]`` holds each pattern key the Figure-4 loop
     counted at iteration ``k`` (the *pre*-HAVING map, so borderline
     counts are preserved) with its transaction count, as a sorted
     ``(keys, counts)`` column pair — the merge works on whole columns
     and save/load move them without conversion; use
-    :meth:`level_counts` for a dict view.  Keys are packed in the radix
-    of ``labels`` (``base = len(labels) + 1``).  The fingerprint fields
+    :meth:`level_counts` for a dict view.  Keys are the mining loop's
+    rank keys in the radix of ``labels`` (``base = len(labels) + 1``): a
+    level-``k`` key ``rank * base + item`` (``k >= 3``) points at row
+    ``rank`` of the sorted level-``k-1`` keys whose count reaches the
+    threshold over ``num_transactions``, so the levels decode from the
+    state alone.  The fingerprint fields
     identify the dataset prefix the counts cover, so a later run can
     verify the current dataset is an append-extension and mine only the
     tail.  Constructor ``levels`` values may be dicts (normalized to
@@ -460,64 +464,94 @@ def _check_state_covers(
             )
 
 
-def _rekey_levels(state: MiningState, catalog) -> dict[int, LevelPair]:
-    """State pairs re-packed into the current catalog's id space.
+def _catalog_remap(state: MiningState, catalog) -> list[int]:
+    """``old id -> new id`` from the state's catalog to the dataset's.
 
     Appends can grow the catalog, and new labels sorting between old
-    ones shift every later id — so state keys are unpacked in the old
-    radix, gathered through ``old id -> new id``, and re-packed in the
-    new radix.  Both catalogs list labels sorted, so the id remap is
-    strictly increasing and digit-wise remapping preserves each
-    level's key order: the vectorized path peels digits with
-    ``divmod`` and never re-sorts.  Identity catalogs skip all of it —
-    the hot path of same-vocabulary appends.
+    ones shift every later id.  Both catalogs list labels sorted, so the
+    remap is strictly increasing (identity when the vocabulary did not
+    grow).
     """
-    current = catalog.labels()
-    if state.labels == current:
-        return state.levels
     try:
-        old_to_new = [0] + [catalog.id_of(label) for label in state.labels]
+        return [0] + [catalog.id_of(label) for label in state.labels]
     except KeyError as exc:
         raise StateMismatchError(
             f"saved state knows item {exc.args[0]!r} which the dataset's "
             "catalog no longer contains; the base prefix diverged"
         ) from None
-    old_base = len(state.labels) + 1
-    new_base = len(current) + 1
-    mapping = (
-        _np.fromiter(old_to_new, dtype=_np.int64, count=len(old_to_new))
-        if _np is not None
+
+
+def _translate_level(
+    pair: LevelPair,
+    k: int,
+    old_prefixes: Sequence[int],
+    levels: FrequentLevels,
+    old_to_new: list[int],
+    old_base: int,
+    threshold_base: int,
+) -> tuple[LevelPair, Sequence[int]]:
+    """One state level, re-keyed from the saved run into this run's keys.
+
+    A saved level-``k`` key ``rank * old_base + item`` names row
+    ``rank`` of the *saved* ``F_{k-1}``, whose keys this run already
+    translated (``old_prefixes``, aligned with the saved ``F_{k-1}``;
+    ``-1`` where dropped).  Each entry goes old rank -> new prefix key ->
+    new rank in this run's ``F_{k-1}`` (:meth:`FrequentLevels.prefixes`),
+    and is dropped when its prefix is no longer frequent; at ``k <= 2``
+    the prefix is an item id and only the catalog remap applies.  Both
+    steps are monotone, so kept keys stay sorted.
+
+    Returns ``(kept, frequent)``: the kept ``(keys, counts)`` pair, and
+    the translated keys of the saved ``F_k`` (the entries with
+    ``count >= threshold_base``, ``-1`` where dropped) for the next
+    level's call.
+    """
+    keys, counts = pair
+    new_base = levels.base
+    frequent = levels.prefixes(k - 1) if k >= 3 else None
+    if _np is not None:
+        keys = _as_np(keys)
+        counts = _as_np(counts)
+        mapping = _np.asarray(old_to_new, dtype=_np.int64)
+        if k == 1:
+            new = mapping[keys]
+        else:
+            prefix, item = _np.divmod(keys, old_base)
+            if frequent is None:
+                ranks = mapping[prefix]
+            else:
+                prefix = _as_np(old_prefixes)[prefix]
+                ranks = _np.searchsorted(frequent, prefix)
+                hit = ranks < len(frequent)
+                hit[hit] = frequent[ranks[hit]] == prefix[hit]
+                ranks[~hit] = -1
+            new = _np.where(
+                ranks >= 0, ranks * new_base + mapping[item], -1
+            )
+        keep = new >= 0
+        return (new[keep], counts[keep]), new[counts >= threshold_base]
+    rank_of = (
+        {key: rank for rank, key in enumerate(frequent)}
+        if frequent is not None
         else None
     )
-    rekeyed: dict[int, LevelPair] = {}
-    for k, (keys, counts) in state.levels.items():
-        if (
-            mapping is not None
-            and not isinstance(keys, list)
-            and new_base**k <= _INT64_MAX
-        ):
-            rem = _as_np(keys)
-            new_keys = _np.zeros(len(rem), dtype=_np.int64)
-            place = 1
-            for _ in range(k):
-                rem, digit = _np.divmod(rem, old_base)
-                new_keys += mapping[digit] * place
-                place *= new_base
-            rekeyed[k] = (new_keys, _as_np(counts))
-            continue
-        entries: list[tuple[int, int]] = []
-        for key, count in zip(keys, counts):
-            new_key = 0
-            for item in unpack_key(int(key), k, old_base):
-                new_key = new_key * new_base + old_to_new[item]
-            entries.append((new_key, count))
-        entries.sort()
-        new_counts = _column(entry[1] for entry in entries)
-        try:
-            rekeyed[k] = (_column(entry[0] for entry in entries), new_counts)
-        except OverflowError:
-            rekeyed[k] = ([entry[0] for entry in entries], new_counts)
-    return rekeyed
+    kept: dict[int, int] = {}
+    translated: list[int] = []
+    for key, count in zip(keys, counts):
+        if k == 1:
+            new = old_to_new[key]
+        else:
+            prefix, item = divmod(key, old_base)
+            if rank_of is None:
+                rank = old_to_new[prefix]
+            else:
+                rank = rank_of.get(old_prefixes[prefix], -1)
+            new = rank * new_base + old_to_new[item] if rank >= 0 else -1
+        if new >= 0:
+            kept[new] = count
+        if count >= threshold_base:
+            translated.append(new)
+    return _pair_from_dict(kept), translated
 
 
 # -- the delta mine ----------------------------------------------------------------
@@ -562,16 +596,27 @@ def _iter_base_transactions(dataset, t_base: int):
 
 
 def _recount_base_scan(
-    dataset, q_new: set[int], k_prev: int, t_base: int, base: int
+    dataset,
+    q_new: set[int],
+    levels: FrequentLevels,
+    k_prev: int,
+    t_base: int,
 ) -> tuple[dict[int, int], int]:
     """Transaction-scan recount (the numpy-free fallback).
 
     For every base transaction containing a prefix ``q`` of ``q_new``,
     each later item ``j`` contributes one instance of ``q . j`` — the
     counts the base run never materialized because ``q`` was infrequent
-    then.  Returns ``(counts, base_rows_walked)``.
+    then.  ``q``'s items come from the level tables.  Returns
+    ``(counts, base_rows_walked)``.
     """
-    patterns = [(key, unpack_key(key, k_prev, base)) for key in q_new]
+    base = levels.base
+    prefixes = sorted(q_new)
+    ranks = prefix_ranks(prefixes, levels.prefixes(k_prev))
+    patterns = [
+        (rank * base, levels.items(key, k_prev))
+        for key, rank in zip(prefixes, ranks)
+    ]
     counts: dict[int, int] = {}
     rows = 0
     for txn in _iter_base_transactions(dataset, t_base):
@@ -579,9 +624,8 @@ def _recount_base_scan(
         if len(txn) <= k_prev:
             continue
         members = set(txn)
-        for key, items in patterns:
+        for scaled, items in patterns:
             if all(item in members for item in items):
-                scaled = key * base
                 for j in txn[bisect_right(txn, items[-1]) :]:
                     new_key = scaled + j
                     counts[new_key] = counts.get(new_key, 0) + 1
@@ -614,13 +658,14 @@ class _BaseColumns:
             lengths = _np.frombuffer(lengths, dtype=_np.int64)
         self.ends = _np.cumsum(lengths)
 
-    def extend_instances(self, sids, keys, base: int):
+    def extend_instances(self, sids, ranks, base: int):
         """Vectorized merge-scan step over selected instance rows only.
 
         The ragged-range expansion of
-        :func:`~repro.core.columns.suffix_extend`, but with each row's
-        extension count derived on the fly from its transaction end —
-        O(|selected| log t_base) instead of O(base rows).
+        :func:`~repro.core.columns.suffix_extend` (``ranks`` are the
+        rows' prefix ranks), but with each row's extension count derived
+        on the fly from its transaction end — O(|selected| log t_base)
+        instead of O(base rows).
         """
         ends = self.ends[_np.searchsorted(self.ends, sids, side="right")]
         counts = ends - sids - 1
@@ -629,12 +674,15 @@ class _BaseColumns:
             _np.cumsum(counts) - counts, counts
         )
         new_sids = _np.repeat(sids + 1, counts) + offsets
-        new_keys = _np.repeat(keys * base, counts) + self.items[new_sids]
+        new_keys = _np.repeat(ranks * base, counts) + self.items[new_sids]
         return new_sids, new_keys
 
 
 def _recount_base_vectorized(
-    columns: _BaseColumns, q_new: set[int], k_prev: int, base: int
+    columns: _BaseColumns,
+    q_new: set[int],
+    levels: FrequentLevels,
+    k_prev: int,
 ) -> tuple[LevelPair, int]:
     """Targeted base recount through a prefix-filtered extension chain.
 
@@ -642,31 +690,35 @@ def _recount_base_vectorized(
     level — filter to the length-``j`` prefixes of ``q_new``, extend
     with the later items of the same transaction — so the recount only
     materializes rows that can still reach one of the patterns, instead
-    of walking every base transaction.  Returns the counted extensions
-    as a sorted column pair plus the instance rows touched.
+    of walking every base transaction.  Every prefix of a frequent
+    pattern is frequent, so the chain keys rank into this run's
+    ``F_{j-1}`` exactly as the delta loop's do, and a level's wanted
+    prefixes are read off the level above (``F_{j-1}[key // base]``).
+    Returns the counted extensions as a sorted column pair plus the
+    instance rows touched.
     """
-    prefix_sets: list[set[int]] = [set() for _ in range(k_prev)]
-    for key in q_new:
-        packed = 0
-        for j, item in enumerate(unpack_key(key, k_prev, base)):
-            packed = packed * base + item
-            prefix_sets[j].add(packed)
+    base = levels.base
+    wanted = {k_prev: _np.array(sorted(q_new), dtype=_np.int64)}
+    for j in range(k_prev, 1, -1):
+        parents = wanted[j] // base
+        if j > 2:
+            parents = levels.prefixes(j - 1)[parents]
+        wanted[j - 1] = _np.unique(parents)
 
-    def _wanted(prefixes: set[int]):
-        return _np.fromiter(
-            sorted(prefixes), dtype=_np.int64, count=len(prefixes)
-        )
-
-    sids = _np.flatnonzero(_np.isin(columns.items, _wanted(prefix_sets[0])))
+    sids = _np.flatnonzero(_np.isin(columns.items, wanted[1]))
     keys = columns.items[sids]
     rows = len(sids)
-    for prefixes in prefix_sets[1:]:
-        sids, keys = columns.extend_instances(sids, keys, base)
-        mask = _np.isin(keys, _wanted(prefixes))
+    for j in range(2, k_prev + 1):
+        sids, keys = columns.extend_instances(
+            sids, prefix_ranks(keys, levels.prefixes(j - 1)), base
+        )
+        mask = _np.isin(keys, wanted[j])
         sids = sids[mask]
         keys = keys[mask]
         rows += len(sids)
-    _, keys = columns.extend_instances(sids, keys, base)
+    _, keys = columns.extend_instances(
+        sids, prefix_ranks(keys, levels.prefixes(k_prev)), base
+    )
     rows += len(keys)
     unique, counts = _np.unique(keys, return_counts=True)
     return (unique, counts), rows
@@ -699,9 +751,22 @@ def _mine_delta(
         threshold_base = absolute_support_threshold(
             minimum_support, max(1, state.num_transactions)
         )
-        levels = _rekey_levels(state, catalog)
+        old_to_new = _catalog_remap(state, catalog)
+        old_base = len(state.labels) + 1
+        levels = FrequentLevels(base)
         t_base = state.num_transactions
         s_base = state.num_sales_rows
+
+        def translate(k: int, old_prefixes: Sequence[int]):
+            return _translate_level(
+                state.levels.get(k, _EMPTY_PAIR),
+                k,
+                old_prefixes,
+                levels,
+                old_to_new,
+                old_base,
+                threshold_base,
+            )
 
         delta_items = _tail_items(dataset, s_base)
         delta_sales = InstanceRelation.sales_from_columns(
@@ -713,7 +778,7 @@ def _mine_delta(
         index = delta_sales.index
 
         # k = 1: merge the delta item counts onto the state's C_1.
-        pair1 = levels.get(1, _EMPTY_PAIR)
+        pair1, _ = translate(1, ())
         state_hits = len(pair1[0])
         if _np is not None:
             merged_pair = _combine_np(
@@ -732,10 +797,7 @@ def _mine_delta(
         supported = _supported_slice(merged_pair, threshold)
         f_list = [key for key, _ in supported]
         count_relations: dict[int, dict] = {
-            1: {
-                catalog.decode(unpack_key(key, 1, base)): count
-                for key, count in supported
-            }
+            1: {catalog.decode((key,)): count for key, count in supported}
         }
         num_sales = dataset.num_sales_rows
         iterations = [
@@ -751,10 +813,10 @@ def _mine_delta(
         iteration_seconds = {1: time.perf_counter() - started}
 
         # R_1 is joined unfiltered (Section 4.1): the first extension
-        # carries no prefix condition, so prev_f None means "no filter".
+        # carries no prefix condition, so no recount at k = 2.
         r_delta = delta_sales
-        prev_f: list[int] | None = None
-        prev_f_base: list[int] = []
+        # The saved F_{k-1} in this run's keys (-1 where dropped).
+        old_frequent: Sequence[int] = ()
         base_columns: _BaseColumns | None = None
         recounted = 0
         base_rows_rescanned = 0
@@ -767,51 +829,33 @@ def _mine_delta(
             if max_length is not None and k > max_length:
                 break
             tick = time.perf_counter()
-            r_prime = suffix_extend(r_delta, index)
-            pair = levels.get(k, _EMPTY_PAIR)
-            # np_level mirrors suffix_extend's vectorization guard, so
-            # r_prime.keys is an int64 ndarray exactly when this is set.
-            np_level = _np is not None and base**k <= _INT64_MAX
+            r_prime = suffix_extend(r_delta, index, levels.prefixes(k - 1))
+            kept, next_old_frequent = translate(k, old_frequent)
+            state_hits += len(kept[0])
 
             recount_pair: LevelPair | None = None
             recount_map: dict[int, int] | None = None
-            if prev_f is not None:
-                q_new = set(prev_f) - set(prev_f_base)
+            if k >= 3:
+                q_new = set(f_list).difference(_as_list(old_frequent))
                 if q_new:
-                    if np_level:
+                    if _np is not None:
                         if base_columns is None:
                             base_columns = _BaseColumns(
                                 dataset, t_base, s_base
                             )
                         recount_pair, rows = _recount_base_vectorized(
-                            base_columns, q_new, k - 1, base
+                            base_columns, q_new, levels, k - 1
                         )
                         recounted += len(recount_pair[0])
                     else:
-                        # numpy-free installs, and the > 64-bit packed
-                        # key fallback, walk the base transactions.
                         recount_map, rows = _recount_base_scan(
-                            dataset, q_new, k - 1, t_base, base
+                            dataset, q_new, levels, k - 1, t_base
                         )
                         recounted += len(recount_map)
                     base_rows_rescanned += rows
                     recount_levels.append(k)
 
-            if np_level:
-                if prev_f is None:
-                    # Every 2-pattern in the base is a candidate: the
-                    # base map is complete, no prefix drop, no recount.
-                    kept = pair
-                else:
-                    state_keys = _as_np(pair[0])
-                    keep = _np.isin(
-                        state_keys // base,
-                        _np.fromiter(
-                            prev_f, dtype=_np.int64, count=len(prev_f)
-                        ),
-                    )
-                    kept = (state_keys[keep], _as_np(pair[1])[keep])
-                state_hits += len(kept[0])
+            if _np is not None:
                 parts = [kept]
                 if recount_pair is not None:
                     parts.append(recount_pair)
@@ -820,16 +864,7 @@ def _mine_delta(
                 )
                 merged_pair = _combine_np(parts)
             else:
-                if prev_f is None:
-                    merged = dict(zip(pair[0], pair[1]))
-                else:
-                    prev_set = set(prev_f)
-                    merged = {
-                        key: count
-                        for key, count in zip(pair[0], pair[1])
-                        if key // base in prev_set
-                    }
-                state_hits += len(merged)
+                merged = dict(zip(kept[0], kept[1]))
                 if recount_map is not None:
                     for key, count in recount_map.items():
                         merged[key] = merged.get(key, 0) + count
@@ -841,6 +876,7 @@ def _mine_delta(
 
             supported = _supported_slice(merged_pair, threshold)
             f_list = [key for key, _ in supported]
+            levels.add(k, f_list)
             supported_instances = sum(count for _, count in supported)
             iterations.append(
                 IterationStats(
@@ -853,21 +889,12 @@ def _mine_delta(
             )
             if f_list:
                 count_relations[k] = {
-                    catalog.decode(unpack_key(key, k, base)): count
+                    catalog.decode(levels.items(key, k)): count
                     for key, count in supported
                 }
             merged_levels[k] = merged_pair
             r_delta = filter_by_keys(r_prime, set(f_list))
-            prev_f = f_list
-            if np_level and len(pair[0]):
-                frequent_in_base = _as_np(pair[1]) >= threshold_base
-                prev_f_base = _as_np(pair[0])[frequent_in_base].tolist()
-            else:
-                prev_f_base = [
-                    key
-                    for key, count in zip(pair[0], pair[1])
-                    if count >= threshold_base
-                ]
+            old_frequent = next_old_frequent
             current_size = supported_instances
             iteration_seconds[k] = time.perf_counter() - tick
 
@@ -889,7 +916,7 @@ def _mine_delta(
             "delta_transactions": dataset.num_transactions - t_base,
             "delta_rows": len(delta_items),
             "total_rows": num_sales,
-            "state_levels": sorted(levels),
+            "state_levels": sorted(state.levels),
             "state_hits": state_hits,
             "recounted_patterns": recounted,
             "recount_levels": recount_levels,
@@ -907,7 +934,7 @@ def _mine_delta(
             support_threshold=threshold,
             count_relations=count_relations,
             unfiltered_item_counts={
-                catalog.decode(unpack_key(key, 1, base))[0]: count
+                catalog.decode((key,))[0]: count
                 for key, count in zip(
                     _as_list(merged_levels[1][0]),
                     _as_list(merged_levels[1][1]),
@@ -959,6 +986,7 @@ class _StateCapturingKernel(ColumnarKernel):
         self.level_counts[r_prime.k] = dict(all_counts)
         c_k = {key: count for key, count in all_counts if count >= threshold}
         r_next = filter_by_keys(r_prime, set(c_k))
+        self._levels.add(r_prime.k, c_k)
         return len(all_counts), c_k, r_next
 
 

@@ -5,7 +5,7 @@ are pure set operations with no cross-row dependencies.  Two engines
 exploit the same consequence in two directions:
 
 * the **spill** engine (:mod:`repro.core.setm_columnar_disk`) range-
-  partitions ``R'_k`` by packed pattern key into *files* and counts one
+  partitions ``R'_k`` by pattern key into *files* and counts one
   partition at a time to bound resident memory;
 * the **parallel** engine (:mod:`repro.core.setm_parallel`) range-
   partitions ``R'_k`` into *picklable payloads* and counts all
@@ -49,7 +49,6 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.columns import (
-    _CHUNK_FLAG_BIG_KEYS,
     InstanceRelation,
     SalesIndex,
     chunk_frames,
@@ -106,17 +105,16 @@ def decode_vector_chunks(
 
     The one decoder both partition consumers read spill bytes through
     (the serial kernel in-process, the pooled engine inside its
-    workers), so they can never drift: int64 chunks load as
-    ``array('q')`` and are wrapped in zero-copy numpy views for the
-    counting/filter primitives; big-key fallback chunks stay plain
-    lists.  ``index`` reattaches the lazily-derived columns.
+    workers), so they can never drift: chunks load as ``array('q')``
+    columns, wrapped in zero-copy numpy views for the counting/filter
+    primitives when numpy is available.  ``index`` reattaches the
+    lazily-derived columns.
     """
     chunks = list(read_chunks(data, index=index))
     if _np is not None:
         for chunk in chunks:
-            if not isinstance(chunk.keys, list):
-                chunk.keys = _int64_view(chunk.keys)
-                chunk.last_sid = _int64_view(chunk.last_sid)
+            chunk.keys = _int64_view(chunk.keys)
+            chunk.last_sid = _int64_view(chunk.last_sid)
     return chunks
 
 
@@ -130,8 +128,7 @@ def decode_buffer_chunks(
     or an ``mmap``-ed spill file, and when numpy is available the int64
     ``keys``/``last_sid`` columns are built with ``np.frombuffer``
     *directly over that buffer* — no intermediate ``bytes``, no
-    ``array`` copy.  Big-key fallback chunks (arbitrary-precision
-    Python integers) and the stdlib path necessarily copy, exactly as
+    ``array`` copy.  The stdlib path necessarily copies, exactly as
     :func:`decode_vector_chunks` does.
 
     Returns ``(chunks, zero_copy_bytes)`` where ``zero_copy_bytes``
@@ -147,16 +144,7 @@ def decode_buffer_chunks(
         return decode_vector_chunks(payload, index=index), 0
     chunks: list[InstanceRelation] = []
     zero_copy_bytes = 0
-    for flags, k, n, start, sid_off, key_off, end in chunk_frames(data):
-        if flags & _CHUNK_FLAG_BIG_KEYS:
-            chunk, _ = InstanceRelation.from_chunk_bytes(
-                data, start, index=index
-            )
-            if not isinstance(chunk.keys, list):
-                chunk.keys = _int64_view(chunk.keys)
-                chunk.last_sid = _int64_view(chunk.last_sid)
-            chunks.append(chunk)
-            continue
+    for k, n, sid_off, key_off, _ in chunk_frames(data):
         sids = _np.frombuffer(data, dtype=_np.int64, count=n, offset=sid_off)
         keys = _np.frombuffer(data, dtype=_np.int64, count=n, offset=key_off)
         zero_copy_bytes += 16 * n
@@ -169,13 +157,13 @@ def decode_buffer_chunks(
 
 
 def concat_columns(columns: list) -> Any:
-    """One column from per-chunk columns (ndarray when uniformly possible)."""
+    """One column from per-chunk columns (an ndarray with numpy)."""
     if len(columns) == 1:
         return columns[0]
-    if _np is not None and all(
-        not isinstance(column, list) for column in columns
-    ):
-        return _np.concatenate([_int64_view(column) for column in columns])
+    if _np is not None:
+        return _np.concatenate(
+            [_np.asarray(column, dtype=_np.int64) for column in columns]
+        )
     merged: list[int] = []
     for column in columns:
         merged.extend(column)
@@ -281,42 +269,39 @@ def sample_extension_boundaries(
     total_rows: int,
     partitions: int,
     *,
+    prefixes: Sequence[int] | None = None,
     sample_rows: int = BOUNDARY_SAMPLE_ROWS,
 ) -> list[int] | None:
     """Partition boundaries from a whole-input sample of *output* keys.
 
     Quantiles of a single merge slice's keys would inherit that slice's
-    position in the tid-ordered input — a database whose packed keys
+    position in the tid-ordered input — a database whose pattern keys
     drift with trans_id would then funnel most rows into one partition
     and void the memory bound.  Instead, rows strided across *all* of
     ``R_{k-1}`` are extended (exactly the keys the merge will emit for
-    them) and the boundaries are quantiles of that global sample.  For
+    them; ``prefixes`` is the sorted ``F_{k-1}`` the merge ranks into)
+    and the boundaries are quantiles of that global sample.  For
     spilled input this re-reads ``R_{k-1}`` once — the small filtered
     relation, not ``R'_k``.  Returns ``None`` when the sample has no
     extensions (the caller then falls back to first-slice quantiles).
     """
     stride = max(1, total_rows // sample_rows)
-    sample_keys: list[int] = []
+    sample_keys = []
     for chunk in chunks:
-        positions = range(0, len(chunk), stride)
-        # Plain ints, not np.int64 scalars: the sampled relation may
-        # feed the big-integer fallback of suffix_extend, whose
-        # ``int.__mul__`` packing rejects numpy scalars.
         sampled = InstanceRelation(
             None,
             None,
-            last_sid=[int(chunk.last_sid[i]) for i in positions],
-            keys=[int(chunk.keys[i]) for i in positions],
+            last_sid=chunk.last_sid[::stride],
+            keys=chunk.keys[::stride],
             k=chunk.k,
             index=index,
         )
-        extended = suffix_extend(sampled, index)
-        if len(extended) == 0:
-            continue
-        sample_keys.extend(int(key) for key in extended.keys)
+        extended = suffix_extend(sampled, index, prefixes)
+        if len(extended):
+            sample_keys.append(extended.keys)
     if not sample_keys:
         return None
-    return choose_boundaries(sample_keys, partitions)
+    return choose_boundaries(concat_columns(sample_keys), partitions)
 
 
 def key_ranges(
@@ -410,9 +395,7 @@ class Partition:
     range, counting a partition yields *global* counts for every
     pattern it contains.
 
-    Partitions are picklable whatever the descriptor (including the
-    length-prefixed big-key fallback chunks produced when packed keys
-    exceed 64 bits); the pickle carries
+    Partitions are picklable whatever the descriptor; the pickle carries
     :data:`PARTITION_PICKLE_VERSION` so version skew inside a pool
     fails typed and early.
     """

@@ -49,7 +49,7 @@ every SETM engine is a kernel plugged into it:
   measures, so it is deliberately *not* optimized.
 * ``ColumnarKernel`` (:mod:`repro.core.setm_columnar`) — the same loop
   over the dictionary-encoded, array-backed relations of
-  :mod:`repro.core.columns`: flat integer columns, packed-integer
+  :mod:`repro.core.columns`: flat integer columns, rank-keyed integer
   patterns, fused merge/count/filter passes.  Same counts, same
   iteration statistics, several times faster — the ``setm-columnar``
   engine for workloads where speed matters more than transliteration.
@@ -59,7 +59,7 @@ every SETM engine is a kernel plugged into it:
   per iteration for the Section 4.3 I/O analysis (``setm-disk``).
 * ``SpillingColumnarKernel`` (:mod:`repro.core.setm_columnar_disk`) —
   the columnar representation under a ``memory_budget_bytes`` cap:
-  ``R'_k`` is range-partitioned by packed pattern key into spill files
+  ``R'_k`` is range-partitioned by pattern key into spill files
   and counted/filtered partition-at-a-time, so resident memory stays
   bounded while results stay identical (``setm-columnar-disk``).
 
@@ -175,7 +175,7 @@ class SetmKernel(Protocol):
     A kernel owns an opaque relation type ``R`` (the tuple kernel uses
     ``list[tuple]``; the columnar kernel uses
     :class:`~repro.core.columns.InstanceRelation`; the paged kernel
-    uses heap files) and opaque pattern keys (label tuples / packed
+    uses heap files) and opaque pattern keys (label tuples / rank-keyed
     integers).  :func:`run_figure4_loop` drives the control flow and
     bookkeeping; the kernel does the data movement.
 

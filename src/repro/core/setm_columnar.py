@@ -2,8 +2,8 @@
 
 Same Figure 4, different representation: relations are the
 dictionary-encoded, array-backed columns of :mod:`repro.core.columns`
-and patterns are packed integers, so the loop body runs as a handful of
-fused column passes instead of per-row tuple work.  The engine is
+and patterns are rank-keyed integers, so the loop body runs as a
+handful of fused column passes instead of per-row tuple work.  The engine is
 differentially held to :func:`repro.core.setm.setm` — identical count
 relations *and* identical :class:`~repro.core.result.IterationStats`
 cardinalities — because both drive the shared
@@ -16,7 +16,7 @@ extension walks ascending sales items), and the support filter keeps
 row order.  ``(trans_id, items)`` order is therefore a loop invariant,
 ``sort R_{k-1} on trans_id, ...`` is a no-op, and ``sort R'_k on
 item_1, ..., item_k`` collapses into the counting step — a key-free
-integer sort of the packed keys (``count_via="sort"``, vectorized as
+integer sort of the rank keys (``count_via="sort"``, vectorized as
 ``np.unique`` when numpy is available) or a single hash pass
 (``count_via="hash"``): the perf engine has no obligation to sort where
 the faithful one must.  The default ``"auto"`` picks whichever is
@@ -29,12 +29,12 @@ from itertools import chain
 from typing import Literal
 
 from repro.core.columns import (
+    FrequentLevels,
     InstanceRelation,
     SalesIndex,
     count_packed_keys,
     filter_by_keys,
     suffix_extend,
-    unpack_key,
 )
 from repro.core.result import MiningResult, Pattern
 from repro.core.setm import KernelLifecycle, run_figure4_loop
@@ -47,10 +47,14 @@ __all__ = ["ColumnarKernel", "setm_columnar"]
 class ColumnarKernel(KernelLifecycle):
     """Figure 4's steps over :class:`InstanceRelation` columns.
 
-    Patterns travel as packed integers (mixed radix ``self._base``, which
-    exceeds every dictionary id, so numeric order equals lexicographic
-    pattern order); labels are decoded only for the final
-    :class:`~repro.core.result.MiningResult`.
+    Patterns travel as rank keys (``rank * self._base + item``, where
+    ``rank`` is the prefix's row in the sorted ``F_{k-1}`` keys and the
+    base exceeds every dictionary id, so numeric order equals
+    lexicographic pattern order).  ``self._levels`` records each
+    ``F_k`` as the HAVING clause produces it — every
+    :meth:`count_and_filter` override records its ``c_k`` there — and
+    decodes keys back to item ids; labels are decoded only for the
+    final :class:`~repro.core.result.MiningResult`.
 
     ``database`` may be a classic :class:`TransactionDatabase` *or* a
     stream-encoded :class:`~repro.data.ingest.EncodedDataset`: the
@@ -84,6 +88,7 @@ class ColumnarKernel(KernelLifecycle):
             )
         # Ids run 1..len(catalog); any base > max id packs injectively.
         self._base = len(self._catalog) + 1
+        self._levels = FrequentLevels(self._base)
         self._count_via: Literal["auto", "sort", "hash"] = count_via
         self._index: SalesIndex | None = None
 
@@ -106,7 +111,7 @@ class ColumnarKernel(KernelLifecycle):
         return {}
 
     def c1_counts(self, sales: InstanceRelation) -> list[tuple[int, int]]:
-        # For k = 1 the packed key *is* the item id; no pack pass needed.
+        # For k = 1 the key *is* the item id; no pack pass needed.
         return count_packed_keys(sales.keys, via=self._count_via)
 
     def resort_by_tid(self, r: InstanceRelation) -> InstanceRelation:
@@ -119,7 +124,7 @@ class ColumnarKernel(KernelLifecycle):
         self, r: InstanceRelation, sales: InstanceRelation
     ) -> InstanceRelation:
         assert self._index is not None  # make_sales always ran first
-        return suffix_extend(r, self._index)
+        return suffix_extend(r, self._index, self._levels.prefixes(r.k))
 
     def count_and_filter(
         self, r_prime: InstanceRelation, threshold: int
@@ -127,13 +132,14 @@ class ColumnarKernel(KernelLifecycle):
         all_counts = count_packed_keys(r_prime.keys, via=self._count_via)
         c_k = {key: count for key, count in all_counts if count >= threshold}
         r_next = filter_by_keys(r_prime, set(c_k))
+        self._levels.add(r_prime.k, c_k)
         return len(all_counts), c_k, r_next
 
     def size(self, r: InstanceRelation) -> int:
         return len(r)
 
     def decode(self, key: int, k: int) -> Pattern:
-        return self._catalog.decode(unpack_key(key, k, self._base))
+        return self._catalog.decode(self._levels.items(key, k))
 
 
 @register_engine(
@@ -164,7 +170,7 @@ def setm_columnar(
         Optional cap on pattern length.
     count_via:
         ``"auto"`` (default: the fastest strategy the kernel path
-        offers), ``"hash"`` (one Counter pass over packed keys), or
+        offers), ``"hash"`` (one Counter pass over rank keys), or
         ``"sort"`` (key-free integer sort + run-length scan — the
         paper-shaped strategy, vectorized as ``np.unique`` when numpy
         is available).  Identical counts any way; the knob feeds the

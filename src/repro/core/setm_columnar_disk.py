@@ -13,8 +13,8 @@ intermediates, not ``SALES``, are the multiplicatively large objects
   known exactly *before* a single row is materialized (the
   :class:`~repro.core.partitioning.PartitionPlan`).
 * **Key-range spill partitions.**  When the planned ``R'_k`` exceeds
-  its budget share, slice outputs are range-partitioned by packed
-  pattern key into ``P = ceil(bytes / share)``
+  its budget share, slice outputs are range-partitioned by pattern key
+  into ``P = ceil(bytes / share)``
   :class:`~repro.core.partitioning.Partition` spill files (boundaries
   are quantiles sampled stride-wise from the *whole* input, so skewed
   or tid-correlated key distributions still split evenly).  Every
@@ -235,6 +235,7 @@ class SpillingColumnarKernel(ColumnarKernel):
     def merge_extend(self, r, sales):
         index = self._index
         assert index is not None  # make_sales always ran first
+        prefixes = self._levels.prefixes(r.k)
         if isinstance(r, InstanceRelation):
             plan = PartitionPlan.from_extension_counts(
                 r, index, self._share_bytes
@@ -248,7 +249,7 @@ class SpillingColumnarKernel(ColumnarKernel):
             # Fits one budget share: materialize in memory, as the plain
             # columnar kernel would.
             pieces = [
-                suffix_extend(chunk, index)
+                suffix_extend(chunk, index, prefixes)
                 for chunk in self._iter_chunks(r, delete=True)
             ]
             if len(pieces) == 1:
@@ -267,7 +268,11 @@ class SpillingColumnarKernel(ColumnarKernel):
         partitions = plan.num_partitions
         self._partitions_per_k[self._k] = partitions
         boundaries = sample_extension_boundaries(
-            self._iter_chunks(r), index, self.size(r), partitions
+            self._iter_chunks(r),
+            index,
+            self.size(r),
+            partitions,
+            prefixes=prefixes,
         )
         paths = [
             self._spill_path(f"rprime-k{self._k}-p{p}")
@@ -278,7 +283,9 @@ class SpillingColumnarKernel(ColumnarKernel):
             for chunk in self._iter_chunks(r, delete=True):
                 counts = extension_counts(chunk, index)
                 for start, stop in output_slices(counts, self._slice_rows):
-                    out = suffix_extend(slice_rows(chunk, start, stop), index)
+                    out = suffix_extend(
+                        slice_rows(chunk, start, stop), index, prefixes
+                    )
                     if len(out) == 0:
                         continue
                     if boundaries is None:
@@ -346,6 +353,7 @@ class SpillingColumnarKernel(ColumnarKernel):
             if out_handle is not None:
                 out_handle.close()
         r_prime.partitions = []
+        self._levels.add(r_prime.k, c_k)
         r_next = SpilledRelation(
             [out_path] if out_path is not None else [],
             out_rows,

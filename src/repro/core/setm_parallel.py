@@ -16,7 +16,7 @@ The division of labour per iteration:
   (:func:`~repro.core.partitioning.boundaries_from_keys` +
   :func:`~repro.core.partitioning.split_by_key_ranges`);
 * each worker receives a picklable :class:`Partition` (chunk bytes in
-  the spill format, including the big-key fallback), counts its keys
+  the spill format), counts its keys
   with :func:`~repro.core.columns.count_packed_keys`, and sends back
   compact ``(keys, counts)`` arrays;
 * the parent merges results **in submission order** (ascending key
@@ -166,23 +166,17 @@ def resolved_start_method(start_method: str | None) -> str:
     return start_method or multiprocessing.get_start_method()
 
 
-def _pack_counts(counts: Sequence[tuple[int, int]]) -> tuple[str, Any, bytes]:
-    """``(key, count)`` pairs as two flat buffers for the return pickle.
-
-    Keys beyond 64 bits (the big-key fallback) go back as a plain list.
-    """
-    distinct = [key for key, _ in counts]
+def _pack_counts(counts: Sequence[tuple[int, int]]) -> tuple[bytes, bytes]:
+    """``(key, count)`` pairs as two flat int64 buffers for the reply."""
+    keys = array("q", (key for key, _ in counts))
     tallies = array("q", (count for _, count in counts))
-    try:
-        return "q", array("q", map(int, distinct)).tobytes(), tallies.tobytes()
-    except OverflowError:
-        return "big", distinct, tallies.tobytes()
+    return keys.tobytes(), tallies.tobytes()
 
 
 def _count_partition(
     task: tuple[Partition, str, str, str | None],
-) -> tuple[str, tuple, int]:
-    """Worker body: count one partition's packed keys.
+) -> tuple[tuple, int]:
+    """Worker body: count one partition's pattern keys.
 
     Runs in the pool process.  The partition arrives as whatever
     descriptor the session's transport published — inline bytes, a
@@ -191,7 +185,7 @@ def _count_partition(
     (:func:`~repro.core.partitioning.decode_buffer_chunks`).  The
     reply's flat ``(keys, counts)`` buffers leave through the same
     transport: a parent-named reply segment under ``shm``, the result
-    pickle otherwise.  Returns ``(kind, envelope, zero_copy_bytes)``.
+    pickle otherwise.  Returns ``(envelope, zero_copy_bytes)``.
     """
     partition, via, mode, reply_name = task
     with partition_buffer(partition, mode) as (buffer, source):
@@ -205,22 +199,16 @@ def _count_partition(
         # Inline/whole-read payloads were already copied to reach this
         # process; viewing them saves nothing worth reporting.
         zero_copy = 0
-    kind, distinct, tally_bytes = _pack_counts(counts)
-    return kind, pack_buffers([distinct, tally_bytes], reply_name), zero_copy
+    return pack_buffers(_pack_counts(counts), reply_name), zero_copy
 
 
-def _unpack_counts(
-    packed: tuple[str, Any, bytes],
-) -> tuple[Sequence[int], array]:
-    """Invert the worker's reply into ``(keys, counts)`` columns."""
-    kind, distinct, tally_bytes = packed
+def _unpack_counts(key_bytes: bytes, tally_bytes: bytes) -> tuple[array, array]:
+    """Invert :func:`_pack_counts` into ``(keys, counts)`` columns."""
+    keys = array("q")
+    keys.frombytes(key_bytes)
     tallies = array("q")
     tallies.frombytes(tally_bytes)
-    if kind == "q":
-        keys = array("q")
-        keys.frombytes(distinct)
-        return keys, tallies
-    return distinct, tallies
+    return keys, tallies
 
 
 def _pool_alive(pool: Any) -> bool:
@@ -475,16 +463,16 @@ class ParallelColumnarKernel(PoolTransportMixin, ColumnarKernel):
             # Submission order == ascending key range: partition results
             # are disjoint, so the merge is concatenation and the
             # per-partition HAVING clause is the global one.
-            for kind, envelope, zero_copy in replies:
+            for envelope, zero_copy in replies:
                 session.note_zero_copy(zero_copy)
-                distinct, tally_bytes = session.collect(envelope)
-                keys, tallies = _unpack_counts((kind, distinct, tally_bytes))
+                keys, tallies = _unpack_counts(*session.collect(envelope))
                 candidate_patterns += len(keys)
                 for key, count in zip(keys, tallies):
                     if count >= threshold:
                         c_k[int(key)] = count
             self._record_transport(session)
         r_next = filter_by_keys(r_prime, set(c_k))
+        self._levels.add(r_prime.k, c_k)
         self._partitions_per_k[self._k] = len(partitions)
         return candidate_patterns, c_k, r_next
 

@@ -11,14 +11,14 @@ enough to parallelize:
 * **Extension and spilling are inherited unchanged** from
   :class:`~repro.core.setm_columnar_disk.SpillingColumnarKernel`:
   ``R'_k`` is priced before materialization, built in budget-bounded
-  slices, and range-partitioned by packed pattern key into
+  slices, and range-partitioned by pattern key into
   :class:`~repro.core.partitioning.Partition` spill files.  A relation
   that fits one budget share never touches the disk — or the pool.
 * **Counting and filtering move to the workers.**  Each spilled
   partition travels to the cached pool of :mod:`setm_parallel` *by
   path* (the work unit carries its spill file's location, not its
   bytes — the pickle is a file name, not a relation).  A worker loads
-  the partition, counts its packed keys, applies the HAVING threshold
+  the partition, counts its pattern keys, applies the HAVING threshold
   locally (key ranges are disjoint, so per-partition counts are global
   counts), filters the survivors, and writes them straight back to a
   spill file as the worker's share of ``R_k``.
@@ -98,7 +98,7 @@ __all__ = ["SpillParallelKernel", "setm_spill_parallel"]
 
 def _count_filter_partition(
     task: tuple[Partition, str, int, str, str, str | None],
-) -> tuple[int, str, tuple, int, int, int, int, int]:
+) -> tuple[int, tuple, int, int, int, int, int]:
     """Worker body: count one on-disk partition and spill its survivors.
 
     Runs in the pool process.  The :class:`Partition` arrives by
@@ -106,12 +106,12 @@ def _count_filter_partition(
     is a file name plus a threshold; under the ``mmap`` transport the
     file is mapped and the int64 columns decoded as views over the map
     instead of a whole-blob read.  The whole per-partition pipeline of
-    the serial spill engine runs here: count packed keys, apply the
+    the serial spill engine runs here: count the pattern keys, apply the
     HAVING threshold (global, because key ranges are disjoint), filter
     the chunks, write the survivors to ``out_path`` in the same chunk
     format, and delete the consumed input partition.
 
-    Returns ``(candidate_patterns, kind, reply_envelope, rows_written,
+    Returns ``(candidate_patterns, reply_envelope, rows_written,
     chunks_written, bytes_written, bytes_read, zero_copy_bytes)``.  The
     envelope carries the supported ``(keys, counts)`` buffers plus the
     survivors' ``last_sid`` column — one flat int64 buffer end to end,
@@ -146,9 +146,6 @@ def _count_filter_partition(
                         bytes_written += len(blob)
                         chunks_written += 1
                         rows_written += len(survivors)
-                        # Cursor values are always < 2**63 (row numbers),
-                        # so even a big-key chunk's column flattens to
-                        # native int64 bytes without an intermediate list.
                         sid_parts.append(
                             _int64_column_bytes(survivors.last_sid)
                         )
@@ -162,13 +159,12 @@ def _count_filter_partition(
             supported = {}
         del chunks
     partition.delete()
-    kind, distinct, tally_bytes = _pack_counts(list(supported.items()))
     envelope = pack_buffers(
-        [distinct, tally_bytes, b"".join(sid_parts)], reply_name
+        [*_pack_counts(list(supported.items())), b"".join(sid_parts)],
+        reply_name,
     )
     return (
         len(counts),
-        kind,
         envelope,
         rows_written,
         chunks_written,
@@ -261,7 +257,6 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
             for task, reply in zip(tasks, replies):
                 (
                     candidates,
-                    kind,
                     envelope,
                     rows_written,
                     chunks_written,
@@ -270,9 +265,9 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
                     zero_copy,
                 ) = reply
                 session.note_zero_copy(zero_copy)
-                distinct, tally_bytes, sid_bytes = session.collect(envelope)
+                key_bytes, tally_bytes, sid_bytes = session.collect(envelope)
                 candidate_patterns += candidates
-                keys, tallies = _unpack_counts((kind, distinct, tally_bytes))
+                keys, tallies = _unpack_counts(key_bytes, tally_bytes)
                 for key, count in zip(keys, tallies):
                     c_k[int(key)] = int(count)
                 self._bytes_read += bytes_read
@@ -286,6 +281,7 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
                     )
             self._record_transport(session)
         r_prime.partitions = []
+        self._levels.add(r_prime.k, c_k)
         self._pooled_per_k[self._k] = len(tasks)
         return (
             candidate_patterns,

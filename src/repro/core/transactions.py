@@ -175,7 +175,7 @@ class CatalogBuilder:
     """Incremental bulk encoding for inputs read in bounded chunks.
 
     :class:`ItemCatalog` assigns ids in sorted label order — an
-    invariant the packed-key machinery of :mod:`repro.core.columns`
+    invariant the pattern-key machinery of :mod:`repro.core.columns`
     relies on (numeric id order must equal lexicographic label order).
     A streaming reader cannot honour that order up front because it has
     not seen all the labels yet, so this builder encodes with

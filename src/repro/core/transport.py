@@ -337,13 +337,10 @@ def pack_buffers(
 
     With a ``reply_name`` (shm transport), the worker creates the
     parent-named segment, copies the buffers in back-to-back, and the
-    envelope shrinks to ``("shm", name, lengths)``.  Without one —
-    or when any part is not a raw buffer (the big-key fallback's
-    arbitrary-precision keys) — everything stays
-    ``("inline", [bytes, ...])`` in the result pickle.
+    envelope shrinks to ``("shm", name, lengths)``.  Without one,
+    everything stays ``("inline", [bytes, ...])`` in the result pickle.
     """
-    raw = all(isinstance(p, (bytes, bytearray, memoryview)) for p in parts)
-    if reply_name is None or not raw:
+    if reply_name is None:
         return (
             "inline",
             [
@@ -548,9 +545,7 @@ class TransportSession:
             self._pending_replies.discard(envelope[1])
             self.counters["reply_bytes_shared"] += shm_bytes
         else:
-            self.counters["reply_bytes_inline"] += sum(
-                len(p) for p in parts if isinstance(p, (bytes, bytearray))
-            )
+            self.counters["reply_bytes_inline"] += sum(map(len, parts))
         return parts
 
     def note_zero_copy(self, nbytes: int) -> None:

@@ -17,7 +17,7 @@ Two problems make this more than a loop:
 
 * **The sorted-id invariant.**  :class:`ItemCatalog` assigns ids in
   sorted label order (numeric id order must equal lexicographic label
-  order — the packed-key machinery depends on it), but a single pass
+  order — the pattern-key machinery depends on it), but a single pass
   sees labels in arrival order.  The encoder therefore uses
   *provisional* first-appearance ids
   (:class:`~repro.core.transactions.CatalogBuilder`) and applies the

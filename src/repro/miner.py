@@ -262,11 +262,7 @@ class Miner:
             if config.is_absolute_support
             else f"{config.support:g} of {n:,} transactions"
         )
-        accepted = (
-            "(unchecked)"
-            if spec.accepted_options is None
-            else ", ".join(sorted(spec.accepted_options)) or "(none)"
-        )
+        accepted = ", ".join(sorted(spec.accepted_options)) or "(none)"
         lines = [
             f"engine: {spec.name}"
             + (f" — {spec.description}" if spec.description else ""),

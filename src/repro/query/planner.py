@@ -347,7 +347,7 @@ def plan_query(
     options: dict[str, object] = {}
 
     def offer(option: str, value: object, origin: str) -> None:
-        if accepted is None or option in accepted:
+        if option in accepted:
             options[option] = value
         else:
             mine.decide(

@@ -125,9 +125,7 @@ class EngineSpec:
         this flag must appear in the conformance delta tier.
     accepted_options:
         Option names the engine accepts beyond the standard
-        ``(database, minimum_support, max_length)``.  ``None`` disables
-        checking entirely — used only for engines injected through the
-        deprecated ``ALGORITHMS`` mapping, whose signatures are unknown.
+        ``(database, minimum_support, max_length)``.
     """
 
     name: str
@@ -140,7 +138,7 @@ class EngineSpec:
     parallel: bool = False
     streaming_ingest: bool = False
     incremental: bool = False
-    accepted_options: frozenset[str] | None = frozenset()
+    accepted_options: frozenset[str] = frozenset()
 
     def validate_options(
         self, options: Iterable[str], *, max_length: int | None = None
@@ -148,10 +146,8 @@ class EngineSpec:
         """Raise :class:`EngineOptionError` for anything this engine rejects."""
         if max_length is not None and not self.supports_max_length:
             raise EngineOptionError(
-                self.name, ["max_length"], self.accepted_options or ()
+                self.name, ["max_length"], self.accepted_options
             )
-        if self.accepted_options is None:
-            return
         unknown = set(options) - self.accepted_options
         if unknown:
             raise EngineOptionError(self.name, unknown, self.accepted_options)
@@ -197,7 +193,7 @@ def register_engine(
     parallel: bool = False,
     streaming_ingest: bool = False,
     incremental: bool = False,
-    accepted_options: Iterable[str] | None = (),
+    accepted_options: Iterable[str] = (),
     replace: bool = False,
 ) -> Callable[[Callable[..., "MiningResult"]], Callable[..., "MiningResult"]]:
     """Decorator: register the decorated callable as engine ``name``.
@@ -222,11 +218,7 @@ def register_engine(
                 parallel=parallel,
                 streaming_ingest=streaming_ingest,
                 incremental=incremental,
-                accepted_options=(
-                    None
-                    if accepted_options is None
-                    else frozenset(accepted_options)
-                ),
+                accepted_options=frozenset(accepted_options),
             ),
             replace=replace,
         )

@@ -145,23 +145,6 @@ class TestOptionValidation:
         finally:
             unregister_engine("test-nocap")
 
-    def test_unchecked_engine_accepts_anything(self, example_db):
-        """accepted_options=None disables checking (legacy ALGORITHMS path)."""
-
-        @register_engine("test-open", accepted_options=None)
-        def open_engine(database, minimum_support, **options):
-            assert options == {"anything": 1}
-            return bruteforce(database, minimum_support)
-
-        try:
-            Miner(example_db).frequent_itemsets(
-                MiningConfig(
-                    support=0.3, algorithm="test-open", options={"anything": 1}
-                )
-            )
-        finally:
-            unregister_engine("test-open")
-
 
 class TestCapabilityFlags:
     @pytest.mark.parametrize(

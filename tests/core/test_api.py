@@ -74,19 +74,15 @@ class TestRegistry:
             ALGORITHMS["fpgrowth"]
         assert "fpgrowth" not in ALGORITHMS
 
-    def test_mutation_warns_deprecation(self, example_db):
+    def test_mapping_is_read_only(self):
+        """Engines register through repro.registry; the view rejects writes."""
         sentinel = ALGORITHMS["setm"]
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError):
             ALGORITHMS["legacy-custom"] = sentinel
-        try:
-            result = mine_frequent_itemsets(
-                example_db, 0.30, algorithm="legacy-custom"
-            )
-            assert result.count_relations[2]
-        finally:
-            with pytest.warns(DeprecationWarning):
-                del ALGORITHMS["legacy-custom"]
         assert "legacy-custom" not in ALGORITHMS
+        with pytest.raises(TypeError):
+            del ALGORITHMS["setm"]
+        assert ALGORITHMS["setm"] is sentinel
 
 
 class TestRules:

@@ -3,8 +3,7 @@
 Property-style coverage: for relations produced by the real kernel
 pipeline over seeded QUEST databases (and hypothesis-generated ones),
 ``to_chunk_bytes`` → ``from_chunk_bytes`` must reproduce the
-``(keys, last_sid, k)`` triple exactly — including the length-prefixed
-fallback encoding used when packed keys no longer fit in 64 bits.
+``(keys, last_sid, k)`` triple exactly, for any int64 key.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 from repro.core.columns import (
     InstanceRelation,
     read_chunks,
-    suffix_extend,
 )
 from repro.core.setm_columnar import ColumnarKernel
 from repro.data.quest import QuestConfig, generate_quest_dataset
@@ -30,7 +28,7 @@ def _pipeline_relations(db):
     threshold = db.absolute_support(0.05)
     r = sales
     while len(r):
-        r_prime = suffix_extend(r, sales.index)
+        r_prime = kernel.merge_extend(r, sales)
         relations.append(r_prime)
         _, _, r = kernel.count_and_filter(r_prime, threshold)
         relations.append(r)
@@ -76,10 +74,15 @@ class TestQuestPipelines:
         assert list(restored.rows()) == list(r_prime.rows())
 
 
-class TestBigKeyFallback:
-    def _big_relation(self, keys):
-        """A relation whose keys exceed int64 (the packing-overflow path)."""
-        return InstanceRelation(
+class TestKeyMagnitudes:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        keys=st.lists(
+            st.integers(min_value=0, max_value=2**63 - 1), max_size=40
+        )
+    )
+    def test_int64_key_magnitudes_round_trip(self, keys):
+        relation = InstanceRelation(
             None,
             None,
             last_sid=list(range(len(keys))),
@@ -87,34 +90,11 @@ class TestBigKeyFallback:
             k=9,
             index=None,
         )
-
-    def test_overflow_keys_round_trip(self):
-        keys = [2**63, 2**80 + 17, 3001**9 + 12345, 1, 0]
-        relation = self._big_relation(keys)
         blob = relation.to_chunk_bytes()
         restored, end = InstanceRelation.from_chunk_bytes(blob)
         assert end == len(blob)
         assert list(restored.keys) == keys
-        assert list(restored.last_sid) == list(range(len(keys)))
         assert restored.k == 9
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        keys=st.lists(
-            st.integers(min_value=0, max_value=2**200), max_size=40
-        )
-    )
-    def test_arbitrary_key_magnitudes_round_trip(self, keys):
-        relation = self._big_relation(keys)
-        blob = relation.to_chunk_bytes()
-        restored, end = InstanceRelation.from_chunk_bytes(blob)
-        assert end == len(blob)
-        assert list(restored.keys) == keys
-
-    def test_negative_keys_rejected(self):
-        relation = self._big_relation([2**70, -1])
-        with pytest.raises(ValueError, match="non-negative"):
-            relation.to_chunk_bytes()
 
 
 class TestFraming:

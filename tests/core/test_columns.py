@@ -8,19 +8,19 @@ import pytest
 
 import repro.core.columns as columns
 from repro.core.columns import (
+    FrequentLevels,
     InstanceRelation,
     SalesIndex,
     count_packed_keys,
     count_sorted_rows,
     filter_by_keys,
-    pack_keys,
     suffix_extend,
     take,
     tid_group_bounds,
-    unpack_key,
 )
-from repro.core.setm import merge_scan_extend
-from repro.core.transactions import ItemCatalog, TransactionDatabase
+from repro.core.setm import merge_scan_extend, run_figure4_loop
+from repro.core.setm_columnar import ColumnarKernel
+from repro.core.transactions import TransactionDatabase
 
 HAVE_NUMPY = columns._np is not None
 
@@ -148,11 +148,36 @@ class TestSuffixExtend:
         )
         assert r_prime.k == 2
 
-    def test_keys_are_packed_patterns(self, kernel_path):
+    def test_level_two_keys_are_item_pairs(self, kernel_path):
         sales = sales_relation(small_db())
         r_prime = suffix_extend(sales, sales.index)
         base = sales.index.base
-        assert list(map(int, r_prime.keys)) == pack_keys(r_prime, base)
+        assert list(map(int, r_prime.keys)) == [
+            first * base + second for _, first, second in r_prime.rows()
+        ]
+
+    def test_deeper_keys_rank_into_the_previous_level(self, kernel_path):
+        """A level-3 key is rank(prefix in sorted F_2) * base + item."""
+        db = small_db()
+        sales = sales_relation(db)
+        base = sales.index.base
+        r2 = suffix_extend(sales, sales.index)
+        levels = FrequentLevels(base)
+        frequent = sorted(set(map(int, r2.keys)))
+        levels.add(2, reversed(frequent))  # any order in, sorted out
+        r3 = suffix_extend(r2, sales.index, levels.prefixes(2))
+        patterns = sorted(
+            tuple(row[1:])
+            for row in merge_scan_extend(
+                list(r2.rows()), list(sales.rows())
+            )
+        )
+        decoded = sorted(levels.items(int(key), 3) for key in r3.keys)
+        assert decoded == patterns
+        for key, (a, b, c) in zip(sorted(map(int, r3.keys)), patterns):
+            assert key == frequent.index(a * base + b) * base + c
+        with pytest.raises(ValueError, match="FrequentLevels"):
+            r3.items
 
     def test_empty_relation(self, kernel_path):
         db = TransactionDatabase([(1, ["A"]), (2, ["B"])])
@@ -167,26 +192,52 @@ class TestSuffixExtend:
             suffix_extend(bare, sales.index)
 
 
-class TestPackedKeys:
-    def test_pack_unpack_roundtrip(self):
-        relation = InstanceRelation.from_rows(
-            [(1, 3, 7, 2), (2, 1, 1, 1)], k=3
-        )
-        keys = pack_keys(relation, base=10)
-        assert [unpack_key(key, 3, 10) for key in keys] == [
-            (3, 7, 2),
-            (1, 1, 1),
-        ]
+class TestPatternKeys:
+    def test_levels_decode_through_the_rank_tables(self, kernel_path):
+        levels = FrequentLevels(10)
+        levels.add(2, [37, 12, 19])  # (3, 7), (1, 2), (1, 9)
+        levels.add(3, [0 * 10 + 5, 2 * 10 + 8])  # (1, 2, 5), (3, 7, 8)
+        assert levels.prefixes(1) is None
+        assert list(levels.prefixes(2)) == [12, 19, 37]
+        assert levels.items(4, 1) == (4,)
+        assert levels.items(37, 2) == (3, 7)
+        assert levels.items(1 * 10 + 9, 3) == (1, 9, 9)
+        assert levels.items(1 * 10 + 4, 4) == (3, 7, 8, 4)
 
-    def test_key_order_equals_pattern_order(self):
-        patterns = [(1, 9), (2, 1), (1, 2), (9, 9)]
-        relation = InstanceRelation.from_rows(
-            [(1, *pattern) for pattern in patterns], k=2
-        )
-        keys = pack_keys(relation, base=10)
+    def test_key_order_equals_pattern_order(self, kernel_path):
+        levels = FrequentLevels(10)
+        levels.add(2, [12, 19, 37])
+        keys = [2 * 10 + 1, 0 * 10 + 9, 1 * 10 + 3, 0 * 10 + 4]
+        patterns = [levels.items(key, 3) for key in keys]
         assert sorted(range(4), key=keys.__getitem__) == sorted(
             range(4), key=patterns.__getitem__
         )
+
+    def test_every_level_fits_its_rank_bound(
+        self, kernel_path, deep_wide_db
+    ):
+        """Level-k keys stay below |F_{k-1}| * base on the deep input."""
+        database, minsup = deep_wide_db
+        bounds: dict[int, tuple[int, int]] = {}
+
+        class Recording(ColumnarKernel):
+            def count_and_filter(self, r_prime, threshold):
+                k = r_prime.k
+                prefixes = self._levels.prefixes(k - 1)
+                rows = self._base if prefixes is None else len(prefixes)
+                top = max(map(int, r_prime.keys), default=-1)
+                bounds[k] = (top, rows * self._base)
+                return super().count_and_filter(r_prime, threshold)
+
+        result = run_figure4_loop(
+            database, minsup, Recording(database), algorithm="setm-columnar"
+        )
+        base = len(database.distinct_items()) + 1
+        assert result.max_pattern_length == 9
+        assert base**9 > 2**63  # mixed-radix keys would not fit int64
+        assert sorted(bounds) == list(range(2, 11))
+        for k, (top, bound) in bounds.items():
+            assert top < bound, k
 
     @pytest.mark.parametrize("via", ["auto", "sort", "hash"])
     def test_count_strategies_agree(self, kernel_path, via):
@@ -216,7 +267,7 @@ class TestFilterByKeys:
             row
             for row in r_prime.rows()
             if any(
-                unpack_key(key, 2, sales.index.base) == tuple(row[1:])
+                divmod(key, sales.index.base) == tuple(row[1:])
                 for key in supported
             )
         ]
@@ -231,13 +282,6 @@ class TestFilterByKeys:
         bare = InstanceRelation.from_rows([(1, 5)], k=1)
         with pytest.raises(ValueError, match="packed-keys"):
             filter_by_keys(bare, {5})
-
-    def test_eager_relation_filters_via_with_keys(self):
-        relation = InstanceRelation.from_rows(
-            [(1, 3), (2, 5), (3, 3)], k=1
-        ).with_keys(base=10)
-        filtered = filter_by_keys(relation, {3})
-        assert list(filtered.rows()) == [(1, 3), (3, 3)]
 
 
 class TestTake:

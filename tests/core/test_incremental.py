@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import incremental
+from repro.core import columns, incremental
 from repro.core.incremental import MiningState, setm_incremental
 from repro.core.setm import setm
 from repro.core.transactions import TransactionDatabase
@@ -156,6 +156,56 @@ class TestDeltaEquivalence:
                     )
             finally:
                 dataset.close()
+
+    @pytest.mark.parametrize("path", ["numpy", "stdlib"])
+    def test_deep_levels_rekey_across_catalog_growth(
+        self, path, tmp_path, monkeypatch
+    ):
+        """Rank keys re-keyed at every depth: remap, drop and recount.
+
+        The base's 6-item core is frequent; the first append brings a
+        label sorting before every other (all ids shift), raises the
+        threshold past the core (its deep prefixes drop) and makes a
+        5-item group frequent that the base never extended (deep
+        recounts).  The second append makes the core frequent again.
+        """
+        if path == "numpy":
+            if incremental._np is None:
+                pytest.skip("numpy not installed")
+        else:
+            for module in (columns, incremental):
+                monkeypatch.setattr(module, "_np", None)
+        core = {f"c{j}" for j in range(1, 7)}
+        group = {f"d{j}" for j in range(1, 6)}
+        base = [core] * 4 + [group] * 2 + [{"c1", "d1"}, {"e"}] * 2
+        deltas = [
+            [group | {"a-new"}] * 3 + [{"e", "a-new"}],
+            [core | {"e"}] * 4,
+        ]
+        state_dir = tmp_path / "state"
+        dataset, next_tid = _encode_base(base, tmp_path, 4, None)
+        try:
+            setm_incremental(dataset, 0.3, state_dir=state_dir)
+            all_baskets = list(base)
+            recounted = []
+            for i, delta in enumerate(deltas):
+                delta_path = tmp_path / f"delta{i}.basket"
+                next_tid = _write(delta, delta_path, next_tid)
+                dataset.append_chunks(open_chunk_source(delta_path))
+                all_baskets.extend(delta)
+                result = setm_incremental(dataset, 0.3, state_dir=state_dir)
+                assert result.extra["incremental"]["mode"] == "delta"
+                recounted.append(result.extra["incremental"]["recount_levels"])
+                prefix = TransactionDatabase(
+                    (tid, sorted(basket))
+                    for tid, basket in enumerate(all_baskets, start=1)
+                )
+                _assert_identical(result, setm(prefix, 0.3))
+            # Newly frequent prefixes at every depth, recounted on the
+            # base: up to the 6-item group and the 7-item core + "e".
+            assert recounted == [[3, 4, 5, 6], [3, 4, 5, 6, 7]]
+        finally:
+            dataset.close()
 
     def test_plain_database_with_state_falls_back_to_full_mine(
         self, example_db, tmp_path

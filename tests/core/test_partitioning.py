@@ -4,8 +4,7 @@ The layer's contract: partitions are first-class, *picklable* work
 units (the parallel engine ships them to worker processes), key-range
 routing is disjoint and total, and plans price ``R'_k`` exactly before
 any row is materialized.  Round-trip coverage runs over relations the
-real kernel pipeline produces on seeded QUEST databases — including
-the length-prefixed big-key fallback.
+real kernel pipeline produces on seeded QUEST databases.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import pytest
 from repro.core.columns import (
     InstanceRelation,
     extension_counts,
-    suffix_extend,
 )
 from repro.core.partitioning import (
     ROW_BYTES,
@@ -42,7 +40,7 @@ def _pipeline_relations(db, minsup=0.05):
     threshold = db.absolute_support(minsup)
     r = sales
     while len(r):
-        r_prime = suffix_extend(r, sales.index)
+        r_prime = kernel.merge_extend(r, sales)
         relations.append(r_prime)
         _, _, r = kernel.count_and_filter(r_prime, threshold)
         relations.append(r)
@@ -88,23 +86,6 @@ class TestPartitionPickling:
                 ]
                 checked += 1
         assert checked >= 2  # the pipeline really exercised the layer
-
-    def test_big_key_fallback_partition_round_trips(self):
-        """> 64-bit packed keys travel through pickle + chunk format."""
-        keys = [2**63, 2**90 + 17, 3001**9 + 5, 7, 0, 2**63]
-        relation = InstanceRelation(
-            None,
-            None,
-            last_sid=list(range(len(keys))),
-            keys=keys,
-            k=9,
-            index=None,
-        )
-        partition = Partition.from_relation(relation, key_low=0)
-        clone = pickle.loads(pickle.dumps(partition))
-        (restored,) = clone.load()
-        assert list(restored.keys) == keys
-        assert restored.k == 9
 
     def test_path_backed_partition_round_trips(self, tmp_path):
         relation = InstanceRelation(

@@ -143,27 +143,6 @@ class TestKernelPaths:
         monkeypatch.setattr(columns, "_np", None)
         assert_equivalent(reference, setm_columnar(db, 0.05))
 
-    def test_int64_overflow_falls_back_to_big_integers(self):
-        """Deep patterns over a wide catalog exceed 64-bit packing.
-
-        ~6,500 distinct items make the packing base large enough that
-        ``base ** 5`` overflows int64, while two duplicated 7-item
-        transactions drive the loop to ``k = 7`` — so the vectorized
-        path (when active) must hand over to Python's big integers
-        mid-run without changing a single count.
-        """
-        wide = [(i, [i]) for i in range(100, 6600)]
-        deep_items = list(range(1, 8))
-        db = TransactionDatabase(
-            wide + [(9001, deep_items), (9002, deep_items)]
-        )
-        base = len(db.distinct_items()) + 1
-        assert base**5 > 2**63 - 1  # the guard really engages
-        reference = setm(db, 2)
-        candidate = setm_columnar(db, 2)
-        assert_equivalent(reference, candidate)
-        assert candidate.count_relations[7]  # the deep pattern survived
-
 
 class TestThroughApi:
     def test_registered_and_minable_via_miner(self, example_db):

@@ -189,29 +189,6 @@ class TestKeyDistributionDrift:
         )
 
 
-class TestOverflowFallback:
-    def test_big_key_iterations_spill_and_agree(self):
-        """Patterns deep enough that packed keys exceed 64 bits."""
-        import random
-
-        rng = random.Random(0)
-        items = list(range(1, 3001))  # base 3001: 3001**7 > 2**63
-        transactions = [
-            (tid, rng.sample(items, 10)) for tid in range(1, 41)
-        ]
-        core = rng.sample(items, 8)
-        transactions += [
-            (tid, core + rng.sample(items, 2)) for tid in range(100, 125)
-        ]
-        db = TransactionDatabase(transactions)
-        reference = setm(db, 0.25)
-        assert reference.max_pattern_length >= 8  # keys really overflow
-        budgeted = setm_columnar_disk(db, 0.25, memory_budget_bytes=16 * 1024)
-        assert budgeted.extra["spill"]["max_partitions"] >= 2
-        assert budgeted.same_patterns_as(reference)
-        assert budgeted.iterations == reference.iterations
-
-
 class TestHousekeeping:
     def test_spill_directory_removed_after_run(self, tmp_path, make_random_db):
         db = make_random_db(1)

@@ -102,27 +102,6 @@ class TestDifferentialGrid:
         assert result.extra["parallel"]["start_method"] == "spawn"
 
 
-class TestBigKeyFallback:
-    def test_overflow_keys_travel_through_the_pool(self):
-        import random
-
-        rng = random.Random(0)
-        items = list(range(1, 3001))  # base 3001: 3001**7 > 2**63
-        transactions = [
-            (tid, rng.sample(items, 10)) for tid in range(1, 41)
-        ]
-        core = rng.sample(items, 8)
-        transactions += [
-            (tid, core + rng.sample(items, 2)) for tid in range(100, 125)
-        ]
-        db = TransactionDatabase(transactions)
-        reference = setm(db, 0.25)
-        assert reference.max_pattern_length >= 8  # keys really overflow
-        result = setm_parallel(db, 0.25, workers=2, parallel_threshold=0)
-        assert result.same_patterns_as(reference)
-        assert result.iterations == reference.iterations
-
-
 class TestShortCircuit:
     def test_small_iterations_stay_in_process(self, example_db):
         result = setm_parallel(example_db, 0.30, workers=4)

@@ -28,7 +28,6 @@ from repro.core.setm_spill_parallel import (
     SpillParallelKernel,
     setm_spill_parallel,
 )
-from repro.core.transactions import TransactionDatabase
 from repro.data.quest import QuestConfig, generate_quest_dataset
 from repro.errors import InvalidConfigError
 
@@ -146,33 +145,6 @@ class TestDifferentialGrid:
             pooled.extra["spill"]["partitions"]
             == serial.extra["spill"]["partitions"]
         )
-
-
-class TestBigKeyFallback:
-    def test_overflow_keys_travel_through_the_pooled_disk_path(self):
-        import random
-
-        rng = random.Random(0)
-        items = list(range(1, 3001))  # base 3001: 3001**7 > 2**63
-        transactions = [
-            (tid, rng.sample(items, 10)) for tid in range(1, 41)
-        ]
-        core = rng.sample(items, 8)
-        transactions += [
-            (tid, core + rng.sample(items, 2)) for tid in range(100, 125)
-        ]
-        db = TransactionDatabase(transactions)
-        reference = setm(db, 0.25)
-        assert reference.max_pattern_length >= 8  # keys really overflow
-        result = setm_spill_parallel(
-            db,
-            0.25,
-            workers=2,
-            memory_budget_bytes=1024,
-        )
-        assert result.same_patterns_as(reference)
-        assert result.iterations == reference.iterations
-        assert result.extra["parallel"]["parallel_iterations"]
 
 
 class TestGating:

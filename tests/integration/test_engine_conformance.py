@@ -220,6 +220,13 @@ def grid_references():
     return grid
 
 
+@pytest.fixture(scope="module")
+def deep_wide_references(deep_wide_db):
+    """Oracle + ``setm`` reference on the deep, wide conftest database."""
+    db, minsup = deep_wide_db
+    return db, minsup, bruteforce(db, minsup), setm(db, minsup)
+
+
 def _row(name: str) -> ConformanceRow:
     row = CONFORMANCE.get(name)
     if row is None:
@@ -331,6 +338,44 @@ class TestConformanceMatrix:
                 assert got.supported_instances == want.supported_instances
                 assert got.supported_patterns == want.supported_patterns
             assert len(result.iterations) == len(reference.iterations)
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_deep_wide_input(self, name, deep_wide_references):
+        """3,000 items and frequent 9-patterns: keys at every depth.
+
+        A mixed-radix packing of the 9-patterns would need
+        ``3001**9 > 2**63``; every engine must still agree with the
+        oracle, and the Figure-4 engines with ``setm``'s trace.
+        """
+        db, minsup, oracle, reference = deep_wide_references
+        row = _row(name)
+        _, result = _run(name, db, minsup)
+
+        assert result.max_pattern_length == 9, name
+        assert result.same_patterns_as(oracle), name
+        assert set(generate_rules(result, 0.5)) == set(
+            generate_rules(reference, 0.5)
+        ), name
+        if row.iterations == "exact":
+            assert result.iterations == reference.iterations, name
+        elif row.iterations == "instances":
+            assert [
+                (s.k, s.candidate_instances, s.supported_instances,
+                 s.supported_patterns)
+                for s in result.iterations
+            ] == [
+                (s.k, s.candidate_instances, s.supported_instances,
+                 s.supported_patterns)
+                for s in reference.iterations
+            ], name
+
+    def test_deep_levels_spill_and_pool(self, deep_wide_references):
+        """On the deep input the spill and pool paths reach k >= 6."""
+        db, minsup, _, _ = deep_wide_references
+        _, spilled = _run("setm-columnar-disk", db, minsup)
+        assert max(spilled.extra["spill"]["partitions"]) >= 6
+        _, both = _run("setm-spill-parallel", db, minsup)
+        assert max(both.extra["parallel"]["parallel_iterations"]) >= 6
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_patterns_on_small_retail(self, name, small_retail_db):

@@ -72,6 +72,16 @@ class TestTinyRun:
         assert run_bench.main(["--validate", str(path)]) == 0
         assert "well-formed" in capsys.readouterr().out
 
+    def test_incremental_batches_did_delta_work_only(self, document):
+        """Deterministic work bound: no batch re-mined or recounted it all."""
+        runs = document["workloads"][0]["incremental"]["runs"]
+        assert runs
+        for run in runs:
+            assert run["mode"] == "delta"
+            assert run["delta_rows"] == run["total_rows"] - run["base_rows"]
+            assert run["state_hits"] > 0
+            assert run["recount_fraction"] < 1
+
 
 class TestTinyWorkerSweep:
     """``--workers 2`` (the CI smoke flags) adds the parallel scenario."""
