@@ -8,8 +8,8 @@ Three knobs DESIGN.md and the columnar kernel call out:
   The faithful engine's ``count_via="hash"`` is one
   :class:`collections.Counter` pass (a single hash per row); the
   columnar engine's ``"hash"`` counts packed integer keys, and its
-  ``"sort"`` is a key-free integer sort (vectorized ``np.unique`` when
-  numpy is available).  All must agree; the bench records the gaps —
+  ``"sort"`` is a key-free integer sort (one ``np.unique``).  All must
+  agree; the bench records the gaps —
   across *representations* as well as strategies.
 * **representation** (tuples vs columnar): the same Figure 4 loop over
   row tuples vs dictionary-encoded array columns; see

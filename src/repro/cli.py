@@ -474,7 +474,9 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
             if not sep:
                 name, path = Path(spec).stem, spec
             if name in mapping:
-                print(f"error: duplicate dataset name {name!r}", file=out)
+                print(
+                    f"error: duplicate dataset name {name!r}", file=sys.stderr
+                )
                 return 2
             mapping[name] = path
         if parsed.dataset not in mapping:
@@ -482,7 +484,7 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
             print(
                 f"error: FROM names unknown dataset {parsed.dataset!r}; "
                 f"available datasets: {known}",
-                file=out,
+                file=sys.stderr,
             )
             return 2
         # Only the dataset the statement actually names is loaded.
@@ -527,7 +529,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         if not sep:
             name, path = Path(spec).stem, spec
         if name in datasets:
-            print(f"error: duplicate dataset name {name!r}", file=out)
+            print(f"error: duplicate dataset name {name!r}", file=sys.stderr)
             return 2
         if _wants_streaming(args):
             # Stream-encode at startup: the server never materializes
@@ -722,7 +724,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except ReproError as error:
         # Structured API errors (bad support, unknown engine, rejected
         # option) become a one-line message and a conventional exit code.
-        print(f"error: {error}", file=out)
+        print(f"error: {error}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")
 

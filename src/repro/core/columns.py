@@ -13,25 +13,25 @@ instance relations, and the choice is the whole performance story:
   a fresh tuple, every count/filter step re-allocates ``tuple(row[1:])``,
   and sorts compare heterogeneous tuples element by element.
 
-* **Columnar** (this module): an ``R_k`` relation is flat integer
-  columns — one trans_id column plus one ``array('q')`` column per item
-  position — with items dictionary-encoded to dense integer ids through
+* **Columnar** (this module): an ``R_k`` relation is flat int64
+  columns, with items dictionary-encoded to dense integer ids through
   :class:`~repro.core.transactions.ItemCatalog`.  Rows never exist as
-  Python objects inside the loop.  Three ideas carry the speedup:
+  Python objects inside the loop: every Figure-4 step is a few
+  whole-column numpy operations — the set-oriented bulk passes (sort,
+  merge-scan, group-count, filter) the paper argues for.  Three ideas
+  carry the speedup:
 
-  1. **Run-length group delimitation.**  Trans_id groups in the sorted
-     ``SALES`` column are delimited once, by a boundary scan
-     (:func:`tid_group_bounds`), instead of per-row equality tests on
-     every pass.
+  1. **Run-length group delimitation.**  Trans_id groups in ``SALES``
+     are known from the ingest's run lengths, so no pass ever re-tests
+     ``row[0] == current`` to find a transaction's rows.
   2. **The merge-scan as index arithmetic.**  ``R_1`` never changes, so
      the merge-scan join degenerates: every ``R_k`` row remembers the
      *global sales position* of its last item (the ``last_sid``
      column), and its Figure-4 extensions are exactly the suffix of its
      transaction's run — ``sales[s+1 : txn_end(s)]``.
-     :class:`SalesIndex` precomputes the run ends once;
-     :func:`suffix_extend` then produces ``R'_k`` as a handful of
-     C-driven ``map``/``chain`` passes (gather indices, suffix ranges,
-     item gathers) with no per-row Python at all.
+     :class:`SalesIndex` precomputes the suffix lengths once;
+     :func:`suffix_extend` then produces ``R'_k`` as a ``np.repeat``
+     ragged-range expansion plus one item gather.
   3. **Rank-keyed patterns.**  A pattern is one integer key built on
      the previous level's frequent set: ``key = rank * base + item``,
      where ``rank`` is the position of the pattern's ``(k-1)``-prefix
@@ -39,9 +39,9 @@ instance relations, and the choice is the whole performance story:
      "simple table look-ups on relation ``C_{k-1}``" as an integer row
      reference.  At ``k <= 2`` the prefix is the item id itself.  The
      merge computes the ranks once per ``R_{k-1}`` row, so counting is
-     a single :class:`collections.Counter` pass or a key-free integer
-     sort (:func:`count_packed_keys`) — never ``tuple(row[1:])`` — and
-     the minimum-support filter is an ``itertools.compress`` index copy
+     one ``np.unique(return_counts=True)`` sort-and-scan (or a hash
+     pass, :func:`count_packed_keys`) — never ``tuple(row[1:])`` — and
+     the minimum-support filter is one membership mask
      (:func:`filter_by_keys`).  Ranks follow lexicographic prefix
      order, so key order is pattern order, and a key is bounded by
      ``|F_{k-1}| * base``: it always fits 64 bits.
@@ -50,35 +50,22 @@ instance relations, and the choice is the whole performance story:
   column (``trans_id`` by reading the sales tid at ``last_sid``; the
   items through :class:`FrequentLevels`, which maps a key back to its
   item ids level by level), so inside the mining loop a relation
-  physically carries only those two; the trans_id and (for ``k <= 2``)
-  item-id arrays materialize on first access
+  physically carries only those two, as int64 ndarrays; the trans_id
+  and (for ``k <= 2``) item-id arrays materialize on first access
   (:attr:`InstanceRelation.tids`, :attr:`InstanceRelation.items`) for
-  callers that want the plain columnar view.
+  callers that want the plain columnar view.  ``array('q')`` remains
+  the storage buffer of the ingest layer and of eagerly built
+  relations; the primitives read it through zero-copy views.
 
-Vectorized fast path
---------------------
-When :mod:`numpy` is importable, the three hot primitives
-(:func:`suffix_extend`, :func:`count_packed_keys`,
-:func:`filter_by_keys`) run as a few whole-column ``int64`` operations
-— ``np.repeat`` ragged-range expansion for the merge, sort-based
-``np.unique`` for counting, ``np.isin`` masking for the filter —
-operating on zero-copy ``frombuffer`` views of the same ``array('q')``
-buffers.  numpy is strictly optional: every primitive keeps the
-stdlib ``map``/``chain``/``compress``/``bisect`` implementation, and the
-two paths are differentially tested against each other.  No behaviour
-differs between paths beyond the emission order of hash-counted
-groups, which nothing downstream depends on.
+The tuple engine stays the faithful, numpy-free reference; this kernel
+feeds the ``setm-columnar`` engine (:mod:`repro.core.setm_columnar`) and
+is differentially tested to produce identical counts and iteration
+statistics.  :func:`count_sorted_rows` is the row-shaped counting scan
+that the tuple engine and the paged storage engine's
+:mod:`repro.storage.mergejoin` share.
 
-The tuple engine stays the faithful reference; this kernel feeds the
-``setm-columnar`` engine (:mod:`repro.core.setm_columnar`) and is
-differentially tested to produce identical counts and iteration
-statistics.  The group/scan primitives (:func:`tid_group_bounds`,
-:func:`count_sorted_rows`) are representation-level, not engine-level,
-so the paged storage engine's :mod:`repro.storage.mergejoin` shares
-them and can adopt the columnar merge in a follow-up.
-
-This module is a dependency leaf: it imports only the standard library
-and the leaf module :mod:`repro.core.transactions`, so
+This module is a dependency leaf: it imports only numpy, the standard
+library and the leaf module :mod:`repro.core.transactions`, so
 :mod:`repro.storage` can import it without creating a package cycle.
 """
 
@@ -86,20 +73,14 @@ from __future__ import annotations
 
 import struct
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from functools import partial
-from itertools import chain, compress, repeat
-from operator import add, sub
+from itertools import chain, repeat
 from typing import Literal
 
-from repro.core.transactions import ItemCatalog, TransactionDatabase
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by every kernel test
-    import numpy as _np
-except ImportError:  # minimal installs (e.g. CI) use the stdlib path
-    _np = None
+from repro.core.transactions import ItemCatalog, TransactionDatabase
 
 __all__ = [
     "FrequentLevels",
@@ -113,8 +94,6 @@ __all__ = [
     "prefix_ranks",
     "read_chunks",
     "suffix_extend",
-    "take",
-    "tid_group_bounds",
 ]
 
 #: Typecode of every materialized column: signed 64-bit, enough for any
@@ -133,20 +112,9 @@ def _column(values: Iterable[int] = ()) -> array:
     return array(COLUMN_TYPECODE, values)
 
 
-def _as_int64(values: Sequence[int]) -> "_np.ndarray":
-    """A numpy int64 view/copy of any column representation.
-
-    ``array('q')`` becomes a zero-copy buffer view; ``range`` becomes an
-    ``arange``; lists are converted with ``fromiter``.  Only called when
-    numpy is available.
-    """
-    if isinstance(values, _np.ndarray):
-        return values
-    if isinstance(values, array):
-        return _np.frombuffer(values, dtype=_np.int64)
-    if isinstance(values, range):
-        return _np.arange(values.start, values.stop, values.step, dtype=_np.int64)
-    return _np.fromiter(values, dtype=_np.int64, count=len(values))
+def _as_int64(values: Sequence[int]) -> np.ndarray:
+    """An int64 ndarray of any column (``array('q')`` becomes a view)."""
+    return np.asarray(values, dtype=np.int64)
 
 
 class InstanceRelation:
@@ -225,11 +193,7 @@ class InstanceRelation:
         are stored sorted and item ids preserve label order (the
         :class:`ItemCatalog` id-assignment invariant).  The item column
         is built by one C-driven ``map`` over the chained transactions;
-        ``last_sid`` is the identity (row ``s``'s only item sits at
-        sales position ``s``), ``keys`` aliases the item column (a
-        1-pattern's key *is* its item id), and the trans_id
-        column materializes lazily through the attached
-        :class:`SalesIndex`.
+        the rest is :meth:`sales_from_columns`.
         """
         items = _column(
             map(
@@ -263,7 +227,10 @@ class InstanceRelation:
         objects in one pass.  Requirements are those of the whole-file
         path: rows grouped by ascending ``trans_id``, items ascending
         within a transaction, ``base`` strictly greater than every
-        item id.
+        item id.  ``last_sid`` is the identity (row ``s``'s only item
+        sits at sales position ``s``), ``keys`` aliases the item column
+        (a 1-pattern's key *is* its item id), and the trans_id column
+        materializes lazily through the attached :class:`SalesIndex`.
         """
         index = SalesIndex(
             items,
@@ -274,7 +241,7 @@ class InstanceRelation:
         return cls(
             None,
             (items,),
-            last_sid=range(len(items)),
+            last_sid=np.arange(len(items), dtype=np.int64),
             keys=items,
             k=1,
             index=index,
@@ -406,11 +373,7 @@ class InstanceRelation:
 
 def _int64_column_bytes(values: Sequence[int]) -> bytes:
     """Flat native-int64 bytes of a column."""
-    if _np is not None and isinstance(values, _np.ndarray):
-        return values.tobytes()
-    if isinstance(values, array):
-        return values.tobytes()
-    return array(COLUMN_TYPECODE, values).tobytes()
+    return _as_int64(values).tobytes()
 
 
 def _chunk_frame(data, offset: int) -> tuple[int, int, int, int, int]:
@@ -469,32 +432,12 @@ def extension_counts(
     the suffix length ``index.ext_counts[last_sid[r]]``.  The out-of-core
     engine uses this to size its extension slices and spill partitions
     *before* materializing anything: the exact ``|R'_k|`` is
-    ``sum(extension_counts(r_prev))``, one cheap gather pass.
+    ``extension_counts(r_prev).sum()``, one cheap gather pass.
     """
     sids = relation.last_sid
     if sids is None:
         raise ValueError("extension_counts needs the last_sid column")
-    if _np is not None:
-        return index.ext_counts[_as_int64(sids)]
-    return array(COLUMN_TYPECODE, map(index.ext_counts.__getitem__, sids))
-
-
-def tid_group_bounds(tids: Sequence[int]) -> list[int]:
-    """Boundary offsets of equal-trans_id runs in a tid-sorted column.
-
-    Returns ``[0, b_1, ..., len(tids)]``: consecutive pairs delimit one
-    transaction's rows.  This is the run-length boundary scan that
-    replaces the per-row ``row[0] == current`` comparisons of the tuple
-    representation: one pass, index arithmetic only, and every later
-    scan works with offsets instead of re-comparing trans_ids.
-    """
-    n = len(tids)
-    if n == 0:
-        return [0]
-    bounds = [0]
-    bounds.extend(i for i in range(1, n) if tids[i] != tids[i - 1])
-    bounds.append(n)
-    return bounds
+    return index.ext_counts[_as_int64(sids)]
 
 
 class SalesIndex:
@@ -508,8 +451,9 @@ class SalesIndex:
     and ascending, so "later position" equals the paper's
     ``q.item > p.item_{k-1}`` band condition).  A transaction run of
     length ``L`` therefore contributes exactly ``L-1, L-2, ..., 0``,
-    and the whole column is one chained pass of ``reversed(range(L))``
-    runs — run-length delimitation turned into run-length *generation*.
+    and the whole column is a few ``np.repeat``/``cumsum`` passes over
+    the run lengths — run-length delimitation turned into run-length
+    *generation*.
     :func:`suffix_extend` reads this array instead of re-merging
     trans_id groups every iteration.
 
@@ -520,7 +464,7 @@ class SalesIndex:
     it.
     """
 
-    __slots__ = ("items", "items_np", "ext_counts", "base", "_tids",
+    __slots__ = ("items", "ext_counts", "base", "_tids",
                  "_run_lengths", "_trans_ids")
 
     def __init__(
@@ -531,46 +475,17 @@ class SalesIndex:
         run_lengths: Sequence[int],
         trans_ids: Sequence[int],
     ) -> None:
-        self.items = items
+        self.items = _as_int64(items)
         self.base = base
         self._run_lengths = run_lengths
         self._trans_ids = trans_ids
         self._tids: array | None = None
-        if _np is not None:
-            self.items_np = _as_int64(items)
-            lengths = _as_int64(run_lengths)
-            expanded = _np.repeat(lengths, lengths)
-            position = _np.arange(len(items)) - _np.repeat(
-                _np.cumsum(lengths) - lengths, lengths
-            )
-            self.ext_counts = expanded - 1 - position
-        else:
-            self.items_np = None
-            self.ext_counts = _column(
-                chain.from_iterable(map(reversed, map(range, run_lengths)))
-            )
-
-    @classmethod
-    def from_relation(
-        cls, sales: InstanceRelation, base: int
-    ) -> "SalesIndex":
-        """Build from an eager ``(trans_id, item)`` relation.
-
-        Transaction runs are delimited by the :func:`tid_group_bounds`
-        boundary scan (the database-backed path of
-        :meth:`InstanceRelation.sales_from_database` knows the run
-        lengths up front and skips it).
-        """
-        tids = sales.tids
-        bounds = tid_group_bounds(tids)
-        index = cls(
-            sales.items[0],
-            base,
-            run_lengths=list(map(sub, bounds[1:], bounds)),
-            trans_ids=[tids[bound] for bound in bounds[:-1]],
+        lengths = _as_int64(run_lengths)
+        expanded = np.repeat(lengths, lengths)
+        position = np.arange(len(items)) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths
         )
-        index._tids = tids
-        return index
+        self.ext_counts = expanded - 1 - position
 
     @property
     def tids(self) -> array:
@@ -584,55 +499,21 @@ class SalesIndex:
         return self._tids
 
 
-def take(relation: InstanceRelation, indices: Sequence[int]) -> InstanceRelation:
-    """Gather ``relation``'s rows at ``indices`` into a new relation.
-
-    Column-at-a-time: each physically present column is copied in one
-    C-level pass (``map(column.__getitem__, indices)``) — no per-row
-    Python objects.  Lazy relations stay lazy: only ``keys`` and
-    ``last_sid`` are gathered, and the logical columns keep deriving
-    from them.
-    """
-    tids = items = None
-    if relation._tids is not None:
-        tids = _column(map(relation._tids.__getitem__, indices))
-    if relation._items is not None:
-        items = tuple(
-            _column(map(column.__getitem__, indices))
-            for column in relation._items
-        )
-    last_sid = keys = None
-    if relation.last_sid is not None:
-        last_sid = list(map(relation.last_sid.__getitem__, indices))
-    if relation.keys is not None:
-        keys = list(map(relation.keys.__getitem__, indices))
-    return InstanceRelation(
-        tids,
-        items,
-        last_sid=last_sid,
-        keys=keys,
-        k=relation.k,
-        index=relation._index,
-    )
-
-
 def prefix_ranks(
     keys: Sequence[int], prefixes: Sequence[int] | None
 ) -> Sequence[int]:
     """Each key's row number in the sorted ``F_{k-1}`` keys ``prefixes``.
 
     The one place a level's key is turned into the row reference the
-    next level's keys are built on (``rank * base + item``): a
-    ``searchsorted`` pass with numpy, ``bisect`` otherwise.  Every key
+    next level's keys are built on (``rank * base + item``): one
+    ``searchsorted`` pass.  Every key
     must occur in ``prefixes`` — ``R_{k-1}`` holds only supported
     patterns.  ``prefixes=None`` stands for ``F_1``'s level, whose
     prefix is the item id itself, and returns ``keys`` unchanged.
     """
     if prefixes is None:
         return keys
-    if _np is not None:
-        return _np.searchsorted(_as_int64(prefixes), _as_int64(keys))
-    return list(map(partial(bisect_left, prefixes), keys))
+    return np.searchsorted(_as_int64(prefixes), _as_int64(keys))
 
 
 def suffix_extend(
@@ -648,10 +529,11 @@ def suffix_extend(
     :class:`SalesIndex` knows each position's transaction run end, the
     extensions of row ``r`` are exactly sales positions
     ``last_sid[r]+1 .. ends[last_sid[r]]`` — so the whole join is a
-    handful of C-driven bulk passes with no per-row Python:
+    handful of whole-column int64 passes with no per-row Python:
 
     1. per-row extension counts — one gather over ``ext_counts``;
-    2. the new ``last_sid`` column — flattened ``range`` runs;
+    2. the new ``last_sid`` column — a ``np.repeat`` ragged-range
+       expansion;
     3. the rank keys (``key' = rank * base + item``) — each previous
        key becomes its rank in ``prefixes``, the sorted ``F_{k-1}``
        keys (:func:`prefix_ranks`; ``None`` when extending ``R_1``,
@@ -671,54 +553,18 @@ def suffix_extend(
             "suffix_extend needs last_sid/keys columns; build relations "
             "with sales_from_database/suffix_extend, not raw constructors"
         )
-    ranks = prefix_ranks(prev_keys, prefixes)
-    if _np is not None:
-        # Vectorized ragged-range expansion: whole-column int64 ops on
-        # zero-copy views.
-        sids_np = _as_int64(sids)
-        counts_np = index.ext_counts[sids_np]
-        total = int(counts_np.sum())
-        offsets = _np.arange(total) - _np.repeat(
-            _np.cumsum(counts_np) - counts_np, counts_np
-        )
-        new_sids_np = _np.repeat(sids_np + 1, counts_np) + offsets
-        new_keys_np = (
-            _np.repeat(_as_int64(ranks) * index.base, counts_np)
-            + index.items_np[new_sids_np]
-        )
-        return InstanceRelation(
-            None,
-            None,
-            last_sid=new_sids_np,
-            keys=new_keys_np,
-            k=r_prev.k + 1,
-            index=index,
-        )
-
-    ext_counts = index.ext_counts
-    if isinstance(sids, range) and sids == range(len(ext_counts)):
-        # R_1's identity cursor: the per-row gathers collapse away.
-        counts: Sequence[int] = ext_counts
-        starts: Sequence[int] = range(1, len(ranks) + 1)
-    else:
-        counts = list(map(ext_counts.__getitem__, sids))
-        starts = list(map((1).__add__, sids))
-    new_sids = list(
-        chain.from_iterable(map(range, starts, map(add, starts, counts)))
+    sids = _as_int64(sids)
+    counts = index.ext_counts[sids]
+    offsets = np.arange(int(counts.sum())) - np.repeat(
+        np.cumsum(counts) - counts, counts
     )
-    scaled = map(index.base.__mul__, ranks)
-    keys = list(
-        map(
-            add,
-            chain.from_iterable(map(repeat, scaled, counts)),
-            map(index.items.__getitem__, new_sids),
-        )
-    )
+    new_sids = np.repeat(sids + 1, counts) + offsets
+    scaled = _as_int64(prefix_ranks(prev_keys, prefixes)) * index.base
     return InstanceRelation(
         None,
         None,
         last_sid=new_sids,
-        keys=keys,
+        keys=np.repeat(scaled, counts) + index.items[new_sids],
         k=r_prev.k + 1,
         index=index,
     )
@@ -743,19 +589,14 @@ class FrequentLevels:
 
     def __init__(self, base: int) -> None:
         self.base = base
-        self._keys: dict[int, Sequence[int]] = {}
+        self._keys: dict[int, np.ndarray] = {}
         self._ids: dict[int, list[tuple[int, ...]]] = {}
 
     def add(self, k: int, keys: Iterable[int]) -> None:
         """Record level ``k``'s frequent keys ``F_k`` (any order)."""
-        ordered = sorted(keys)
-        self._keys[k] = (
-            _np.array(ordered, dtype=_np.int64)
-            if _np is not None
-            else _column(ordered)
-        )
+        self._keys[k] = np.sort(np.fromiter(keys, dtype=np.int64))
 
-    def prefixes(self, k: int) -> Sequence[int] | None:
+    def prefixes(self, k: int) -> np.ndarray | None:
         """The sorted ``F_k`` keys level ``k + 1`` ranks into.
 
         ``None`` at ``k = 1``: a 2-pattern's prefix is its item id.
@@ -774,10 +615,9 @@ class FrequentLevels:
     def _table(self, k: int) -> list[tuple[int, ...]]:
         table = self._ids.get(k)
         if table is None:
-            keys = self._keys[k]
-            if _np is not None and isinstance(keys, _np.ndarray):
-                keys = keys.tolist()
-            table = self._ids[k] = [self.items(key, k) for key in keys]
+            table = self._ids[k] = [
+                self.items(key, k) for key in self._keys[k].tolist()
+            ]
         return table
 
 
@@ -786,35 +626,35 @@ def count_packed_keys(
 ) -> list[tuple[int, int]]:
     """Group counts over pattern keys.
 
-    ``via="hash"`` is one :class:`collections.Counter` pass (C-speed
-    integer hashing), emitted in deterministic first-occurrence order.
     ``via="sort"`` mirrors the paper's sort-then-scan: a key-free
-    integer sort followed by run-length delimitation — vectorized as
-    ``np.unique(return_counts=True)`` when numpy is available, binary
-    run probes over ``sorted()`` otherwise — emitted in ascending key
-    order, which equals lexicographic pattern order.  ``via="auto"``
-    picks the fastest available strategy (vectorized sort, else hash).
-    All strategies produce the same multiset of ``(key, count)`` pairs.
+    integer sort followed by run-length delimitation, as
+    ``np.unique(return_counts=True)``, emitted in ascending key order,
+    which equals lexicographic pattern order.  ``via="hash"`` is one
+    :class:`collections.Counter` pass (C-speed integer hashing), emitted
+    in deterministic first-occurrence order.  ``via="auto"`` is
+    ``"sort"``.  All strategies produce the same multiset of
+    ``(key, count)`` pairs.
     """
-    if via == "auto":
-        via = "sort" if _np is not None else "hash"
     if via == "hash":
-        if _np is not None and isinstance(keys, _np.ndarray):
-            keys = keys.tolist()
-        return list(Counter(keys).items())
-    if _np is not None:
-        unique, counts = _np.unique(_as_int64(keys), return_counts=True)
-        return list(zip(unique.tolist(), counts.tolist()))
-    ordered = sorted(keys)
-    n = len(ordered)
-    counts: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        key = ordered[i]
-        j = bisect_right(ordered, key, i, n)
-        counts.append((key, j - i))
-        i = j
-    return counts
+        return list(Counter(_as_int64(keys).tolist()).items())
+    unique, counts = np.unique(_as_int64(keys), return_counts=True)
+    return list(zip(unique.tolist(), counts.tolist()))
+
+
+def _member_mask(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Row mask of ``values`` found in the sorted column ``wanted``.
+
+    One ``searchsorted`` probe per value, then an equality check at the
+    probed position.  Unlike ``np.isin``, whose sorting fallback runs a
+    plain ``np.unique`` and so imports ``numpy.ma`` lazily (tens of
+    milliseconds inside the first such call of a process), this never
+    leaves plain array operations.
+    """
+    if len(wanted) == 0:
+        return np.zeros(len(values), dtype=bool)
+    positions = np.searchsorted(wanted, values)
+    positions[positions == len(wanted)] = 0
+    return wanted[positions] == values
 
 
 def filter_by_keys(
@@ -822,57 +662,27 @@ def filter_by_keys(
 ) -> InstanceRelation:
     """``R_k`` from ``R'_k``: keep rows whose pattern key is supported.
 
-    One membership ``map`` builds the selector, then every physical
-    column is copied through ``itertools.compress`` — all C-level
-    passes, no per-row Python.  Input order is preserved, so the
-    sorted-by-``(trans_id, items)`` invariant survives filtering.
-    Requires ``relation.keys``.
+    One :func:`_member_mask` probe builds the row mask, then the
+    ``keys`` and ``last_sid`` columns are copied through it.  Input order is
+    preserved, so the sorted-by-``(trans_id, items)`` invariant survives
+    filtering.  Requires ``relation.keys``.
     """
-    keys = relation.keys
-    if keys is None:
+    if relation.keys is None:
         raise ValueError("filter_by_keys needs the packed-keys column")
-    if _np is not None and isinstance(keys, _np.ndarray):
-        mask = _np.isin(
-            keys,
-            _np.fromiter(supported, dtype=_np.int64, count=len(supported)),
-        )
-        if bool(mask.all()):
-            return relation
-        last_sid = relation.last_sid
-        return InstanceRelation(
-            None,
-            None,
-            last_sid=(
-                _as_int64(last_sid)[mask] if last_sid is not None else None
-            ),
-            keys=keys[mask],
-            k=relation.k,
-            index=relation._index,
-        )
-    selector = list(map(supported.__contains__, keys))
-    if all(selector):
+    keys = _as_int64(relation.keys)
+    wanted = np.fromiter(supported, dtype=np.int64, count=len(supported))
+    mask = _member_mask(keys, np.sort(wanted))
+    if bool(mask.all()):
         return relation
-    tids = items = None
-    if relation._tids is not None:
-        tids = _column(compress(relation._tids, selector))
-    if relation._items is not None:
-        items = tuple(
-            _column(compress(column, selector)) for column in relation._items
-        )
-    # The cursor column stays a flat int64 buffer (array('q'), never a
-    # Python-int list): cursors always fit 64 bits, and downstream
-    # consumers — chunk serialization, the workers' survivor replies —
-    # round-trip it buffer-to-buffer via .tobytes()/.frombytes().
-    last_sid = (
-        _column(compress(relation.last_sid, selector))
-        if relation.last_sid is not None
-        else None
-    )
     return InstanceRelation(
-        tids,
-        items,
-        last_sid=last_sid,
-        keys=list(compress(keys, selector)),
+        None,
+        None,
+        last_sid=(
+            _as_int64(relation.last_sid)[mask]
+            if relation.last_sid is not None
+            else None
+        ),
+        keys=keys[mask],
         k=relation.k,
         index=relation._index,
     )

@@ -26,8 +26,8 @@ level:
   (or genuinely zero): a **state hit**, no base I/O;
 * prefix newly frequent (infrequent over the base alone, frequent over
   the union) — the base run never counted its extensions, so they get a
-  **targeted recount** over the base transactions via
-  ``iter_item_chunks()``, never a full re-mine;
+  **targeted recount** over the base rows read through
+  ``iter_item_chunks()`` (:func:`_recount_base`), never a full re-mine;
 * prefix no longer frequent (the threshold grew with ``N``) — its state
   entries are dropped.
 
@@ -72,15 +72,18 @@ import json
 import os
 import time
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
 from pathlib import Path
 from typing import Any, Literal
+
+import numpy as np
 
 from repro.core.columns import (
     COLUMN_TYPECODE,
     FrequentLevels,
     InstanceRelation,
+    _as_int64,
+    _member_mask,
     count_packed_keys,
     filter_by_keys,
     prefix_ranks,
@@ -99,11 +102,6 @@ from repro.errors import (
     StateVersionError,
 )
 from repro.registry import register_engine
-
-try:  # pragma: no cover - exercised implicitly by the recount tests
-    import numpy as _np
-except ImportError:  # minimal installs use the transaction-scan recount
-    _np = None
 
 __all__ = ["MiningState", "STATE_VERSION", "setm_incremental"]
 
@@ -125,12 +123,15 @@ def _is_absolute(support: float | int) -> bool:
 
 
 #: A level map as parallel columns: ``(keys, counts)``, sorted by key.
-#: Columns are ``array('q')`` / numpy int64 — the exact shape the
-#: on-disk chunk format stores, so save/load never converts through
-#: dicts.
+#: Columns are int64 (``array('q')`` as loaded, ndarrays once merged) —
+#: the exact shape the on-disk chunk format stores, so save/load never
+#: converts through dicts.
 LevelPair = tuple[Sequence[int], Sequence[int]]
 
-_EMPTY_PAIR: LevelPair = (_column(), _column())
+_EMPTY_PAIR: LevelPair = (
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+)
 
 
 def _pair_from_dict(counts: dict[int, int]) -> LevelPair:
@@ -139,42 +140,17 @@ def _pair_from_dict(counts: dict[int, int]) -> LevelPair:
     return _column(keys), _column(map(counts.__getitem__, keys))
 
 
-def _as_np(column) -> "_np.ndarray":
-    """A numpy int64 view/copy of a column (numpy available only)."""
-    if isinstance(column, _np.ndarray):
-        return column
-    if isinstance(column, array):
-        return _np.frombuffer(column, dtype=_np.int64)
-    return _np.fromiter(column, dtype=_np.int64, count=len(column))
-
-
-def _as_list(column) -> list[int]:
-    if _np is not None and isinstance(column, _np.ndarray):
-        return column.tolist()
-    return list(column)
-
-
-def _sum_column(counts) -> int:
-    if _np is not None and isinstance(counts, _np.ndarray):
-        return int(counts.sum())
-    return sum(counts)
-
-
 def _supported_slice(
     pair: LevelPair, threshold: int
 ) -> list[tuple[int, int]]:
     """The ``>= threshold`` entries of a level pair, in key order."""
-    keys, counts = pair
-    if _np is not None and isinstance(keys, _np.ndarray):
-        mask = counts >= threshold
-        return list(zip(keys[mask].tolist(), counts[mask].tolist()))
-    return [
-        (key, count) for key, count in zip(keys, counts) if count >= threshold
-    ]
+    keys, counts = map(_as_int64, pair)
+    mask = counts >= threshold
+    return list(zip(keys[mask].tolist(), counts[mask].tolist()))
 
 
-def _combine_np(parts: list[LevelPair]) -> LevelPair:
-    """Sum column pairs into one sorted pair (numpy path).
+def _combine(parts: list[LevelPair]) -> LevelPair:
+    """Sum column pairs into one sorted pair.
 
     Each input pair must carry unique keys; counts of keys present in
     several pairs are added — the whole per-level merge (state-kept +
@@ -185,12 +161,12 @@ def _combine_np(parts: list[LevelPair]) -> LevelPair:
         return _EMPTY_PAIR
     if len(parts) == 1:
         keys, counts = parts[0]
-        return _as_np(keys), _as_np(counts)
-    all_keys = _np.concatenate([_as_np(keys) for keys, _ in parts])
-    all_counts = _np.concatenate([_as_np(counts) for _, counts in parts])
-    merged_keys, inverse = _np.unique(all_keys, return_inverse=True)
-    merged_counts = _np.zeros(len(merged_keys), dtype=_np.int64)
-    _np.add.at(merged_counts, inverse, all_counts)
+        return _as_int64(keys), _as_int64(counts)
+    all_keys = np.concatenate([_as_int64(keys) for keys, _ in parts])
+    all_counts = np.concatenate([_as_int64(counts) for _, counts in parts])
+    merged_keys, inverse = np.unique(all_keys, return_inverse=True)
+    merged_counts = np.zeros(len(merged_keys), dtype=np.int64)
+    np.add.at(merged_counts, inverse, all_counts)
     return merged_keys, merged_counts
 
 
@@ -258,8 +234,8 @@ class MiningState:
 
     def level_counts(self, k: int) -> dict[int, int]:
         """Level ``k``'s count map as a plain dict (tests, inspection)."""
-        keys, counts = self.levels[k]
-        return dict(zip(_as_list(keys), _as_list(counts)))
+        keys, counts = map(_as_int64, self.levels[k])
+        return dict(zip(keys.tolist(), counts.tolist()))
 
     @classmethod
     def from_full_run(
@@ -506,52 +482,24 @@ def _translate_level(
     ``count >= threshold_base``, ``-1`` where dropped) for the next
     level's call.
     """
-    keys, counts = pair
-    new_base = levels.base
+    keys, counts = map(_as_int64, pair)
     frequent = levels.prefixes(k - 1) if k >= 3 else None
-    if _np is not None:
-        keys = _as_np(keys)
-        counts = _as_np(counts)
-        mapping = _np.asarray(old_to_new, dtype=_np.int64)
-        if k == 1:
-            new = mapping[keys]
+    mapping = np.asarray(old_to_new, dtype=np.int64)
+    if k == 1:
+        new = mapping[keys]
+    else:
+        prefix, item = np.divmod(keys, old_base)
+        if frequent is None:
+            ranks = mapping[prefix]
         else:
-            prefix, item = _np.divmod(keys, old_base)
-            if frequent is None:
-                ranks = mapping[prefix]
-            else:
-                prefix = _as_np(old_prefixes)[prefix]
-                ranks = _np.searchsorted(frequent, prefix)
-                hit = ranks < len(frequent)
-                hit[hit] = frequent[ranks[hit]] == prefix[hit]
-                ranks[~hit] = -1
-            new = _np.where(
-                ranks >= 0, ranks * new_base + mapping[item], -1
-            )
-        keep = new >= 0
-        return (new[keep], counts[keep]), new[counts >= threshold_base]
-    rank_of = (
-        {key: rank for rank, key in enumerate(frequent)}
-        if frequent is not None
-        else None
-    )
-    kept: dict[int, int] = {}
-    translated: list[int] = []
-    for key, count in zip(keys, counts):
-        if k == 1:
-            new = old_to_new[key]
-        else:
-            prefix, item = divmod(key, old_base)
-            if rank_of is None:
-                rank = old_to_new[prefix]
-            else:
-                rank = rank_of.get(old_prefixes[prefix], -1)
-            new = rank * new_base + old_to_new[item] if rank >= 0 else -1
-        if new >= 0:
-            kept[new] = count
-        if count >= threshold_base:
-            translated.append(new)
-    return _pair_from_dict(kept), translated
+            prefix = _as_int64(old_prefixes)[prefix]
+            ranks = np.searchsorted(frequent, prefix)
+            hit = ranks < len(frequent)
+            hit[hit] = frequent[ranks[hit]] == prefix[hit]
+            ranks[~hit] = -1
+        new = np.where(ranks >= 0, ranks * levels.base + mapping[item], -1)
+    keep = new >= 0
+    return (new[keep], counts[keep]), new[counts >= threshold_base]
 
 
 # -- the delta mine ----------------------------------------------------------------
@@ -567,69 +515,6 @@ def _tail_items(dataset, skip: int) -> array:
             out.extend(chunk[max(0, skip - seen) :])
         seen = end
     return out
-
-
-def _iter_base_transactions(dataset, t_base: int):
-    """Yield each base transaction's sorted item ids, chunk-aligned.
-
-    Walks ``iter_item_chunks()`` (non-consuming — spilled pieces stream
-    one at a time) against the run-length framing; transactions may span
-    chunk boundaries.
-    """
-    run_lengths = dataset.run_lengths
-    source = dataset.iter_item_chunks()
-    chunk: array = _column()
-    pos = 0
-    for i in range(t_base):
-        need = run_lengths[i]
-        txn: list[int] = []
-        while need:
-            if pos == len(chunk):
-                chunk = next(source)
-                pos = 0
-                continue
-            take = min(need, len(chunk) - pos)
-            txn.extend(chunk[pos : pos + take])
-            pos += take
-            need -= take
-        yield txn
-
-
-def _recount_base_scan(
-    dataset,
-    q_new: set[int],
-    levels: FrequentLevels,
-    k_prev: int,
-    t_base: int,
-) -> tuple[dict[int, int], int]:
-    """Transaction-scan recount (the numpy-free fallback).
-
-    For every base transaction containing a prefix ``q`` of ``q_new``,
-    each later item ``j`` contributes one instance of ``q . j`` — the
-    counts the base run never materialized because ``q`` was infrequent
-    then.  ``q``'s items come from the level tables.  Returns
-    ``(counts, base_rows_walked)``.
-    """
-    base = levels.base
-    prefixes = sorted(q_new)
-    ranks = prefix_ranks(prefixes, levels.prefixes(k_prev))
-    patterns = [
-        (rank * base, levels.items(key, k_prev))
-        for key, rank in zip(prefixes, ranks)
-    ]
-    counts: dict[int, int] = {}
-    rows = 0
-    for txn in _iter_base_transactions(dataset, t_base):
-        rows += len(txn)
-        if len(txn) <= k_prev:
-            continue
-        members = set(txn)
-        for scaled, items in patterns:
-            if all(item in members for item in items):
-                for j in txn[bisect_right(txn, items[-1]) :]:
-                    new_key = scaled + j
-                    counts[new_key] = counts.get(new_key, 0) + 1
-    return counts, rows
 
 
 class _BaseColumns:
@@ -652,11 +537,8 @@ class _BaseColumns:
             gathered.extend(chunk if len(chunk) <= take else chunk[:take])
             if len(gathered) == s_base:
                 break
-        self.items = _np.frombuffer(gathered, dtype=_np.int64)
-        lengths = dataset.run_lengths[:t_base]
-        if isinstance(lengths, array):
-            lengths = _np.frombuffer(lengths, dtype=_np.int64)
-        self.ends = _np.cumsum(lengths)
+        self.items = _as_int64(gathered)
+        self.ends = np.cumsum(_as_int64(dataset.run_lengths[:t_base]))
 
     def extend_instances(self, sids, ranks, base: int):
         """Vectorized merge-scan step over selected instance rows only.
@@ -667,18 +549,17 @@ class _BaseColumns:
         on the fly from its transaction end — O(|selected| log t_base)
         instead of O(base rows).
         """
-        ends = self.ends[_np.searchsorted(self.ends, sids, side="right")]
+        ends = self.ends[np.searchsorted(self.ends, sids, side="right")]
         counts = ends - sids - 1
-        total = int(counts.sum())
-        offsets = _np.arange(total) - _np.repeat(
-            _np.cumsum(counts) - counts, counts
+        offsets = np.arange(int(counts.sum())) - np.repeat(
+            np.cumsum(counts) - counts, counts
         )
-        new_sids = _np.repeat(sids + 1, counts) + offsets
-        new_keys = _np.repeat(ranks * base, counts) + self.items[new_sids]
+        new_sids = np.repeat(sids + 1, counts) + offsets
+        new_keys = np.repeat(ranks * base, counts) + self.items[new_sids]
         return new_sids, new_keys
 
 
-def _recount_base_vectorized(
+def _recount_base(
     columns: _BaseColumns,
     q_new: set[int],
     levels: FrequentLevels,
@@ -696,23 +577,32 @@ def _recount_base_vectorized(
     prefixes are read off the level above (``F_{j-1}[key // base]``).
     Returns the counted extensions as a sorted column pair plus the
     instance rows touched.
+
+    The wanted prefixes are deduplicated by sort-and-mask rather than a
+    plain ``np.unique``, which would import ``numpy.ma`` (tens of
+    milliseconds) on the first delta mine of a process; membership goes
+    through :func:`~repro.core.columns._member_mask` for the same
+    reason.
     """
     base = levels.base
-    wanted = {k_prev: _np.array(sorted(q_new), dtype=_np.int64)}
+    wanted = {k_prev: np.array(sorted(q_new), dtype=np.int64)}
     for j in range(k_prev, 1, -1):
         parents = wanted[j] // base
         if j > 2:
             parents = levels.prefixes(j - 1)[parents]
-        wanted[j - 1] = _np.unique(parents)
+        parents = np.sort(parents)
+        first = np.ones(len(parents), dtype=bool)
+        first[1:] = parents[1:] != parents[:-1]
+        wanted[j - 1] = parents[first]
 
-    sids = _np.flatnonzero(_np.isin(columns.items, wanted[1]))
+    sids = np.flatnonzero(_member_mask(columns.items, wanted[1]))
     keys = columns.items[sids]
     rows = len(sids)
     for j in range(2, k_prev + 1):
         sids, keys = columns.extend_instances(
             sids, prefix_ranks(keys, levels.prefixes(j - 1)), base
         )
-        mask = _np.isin(keys, wanted[j])
+        mask = _member_mask(keys, wanted[j])
         sids = sids[mask]
         keys = keys[mask]
         rows += len(sids)
@@ -720,8 +610,7 @@ def _recount_base_vectorized(
         sids, prefix_ranks(keys, levels.prefixes(k_prev)), base
     )
     rows += len(keys)
-    unique, counts = _np.unique(keys, return_counts=True)
-    return (unique, counts), rows
+    return np.unique(keys, return_counts=True), rows
 
 
 def _mine_delta(
@@ -780,20 +669,9 @@ def _mine_delta(
         # k = 1: merge the delta item counts onto the state's C_1.
         pair1, _ = translate(1, ())
         state_hits = len(pair1[0])
-        if _np is not None:
-            merged_pair = _combine_np(
-                [
-                    pair1,
-                    _np.unique(_as_np(delta_sales.keys), return_counts=True),
-                ]
-            )
-        else:
-            merged = dict(zip(pair1[0], pair1[1]))
-            for key, count in count_packed_keys(
-                delta_sales.keys, via=count_via
-            ):
-                merged[key] = merged.get(key, 0) + count
-            merged_pair = _pair_from_dict(merged)
+        merged_pair = _combine(
+            [pair1, np.unique(_as_int64(delta_sales.keys), return_counts=True)]
+        )
         supported = _supported_slice(merged_pair, threshold)
         f_list = [key for key, _ in supported]
         count_relations: dict[int, dict] = {
@@ -833,46 +711,23 @@ def _mine_delta(
             kept, next_old_frequent = translate(k, old_frequent)
             state_hits += len(kept[0])
 
-            recount_pair: LevelPair | None = None
-            recount_map: dict[int, int] | None = None
+            parts = [kept]
             if k >= 3:
-                q_new = set(f_list).difference(_as_list(old_frequent))
+                q_new = set(f_list).difference(
+                    _as_int64(old_frequent).tolist()
+                )
                 if q_new:
-                    if _np is not None:
-                        if base_columns is None:
-                            base_columns = _BaseColumns(
-                                dataset, t_base, s_base
-                            )
-                        recount_pair, rows = _recount_base_vectorized(
-                            base_columns, q_new, levels, k - 1
-                        )
-                        recounted += len(recount_pair[0])
-                    else:
-                        recount_map, rows = _recount_base_scan(
-                            dataset, q_new, levels, k - 1, t_base
-                        )
-                        recounted += len(recount_map)
+                    if base_columns is None:
+                        base_columns = _BaseColumns(dataset, t_base, s_base)
+                    recount_pair, rows = _recount_base(
+                        base_columns, q_new, levels, k - 1
+                    )
+                    parts.append(recount_pair)
+                    recounted += len(recount_pair[0])
                     base_rows_rescanned += rows
                     recount_levels.append(k)
-
-            if _np is not None:
-                parts = [kept]
-                if recount_pair is not None:
-                    parts.append(recount_pair)
-                parts.append(
-                    _np.unique(_as_np(r_prime.keys), return_counts=True)
-                )
-                merged_pair = _combine_np(parts)
-            else:
-                merged = dict(zip(kept[0], kept[1]))
-                if recount_map is not None:
-                    for key, count in recount_map.items():
-                        merged[key] = merged.get(key, 0) + count
-                for key, count in count_packed_keys(
-                    r_prime.keys, via=count_via
-                ):
-                    merged[key] = merged.get(key, 0) + count
-                merged_pair = _pair_from_dict(merged)
+            parts.append(np.unique(_as_int64(r_prime.keys), return_counts=True))
+            merged_pair = _combine(parts)
 
             supported = _supported_slice(merged_pair, threshold)
             f_list = [key for key, _ in supported]
@@ -881,7 +736,7 @@ def _mine_delta(
             iterations.append(
                 IterationStats(
                     k=k,
-                    candidate_instances=_sum_column(merged_pair[1]),
+                    candidate_instances=int(merged_pair[1].sum()),
                     supported_instances=supported_instances,
                     candidate_patterns=len(merged_pair[0]),
                     supported_patterns=len(f_list),
@@ -936,8 +791,8 @@ def _mine_delta(
             unfiltered_item_counts={
                 catalog.decode((key,))[0]: count
                 for key, count in zip(
-                    _as_list(merged_levels[1][0]),
-                    _as_list(merged_levels[1][1]),
+                    merged_levels[1][0].tolist(),
+                    merged_levels[1][1].tolist(),
                 )
             },
             iterations=iterations,

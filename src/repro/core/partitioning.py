@@ -26,7 +26,7 @@ to live inline in the spill kernel):
   extension sampler strides across the *whole* of ``R_{k-1}`` so
   tid-correlated key drift cannot funnel rows into one partition.
 * :func:`split_by_key_ranges` — route a relation's rows to partitions
-  (one ``searchsorted``/``bisect`` pass plus per-partition compress).
+  (one ``searchsorted`` pass plus a per-partition mask).
 
 Key-range partitioning (as opposed to hashing or row slicing) is what
 makes per-partition counts *global* counts: every occurrence of a
@@ -34,34 +34,29 @@ pattern lands in exactly one partition, so the support filter can be
 applied locally and results merged by plain concatenation — no
 cross-partition count reconciliation.
 
-This module is a dependency near-leaf: it imports only the standard
-library and :mod:`repro.core.columns`.
+This module is a dependency near-leaf: it imports only numpy, the
+standard library and :mod:`repro.core.columns`.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from bisect import bisect_right
-from itertools import compress
 from math import ceil
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.core.columns import (
     InstanceRelation,
     SalesIndex,
+    _as_int64,
     chunk_frames,
     extension_counts,
     read_chunks,
     suffix_extend,
 )
 from repro.errors import PartitionFormatError
-
-try:  # pragma: no cover - same optional dependency as repro.core.columns
-    import numpy as _np
-except ImportError:
-    _np = None
 
 __all__ = [
     "PARTITION_PICKLE_VERSION",
@@ -72,7 +67,6 @@ __all__ = [
     "choose_boundaries",
     "concat_columns",
     "decode_buffer_chunks",
-    "decode_vector_chunks",
     "key_ranges",
     "output_slices",
     "sample_extension_boundaries",
@@ -91,45 +85,19 @@ ROW_BYTES = 16
 BOUNDARY_SAMPLE_ROWS = 2048
 
 
-def _int64_view(column):
-    """A numpy int64 view of an ``array('q')`` column (zero copy)."""
-    if isinstance(column, _np.ndarray):
-        return column
-    return _np.frombuffer(column, dtype=_np.int64)
-
-
-def decode_vector_chunks(
-    data: bytes, *, index: "SalesIndex | None" = None
-) -> list[InstanceRelation]:
-    """Deserialize a spill blob into chunks with vectorized columns.
-
-    The one decoder both partition consumers read spill bytes through
-    (the serial kernel in-process, the pooled engine inside its
-    workers), so they can never drift: chunks load as ``array('q')``
-    columns, wrapped in zero-copy numpy views for the counting/filter
-    primitives when numpy is available.  ``index`` reattaches the
-    lazily-derived columns.
-    """
-    chunks = list(read_chunks(data, index=index))
-    if _np is not None:
-        for chunk in chunks:
-            chunk.keys = _int64_view(chunk.keys)
-            chunk.last_sid = _int64_view(chunk.last_sid)
-    return chunks
-
-
 def decode_buffer_chunks(
     data, *, index: "SalesIndex | None" = None
 ) -> tuple[list[InstanceRelation], int]:
     """Decode chunks from *any* buffer, int64 columns as zero-copy views.
 
-    The transport-aware sibling of :func:`decode_vector_chunks`:
-    ``data`` may be a :class:`memoryview` over a shared-memory segment
-    or an ``mmap``-ed spill file, and when numpy is available the int64
-    ``keys``/``last_sid`` columns are built with ``np.frombuffer``
-    *directly over that buffer* — no intermediate ``bytes``, no
-    ``array`` copy.  The stdlib path necessarily copies, exactly as
-    :func:`decode_vector_chunks` does.
+    The one decoder every partition consumer reads spill bytes through
+    (the serial kernel in-process, the pooled engines inside their
+    workers), so they can never drift.  ``data`` may be ``bytes``, a
+    :class:`memoryview` over a shared-memory segment or an ``mmap``-ed
+    spill file: the int64 ``keys``/``last_sid`` columns are built with
+    ``np.frombuffer`` *directly over that buffer* — no intermediate
+    ``bytes``, no ``array`` copy.  ``index`` reattaches the
+    lazily-derived columns.
 
     Returns ``(chunks, zero_copy_bytes)`` where ``zero_copy_bytes``
     counts the column bytes that were *viewed* rather than copied — the
@@ -139,14 +107,11 @@ def decode_buffer_chunks(
     releasing the underlying segment or map (the worker bodies do, by
     construction — replies are packed into fresh buffers).
     """
-    if _np is None:
-        payload = data if isinstance(data, bytes) else bytes(data)
-        return decode_vector_chunks(payload, index=index), 0
     chunks: list[InstanceRelation] = []
     zero_copy_bytes = 0
     for k, n, sid_off, key_off, _ in chunk_frames(data):
-        sids = _np.frombuffer(data, dtype=_np.int64, count=n, offset=sid_off)
-        keys = _np.frombuffer(data, dtype=_np.int64, count=n, offset=key_off)
+        sids = np.frombuffer(data, dtype=np.int64, count=n, offset=sid_off)
+        keys = np.frombuffer(data, dtype=np.int64, count=n, offset=key_off)
         zero_copy_bytes += 16 * n
         chunks.append(
             InstanceRelation(
@@ -156,18 +121,11 @@ def decode_buffer_chunks(
     return chunks, zero_copy_bytes
 
 
-def concat_columns(columns: list) -> Any:
-    """One column from per-chunk columns (an ndarray with numpy)."""
+def concat_columns(columns: list) -> np.ndarray:
+    """One int64 column from per-chunk columns."""
     if len(columns) == 1:
-        return columns[0]
-    if _np is not None:
-        return _np.concatenate(
-            [_np.asarray(column, dtype=_np.int64) for column in columns]
-        )
-    merged: list[int] = []
-    for column in columns:
-        merged.extend(column)
-    return merged
+        return _as_int64(columns[0])
+    return np.concatenate([_as_int64(column) for column in columns])
 
 
 def slice_rows(
@@ -194,32 +152,19 @@ def output_slices(counts, target_rows: int) -> list[tuple[int, int]]:
     n = len(counts)
     if n == 0:
         return []
-    if _np is not None and isinstance(counts, _np.ndarray):
-        cumulative = _np.cumsum(counts)
-        total = int(cumulative[-1])
-        if total <= target_rows:
-            return [(0, n)]
-        marks = _np.searchsorted(
-            cumulative,
-            _np.arange(target_rows, total, target_rows),
-            side="left",
-        )
-        edges = [0]
-        for mark in (marks + 1).tolist():
-            if edges[-1] < mark < n:
-                edges.append(mark)
-        edges.append(n)
-        return list(zip(edges, edges[1:]))
-    slices: list[tuple[int, int]] = []
-    start = 0
-    emitted = 0
-    for i, c in enumerate(counts):
-        if emitted >= target_rows and i > start:
-            slices.append((start, i))
-            start, emitted = i, 0
-        emitted += c
-    slices.append((start, n))
-    return slices
+    cumulative = np.cumsum(counts)
+    total = int(cumulative[-1])
+    if total <= target_rows:
+        return [(0, n)]
+    marks = np.searchsorted(
+        cumulative, np.arange(target_rows, total, target_rows), side="left"
+    )
+    edges = [0]
+    for mark in (marks + 1).tolist():
+        if edges[-1] < mark < n:
+            edges.append(mark)
+    edges.append(n)
+    return list(zip(edges, edges[1:]))
 
 
 def choose_boundaries(keys, partitions: int) -> list[int]:
@@ -231,13 +176,9 @@ def choose_boundaries(keys, partitions: int) -> list[int]:
     boundary values simply leave some partitions empty — coverage stays
     disjoint and total).
     """
-    if _np is not None and isinstance(keys, _np.ndarray):
-        ordered = _np.sort(keys)
-        n = len(ordered)
-        return [int(ordered[n * i // partitions]) for i in range(1, partitions)]
-    ordered = sorted(keys)
+    ordered = np.sort(_as_int64(keys))
     n = len(ordered)
-    return [ordered[n * i // partitions] for i in range(1, partitions)]
+    return [int(ordered[n * i // partitions]) for i in range(1, partitions)]
 
 
 def boundaries_from_keys(
@@ -256,11 +197,7 @@ def boundaries_from_keys(
     if n == 0:
         return None
     stride = max(1, n // sample_rows)
-    if _np is not None and isinstance(keys, (_np.ndarray, array)):
-        sample = _int64_view(keys)[::stride]
-        return choose_boundaries(_np.asarray(sample), partitions)
-    sample = [keys[i] for i in range(0, n, stride)]
-    return choose_boundaries(sample, partitions)
+    return choose_boundaries(_as_int64(keys)[::stride], partitions)
 
 
 def sample_extension_boundaries(
@@ -327,38 +264,22 @@ def split_by_key_ranges(
     """Route rows to key-range partitions; yield non-empty ``(p, rows)``.
 
     Partition indices ascend, so consuming the iterator in order visits
-    partitions in ascending key-range order.  One ``searchsorted`` /
-    ``bisect`` pass assigns every row; each partition's rows are then a
-    mask/compress copy preserving input order.
+    partitions in ascending key-range order.  One ``searchsorted`` pass
+    assigns every row; each partition's rows are then a mask copy
+    preserving input order.
     """
-    keys = relation.keys
-    if _np is not None and isinstance(keys, _np.ndarray):
-        assignment = _np.searchsorted(
-            _np.asarray(boundaries, dtype=_np.int64), keys, side="right"
-        )
-        for p in range(len(boundaries) + 1):
-            mask = assignment == p
-            if not mask.any():
-                continue
-            yield p, InstanceRelation(
-                None,
-                None,
-                last_sid=relation.last_sid[mask],
-                keys=keys[mask],
-                k=relation.k,
-                index=relation.index,
-            )
-        return
-    assignment = [bisect_right(boundaries, key) for key in keys]
+    keys = _as_int64(relation.keys)
+    last_sid = _as_int64(relation.last_sid)
+    assignment = np.searchsorted(_as_int64(boundaries), keys, side="right")
     for p in range(len(boundaries) + 1):
-        selector = [a == p for a in assignment]
-        if not any(selector):
+        mask = assignment == p
+        if not mask.any():
             continue
         yield p, InstanceRelation(
             None,
             None,
-            last_sid=list(compress(relation.last_sid, selector)),
-            keys=list(compress(keys, selector)),
+            last_sid=last_sid[mask],
+            keys=keys[mask],
             k=relation.k,
             index=relation.index,
         )
@@ -593,7 +514,7 @@ class PartitionPlan:
         row_bytes: int = ROW_BYTES,
     ) -> "PartitionPlan":
         """Price ``relation``'s merge output exactly, then plan."""
-        predicted = int(sum(extension_counts(relation, index)))
+        predicted = int(extension_counts(relation, index).sum())
         return cls.from_predicted_rows(
             predicted, share_bytes, row_bytes=row_bytes
         )

@@ -16,11 +16,10 @@ extension walks ascending sales items), and the support filter keeps
 row order.  ``(trans_id, items)`` order is therefore a loop invariant,
 ``sort R_{k-1} on trans_id, ...`` is a no-op, and ``sort R'_k on
 item_1, ..., item_k`` collapses into the counting step — a key-free
-integer sort of the rank keys (``count_via="sort"``, vectorized as
-``np.unique`` when numpy is available) or a single hash pass
-(``count_via="hash"``): the perf engine has no obligation to sort where
-the faithful one must.  The default ``"auto"`` picks whichever is
-fastest for the active kernel path.
+integer sort of the rank keys (``count_via="sort"``, one
+``np.unique``) or a single hash pass (``count_via="hash"``): the perf
+engine has no obligation to sort where the faithful one must.  The
+default ``"auto"`` means ``"sort"``.
 """
 
 from __future__ import annotations
@@ -169,11 +168,10 @@ def setm_columnar(
     max_length:
         Optional cap on pattern length.
     count_via:
-        ``"auto"`` (default: the fastest strategy the kernel path
-        offers), ``"hash"`` (one Counter pass over rank keys), or
-        ``"sort"`` (key-free integer sort + run-length scan — the
-        paper-shaped strategy, vectorized as ``np.unique`` when numpy
-        is available).  Identical counts any way; the knob feeds the
+        ``"auto"`` (default; the same as ``"sort"``), ``"hash"`` (one
+        Counter pass over rank keys), or ``"sort"`` (key-free integer
+        sort + run-length scan as one ``np.unique`` — the paper-shaped
+        strategy).  Identical counts any way; the knob feeds the
         counting-strategy ablation benchmark.
     measure_memory:
         Record loop peak memory in ``extra["peak_memory_bytes"]``; off

@@ -61,7 +61,7 @@ from repro.core.partitioning import (
     PartitionPlan,
     choose_boundaries,
     concat_columns,
-    decode_vector_chunks,
+    decode_buffer_chunks,
     key_ranges,
     output_slices,
     sample_extension_boundaries,
@@ -207,7 +207,7 @@ class SpillingColumnarKernel(ColumnarKernel):
 
     def _decode_chunks(self, data: bytes) -> list[InstanceRelation]:
         self._bytes_read += len(data)
-        return decode_vector_chunks(data, index=self._index)
+        return decode_buffer_chunks(data, index=self._index)[0]
 
     def _load_chunks(self, path: Path) -> list[InstanceRelation]:
         return self._decode_chunks(path.read_bytes())
@@ -278,23 +278,24 @@ class SpillingColumnarKernel(ColumnarKernel):
             self._spill_path(f"rprime-k{self._k}-p{p}")
             for p in range(partitions)
         ]
-        handles = [open(path, "wb") for path in paths]
-        try:
-            for chunk in self._iter_chunks(r, delete=True):
-                counts = extension_counts(chunk, index)
-                for start, stop in output_slices(counts, self._slice_rows):
-                    out = suffix_extend(
-                        slice_rows(chunk, start, stop), index, prefixes
-                    )
-                    if len(out) == 0:
-                        continue
-                    if boundaries is None:
-                        boundaries = choose_boundaries(out.keys, partitions)
-                    for p, rows in split_by_key_ranges(out, boundaries):
-                        self._write_chunk(rows, handles[p])
-        finally:
-            for handle in handles:
-                handle.close()
+        for path in paths:
+            path.touch()  # an empty partition is an empty file
+        # Each slice appends its share of a partition and closes the
+        # file again: at most one spill handle is open at a time, so
+        # the partition count is not capped by the descriptor limit.
+        for chunk in self._iter_chunks(r, delete=True):
+            counts = extension_counts(chunk, index)
+            for start, stop in output_slices(counts, self._slice_rows):
+                out = suffix_extend(
+                    slice_rows(chunk, start, stop), index, prefixes
+                )
+                if len(out) == 0:
+                    continue
+                if boundaries is None:
+                    boundaries = choose_boundaries(out.keys, partitions)
+                for p, rows in split_by_key_ranges(out, boundaries):
+                    with open(paths[p], "ab") as handle:
+                        self._write_chunk(rows, handle)
         return SpilledPartitions(
             [
                 Partition(r.k + 1, key_low=low, key_high=high, path=path)
@@ -347,7 +348,7 @@ class SpillingColumnarKernel(ColumnarKernel):
                     self._write_chunk(survivors, out_handle)
                     out_rows += len(survivors)
                     out_extension_rows += int(
-                        sum(extension_counts(survivors, index))
+                        extension_counts(survivors, index).sum()
                     )
         finally:
             if out_handle is not None:

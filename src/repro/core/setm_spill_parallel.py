@@ -50,15 +50,12 @@ transparently recreated on the next run
 from __future__ import annotations
 
 import os
-from array import array
 from pathlib import Path
 from typing import Any, Literal
 
-from repro.core.columns import (
-    _int64_column_bytes,
-    count_packed_keys,
-    filter_by_keys,
-)
+import numpy as np
+
+from repro.core.columns import count_packed_keys, filter_by_keys
 from repro.core.partitioning import (
     Partition,
     concat_columns,
@@ -87,11 +84,6 @@ from repro.core.transport import (
     partition_buffer,
 )
 from repro.registry import register_engine
-
-try:  # pragma: no cover - same optional dependency as repro.core.columns
-    import numpy as _np
-except ImportError:
-    _np = None
 
 __all__ = ["SpillParallelKernel", "setm_spill_parallel"]
 
@@ -146,9 +138,7 @@ def _count_filter_partition(
                         bytes_written += len(blob)
                         chunks_written += 1
                         rows_written += len(survivors)
-                        sid_parts.append(
-                            _int64_column_bytes(survivors.last_sid)
-                        )
+                        sid_parts.append(survivors.last_sid.tobytes())
                 if rows_written == 0:  # every survivor lived elsewhere
                     os.remove(out_path)
             # The chunk columns (and a single-chunk key view) borrow the
@@ -297,13 +287,8 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
         column — 8 bytes of IPC per surviving row instead of re-reading
         the ``R_k`` spill file.
         """
-        ext = self._index.ext_counts
-        if _np is not None:
-            sids = _np.frombuffer(sid_bytes, dtype=_np.int64)
-            return int(_np.sum(ext[sids]))
-        sids = array("q")
-        sids.frombytes(sid_bytes)
-        return sum(map(ext.__getitem__, sids))
+        sids = np.frombuffer(sid_bytes, dtype=np.int64)
+        return int(self._index.ext_counts[sids].sum())
 
     # -- lifecycle ------------------------------------------------------------------
 

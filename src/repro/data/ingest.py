@@ -51,10 +51,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.core.columns import (
     COLUMN_TYPECODE,
     InstanceRelation,
     SalesIndex,
+    _as_int64,
     read_chunks,
 )
 from repro.core.partitioning import Partition
@@ -66,11 +69,6 @@ from repro.core.transactions import (
 )
 from repro.data.formats import ChunkSource, open_chunk_source
 from repro.errors import IngestError
-
-try:  # pragma: no cover - exercised via the numpy/stdlib matrix
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -236,11 +234,7 @@ class EncodedDataset:
             merged = _column()
             for partition in self._partitions:
                 for chunk in read_chunks(partition.read_bytes()):
-                    keys = chunk.keys
-                    if isinstance(keys, array):
-                        merged.extend(keys)
-                    else:
-                        merged.extend(_column(keys))
+                    merged.extend(chunk.keys)
                 partition.delete()
             if self._items is not None:
                 merged.extend(self._items)
@@ -284,8 +278,7 @@ class EncodedDataset:
         """
         for partition in self._partitions:
             for chunk in read_chunks(partition.read_bytes()):
-                keys = chunk.keys
-                yield keys if isinstance(keys, array) else _column(keys)
+                yield chunk.keys
         if self._items is not None and (self._partitions or self._items):
             yield self._items
 
@@ -688,16 +681,11 @@ class _StreamEncoder:
 
 def _remap_column(values, remap: list[int]) -> array:
     """Gather ``remap[value]`` for every value, as a fresh int64 column."""
-    if _np is not None:
-        remap_np = _np.asarray(remap, dtype=_np.int64)
-        if isinstance(values, array):
-            source = _np.frombuffer(values, dtype=_np.int64)
-        else:
-            source = _np.asarray(values, dtype=_np.int64)
-        out = _column()
-        out.frombytes(remap_np[source].tobytes())
-        return out
-    return _column(map(remap.__getitem__, values))
+    out = _column()
+    out.frombytes(
+        np.asarray(remap, dtype=np.int64)[_as_int64(values)].tobytes()
+    )
+    return out
 
 
 def stream_encode(

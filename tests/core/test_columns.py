@@ -2,38 +2,28 @@
 
 from __future__ import annotations
 
+import random
 from array import array
+from collections import Counter
 
+import numpy as np
 import pytest
 
-import repro.core.columns as columns
 from repro.core.columns import (
+    _member_mask,
     FrequentLevels,
     InstanceRelation,
-    SalesIndex,
     count_packed_keys,
     count_sorted_rows,
+    extension_counts,
     filter_by_keys,
+    prefix_ranks,
     suffix_extend,
-    take,
-    tid_group_bounds,
 )
 from repro.core.setm import merge_scan_extend, run_figure4_loop
 from repro.core.setm_columnar import ColumnarKernel
 from repro.core.transactions import TransactionDatabase
-
-HAVE_NUMPY = columns._np is not None
-
-
-@pytest.fixture(params=["stdlib", "numpy"])
-def kernel_path(request, monkeypatch):
-    """Run the test under both kernel paths (numpy one when available)."""
-    if request.param == "numpy":
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not installed")
-    else:
-        monkeypatch.setattr(columns, "_np", None)
-    return request.param
+from tests.conftest import random_database
 
 
 def small_db() -> TransactionDatabase:
@@ -49,21 +39,6 @@ def small_db() -> TransactionDatabase:
 
 def sales_relation(db: TransactionDatabase) -> InstanceRelation:
     return InstanceRelation.sales_from_database(db, db.catalog())
-
-
-class TestTidGroupBounds:
-    def test_empty(self):
-        assert tid_group_bounds(array("q")) == [0]
-
-    def test_single_run(self):
-        assert tid_group_bounds(array("q", [7, 7, 7])) == [0, 3]
-
-    def test_multiple_runs(self):
-        tids = array("q", [1, 1, 2, 5, 5, 5])
-        assert tid_group_bounds(tids) == [0, 2, 3, 6]
-
-    def test_runs_of_one(self):
-        assert tid_group_bounds(array("q", [3, 4, 5])) == [0, 1, 2, 3]
 
 
 class TestInstanceRelation:
@@ -90,7 +65,7 @@ class TestInstanceRelation:
         assert list(relation.keys) == list(relation.items[0])
         assert list(relation.last_sid) == list(range(len(relation)))
 
-    def test_lazy_tids_and_items_materialize(self, kernel_path):
+    def test_lazy_tids_and_items_materialize(self):
         db = small_db()
         sales = sales_relation(db)
         r_prime = suffix_extend(sales, sales.index)
@@ -110,7 +85,7 @@ class TestInstanceRelation:
 
 
 class TestSalesIndex:
-    def test_ext_counts_against_bruteforce(self, kernel_path):
+    def test_ext_counts_against_bruteforce(self):
         db = small_db()
         sales = sales_relation(db)
         index = sales.index
@@ -121,16 +96,6 @@ class TestSalesIndex:
             )
             assert int(index.ext_counts[position]) == remaining
 
-    def test_from_relation_matches_database_path(self, kernel_path):
-        db = small_db()
-        sales = sales_relation(db)
-        rebuilt = SalesIndex.from_relation(
-            InstanceRelation.from_rows(list(sales.rows()), k=1),
-            sales.index.base,
-        )
-        assert list(rebuilt.ext_counts) == list(sales.index.ext_counts)
-        assert list(rebuilt.tids) == list(sales.index.tids)
-
     def test_lazy_tids_column(self):
         db = small_db()
         index = sales_relation(db).index
@@ -138,7 +103,7 @@ class TestSalesIndex:
 
 
 class TestSuffixExtend:
-    def test_matches_tuple_merge_scan(self, kernel_path):
+    def test_matches_tuple_merge_scan(self):
         db = small_db()
         sales = sales_relation(db)
         encoded_rows = list(sales.rows())
@@ -148,7 +113,7 @@ class TestSuffixExtend:
         )
         assert r_prime.k == 2
 
-    def test_level_two_keys_are_item_pairs(self, kernel_path):
+    def test_level_two_keys_are_item_pairs(self):
         sales = sales_relation(small_db())
         r_prime = suffix_extend(sales, sales.index)
         base = sales.index.base
@@ -156,7 +121,7 @@ class TestSuffixExtend:
             first * base + second for _, first, second in r_prime.rows()
         ]
 
-    def test_deeper_keys_rank_into_the_previous_level(self, kernel_path):
+    def test_deeper_keys_rank_into_the_previous_level(self):
         """A level-3 key is rank(prefix in sorted F_2) * base + item."""
         db = small_db()
         sales = sales_relation(db)
@@ -179,7 +144,7 @@ class TestSuffixExtend:
         with pytest.raises(ValueError, match="FrequentLevels"):
             r3.items
 
-    def test_empty_relation(self, kernel_path):
+    def test_empty_relation(self):
         db = TransactionDatabase([(1, ["A"]), (2, ["B"])])
         sales = sales_relation(db)
         r_prime = suffix_extend(sales, sales.index)
@@ -193,7 +158,7 @@ class TestSuffixExtend:
 
 
 class TestPatternKeys:
-    def test_levels_decode_through_the_rank_tables(self, kernel_path):
+    def test_levels_decode_through_the_rank_tables(self):
         levels = FrequentLevels(10)
         levels.add(2, [37, 12, 19])  # (3, 7), (1, 2), (1, 9)
         levels.add(3, [0 * 10 + 5, 2 * 10 + 8])  # (1, 2, 5), (3, 7, 8)
@@ -204,7 +169,7 @@ class TestPatternKeys:
         assert levels.items(1 * 10 + 9, 3) == (1, 9, 9)
         assert levels.items(1 * 10 + 4, 4) == (3, 7, 8, 4)
 
-    def test_key_order_equals_pattern_order(self, kernel_path):
+    def test_key_order_equals_pattern_order(self):
         levels = FrequentLevels(10)
         levels.add(2, [12, 19, 37])
         keys = [2 * 10 + 1, 0 * 10 + 9, 1 * 10 + 3, 0 * 10 + 4]
@@ -213,9 +178,7 @@ class TestPatternKeys:
             range(4), key=patterns.__getitem__
         )
 
-    def test_every_level_fits_its_rank_bound(
-        self, kernel_path, deep_wide_db
-    ):
+    def test_every_level_fits_its_rank_bound(self, deep_wide_db):
         """Level-k keys stay below |F_{k-1}| * base on the deep input."""
         database, minsup = deep_wide_db
         bounds: dict[int, tuple[int, int]] = {}
@@ -240,7 +203,7 @@ class TestPatternKeys:
             assert top < bound, k
 
     @pytest.mark.parametrize("via", ["auto", "sort", "hash"])
-    def test_count_strategies_agree(self, kernel_path, via):
+    def test_count_strategies_agree(self, via):
         keys = [5, 3, 5, 5, 3, 9]
         assert sorted(count_packed_keys(keys, via=via)) == [
             (3, 2),
@@ -248,13 +211,13 @@ class TestPatternKeys:
             (9, 1),
         ]
 
-    def test_count_empty(self, kernel_path):
+    def test_count_empty(self):
         assert count_packed_keys([], via="sort") == []
         assert count_packed_keys([], via="hash") == []
 
 
 class TestFilterByKeys:
-    def test_keeps_only_supported(self, kernel_path):
+    def test_keeps_only_supported(self):
         sales = sales_relation(small_db())
         r_prime = suffix_extend(sales, sales.index)
         counts = dict(count_packed_keys(r_prime.keys, via="sort"))
@@ -272,7 +235,7 @@ class TestFilterByKeys:
             )
         ]
 
-    def test_all_surviving_returns_same_object(self, kernel_path):
+    def test_all_surviving_returns_same_object(self):
         sales = sales_relation(small_db())
         r_prime = suffix_extend(sales, sales.index)
         everything = set(map(int, r_prime.keys))
@@ -283,16 +246,15 @@ class TestFilterByKeys:
         with pytest.raises(ValueError, match="packed-keys"):
             filter_by_keys(bare, {5})
 
-
-class TestTake:
-    def test_gathers_rows_and_derived_columns(self, kernel_path):
-        sales = sales_relation(small_db())
-        taken = take(sales, [0, 2, 3])
-        rows = list(sales.rows())
-        assert list(taken.rows()) == [rows[0], rows[2], rows[3]]
-        assert list(map(int, taken.keys)) == [
-            int(sales.keys[0]), int(sales.keys[2]), int(sales.keys[3])
-        ]
+    @pytest.mark.parametrize("spread", [1, 10**12])
+    def test_member_mask_agrees_with_isin(self, spread):
+        """The probe matches np.isin for narrow and wide key ranges."""
+        values = np.array([0, 3, 3, 7, 9, 12, 40], dtype=np.int64) * spread
+        wanted = np.array([3, 9, 40, 41], dtype=np.int64) * spread
+        assert _member_mask(values, wanted).tolist() == (
+            np.isin(values, wanted).tolist()
+        )
+        assert _member_mask(values, wanted[:0]).tolist() == [False] * 7
 
 
 class TestCountSortedRows:
@@ -312,16 +274,153 @@ class TestCountSortedRows:
         assert count_sorted_rows(rows) == [(("A", "B"), 2), (("A", "C"), 1)]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-class TestNumpyStdlibEquivalence:
-    """The two kernel paths are the same function."""
+#: The column buffers the kernels are handed: Python lists (callers and
+#: tests), ``array('q')`` (the ingest and storage buffers; ``R_1``'s keys
+#: alias one) and int64 ndarrays (every column the mining loop derives).
+COLUMN_KINDS = {
+    "list": list,
+    "array": lambda values: array("q", values),
+    "ndarray": lambda values: np.asarray(values, dtype=np.int64),
+}
+by_column_kind = pytest.mark.parametrize(
+    "make", list(COLUMN_KINDS.values()), ids=list(COLUMN_KINDS)
+)
 
-    def test_suffix_extend_same_rows(self, monkeypatch):
-        db = small_db()
-        sales_np = sales_relation(db)
-        vectorized = suffix_extend(sales_np, sales_np.index)
-        monkeypatch.setattr(columns, "_np", None)
-        sales_py = sales_relation(db)
-        plain = suffix_extend(sales_py, sales_py.index)
-        assert list(vectorized.rows()) == list(plain.rows())
-        assert list(map(int, vectorized.keys)) == list(plain.keys)
+
+def recolumned(relation: InstanceRelation, make) -> InstanceRelation:
+    """``relation`` with its ``last_sid`` and ``keys`` rebuilt by ``make``."""
+    return InstanceRelation(
+        None,
+        None,
+        last_sid=make(list(map(int, relation.last_sid))),
+        keys=make(list(map(int, relation.keys))),
+        k=relation.k,
+        index=relation.index,
+    )
+
+
+class TestColumnKinds:
+    """Every kernel reads any int64 column buffer the same way."""
+
+    @by_column_kind
+    @pytest.mark.parametrize("via", ["auto", "sort", "hash"])
+    def test_count_packed_keys(self, make, via):
+        keys = make([5, 3, 2**62, 5, 5, 3, 9])
+        assert sorted(count_packed_keys(keys, via=via)) == [
+            (3, 2),
+            (5, 3),
+            (9, 1),
+            (2**62, 1),
+        ]
+
+    @by_column_kind
+    def test_prefix_ranks(self, make):
+        keys = make([37, 12, 37, 19])
+        assert list(map(int, prefix_ranks(keys, make([12, 19, 37])))) == [
+            2, 0, 2, 1,
+        ]
+        assert prefix_ranks(keys, None) is keys
+
+    @by_column_kind
+    def test_extension_counts(self, make):
+        sales = sales_relation(small_db())
+        index = sales.index
+        r2 = suffix_extend(sales, index)
+        counts = extension_counts(recolumned(r2, make), index)
+        assert list(map(int, counts)) == [
+            int(index.ext_counts[sid]) for sid in r2.last_sid
+        ]
+        levels = FrequentLevels(index.base)
+        levels.add(2, set(map(int, r2.keys)))
+        assert int(counts.sum()) == len(
+            suffix_extend(r2, index, levels.prefixes(2))
+        )
+
+    @by_column_kind
+    def test_suffix_extend(self, make):
+        sales = sales_relation(small_db())
+        index = sales.index
+        expected = suffix_extend(sales, index)
+        r2 = suffix_extend(recolumned(sales, make), index)
+        assert list(r2.rows()) == list(expected.rows())
+        assert isinstance(r2.keys, np.ndarray)
+        assert isinstance(r2.last_sid, np.ndarray)
+        frequent = sorted(set(map(int, expected.keys)))
+        levels = FrequentLevels(index.base)
+        levels.add(2, frequent)
+        r3 = suffix_extend(recolumned(r2, make), index, make(frequent))
+        assert r3.keys.tolist() == suffix_extend(
+            expected, index, levels.prefixes(2)
+        ).keys.tolist()
+
+    @by_column_kind
+    def test_filter_by_keys(self, make):
+        sales = sales_relation(small_db())
+        r2 = suffix_extend(sales, sales.index)
+        supported = {int(key) for key in r2.keys[::2]}
+        kept = filter_by_keys(recolumned(r2, make), supported)
+        mask = [int(key) in supported for key in r2.keys]
+        assert kept.keys.tolist() == r2.keys[mask].tolist()
+        assert kept.last_sid.tolist() == r2.last_sid[mask].tolist()
+        assert kept.keys.dtype == kept.last_sid.dtype == np.int64
+
+
+@pytest.mark.parametrize("seed", range(5))
+class TestKernelsAgainstRowReference:
+    """The whole-column kernels against row-at-a-time references."""
+
+    def test_extend_and_filter_match_merge_scan_to_level_three(self, seed):
+        db = random_database(
+            seed, num_transactions=40, num_items=12, max_basket=6
+        )
+        sales = sales_relation(db)
+        index = sales.index
+        sales_rows = list(sales.rows())
+        r2 = suffix_extend(sales, index)
+        reference = merge_scan_extend(sales_rows, sales_rows)
+        assert list(r2.rows()) == reference
+
+        support = Counter(row[1:] for row in reference)
+        frequent = {
+            first * index.base + second
+            for (first, second), count in support.items()
+            if count >= 2
+        }
+        r2 = filter_by_keys(r2, frequent)
+        reference = [row for row in reference if support[row[1:]] >= 2]
+        assert list(r2.rows()) == reference
+
+        levels = FrequentLevels(index.base)
+        levels.add(2, frequent)
+        r3 = suffix_extend(r2, index, levels.prefixes(2))
+        assert [levels.items(int(key), 3) for key in r3.keys] == [
+            row[1:] for row in merge_scan_extend(reference, sales_rows)
+        ]
+
+    def test_count_and_filter_match_counter(self, seed):
+        """Seeds 0..4 spread the keys from 1 to 10**12 apart, crossing
+        from ``np.isin``'s lookup table to the ``searchsorted`` probe."""
+        rng = random.Random(seed)
+        spread = 1000**seed
+        keys = [rng.randrange(60) * spread for _ in range(300)]
+        expected = Counter(keys)
+        for via in ("sort", "hash"):
+            assert sorted(count_packed_keys(keys, via=via)) == sorted(
+                expected.items()
+            )
+
+        supported = {key for key in expected if rng.random() < 0.5}
+        relation = InstanceRelation(
+            None,
+            None,
+            last_sid=np.arange(len(keys), dtype=np.int64),
+            keys=np.asarray(keys, dtype=np.int64),
+            k=2,
+        )
+        kept = filter_by_keys(relation, supported)
+        assert kept.keys.tolist() == [key for key in keys if key in supported]
+        assert kept.last_sid.tolist() == [
+            position
+            for position, key in enumerate(keys)
+            if key in supported
+        ]

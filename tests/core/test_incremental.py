@@ -15,6 +15,9 @@ nor the previous state.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import columns, incremental
+import repro
+from repro.core import incremental
 from repro.core.incremental import MiningState, setm_incremental
 from repro.core.setm import setm
 from repro.core.transactions import TransactionDatabase
@@ -157,10 +161,7 @@ class TestDeltaEquivalence:
             finally:
                 dataset.close()
 
-    @pytest.mark.parametrize("path", ["numpy", "stdlib"])
-    def test_deep_levels_rekey_across_catalog_growth(
-        self, path, tmp_path, monkeypatch
-    ):
+    def test_deep_levels_rekey_across_catalog_growth(self, tmp_path):
         """Rank keys re-keyed at every depth: remap, drop and recount.
 
         The base's 6-item core is frequent; the first append brings a
@@ -169,12 +170,6 @@ class TestDeltaEquivalence:
         5-item group frequent that the base never extended (deep
         recounts).  The second append makes the core frequent again.
         """
-        if path == "numpy":
-            if incremental._np is None:
-                pytest.skip("numpy not installed")
-        else:
-            for module in (columns, incremental):
-                monkeypatch.setattr(module, "_np", None)
         core = {f"c{j}" for j in range(1, 7)}
         group = {f"d{j}" for j in range(1, 6)}
         base = [core] * 4 + [group] * 2 + [{"c1", "d1"}, {"e"}] * 2
@@ -361,3 +356,63 @@ class TestCrashCleanup:
         monkeypatch.undo()
         assert list(state_dir.glob("*.tmp")) == []
         assert MiningState.load(state_dir) is None
+
+
+#: Runs in a fresh interpreter: a base mine, one append whose newly
+#: frequent prefixes force the base recount at k >= 3, then the delta
+#: mine; prints the recount levels and whether numpy.ma got imported.
+_FIRST_DELTA_SCRIPT = """
+import json, sys
+from repro.core.incremental import setm_incremental
+from repro.data.formats import open_chunk_source
+from repro.data.ingest import stream_encode
+
+base, delta, state = sys.argv[1:]
+dataset = stream_encode(open_chunk_source(base))
+setm_incremental(dataset, 0.3, state_dir=state)
+dataset.append_chunks(open_chunk_source(delta))
+result = setm_incremental(dataset, 0.3, state_dir=state)
+print(json.dumps({
+    "telemetry": result.extra["incremental"],
+    "numpy.ma": "numpy.ma" in sys.modules,
+}))
+dataset.close()
+"""
+
+
+class TestFirstDeltaMineImports:
+    def test_recounting_delta_mine_leaves_numpy_ma_unimported(
+        self, tmp_path
+    ):
+        """A plain ``np.unique`` lazily imports ``numpy.ma`` (tens of
+        milliseconds), which a fresh process would pay inside its first
+        timed delta mine; the recount path must not trigger it."""
+        group = {f"d{j}" for j in range(1, 6)}
+        base = [{f"c{j}" for j in range(1, 7)}] * 4 + [group] * 2
+        base += [{"c1", "d1"}, {"e"}] * 2
+        next_tid = _write(base, tmp_path / "base.basket", 1)
+        _write([group] * 3, tmp_path / "delta.basket", next_tid)
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                _FIRST_DELTA_SCRIPT,
+                str(tmp_path / "base.basket"),
+                str(tmp_path / "delta.basket"),
+                str(tmp_path / "state"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout)
+        assert report["telemetry"]["mode"] == "delta"
+        assert report["telemetry"]["recount_levels"], report["telemetry"]
+        assert report["numpy.ma"] is False

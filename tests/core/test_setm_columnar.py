@@ -5,8 +5,7 @@ patterns, but identical count relations, identical unfiltered item
 counts, and identical per-iteration cardinalities (``|R'_k|``,
 ``|R_k|``, ``|C_k|``) — the numbers the paper's Figures 5/6 plot.
 These tests hold it to that across the paper's worked example, random
-databases, seeded QUEST workloads over a minsup grid, and both kernel
-paths (vectorized and stdlib).
+databases, and seeded QUEST workloads over a minsup grid.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.columns as columns
 from repro.baselines.bruteforce import bruteforce
 from repro.core.rules import generate_rules
 from repro.core.setm import setm
@@ -134,14 +132,6 @@ class TestOptionsAndEdges:
         assert result.elapsed_seconds > 0
         timings = result.extra["iteration_seconds"]
         assert set(timings) == {stats.k for stats in result.iterations}
-
-
-class TestKernelPaths:
-    def test_stdlib_path_equivalent(self, monkeypatch, make_random_db):
-        db = make_random_db(31)
-        reference = setm(db, 0.05)
-        monkeypatch.setattr(columns, "_np", None)
-        assert_equivalent(reference, setm_columnar(db, 0.05))
 
 
 class TestThroughApi:

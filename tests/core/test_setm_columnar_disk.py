@@ -10,8 +10,15 @@ documented fixed residents.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.baselines.bruteforce import bruteforce
 from repro.core.rules import generate_rules
 from repro.core.setm import setm
@@ -34,19 +41,10 @@ TABLE62_BUDGET = 2 * 2**20
 #: everything R'_k-shaped on top of that.
 FIXED_RESIDENT_BYTES_PER_ROW = 48
 
-try:
-    import numpy  # noqa: F401
-
-    #: Large-side budget tolerance: 2x covers the per-partition working
-    #: copies (counting structure + filter output) on int64 ndarrays,
-    #: where a row really costs the _ROW_BYTES the engine prices.
-    BUDGET_TOLERANCE = 2
-except ImportError:  # pragma: no cover - exercised on numpy-less CI
-    #: Without numpy the stdlib path holds keys/sids as Python-int
-    #: lists: ~28 bytes per int object plus an 8-byte list slot, ~3.5x
-    #: the 16-byte/row costing the partition planner uses — so the same
-    #: working set legitimately traces ~3.5x larger.
-    BUDGET_TOLERANCE = 7
+#: Large-side budget tolerance: 2x covers the per-partition working
+#: copies (counting structure + filter output) on int64 ndarrays, where
+#: a row really costs the _ROW_BYTES the engine prices.
+BUDGET_TOLERANCE = 2
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +234,53 @@ class TestHousekeeping:
         )
         assert result.algorithm == "setm-columnar-disk"
         assert result.extra["memory_budget_bytes"] == 123456
+
+
+#: Runs in a fresh interpreter whose soft descriptor limit is 64: one
+#: 200-item transaction prices R'_2 at ~19,900 rows, so an 8 KiB budget
+#: plans more partitions than the process may hold open files.
+_FD_LIMIT_SCRIPT = """
+import json, resource
+from repro.core.setm import setm
+from repro.core.setm_columnar_disk import setm_columnar_disk
+from repro.core.transactions import TransactionDatabase
+
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+db = TransactionDatabase(
+    [(1, list(range(1, 201)))]
+    + [(tid, [1, 2, 3, 50 + tid]) for tid in range(2, 6)]
+)
+result = setm_columnar_disk(db, 2, memory_budget_bytes=8192)
+reference = setm(db, 2)
+print(json.dumps({
+    "max_partitions": result.extra["spill"]["max_partitions"],
+    "same_patterns": result.count_relations == reference.count_relations,
+    "same_iterations": result.iterations == reference.iterations,
+}))
+"""
+
+
+class TestDescriptorLimit:
+    def test_more_partitions_than_open_file_limit(self):
+        """Spilling keeps at most one partition file open at a time."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _FD_LIMIT_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout)
+        assert report["max_partitions"] > 64
+        assert report["same_patterns"]
+        assert report["same_iterations"]
 
 
 class TestValidation:

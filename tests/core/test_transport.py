@@ -22,13 +22,13 @@ Three suites back the zero-copy transport's acceptance criteria:
 from __future__ import annotations
 
 import pickle
-from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import columns, partitioning
+from repro.core import columns
 from repro.core.columns import InstanceRelation
 from repro.core.partitioning import (
     PARTITION_PICKLE_VERSION,
@@ -54,8 +54,6 @@ from repro.core.transport import (
 )
 from repro.data.quest import QuestConfig, generate_quest_dataset
 from repro.errors import PartitionFormatError, ReproError, TransportError
-
-HAVE_NUMPY = partitioning._np is not None
 
 TRANSPORTS = ("pickle", "shm", "mmap", "auto")
 
@@ -135,7 +133,7 @@ class TestConformanceMatrix:
         else:
             assert block["task_bytes_inline"] > 0
             assert block["zero_copy_bytes"] == 0
-        if HAVE_NUMPY and expected in ("shm", "mmap"):
+        if expected in ("shm", "mmap"):
             assert block["zero_copy_bytes"] > 0
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -163,7 +161,7 @@ class TestConformanceMatrix:
         assert block["fallback_reason"] is None
         if expected == "shm":
             assert block["reply_bytes_shared"] > 0
-        if HAVE_NUMPY and expected == "mmap":
+        if expected == "mmap":
             assert block["zero_copy_bytes"] > 0
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -542,8 +540,6 @@ class TestDecodeBufferChunks:
         del chunks  # views die before the buffer does
 
     def test_int64_columns_are_views_not_copies(self):
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not installed")
         keys = list(range(100))
         blob = _relation(keys).to_chunk_bytes()
         chunks, zero_copy = decode_buffer_chunks(blob)
@@ -552,34 +548,11 @@ class TestDecodeBufferChunks:
             assert not chunk.keys.flags.owndata  # frombuffer view
             assert not chunk.last_sid.flags.owndata
 
-    def test_stdlib_path_copies_and_credits_nothing(self, monkeypatch):
-        monkeypatch.setattr(partitioning, "_np", None)
-        keys = [5, 9, 9, 12]
-        blob = _relation(keys).to_chunk_bytes()
-        chunks, zero_copy = decode_buffer_chunks(memoryview(blob))
-        assert zero_copy == 0
-        assert [
-            int(key) for chunk in chunks for key in chunk.keys
-        ] == keys
-
 
 class TestSurvivorColumnsAreBuffers:
-    """Satellite: ``last_sid`` round-trips as a buffer on both paths."""
-
-    def test_stdlib_filter_emits_array_q(self, monkeypatch):
-        monkeypatch.setattr(columns, "_np", None)
-        relation = _relation([5, 9, 9, 12, 5])
-        survivors = columns.filter_by_keys(relation, {9, 12})
-        assert isinstance(survivors.last_sid, array)
-        assert survivors.last_sid.typecode == "q"
-        assert columns._int64_column_bytes(survivors.last_sid) == (
-            survivors.last_sid.tobytes()
-        )
+    """``last_sid`` round-trips as a flat int64 buffer."""
 
     def test_numpy_filter_emits_int64_ndarray(self):
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not installed")
-        np = columns._np
         relation = InstanceRelation(
             None,
             None,

@@ -102,18 +102,35 @@ class TestMine:
         assert code == 0
         assert "setm-disk: 13 frequent patterns" in output
 
-    def test_buffer_pages_rejected_for_memory_engine(self, example_basket):
-        code, output = run_cli(
+    def test_buffer_pages_rejected_for_memory_engine(
+        self, example_basket, capsys
+    ):
+        code, _ = run_cli(
             "mine", example_basket,
             "--minsup", "0.3", "--minconf", "0.7", "--buffer-pages", "16",
         )
         assert code == 2
-        assert "buffer_pages" in output
+        assert "buffer_pages" in capsys.readouterr().err
 
-    def test_bad_minsup_count_reports_structured_error(self, example_basket):
-        code, output = run_cli("mine", example_basket, "--minsup-count", "0")
+    def test_bad_minsup_count_reports_structured_error(
+        self, example_basket, capsys
+    ):
+        code, _ = run_cli("mine", example_basket, "--minsup-count", "0")
         assert code == 2
-        assert "minimum_support" in output
+        assert "minimum_support" in capsys.readouterr().err
+
+    def test_json_stdout_stays_empty_on_error(self, example_basket, capsys):
+        """A structured error goes to stderr only, so ``--json`` stdout is
+        always a JSON document or nothing."""
+        code, output = run_cli(
+            "mine", example_basket, "--minsup-count", "0", "--json"
+        )
+        assert code == 2
+        assert output == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_nested_loop_disk_engine_available(self, example_basket):
         code, output = run_cli(
@@ -209,15 +226,15 @@ class TestMine:
             )
 
     def test_memory_budget_rejected_for_in_memory_engine(
-        self, example_basket
+        self, example_basket, capsys
     ):
-        code, output = run_cli(
+        code, _ = run_cli(
             "mine", example_basket,
             "--minsup", "0.3", "--minconf", "0.7",
             "--memory-budget", "64K",
         )
         assert code == 2
-        assert "memory_budget_bytes" in output
+        assert "memory_budget_bytes" in capsys.readouterr().err
 
     def test_workers_flag_reaches_parallel_engine(self, example_basket):
         import json
@@ -233,14 +250,14 @@ class TestMine:
         assert document["workers"] == 2
         assert document["parallel"]["threshold_rows"] > 0
 
-    def test_workers_rejected_for_serial_engine(self, example_basket):
-        code, output = run_cli(
+    def test_workers_rejected_for_serial_engine(self, example_basket, capsys):
+        code, _ = run_cli(
             "mine", example_basket,
             "--minsup", "0.3", "--minconf", "0.7",
             "--workers", "2",
         )
         assert code == 2
-        assert "workers" in output
+        assert "workers" in capsys.readouterr().err
 
     def test_budget_and_workers_combine_on_spill_parallel(
         self, example_basket
@@ -329,24 +346,26 @@ class TestQuery:
 
         assert _json.loads(output)["result"]["num_patterns"] == 13
 
-    def test_query_unknown_dataset_lists_known(self, example_basket):
-        code, output = run_cli(
+    def test_query_unknown_dataset_lists_known(self, example_basket, capsys):
+        code, _ = run_cli(
             "query",
             "MINE RULES FROM nope WHERE support >= 0.3",
             f"example={example_basket}",
         )
         assert code == 2
-        assert "unknown dataset 'nope'" in output
-        assert "example" in output
+        error = capsys.readouterr().err
+        assert "unknown dataset 'nope'" in error
+        assert "example" in error
 
-    def test_query_parse_error_carries_position(self, example_basket):
-        code, output = run_cli(
+    def test_query_parse_error_carries_position(self, example_basket, capsys):
+        code, _ = run_cli(
             "query", "MINE NOTHING FROM example",
             f"example={example_basket}",
         )
         assert code == 2
-        assert "error:" in output
-        assert "line 1, column 6" in output
+        error = capsys.readouterr().err
+        assert "error:" in error
+        assert "line 1, column 6" in error
 
 
 class TestEngines:
