@@ -89,10 +89,12 @@ __all__ = [
     "chunk_frames",
     "count_packed_keys",
     "count_sorted_rows",
+    "count_supported",
     "extension_counts",
+    "extension_item_totals",
+    "extension_totals",
     "filter_by_keys",
     "prefix_ranks",
-    "read_chunks",
     "suffix_extend",
 ]
 
@@ -344,32 +346,6 @@ class InstanceRelation:
         )
         return header + payload
 
-    @classmethod
-    def from_chunk_bytes(
-        cls,
-        data: bytes,
-        offset: int = 0,
-        *,
-        index: "SalesIndex | None" = None,
-    ) -> tuple["InstanceRelation", int]:
-        """Deserialize one chunk at ``offset``; returns ``(relation, end)``.
-
-        The inverse of :meth:`to_chunk_bytes`.  ``end`` is the offset of
-        the byte following this chunk, so concatenated chunks (one spill
-        file holds many) can be walked without a directory structure.
-        ``index`` reattaches the run's shared :class:`SalesIndex` so the
-        lazy ``tids``/``items`` columns keep deriving.
-        """
-        k, n, sid_offset, key_offset, end = _chunk_frame(data, offset)
-        sids = array(COLUMN_TYPECODE)
-        sids.frombytes(data[sid_offset:key_offset])
-        keys = array(COLUMN_TYPECODE)
-        keys.frombytes(data[key_offset:end])
-        relation = cls(
-            None, None, last_sid=sids, keys=keys, k=k, index=index
-        )
-        return relation, end
-
 
 def _int64_column_bytes(values: Sequence[int]) -> bytes:
     """Flat native-int64 bytes of a column."""
@@ -389,18 +365,6 @@ def _chunk_frame(data, offset: int) -> tuple[int, int, int, int, int]:
             f"{payload_len} for {n} rows at offset {offset}"
         )
     return k, n, body, body + 8 * n, end
-
-
-def read_chunks(
-    data: bytes, *, index: "SalesIndex | None" = None
-) -> Iterator[InstanceRelation]:
-    """Walk every serialized chunk in ``data`` (one spill file's contents)."""
-    offset = 0
-    while offset < len(data):
-        relation, offset = InstanceRelation.from_chunk_bytes(
-            data, offset, index=index
-        )
-        yield relation
 
 
 def chunk_frames(data) -> Iterator[tuple[int, int, int, int, int]]:
@@ -429,15 +393,51 @@ def extension_counts(
     """Per-row merge-scan output counts: ``|suffix_extend(relation)|`` termwise.
 
     ``counts[r]`` is how many ``R'_{k+1}`` rows row ``r`` will produce —
-    the suffix length ``index.ext_counts[last_sid[r]]``.  The out-of-core
-    engine uses this to size its extension slices and spill partitions
-    *before* materializing anything: the exact ``|R'_k|`` is
-    ``extension_counts(r_prev).sum()``, one cheap gather pass.
+    the suffix length ``index.ext_counts[last_sid[r]]``, so the exact
+    ``|R'_k|`` is ``extension_counts(r_prev).sum()``, one cheap gather
+    pass, known before a single row is materialized.
     """
     sids = relation.last_sid
     if sids is None:
         raise ValueError("extension_counts needs the last_sid column")
     return index.ext_counts[_as_int64(sids)]
+
+
+def extension_totals(
+    relation: InstanceRelation,
+    index: "SalesIndex",
+    prefixes: Sequence[int] | None,
+    size: int,
+) -> np.ndarray:
+    """``|R'_{k+1}|`` per prefix: :func:`extension_counts` summed by rank.
+
+    ``totals[r]`` is how many merge-output rows the rows whose key has
+    rank ``r`` in the sorted ``prefixes`` (``None``: the key itself, as
+    for ``R_1``) will produce — exactly the rows of key range
+    ``[r * base, (r + 1) * base)`` one level up; ``size`` ranks in all.
+    """
+    ranks = _as_int64(prefix_ranks(relation.keys, prefixes))
+    totals = np.bincount(
+        ranks, weights=extension_counts(relation, index), minlength=size
+    )
+    return totals.astype(np.int64)
+
+
+def extension_item_totals(sids: np.ndarray, index: "SalesIndex") -> np.ndarray:
+    """How many extensions of the rows ``sids`` carry each item id.
+
+    Row ``s`` extends with positions ``s+1 .. s+ext_counts[s]``; a
+    difference array over those runs counts, per sales position, the
+    rows extending with it, and one weighted ``np.bincount`` sums that
+    by item — ``SALES``-sized work that materializes no extension.
+    """
+    n = len(index.items)
+    starts = np.bincount(sids + 1, minlength=n + 1)
+    stops = np.bincount(sids + index.ext_counts[sids] + 1, minlength=n + 1)
+    covering = np.cumsum(starts - stops)[:n]
+    return np.bincount(
+        index.items, weights=covering, minlength=index.base
+    ).astype(np.int64)
 
 
 class SalesIndex:
@@ -487,6 +487,40 @@ class SalesIndex:
         )
         self.ext_counts = expanded - 1 - position
 
+    @classmethod
+    def from_columns(
+        cls, items: np.ndarray, ext_counts: np.ndarray, base: int
+    ) -> "SalesIndex":
+        """An index over already-computed columns (a pool worker's view).
+
+        The merge needs only ``items``, ``ext_counts`` and ``base``;
+        the trans_id column is not derivable from them.
+        """
+        index = cls.__new__(cls)
+        index.items = items
+        index.ext_counts = ext_counts
+        index.base = base
+        index._run_lengths = index._trans_ids = index._tids = None
+        return index
+
+    def item_window(
+        self, sids: np.ndarray, low: int, high: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's extensions with item in ``[low, high)``: ``(starts, counts)``.
+
+        Row ``s`` extends with positions ``s+1 .. s+ext_counts[s]``,
+        whose items ascend; the ones inside the item window are again
+        one contiguous run.  ``(txn_end * base + item)`` ascends over
+        the whole of ``SALES``, so two ``searchsorted`` passes find
+        every row's run at once.
+        """
+        positions = np.arange(len(self.items))
+        end_keys = (positions + self.ext_counts) * self.base + self.items
+        ends = (sids + self.ext_counts[sids]) * self.base
+        starts = np.maximum(np.searchsorted(end_keys, ends + low), sids + 1)
+        stops = np.searchsorted(end_keys, ends + high)
+        return starts, np.maximum(stops - starts, 0)
+
     @property
     def tids(self) -> array:
         """Per-row trans_id column (materialized on first access)."""
@@ -520,6 +554,9 @@ def suffix_extend(
     r_prev: InstanceRelation,
     index: SalesIndex,
     prefixes: Sequence[int] | None = None,
+    *,
+    first_rank: int = 0,
+    items: tuple[int, int] | None = None,
 ) -> InstanceRelation:
     """The merge-scan join of Figure 4, fused and columnar.
 
@@ -545,6 +582,11 @@ def suffix_extend(
     (prev rows are walked in sorted order; suffixes ascend within a
     transaction), so no re-sort is needed before counting or the next
     merge.  Requires ``r_prev.last_sid`` and ``r_prev.keys``.
+
+    One key range of ``R'_k`` at a time: ``prefixes`` may be a slice of
+    ``F_{k-1}`` that starts at rank ``first_rank``, and ``items=(low,
+    high)`` keeps only the extensions whose item lies in ``[low, high)``
+    (:meth:`SalesIndex.item_window`) — the key sub-range of one prefix.
     """
     sids = r_prev.last_sid
     prev_keys = r_prev.keys
@@ -554,12 +596,17 @@ def suffix_extend(
             "with sales_from_database/suffix_extend, not raw constructors"
         )
     sids = _as_int64(sids)
-    counts = index.ext_counts[sids]
+    if items is None:
+        starts, counts = sids + 1, index.ext_counts[sids]
+    else:
+        starts, counts = index.item_window(sids, *items)
     offsets = np.arange(int(counts.sum())) - np.repeat(
         np.cumsum(counts) - counts, counts
     )
-    new_sids = np.repeat(sids + 1, counts) + offsets
-    scaled = _as_int64(prefix_ranks(prev_keys, prefixes)) * index.base
+    new_sids = np.repeat(starts, counts) + offsets
+    scaled = (
+        _as_int64(prefix_ranks(prev_keys, prefixes)) + first_rank
+    ) * index.base
     return InstanceRelation(
         None,
         None,
@@ -594,7 +641,9 @@ class FrequentLevels:
 
     def add(self, k: int, keys: Iterable[int]) -> None:
         """Record level ``k``'s frequent keys ``F_k`` (any order)."""
-        self._keys[k] = np.sort(np.fromiter(keys, dtype=np.int64))
+        if not isinstance(keys, np.ndarray):
+            keys = np.fromiter(keys, dtype=np.int64)
+        self._keys[k] = np.sort(keys)
 
     def prefixes(self, k: int) -> np.ndarray | None:
         """The sorted ``F_k`` keys level ``k + 1`` ranks into.
@@ -635,10 +684,42 @@ def count_packed_keys(
     ``"sort"``.  All strategies produce the same multiset of
     ``(key, count)`` pairs.
     """
-    if via == "hash":
-        return list(Counter(_as_int64(keys).tolist()).items())
-    unique, counts = np.unique(_as_int64(keys), return_counts=True)
+    unique, counts = _tally(_as_int64(keys), via)
     return list(zip(unique.tolist(), counts.tolist()))
+
+
+def _tally(
+    keys: np.ndarray, via: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys and their counts, as :func:`count_packed_keys` orders them."""
+    if via == "hash":
+        tally = Counter(keys.tolist())
+        return (
+            np.fromiter(tally.keys(), dtype=np.int64, count=len(tally)),
+            np.fromiter(tally.values(), dtype=np.int64, count=len(tally)),
+        )
+    return np.unique(keys, return_counts=True)
+
+
+def count_supported(
+    keys: Sequence[int],
+    threshold: int,
+    *,
+    via: Literal["auto", "sort", "hash"] = "auto",
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """``C_k`` with its HAVING clause, on arrays: ``(candidates, keys, counts)``.
+
+    Counts every key as :func:`count_packed_keys` does, keeps those
+    with ``count >= threshold`` as two int64 arrays in ascending key
+    order — ready for :func:`filter_by_keys` — and reports how many
+    distinct keys were counted.  No per-candidate Python object is
+    built on the sort path.
+    """
+    unique, counts = _tally(_as_int64(keys), via)
+    keep = counts >= threshold
+    supported, counts = unique[keep], counts[keep].astype(np.int64)
+    order = np.argsort(supported)  # the hash pass counts unordered
+    return len(unique), supported[order], counts[order]
 
 
 def _member_mask(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -658,20 +739,23 @@ def _member_mask(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 def filter_by_keys(
-    relation: InstanceRelation, supported: set[int]
+    relation: InstanceRelation, supported: Iterable[int]
 ) -> InstanceRelation:
     """``R_k`` from ``R'_k``: keep rows whose pattern key is supported.
 
     One :func:`_member_mask` probe builds the row mask, then the
     ``keys`` and ``last_sid`` columns are copied through it.  Input order is
     preserved, so the sorted-by-``(trans_id, items)`` invariant survives
-    filtering.  Requires ``relation.keys``.
+    filtering.  ``supported`` is any collection of keys (a set, a
+    ``C_k`` dict, the arrays :func:`count_supported` returns).
+    Requires ``relation.keys``.
     """
     if relation.keys is None:
         raise ValueError("filter_by_keys needs the packed-keys column")
     keys = _as_int64(relation.keys)
-    wanted = np.fromiter(supported, dtype=np.int64, count=len(supported))
-    mask = _member_mask(keys, np.sort(wanted))
+    if not isinstance(supported, np.ndarray):
+        supported = np.fromiter(supported, dtype=np.int64)
+    mask = _member_mask(keys, np.sort(supported))
     if bool(mask.all()):
         return relation
     return InstanceRelation(

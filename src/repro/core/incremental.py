@@ -87,10 +87,10 @@ from repro.core.columns import (
     count_packed_keys,
     filter_by_keys,
     prefix_ranks,
-    read_chunks,
     suffix_extend,
 )
 from repro.core.metering import memory_meter
+from repro.core.partitioning import decode_buffer_chunks
 from repro.core.result import IterationStats, MiningResult
 from repro.core.setm import run_figure4_loop
 from repro.core.setm_columnar import ColumnarKernel
@@ -347,8 +347,11 @@ class MiningState:
                 f"mining state in {root} has no readable level maps: {exc}"
             ) from exc
         levels: dict[int, LevelPair] = {}
-        for chunk in read_chunks(data):
-            levels[chunk.k] = (chunk.keys, chunk.last_sid)
+        for chunk in decode_buffer_chunks(data)[0]:
+            levels[chunk.k] = (
+                _column(chunk.keys.tobytes()),
+                _column(chunk.last_sid.tobytes()),
+            )
         if sorted(levels) != doc.get("levels"):
             raise StateError(
                 f"mining state in {root} is corrupt: level maps "
@@ -512,7 +515,7 @@ def _tail_items(dataset, skip: int) -> array:
     for chunk in dataset.iter_item_chunks():
         end = seen + len(chunk)
         if end > skip:
-            out.extend(chunk[max(0, skip - seen) :])
+            out.frombytes(_as_int64(chunk[max(0, skip - seen) :]).tobytes())
         seen = end
     return out
 

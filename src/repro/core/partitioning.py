@@ -1,32 +1,34 @@
-"""Partitioned execution layer: first-class ``R'_k`` work units.
+"""Partitioned execution layer: first-class key-range work units.
 
 The paper's central claim is that Figure 4's merge/count/filter passes
 are pure set operations with no cross-row dependencies.  Two engines
 exploit the same consequence in two directions:
 
-* the **spill** engine (:mod:`repro.core.setm_columnar_disk`) range-
-  partitions ``R'_k`` by pattern key into *files* and counts one
-  partition at a time to bound resident memory;
+* the **spill** engines (:mod:`repro.core.setm_columnar_disk`,
+  :mod:`repro.core.setm_spill_parallel`) partition *before* extending:
+  a level-``k`` key is ``rank * base + item``, so the extensions of
+  prefix rank ``r`` are exactly the keys ``[r * base, (r + 1) * base)``
+  and a key-range partition of ``R'_k`` is a prefix-range partition of
+  ``R_{k-1}``.  A :class:`PartitionPlan` prices every range exactly
+  before a row exists; each range is then extended, counted, filtered
+  and written as its share of ``R_k`` in one task;
 * the **parallel** engine (:mod:`repro.core.setm_parallel`) range-
-  partitions ``R'_k`` into *picklable payloads* and counts all
-  partitions at once in worker processes.
+  partitions a materialized ``R'_k`` into *picklable payloads* and
+  counts all partitions at once in worker processes.
 
-Both need exactly the same machinery, which this module owns (it used
-to live inline in the spill kernel):
+The machinery they share lives here:
 
 * :class:`Partition` — one key-range slice of a relation as serialized
   chunks (:meth:`~repro.core.columns.InstanceRelation.to_chunk_bytes`),
-  held either in memory (``payload``) or on disk (``path``).  Picklable
-  either way, so a partition can be handed to a worker process as-is.
-* :class:`PartitionPlan` — partition count and placement priced from
-  :func:`~repro.core.columns.extension_counts` *before* a single
-  ``R'_k`` row is materialized.
-* :func:`choose_boundaries` / :func:`sample_extension_boundaries` /
-  :func:`boundaries_from_keys` — quantile boundary choosers; the
-  extension sampler strides across the *whole* of ``R_{k-1}`` so
-  tid-correlated key drift cannot funnel rows into one partition.
-* :func:`split_by_key_ranges` — route a relation's rows to partitions
-  (one ``searchsorted`` pass plus a per-partition mask).
+  held in memory (``payload``), in shared memory (``shm``) or on disk
+  (``path``).  Picklable either way, so a partition can be handed to a
+  worker process as-is.
+* :func:`decode_buffer_chunks` — the one decoder of the chunk format.
+* :class:`PartitionPlan` / :func:`cut_ranges` — exact range planning
+  from per-prefix extension totals.
+* :func:`choose_boundaries` / :func:`boundaries_from_keys` — quantile
+  boundaries of an already-materialized key column, and
+  :func:`split_by_key_ranges`, which routes its rows in one pass.
 
 Key-range partitioning (as opposed to hashing or row slicing) is what
 makes per-partition counts *global* counts: every occurrence of a
@@ -41,9 +43,8 @@ standard library and :mod:`repro.core.columns`.
 from __future__ import annotations
 
 import os
-from math import ceil
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,9 +53,6 @@ from repro.core.columns import (
     SalesIndex,
     _as_int64,
     chunk_frames,
-    extension_counts,
-    read_chunks,
-    suffix_extend,
 )
 from repro.errors import PartitionFormatError
 
@@ -66,11 +64,9 @@ __all__ = [
     "boundaries_from_keys",
     "choose_boundaries",
     "concat_columns",
+    "cut_ranges",
     "decode_buffer_chunks",
     "key_ranges",
-    "output_slices",
-    "sample_extension_boundaries",
-    "slice_rows",
     "split_by_key_ranges",
 ]
 
@@ -79,20 +75,15 @@ __all__ = [
 #: unit every :class:`PartitionPlan` prices in.
 ROW_BYTES = 16
 
-#: Input rows sampled (strided, across the whole input) to place
-#: partition boundaries.  Bounded so the sample's own extension stays a
-#: sliver of any realistic budget.
-BOUNDARY_SAMPLE_ROWS = 2048
-
 
 def decode_buffer_chunks(
     data, *, index: "SalesIndex | None" = None
 ) -> tuple[list[InstanceRelation], int]:
     """Decode chunks from *any* buffer, int64 columns as zero-copy views.
 
-    The one decoder every partition consumer reads spill bytes through
-    (the serial kernel in-process, the pooled engines inside their
-    workers), so they can never drift.  ``data`` may be ``bytes``, a
+    The one decoder of the chunk format — spill files, pool payloads,
+    the ingest spill and the incremental state all read through it, so
+    no two readers can drift.  ``data`` may be ``bytes``, a
     :class:`memoryview` over a shared-memory segment or an ``mmap``-ed
     spill file: the int64 ``keys``/``last_sid`` columns are built with
     ``np.frombuffer`` *directly over that buffer* — no intermediate
@@ -122,49 +113,12 @@ def decode_buffer_chunks(
 
 
 def concat_columns(columns: list) -> np.ndarray:
-    """One int64 column from per-chunk columns."""
+    """One int64 column from per-chunk columns (empty for none)."""
+    if not columns:
+        return np.empty(0, dtype=np.int64)
     if len(columns) == 1:
         return _as_int64(columns[0])
     return np.concatenate([_as_int64(column) for column in columns])
-
-
-def slice_rows(
-    relation: InstanceRelation, start: int, stop: int
-) -> InstanceRelation:
-    """A zero-or-cheap-copy row range of a loop relation."""
-    return InstanceRelation(
-        None,
-        None,
-        last_sid=relation.last_sid[start:stop],
-        keys=relation.keys[start:stop],
-        k=relation.k,
-        index=relation.index,
-    )
-
-
-def output_slices(counts, target_rows: int) -> list[tuple[int, int]]:
-    """Input row ranges whose summed extension output is ≈ ``target_rows``.
-
-    A single row's extensions are never split, so a slice may overshoot
-    by at most one transaction's length — bounded and tiny relative to
-    any realistic budget share.
-    """
-    n = len(counts)
-    if n == 0:
-        return []
-    cumulative = np.cumsum(counts)
-    total = int(cumulative[-1])
-    if total <= target_rows:
-        return [(0, n)]
-    marks = np.searchsorted(
-        cumulative, np.arange(target_rows, total, target_rows), side="left"
-    )
-    edges = [0]
-    for mark in (marks + 1).tolist():
-        if edges[-1] < mark < n:
-            edges.append(mark)
-    edges.append(n)
-    return list(zip(edges, edges[1:]))
 
 
 def choose_boundaries(keys, partitions: int) -> list[int]:
@@ -172,7 +126,7 @@ def choose_boundaries(keys, partitions: int) -> list[int]:
 
     Partition ``p`` then holds the keys ``k`` with
     ``boundaries[p-1] <= k < boundaries[p]`` under the
-    ``bisect_right`` routing of :func:`split_by_key_ranges` (duplicated
+    ``side="right"`` routing of :func:`split_by_key_ranges` (duplicated
     boundary values simply leave some partitions empty — coverage stays
     disjoint and total).
     """
@@ -185,7 +139,7 @@ def boundaries_from_keys(
     keys: Sequence[int],
     partitions: int,
     *,
-    sample_rows: int = BOUNDARY_SAMPLE_ROWS,
+    sample_rows: int = 2048,
 ) -> list[int] | None:
     """Boundaries for an already-materialized key column.
 
@@ -198,47 +152,6 @@ def boundaries_from_keys(
         return None
     stride = max(1, n // sample_rows)
     return choose_boundaries(_as_int64(keys)[::stride], partitions)
-
-
-def sample_extension_boundaries(
-    chunks: Iterable[InstanceRelation],
-    index: SalesIndex,
-    total_rows: int,
-    partitions: int,
-    *,
-    prefixes: Sequence[int] | None = None,
-    sample_rows: int = BOUNDARY_SAMPLE_ROWS,
-) -> list[int] | None:
-    """Partition boundaries from a whole-input sample of *output* keys.
-
-    Quantiles of a single merge slice's keys would inherit that slice's
-    position in the tid-ordered input — a database whose pattern keys
-    drift with trans_id would then funnel most rows into one partition
-    and void the memory bound.  Instead, rows strided across *all* of
-    ``R_{k-1}`` are extended (exactly the keys the merge will emit for
-    them; ``prefixes`` is the sorted ``F_{k-1}`` the merge ranks into)
-    and the boundaries are quantiles of that global sample.  For
-    spilled input this re-reads ``R_{k-1}`` once — the small filtered
-    relation, not ``R'_k``.  Returns ``None`` when the sample has no
-    extensions (the caller then falls back to first-slice quantiles).
-    """
-    stride = max(1, total_rows // sample_rows)
-    sample_keys = []
-    for chunk in chunks:
-        sampled = InstanceRelation(
-            None,
-            None,
-            last_sid=chunk.last_sid[::stride],
-            keys=chunk.keys[::stride],
-            k=chunk.k,
-            index=index,
-        )
-        extended = suffix_extend(sampled, index, prefixes)
-        if len(extended):
-            sample_keys.append(extended.keys)
-    if not sample_keys:
-        return None
-    return choose_boundaries(concat_columns(sample_keys), partitions)
 
 
 def key_ranges(
@@ -265,21 +178,24 @@ def split_by_key_ranges(
 
     Partition indices ascend, so consuming the iterator in order visits
     partitions in ascending key-range order.  One ``searchsorted`` pass
-    assigns every row; each partition's rows are then a mask copy
-    preserving input order.
+    assigns every row, one stable argsort groups the rows by partition
+    (input order kept within each), and ``np.bincount`` delimits the
+    groups — one pass however many partitions there are.
     """
     keys = _as_int64(relation.keys)
-    last_sid = _as_int64(relation.last_sid)
     assignment = np.searchsorted(_as_int64(boundaries), keys, side="right")
-    for p in range(len(boundaries) + 1):
-        mask = assignment == p
-        if not mask.any():
-            continue
+    order = np.argsort(assignment, kind="stable")
+    keys = keys[order]
+    last_sid = _as_int64(relation.last_sid)[order]
+    sizes = np.bincount(assignment, minlength=len(boundaries) + 1)
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    for p in np.flatnonzero(sizes).tolist():
+        low, high = bounds[p], bounds[p + 1]
         yield p, InstanceRelation(
             None,
             None,
-            last_sid=last_sid[mask],
-            keys=keys[mask],
+            last_sid=last_sid[low:high],
+            keys=keys[low:high],
             k=relation.k,
             index=relation.index,
         )
@@ -393,7 +309,7 @@ class Partition:
         self, *, index: SalesIndex | None = None
     ) -> list[InstanceRelation]:
         """Deserialize every chunk (``index`` reattaches lazy columns)."""
-        return list(read_chunks(self.read_bytes(), index=index))
+        return decode_buffer_chunks(self.read_bytes(), index=index)[0]
 
     def delete(self) -> None:
         """Drop the chunk source: unlink the spill file / free the payload.
@@ -456,78 +372,90 @@ class Partition:
         )
 
 
-class PartitionPlan:
-    """How (and whether) to partition one ``R'_k`` — priced up front.
+def cut_ranges(totals, share_rows: int) -> list[tuple[int, int]]:
+    """Contiguous ``[start, stop)`` runs of ``totals`` of at most ``share_rows``.
 
-    Because :func:`~repro.core.columns.extension_counts` prices every
-    ``R_{k-1}`` row's merge output exactly, ``|R'_k|`` is known *before*
-    a single row is materialized; the plan turns that row count into a
-    partition count against a byte budget share.  ``num_partitions == 1``
-    means the relation fits the share and should not be partitioned at
-    all (the spill engine keeps it in memory; the parallel engine
-    counts it in-process).
+    Greedy over the running sum: each run takes as many consecutive
+    entries as fit in ``share_rows``; an entry larger than that on its
+    own gets a run of its own (the caller may cut it finer).  Runs whose
+    sum is zero are dropped, so a zero column yields no runs at all.
+    """
+    cumulative = np.cumsum(_as_int64(totals))
+    runs: list[tuple[int, int]] = []
+    start = done = 0
+    total = int(cumulative[-1]) if len(cumulative) else 0
+    while done < total:
+        stop = int(
+            np.searchsorted(cumulative, done + share_rows, side="right")
+        )
+        stop = max(stop, start + 1)
+        reached = int(cumulative[stop - 1])
+        if reached > done:
+            runs.append((start, stop))
+        start, done = stop, reached
+    return runs
+
+
+class PartitionPlan:
+    """``R'_k`` as priced key ranges — decided before a single row exists.
+
+    A level-``k`` key is ``rank * base + item``, so the extensions of
+    prefix rank ``r`` are exactly the keys ``[r * base, (r + 1) * base)``
+    and :func:`~repro.core.columns.extension_totals` prices each prefix
+    exactly.  The plan cuts those totals into contiguous prefix ranges
+    of at most one budget share of rows (:func:`cut_ranges`); a prefix
+    whose extensions alone exceed a share is cut again by item
+    sub-range (``item_totals(rank)`` prices its extensions per item id),
+    still one contiguous key range.  ``ranges`` holds ``(key_low,
+    key_high, rows)`` in ascending key order; ``predicted_rows`` is the
+    exact ``|R'_k|``.  A single key whose rows exceed a share cannot be
+    cut, so its range is over-full.
     """
 
-    __slots__ = ("predicted_rows", "num_partitions", "share_bytes", "row_bytes")
+    __slots__ = ("ranges", "predicted_rows", "share_bytes")
 
     def __init__(
-        self,
-        predicted_rows: int,
-        num_partitions: int,
-        *,
-        share_bytes: int | None = None,
-        row_bytes: int = ROW_BYTES,
+        self, ranges: list[tuple[int, int, int]], share_bytes: int
     ) -> None:
-        self.predicted_rows = predicted_rows
-        self.num_partitions = num_partitions
+        self.ranges = ranges
+        self.predicted_rows = sum(rows for _, _, rows in ranges)
         self.share_bytes = share_bytes
-        self.row_bytes = row_bytes
 
     @classmethod
-    def from_predicted_rows(
+    def from_prefix_totals(
         cls,
-        predicted_rows: int,
+        totals,
+        base: int,
         share_bytes: int,
         *,
-        row_bytes: int = ROW_BYTES,
+        item_totals: Callable[[int], np.ndarray] | None = None,
     ) -> "PartitionPlan":
-        """Plan against a byte budget: spill into ``ceil(bytes/share)``
-        ranges when the priced relation exceeds one share."""
-        if predicted_rows * row_bytes <= share_bytes:
-            partitions = 1
-        else:
-            partitions = max(2, ceil(predicted_rows * row_bytes / share_bytes))
-        return cls(
-            predicted_rows,
-            partitions,
-            share_bytes=share_bytes,
-            row_bytes=row_bytes,
-        )
+        """Cut per-prefix extension totals into budget-share key ranges."""
+        share_rows = max(1, share_bytes // ROW_BYTES)
+        totals = _as_int64(totals)
+        ranges = []
+        for start, stop in cut_ranges(totals, share_rows):
+            rows = int(totals[start:stop].sum())
+            if rows > share_rows and item_totals is not None:
+                per_item = item_totals(start)
+                low = start * base
+                ranges.extend(
+                    (low + first, low + last, int(per_item[first:last].sum()))
+                    for first, last in cut_ranges(per_item, share_rows)
+                )
+            else:
+                ranges.append((start * base, stop * base, rows))
+        return cls(ranges, share_bytes)
 
-    @classmethod
-    def from_extension_counts(
-        cls,
-        relation: InstanceRelation,
-        index: SalesIndex,
-        share_bytes: int,
-        *,
-        row_bytes: int = ROW_BYTES,
-    ) -> "PartitionPlan":
-        """Price ``relation``'s merge output exactly, then plan."""
-        predicted = int(extension_counts(relation, index).sum())
-        return cls.from_predicted_rows(
-            predicted, share_bytes, row_bytes=row_bytes
-        )
+    @property
+    def num_partitions(self) -> int:
+        """How many key ranges the plan cut."""
+        return len(self.ranges)
 
     @property
     def fits_in_memory(self) -> bool:
-        """True when the priced relation needs no partitioning."""
-        return self.num_partitions == 1
-
-    @property
-    def predicted_bytes(self) -> int:
-        """The priced resident size of the unpartitioned relation."""
-        return self.predicted_rows * self.row_bytes
+        """True when the priced relation fits one share, unpartitioned."""
+        return self.num_partitions <= 1
 
     def __repr__(self) -> str:
         return (

@@ -32,6 +32,7 @@ from repro.core.columns import (
     InstanceRelation,
     SalesIndex,
     count_packed_keys,
+    count_supported,
     filter_by_keys,
     suffix_extend,
 )
@@ -128,11 +129,12 @@ class ColumnarKernel(KernelLifecycle):
     def count_and_filter(
         self, r_prime: InstanceRelation, threshold: int
     ) -> tuple[int, dict[int, int], InstanceRelation]:
-        all_counts = count_packed_keys(r_prime.keys, via=self._count_via)
-        c_k = {key: count for key, count in all_counts if count >= threshold}
-        r_next = filter_by_keys(r_prime, set(c_k))
-        self._levels.add(r_prime.k, c_k)
-        return len(all_counts), c_k, r_next
+        candidates, keys, counts = count_supported(
+            r_prime.keys, threshold, via=self._count_via
+        )
+        self._levels.add(r_prime.k, keys)
+        c_k = dict(zip(keys.tolist(), counts.tolist()))
+        return candidates, c_k, filter_by_keys(r_prime, keys)
 
     def size(self, r: InstanceRelation) -> int:
         return len(r)

@@ -1,43 +1,36 @@
 """Out-of-core SETM: the columnar kernel under a memory budget.
 
-``setm-columnar`` holds every ``R'_k`` in RAM; on databases whose
-intermediate relations exceed the machine this is fatal — and the
-intermediates, not ``SALES``, are the multiplicatively large objects
-(``|R'_2|`` alone can dwarf the input).  This engine bounds them:
+``setm-columnar`` holds every ``R'_k`` in RAM — and the intermediates,
+not ``SALES``, are the multiplicatively large objects, most of whose
+rows die at the HAVING filter.  This engine bounds them by partitioning
+*before* extending, so ``R'_k`` is never written anywhere:
 
-* **Budgeted extension.**  ``R'_k := merge-scan(R_{k-1}, R_1)`` runs in
-  *slices*: :func:`~repro.core.columns.extension_counts` prices every
-  ``R_{k-1}`` row's output exactly (one gather over the precomputed
-  :class:`~repro.core.columns.SalesIndex`), so input slices are chosen
-  to emit at most a budget share of output rows each — ``|R'_k|`` is
-  known exactly *before* a single row is materialized (the
-  :class:`~repro.core.partitioning.PartitionPlan`).
-* **Key-range spill partitions.**  When the planned ``R'_k`` exceeds
-  its budget share, slice outputs are range-partitioned by pattern key
-  into ``P = ceil(bytes / share)``
-  :class:`~repro.core.partitioning.Partition` spill files (boundaries
-  are quantiles sampled stride-wise from the *whole* input, so skewed
-  or tid-correlated key distributions still split evenly).  Every
-  occurrence of a pattern lands in exactly one partition, so
-  per-partition counts are global counts.
-* **Partition-at-a-time counting.**  ``C_k`` and the support filter run
-  one partition at a time: load, count
-  (:func:`~repro.core.columns.count_packed_keys`), filter
-  (:func:`~repro.core.columns.filter_by_keys`), spill the survivors as
-  ``R_k`` chunks, delete the partition.  Resident memory stays at one
-  partition plus fixed overhead (``SALES`` + its index + ``C_k``, which
-  the paper itself assumes memory-resident) regardless of ``|R'_k|``.
+* **Priced key ranges.**  A level-``k`` key is ``rank * base + item``,
+  so the extensions of prefix rank ``r`` are exactly the keys
+  ``[r * base, (r + 1) * base)``: a key-range partition of ``R'_k`` is
+  a prefix-range partition of ``R_{k-1}``.  The
+  :class:`~repro.core.partitioning.PartitionPlan` prices every prefix
+  exactly from the :class:`~repro.core.columns.SalesIndex` and cuts
+  ``R'_k`` into ranges of at most one budget share (a prefix too big
+  for a share is cut by item sub-range).  ``|R'_k|`` is the plan's
+  exact total; nothing is materialized to make the plan.
+* **One task per range.**  :func:`run_range_task` selects the range's
+  ``R_{k-1}`` rows (``SALES`` positions at ``k = 2``, so no rows move;
+  later, rows of the previous level's overlapping share files), extends
+  them, counts and HAVING-filters the keys — key ranges are disjoint,
+  so its counts are global counts — and writes the survivors as its
+  share of ``R_k``, reporting each key's extension total for the next
+  plan.  Resident memory stays at one range's slice of ``R'_k`` plus
+  the fixed residents (``SALES`` + its index + ``C_k``, which the paper
+  itself assumes memory-resident).
 
-Because Figure 4's loop body has no cross-row dependencies — each row's
-extensions depend only on its own ``last_sid``, and counts are
-per-pattern — slicing and partitioning change *nothing observable*:
-patterns, counts, and :class:`~repro.core.result.IterationStats` are
-identical to ``setm`` and ``setm-columnar`` (the differential tests and
-the benchmark runner hold it to that).  The partitioning machinery
-itself — work units, boundary sampling, key-range routing, pricing —
-lives in :mod:`repro.core.partitioning`, shared with the
-``setm-parallel`` engine that counts the same partitions in worker
-processes instead of one at a time.
+This engine runs the tasks inline, one range at a time;
+``setm-spill-parallel`` maps the same task body over a worker pool.  A
+level whose ``R'_k`` fits one share runs in memory, exactly as
+``setm-columnar`` does.  Each row's extensions depend only on its own
+``last_sid`` and counts are per-pattern, so partitioning changes
+*nothing observable*: patterns, counts, and
+:class:`~repro.core.result.IterationStats` are identical to ``setm``.
 """
 
 from __future__ import annotations
@@ -45,13 +38,19 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Literal
+from typing import Any, Literal, NamedTuple
+
+import numpy as np
 
 from repro.core.columns import (
     InstanceRelation,
-    count_packed_keys,
-    extension_counts,
+    SalesIndex,
+    _as_int64,
+    count_supported,
+    extension_item_totals,
+    extension_totals,
     filter_by_keys,
     suffix_extend,
 )
@@ -59,27 +58,24 @@ from repro.core.partitioning import (
     ROW_BYTES,
     Partition,
     PartitionPlan,
-    choose_boundaries,
     concat_columns,
     decode_buffer_chunks,
-    key_ranges,
-    output_slices,
-    sample_extension_boundaries,
-    slice_rows,
-    split_by_key_ranges,
 )
 from repro.core.result import MiningResult
 from repro.core.setm import run_figure4_loop
 from repro.core.setm_columnar import ColumnarKernel
 from repro.core.transactions import TransactionDatabase
+from repro.core.transport import pack_buffers, partition_buffer, unpack_buffers
 from repro.errors import InvalidConfigError
 from repro.registry import register_engine
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
-    "SpilledPartitions",
+    "PlannedExtension",
+    "RangeTask",
     "SpilledRelation",
     "SpillingColumnarKernel",
+    "run_range_task",
     "setm_columnar_disk",
 ]
 
@@ -88,77 +84,191 @@ __all__ = [
 DEFAULT_MEMORY_BUDGET = 128 * 2**20
 
 
+@dataclass
 class SpilledRelation:
-    """An ``R_k`` as serialized chunks on disk (unpartitioned).
+    """An ``R_k`` as its key-range shares on disk.
 
-    ``extension_rows`` is the exact ``|R'_{k+1}|`` this relation will
-    produce — summed from :func:`extension_counts` when the survivors
-    were written, so the next iteration can plan its partitions without
-    re-reading anything.
+    ``partitions`` are path-backed :class:`Partition` files in ascending
+    key order, each labelled with the key range of the task that wrote
+    it.  ``ext_totals[i]`` is the exact number of ``R'_{k+1}`` rows the
+    rows of the ``i``-th key of sorted ``F_k`` will produce — summed by
+    the tasks that wrote them, so the next level plans without reading
+    anything.
     """
 
-    __slots__ = ("paths", "num_rows", "k", "extension_rows")
-
-    def __init__(
-        self,
-        paths: list[Path],
-        num_rows: int,
-        k: int,
-        extension_rows: int,
-    ) -> None:
-        self.paths = paths
-        self.num_rows = num_rows
-        self.k = k
-        self.extension_rows = extension_rows
+    partitions: list[Partition]
+    k: int
+    ext_totals: np.ndarray | None = field(repr=False)
 
     def delete(self) -> None:
-        for path in self.paths:
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
-        self.paths = []
-
-    def __repr__(self) -> str:
-        return (
-            f"SpilledRelation(k={self.k}, rows={self.num_rows}, "
-            f"chunks={len(self.paths)})"
-        )
+        for partition in self.partitions:
+            partition.delete()
+        self.partitions = []
 
 
-class SpilledPartitions:
-    """An ``R'_k`` range-partitioned into :class:`Partition` spill files.
+class PlannedExtension(NamedTuple):
+    """``R'_k`` before materialization: priced key ranges of its ``R_{k-1}``."""
 
-    Each partition holds exactly the rows whose key falls in its
-    boundary interval, so counting one partition yields global counts
-    for every pattern it contains.
+    source: Any
+    plan: PartitionPlan
+    k: int
+
+
+class RangeTask(NamedTuple):
+    """One key range of ``R'_k``, picklable for a pool worker.
+
+    ``prefixes`` is the slice of sorted ``F_{k-1}`` the range covers
+    (``None`` at ``k = 2``, whose prefix is the item id); ``sources`` are
+    the ``R_{k-1}`` share files that overlap it; ``sales`` is the run's
+    :class:`SalesIndex`, or a :class:`Partition` over its published
+    ``items`` + ``ext_counts`` columns (raw int64).
     """
 
-    __slots__ = ("partitions", "num_rows", "k")
+    k: int
+    key_low: int
+    key_high: int
+    prefixes: np.ndarray | None
+    sources: list
+    sales: Any
+    base: int
+    threshold: int
+    via: str
+    out_path: str
+    mode: str = "pickle"
+    reply_name: str | None = None
 
-    def __init__(
-        self, partitions: list[Partition], num_rows: int, k: int
-    ) -> None:
-        self.partitions = partitions
-        self.num_rows = num_rows
-        self.k = k
 
-    def __repr__(self) -> str:
-        return (
-            f"SpilledPartitions(k={self.k}, rows={self.num_rows}, "
-            f"partitions={len(self.partitions)})"
+def run_range_task(task: RangeTask) -> tuple:
+    """The task body of both spill engines: extend → count → filter → write.
+
+    Returns ``(candidate_patterns, envelope, rows_written,
+    bytes_written, bytes_read, zero_copy_bytes)``; the envelope
+    (:func:`~repro.core.transport.pack_buffers`) carries the supported
+    keys, their counts and each key's extension total as int64 buffers.
+    """
+    if isinstance(task.sales, SalesIndex):
+        return _extend_count_filter(task, task.sales, 0)
+    with partition_buffer(task.sales, task.mode) as (buffer, source):
+        columns = np.frombuffer(buffer, dtype=np.int64)
+        half = len(columns) // 2
+        viewed = columns.nbytes if source in ("shm", "mmap") else 0
+        index = SalesIndex.from_columns(
+            columns[:half], columns[half:], task.base
         )
+        del columns
+        reply = _extend_count_filter(task, index, viewed)
+        del index  # views the buffer the context releases next
+    return reply
+
+
+def _extend_count_filter(
+    task: RangeTask, index: SalesIndex, viewed: int
+) -> tuple:
+    rows, bytes_read, zero_copy = _range_rows(task, index)
+    base = task.base
+    first_rank = task.key_low // base
+    items = None
+    if task.key_low % base or task.key_high % base:
+        # One prefix's item sub-range (an oversized prefix, cut finer).
+        items = (task.key_low - first_rank * base,
+                 task.key_high - first_rank * base)
+    r_prime = suffix_extend(
+        rows,
+        index,
+        task.prefixes,
+        first_rank=0 if task.prefixes is None else first_rank,
+        items=items,
+    )
+    candidates, keys, counts = count_supported(
+        r_prime.keys, task.threshold, via=task.via
+    )
+    survivors = filter_by_keys(r_prime, keys)
+    written = 0
+    if len(survivors):
+        blob = survivors.to_chunk_bytes()
+        with open(task.out_path, "wb") as handle:
+            handle.write(blob)
+        written = len(blob)
+    ext = extension_totals(survivors, index, keys, len(keys))
+    envelope = pack_buffers(
+        [keys.tobytes(), counts.tobytes(), ext.tobytes()], task.reply_name
+    )
+    tallies = (len(survivors), written, bytes_read, viewed + zero_copy)
+    return (candidates, envelope, *tallies)
+
+
+def _range_rows(
+    task: RangeTask, index: SalesIndex
+) -> tuple[InstanceRelation, int, int]:
+    """The ``R_{k-1}`` rows with an extension in the task's key range.
+
+    Returns ``(rows, bytes_read, zero_copy_bytes)``.  At ``k = 2`` the
+    rows are ``SALES`` positions whose item is a prefix in range;
+    later they are masked out of the overlapping share files, dropping
+    rows without extensions.
+    """
+    if task.prefixes is None:
+        low = task.key_low // task.base
+        high = -(-task.key_high // task.base)
+        items = index.items
+        # low <= item < high as one unsigned comparison.
+        sids = np.flatnonzero((items - low).view(np.uint64) < high - low)
+        rows = InstanceRelation(
+            None, None, last_sid=sids, keys=items[sids], k=1, index=index
+        )
+        return rows, 0, 0
+    low, high = int(task.prefixes[0]), int(task.prefixes[-1]) + 1
+    keys, sids = [], []
+    bytes_read = zero_copy = 0
+    for partition in task.sources:
+        with partition_buffer(partition, task.mode) as (buffer, source):
+            bytes_read += len(buffer)
+            viewed = _pick_rows(
+                buffer, low, high, index.ext_counts, keys, sids
+            )
+            if source in ("shm", "mmap"):
+                zero_copy += viewed
+    rows = InstanceRelation(
+        None,
+        None,
+        last_sid=concat_columns(sids),
+        keys=concat_columns(keys),
+        k=task.k - 1,
+        index=index,
+    )
+    return rows, bytes_read, zero_copy
+
+
+def _pick_rows(buffer, low, high, ext_counts, keys: list, sids: list) -> int:
+    """Append copies of the rows of ``buffer`` with key in ``[low, high)``.
+
+    Rows without extensions are dropped too.  The decoded views die with
+    this frame, before the caller releases ``buffer``; returns the
+    column bytes viewed.
+    """
+    chunks, viewed = decode_buffer_chunks(buffer)
+    for chunk in chunks:
+        mask = (chunk.keys >= low) & (chunk.keys < high)
+        mask &= ext_counts[chunk.last_sid] > 0
+        keys.append(chunk.keys[mask])
+        sids.append(chunk.last_sid[mask])
+    return viewed
+
+
+def _overlapping(shares: list[Partition], low: int, high: int) -> list:
+    """The shares whose key range meets ``[low, high)``."""
+    return [p for p in shares if p.key_low < high and p.key_high > low]
 
 
 class SpillingColumnarKernel(ColumnarKernel):
-    """The columnar Figure-4 steps with budgeted, spill-backed relations.
+    """The columnar Figure-4 steps with budgeted, range-planned relations.
 
-    Budget layout: one quarter of ``memory_budget_bytes`` each for (a)
-    the extension slice being materialized, (b) a loaded counting
-    partition, leaving headroom for the counting structure, the filter
-    copy, and the fixed residents (``SALES`` + index + ``C_k``).  A
-    relation whose :class:`PartitionPlan` fits within a share is simply
-    kept in memory — small workloads never touch the disk.
+    Budget layout: one quarter of ``memory_budget_bytes`` is the share
+    one key range of ``R'_k`` may take, leaving headroom for the
+    counting structure, the filter copy, and the fixed residents
+    (``SALES`` + index + ``C_k``).  A level whose ``R'_k`` fits within a
+    share is simply kept in memory — small workloads never touch the
+    disk.
     """
 
     def __init__(
@@ -181,7 +291,6 @@ class SpillingColumnarKernel(ColumnarKernel):
             )
         self._budget = memory_budget_bytes
         self._share_bytes = max(ROW_BYTES, memory_budget_bytes // 4)
-        self._slice_rows = max(1, self._share_bytes // ROW_BYTES)
         self._spill_dir_option = spill_dir
         self._spill_root: Path | None = None
         self._sequence = 0
@@ -205,30 +314,44 @@ class SpillingColumnarKernel(ColumnarKernel):
         self._sequence += 1
         return self._spill_root / f"{stem}-{self._sequence:06d}.chunks"
 
-    def _decode_chunks(self, data: bytes) -> list[InstanceRelation]:
+    def _load(self, partition: Partition) -> list[InstanceRelation]:
+        data = partition.read_bytes()
         self._bytes_read += len(data)
         return decode_buffer_chunks(data, index=self._index)[0]
 
-    def _load_chunks(self, path: Path) -> list[InstanceRelation]:
-        return self._decode_chunks(path.read_bytes())
-
-    def _iter_chunks(self, r, *, delete: bool = False):
-        """Yield a relation's rows as bounded InstanceRelation chunks."""
-        if isinstance(r, InstanceRelation):
-            yield r
-            return
-        for path in list(r.paths):
-            yield from self._load_chunks(path)
-            if delete:
-                os.remove(path)
-        if delete:
-            r.paths = []
-
-    def _write_chunk(self, relation: InstanceRelation, handle) -> None:
-        blob = relation.to_chunk_bytes()
-        handle.write(blob)
+    def _spill(self, r: InstanceRelation) -> SpilledRelation:
+        """An in-memory ``R_{k-1}`` written as one share file."""
+        path = self._spill_path(f"r-k{r.k}")
+        blob = r.to_chunk_bytes()
+        path.write_bytes(blob)
         self._bytes_written += len(blob)
         self._chunks_written += 1
+        keys = _as_int64(r.keys)
+        share = Partition(
+            r.k,
+            key_low=int(keys.min()),
+            key_high=int(keys.max()) + 1,
+            num_rows=len(r),
+            path=path,
+        )
+        return SpilledRelation([share], r.k, None)
+
+    def _prefix_sids(self, r, key: int) -> np.ndarray:
+        """The ``last_sid`` of every ``r`` row whose key is ``key``."""
+        if isinstance(r, InstanceRelation):
+            return _as_int64(r.last_sid)[_as_int64(r.keys) == key]
+        return concat_columns(
+            [
+                chunk.last_sid[chunk.keys == key]
+                for partition in _overlapping(r.partitions, key, key + 1)
+                for chunk in self._load(partition)
+            ]
+        )
+
+    def _item_totals(self, r, prefixes, rank: int) -> np.ndarray:
+        """Per item id, how many extensions prefix ``rank`` has."""
+        key = rank if prefixes is None else int(prefixes[rank])
+        return extension_item_totals(self._prefix_sids(r, key), self._index)
 
     # -- Figure-4 steps -------------------------------------------------------------
 
@@ -236,137 +359,130 @@ class SpillingColumnarKernel(ColumnarKernel):
         index = self._index
         assert index is not None  # make_sales always ran first
         prefixes = self._levels.prefixes(r.k)
-        if isinstance(r, InstanceRelation):
-            plan = PartitionPlan.from_extension_counts(
-                r, index, self._share_bytes
-            )
+        if isinstance(r, SpilledRelation):
+            totals = r.ext_totals
         else:
-            plan = PartitionPlan.from_predicted_rows(
-                r.extension_rows, self._share_bytes
-            )
-
-        if plan.fits_in_memory:
-            # Fits one budget share: materialize in memory, as the plain
-            # columnar kernel would.
-            pieces = [
-                suffix_extend(chunk, index, prefixes)
-                for chunk in self._iter_chunks(r, delete=True)
-            ]
-            if len(pieces) == 1:
-                return pieces[0]
-            return InstanceRelation(
-                None,
-                None,
-                last_sid=concat_columns([p.last_sid for p in pieces]),
-                keys=concat_columns([p.keys for p in pieces]),
-                k=r.k + 1,
-                index=index,
-            )
-
-        # Out-of-core: partition R'_k by pattern-key range as it is
-        # produced, one bounded slice at a time.
-        partitions = plan.num_partitions
-        self._partitions_per_k[self._k] = partitions
-        boundaries = sample_extension_boundaries(
-            self._iter_chunks(r),
-            index,
-            self.size(r),
-            partitions,
-            prefixes=prefixes,
+            size = index.base if prefixes is None else len(prefixes)
+            totals = extension_totals(r, index, prefixes, size)
+        plan = PartitionPlan.from_prefix_totals(
+            totals,
+            index.base,
+            self._share_bytes,
+            item_totals=lambda rank: self._item_totals(r, prefixes, rank),
         )
-        paths = [
-            self._spill_path(f"rprime-k{self._k}-p{p}")
-            for p in range(partitions)
-        ]
-        for path in paths:
-            path.touch()  # an empty partition is an empty file
-        # Each slice appends its share of a partition and closes the
-        # file again: at most one spill handle is open at a time, so
-        # the partition count is not capped by the descriptor limit.
-        for chunk in self._iter_chunks(r, delete=True):
-            counts = extension_counts(chunk, index)
-            for start, stop in output_slices(counts, self._slice_rows):
-                out = suffix_extend(
-                    slice_rows(chunk, start, stop), index, prefixes
-                )
-                if len(out) == 0:
-                    continue
-                if boundaries is None:
-                    boundaries = choose_boundaries(out.keys, partitions)
-                for p, rows in split_by_key_ranges(out, boundaries):
-                    with open(paths[p], "ab") as handle:
-                        self._write_chunk(rows, handle)
-        return SpilledPartitions(
-            [
-                Partition(r.k + 1, key_low=low, key_high=high, path=path)
-                for (low, high), path in zip(
-                    key_ranges(boundaries, partitions), paths
-                )
-            ],
-            plan.predicted_rows,
-            r.k + 1,
+        k = r.k + 1
+        if not plan.fits_in_memory:
+            self._partitions_per_k[k] = plan.num_partitions
+            if k > 2 and isinstance(r, InstanceRelation):
+                r = self._spill(r)  # the range tasks read R_{k-1} shares
+            return PlannedExtension(r, plan, k)
+
+        # Fits one budget share: materialize in memory, as the plain
+        # columnar kernel would.
+        if isinstance(r, InstanceRelation):
+            return suffix_extend(r, index, prefixes)
+        pieces = []
+        for partition in r.partitions:
+            pieces.extend(
+                suffix_extend(chunk, index, prefixes)
+                for chunk in self._load(partition)
+            )
+        r.delete()
+        return InstanceRelation(
+            None,
+            None,
+            last_sid=concat_columns([p.last_sid for p in pieces]),
+            keys=concat_columns([p.keys for p in pieces]),
+            k=k,
+            index=index,
         )
 
     def count_and_filter(self, r_prime, threshold: int):
         if isinstance(r_prime, InstanceRelation):
             return super().count_and_filter(r_prime, threshold)
+        tasks = self._range_tasks(r_prime, threshold)
+        replies = self._run_tasks(tasks)
+        if r_prime.k > 2:  # R_1 is SALES, which stays
+            r_prime.source.delete()
 
-        index = self._index
         candidate_patterns = 0
-        c_k: dict[int, int] = {}
-        out_path: Path | None = None
-        out_handle = None
-        out_rows = 0
-        out_extension_rows = 0
-        try:
-            for partition in list(r_prime.partitions):
-                chunks = self._decode_chunks(partition.read_bytes())
-                partition.delete()
-                if not chunks:
-                    continue
-                # Key ranges are disjoint across partitions, so these
-                # counts are global — the HAVING clause applies locally.
-                counts = count_packed_keys(
-                    concat_columns([chunk.keys for chunk in chunks]),
-                    via=self._count_via,
-                )
-                candidate_patterns += len(counts)
-                supported = {
-                    key: count for key, count in counts if count >= threshold
-                }
-                if not supported:
-                    continue
-                c_k.update(supported)
-                supported_keys = set(supported)
-                for chunk in chunks:
-                    survivors = filter_by_keys(chunk, supported_keys)
-                    if len(survivors) == 0:
-                        continue
-                    if out_handle is None:
-                        out_path = self._spill_path(f"r-k{self._k}")
-                        out_handle = open(out_path, "wb")
-                    self._write_chunk(survivors, out_handle)
-                    out_rows += len(survivors)
-                    out_extension_rows += int(
-                        extension_counts(survivors, index).sum()
+        shares: list[Partition] = []
+        keys, counts, ext = [], [], []
+        for task, reply in zip(tasks, replies):
+            candidates, buffers, written_rows, written, read = reply
+            candidate_patterns += candidates
+            for column, data in zip((keys, counts, ext), buffers):
+                column.append(np.frombuffer(data, dtype=np.int64))
+            self._bytes_written += written
+            self._bytes_read += read
+            if written_rows:
+                self._chunks_written += 1
+                shares.append(
+                    Partition(
+                        r_prime.k,
+                        key_low=task.key_low,
+                        key_high=task.key_high,
+                        num_rows=written_rows,
+                        path=task.out_path,
                     )
-        finally:
-            if out_handle is not None:
-                out_handle.close()
-        r_prime.partitions = []
-        self._levels.add(r_prime.k, c_k)
-        r_next = SpilledRelation(
-            [out_path] if out_path is not None else [],
-            out_rows,
-            r_prime.k,
-            out_extension_rows,
-        )
+                )
+        keys = concat_columns(keys)
+        self._levels.add(r_prime.k, keys)
+        c_k = dict(zip(keys.tolist(), concat_columns(counts).tolist()))
+        r_next = SpilledRelation(shares, r_prime.k, concat_columns(ext))
         return candidate_patterns, c_k, r_next
+
+    def _range_tasks(
+        self, planned: PlannedExtension, threshold: int
+    ) -> list[RangeTask]:
+        """One :class:`RangeTask` per planned key range, in key order."""
+        k = planned.k
+        base = self._index.base
+        prefixes = self._levels.prefixes(k - 1)
+        tasks = []
+        for key_low, key_high, _ in planned.plan.ranges:
+            first, last = key_low // base, (key_high - 1) // base
+            if prefixes is None:  # R_1 is SALES: tasks read the index
+                ranks, overlapping = None, []
+            else:
+                ranks = prefixes[first : last + 1]
+                overlapping = _overlapping(
+                    planned.source.partitions, ranks[0], ranks[-1] + 1
+                )
+            tasks.append(
+                RangeTask(
+                    k=k,
+                    key_low=key_low,
+                    key_high=key_high,
+                    prefixes=ranks,
+                    sources=overlapping,
+                    sales=self._index,
+                    base=base,
+                    threshold=threshold,
+                    via=self._count_via,
+                    out_path=str(self._spill_path(f"r-k{k}")),
+                )
+            )
+        return tasks
+
+    def _run_tasks(self, tasks: list[RangeTask]) -> list[tuple]:
+        """Run every task inline, one range at a time; open the replies.
+
+        Each reply becomes ``(candidates, [keys, counts, ext_totals],
+        rows_written, bytes_written, bytes_read)``.
+        """
+        replies = []
+        for task in tasks:
+            candidates, envelope, *tallies, _ = run_range_task(task)
+            replies.append((candidates, unpack_buffers(envelope)[0], *tallies))
+        return replies
 
     def size(self, r) -> int:
         if isinstance(r, InstanceRelation):
             return len(r)
-        return r.num_rows
+        if isinstance(r, PlannedExtension):
+            return r.plan.predicted_rows
+        return sum(share.num_rows for share in r.partitions)
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -397,8 +513,8 @@ class SpillingColumnarKernel(ColumnarKernel):
 @register_engine(
     "setm-columnar-disk",
     description=(
-        "out-of-core SETM: columnar kernel spilling R'_k key-range "
-        "partitions under a memory budget"
+        "out-of-core SETM: R'_k planned as priced key ranges, each "
+        "extended, counted and filtered in turn under a memory budget"
     ),
     representation="columnar",
     out_of_core=True,
@@ -431,15 +547,16 @@ def setm_columnar_disk(
     max_length:
         Optional cap on pattern length.
     count_via:
-        Counting strategy per partition — see
+        Counting strategy per key range — see
         :func:`repro.core.setm_columnar.setm_columnar`.
     memory_budget_bytes:
         Target resident size for the mining loop's relations.  Any
-        ``R'_k`` predicted to exceed a quarter of this is spilled as
-        ``ceil(bytes / (budget/4))`` key-range partitions and processed
-        partition-at-a-time.  The fixed residents (``SALES``, its
-        extension index, the ``C_k`` count relations) are outside the
-        budget — the paper itself assumes ``C_k`` memory-resident.
+        ``R'_k`` priced above a quarter of this is cut into key ranges
+        of at most that share, each extended, counted and filtered in
+        turn, with its ``R_k`` share spilled.  The fixed residents
+        (``SALES``, its extension index, the ``C_k`` count relations)
+        are outside the budget — the paper itself assumes ``C_k``
+        memory-resident.
     spill_dir:
         Directory for the run's private spill files (a fresh
         subdirectory is created and removed); defaults to the system
@@ -453,7 +570,7 @@ def setm_columnar_disk(
     MiningResult
         Patterns, counts, and iteration statistics identical to
         :func:`repro.core.setm.setm`.  ``extra`` additionally carries
-        ``memory_budget_bytes`` and a ``"spill"`` block — partitions
+        ``memory_budget_bytes`` and a ``"spill"`` block — key ranges
         per iteration, bytes written/read, chunks written — plus the
         loop-level ``peak_memory_bytes`` under ``measure_memory=True``
         (what the budget is checked against).

@@ -16,12 +16,12 @@ The division of labour per iteration:
   (:func:`~repro.core.partitioning.boundaries_from_keys` +
   :func:`~repro.core.partitioning.split_by_key_ranges`);
 * each worker receives a picklable :class:`Partition` (chunk bytes in
-  the spill format), counts its keys
-  with :func:`~repro.core.columns.count_packed_keys`, and sends back
-  compact ``(keys, counts)`` arrays;
+  the spill format), counts its keys and applies the HAVING threshold
+  with :func:`~repro.core.columns.count_supported`, and sends back
+  compact supported ``(keys, counts)`` arrays;
 * the parent merges results **in submission order** (ascending key
-  range, so disjoint — merging is concatenation, never reconciliation),
-  applies the HAVING threshold, and filters ``R'_k`` in-process.
+  range, so disjoint — merging is concatenation, never reconciliation)
+  and filters ``R'_k`` in-process.
 
 Because the filter runs on the parent's intact ``R'_k``, the surviving
 relation is *the same object in the same row order* the serial columnar
@@ -45,11 +45,12 @@ import atexit
 import multiprocessing
 import os
 import threading
-from array import array
 from multiprocessing.pool import RUN as _POOL_RUN
 from typing import Any, Literal, Sequence
 
-from repro.core.columns import count_packed_keys, filter_by_keys
+import numpy as np
+
+from repro.core.columns import count_supported, filter_by_keys
 from repro.core.partitioning import (
     Partition,
     boundaries_from_keys,
@@ -166,32 +167,30 @@ def resolved_start_method(start_method: str | None) -> str:
     return start_method or multiprocessing.get_start_method()
 
 
-def _pack_counts(counts: Sequence[tuple[int, int]]) -> tuple[bytes, bytes]:
-    """``(key, count)`` pairs as two flat int64 buffers for the reply."""
-    keys = array("q", (key for key, _ in counts))
-    tallies = array("q", (count for _, count in counts))
-    return keys.tobytes(), tallies.tobytes()
-
-
 def _count_partition(
-    task: tuple[Partition, str, str, str | None],
-) -> tuple[tuple, int]:
-    """Worker body: count one partition's pattern keys.
+    task: tuple[Partition, int, str, str, str | None],
+) -> tuple[int, tuple, int]:
+    """Worker body: count one partition's pattern keys, HAVING applied.
 
     Runs in the pool process.  The partition arrives as whatever
     descriptor the session's transport published — inline bytes, a
     shared-memory slice, or a spool/spill path — and is decoded
     straight over that buffer
-    (:func:`~repro.core.partitioning.decode_buffer_chunks`).  The
-    reply's flat ``(keys, counts)`` buffers leave through the same
+    (:func:`~repro.core.partitioning.decode_buffer_chunks`).  Key
+    ranges are disjoint, so the threshold applies locally
+    (:func:`~repro.core.columns.count_supported`).  The reply's flat
+    supported ``(keys, counts)`` buffers leave through the same
     transport: a parent-named reply segment under ``shm``, the result
-    pickle otherwise.  Returns ``(envelope, zero_copy_bytes)``.
+    pickle otherwise.  Returns ``(candidate_patterns, envelope,
+    zero_copy_bytes)``.
     """
-    partition, via, mode, reply_name = task
+    partition, threshold, via, mode, reply_name = task
     with partition_buffer(partition, mode) as (buffer, source):
         chunks, zero_copy = decode_buffer_chunks(buffer)
         keys = concat_columns([chunk.keys for chunk in chunks])
-        counts = count_packed_keys(keys, via=via)
+        candidates, supported, counts = count_supported(
+            keys, threshold, via=via
+        )
         # The chunk columns borrow the shm/mmap buffer; drop them (and
         # any single-chunk key view) before the context releases it.
         del chunks, keys
@@ -199,16 +198,8 @@ def _count_partition(
         # Inline/whole-read payloads were already copied to reach this
         # process; viewing them saves nothing worth reporting.
         zero_copy = 0
-    return pack_buffers(_pack_counts(counts), reply_name), zero_copy
-
-
-def _unpack_counts(key_bytes: bytes, tally_bytes: bytes) -> tuple[array, array]:
-    """Invert :func:`_pack_counts` into ``(keys, counts)`` columns."""
-    keys = array("q")
-    keys.frombytes(key_bytes)
-    tallies = array("q")
-    tallies.frombytes(tally_bytes)
-    return keys, tallies
+    envelope = pack_buffers([supported.tobytes(), counts.tobytes()], reply_name)
+    return candidates, envelope, zero_copy
 
 
 def _pool_alive(pool: Any) -> bool:
@@ -363,8 +354,7 @@ class PoolTransportMixin:
         return self._transport_mode
 
     def _record_transport(self, session: TransportSession) -> None:
-        """Fold one closed session's counters into the run telemetry."""
-        session.close()
+        """Fold one session's counters into the run telemetry."""
         self._transport_sessions += 1
         for key, value in session.counters.items():
             self._transport_counters[key] = (
@@ -452,10 +442,11 @@ class ParallelColumnarKernel(PoolTransportMixin, ColumnarKernel):
 
         mode = self._negotiated_transport()
         candidate_patterns = 0
-        c_k: dict[int, int] = {}
+        key_parts, count_parts = [], []
         with TransportSession(mode) as session:
             tasks = [
-                (published, self._count_via, mode, session.reply_name(i))
+                (published, threshold, self._count_via, mode,
+                 session.reply_name(i))
                 for i, published in enumerate(session.publish(partitions))
             ]
             replies = self._dispatch(_count_partition, tasks)
@@ -463,18 +454,18 @@ class ParallelColumnarKernel(PoolTransportMixin, ColumnarKernel):
             # Submission order == ascending key range: partition results
             # are disjoint, so the merge is concatenation and the
             # per-partition HAVING clause is the global one.
-            for envelope, zero_copy in replies:
+            for candidates, envelope, zero_copy in replies:
                 session.note_zero_copy(zero_copy)
-                keys, tallies = _unpack_counts(*session.collect(envelope))
-                candidate_patterns += len(keys)
-                for key, count in zip(keys, tallies):
-                    if count >= threshold:
-                        c_k[int(key)] = count
+                key_bytes, count_bytes = session.collect(envelope)
+                candidate_patterns += candidates
+                key_parts.append(np.frombuffer(key_bytes, dtype=np.int64))
+                count_parts.append(np.frombuffer(count_bytes, dtype=np.int64))
             self._record_transport(session)
-        r_next = filter_by_keys(r_prime, set(c_k))
-        self._levels.add(r_prime.k, c_k)
+        keys = np.concatenate(key_parts)
+        self._levels.add(r_prime.k, keys)
         self._partitions_per_k[self._k] = len(partitions)
-        return candidate_patterns, c_k, r_next
+        c_k = dict(zip(keys.tolist(), np.concatenate(count_parts).tolist()))
+        return candidate_patterns, c_k, filter_by_keys(r_prime, keys)
 
     def _partition(self, r_prime) -> list[Partition]:
         """One picklable key-range work unit per worker."""

@@ -1,47 +1,38 @@
-"""Spill-AND-parallel SETM: pooled counting over on-disk partitions.
+"""Spill-AND-parallel SETM: priced key ranges run in a worker pool.
 
-The ROADMAP's two partition consumers, combined.  The spill engine
-(:mod:`repro.core.setm_columnar_disk`) range-partitions ``R'_k`` into
-spill files under a ``memory_budget_bytes`` and counts them one at a
-time; the parallel engine (:mod:`repro.core.setm_parallel`) counts
-in-memory partitions simultaneously in a :mod:`multiprocessing` pool.
-This engine does both at once, for databases too big for RAM *and* big
-enough to parallelize:
+The out-of-core engine (:mod:`repro.core.setm_columnar_disk`) plans
+``R'_k`` as priced key ranges under a ``memory_budget_bytes`` and runs
+one task per range — extend, count, HAVING-filter, write the ``R_k``
+share — one range at a time.  This engine maps the same
+:func:`~repro.core.setm_columnar_disk.run_range_task` over the cached
+worker pool of :mod:`repro.core.setm_parallel`, for databases too big
+for RAM *and* big enough to parallelize:
 
-* **Extension and spilling are inherited unchanged** from
-  :class:`~repro.core.setm_columnar_disk.SpillingColumnarKernel`:
-  ``R'_k`` is priced before materialization, built in budget-bounded
-  slices, and range-partitioned by pattern key into
-  :class:`~repro.core.partitioning.Partition` spill files.  A relation
-  that fits one budget share never touches the disk — or the pool.
-* **Counting and filtering move to the workers.**  Each spilled
-  partition travels to the cached pool of :mod:`setm_parallel` *by
-  path* (the work unit carries its spill file's location, not its
-  bytes — the pickle is a file name, not a relation).  A worker loads
-  the partition, counts its pattern keys, applies the HAVING threshold
-  locally (key ranges are disjoint, so per-partition counts are global
-  counts), filters the survivors, and writes them straight back to a
-  spill file as the worker's share of ``R_k``.
-* **Replies stay compact.**  A worker returns only the supported
-  ``(keys, counts)`` arrays, its I/O tallies, and the survivors'
-  ``last_sid`` column; the parent merges the count relations in
-  key-range order (disjoint ⇒ concatenation) and prices
-  ``|R'_{k+1}|`` exactly from the returned cursors — the rows
-  themselves never cross the process boundary in either direction.
+* **Planning is inherited unchanged**; a level that fits one budget
+  share never touches the disk — or the pool.
+* **``SALES`` is published once per run**, when the first level is
+  pooled: its ``SalesIndex`` columns travel over the negotiated
+  transport (a shared-memory segment under ``shm``, a spooled file
+  workers map under ``mmap`` or read whole under ``pickle``), and
+  :meth:`SpillParallelKernel.close` releases them.  Earlier levels'
+  ``R_k`` shares travel by path; ``R'_k`` never crosses a process
+  boundary and is never written anywhere.
+* **Replies stay compact**: the supported ``(keys, counts)`` arrays,
+  each key's extension total for the next plan, and I/O tallies,
+  merged in key-range order (disjoint ⇒ concatenation).
 
-Because partitioning is driven by the memory budget, there is no
-``parallel_threshold`` here: an iteration is pooled exactly when it
-spilled (≥ 2 partitions) and ``workers > 1``.  With ``workers=1`` the
-engine degenerates to ``setm-columnar-disk``; under a budget nothing
-exceeds, it degenerates to ``setm-columnar``.  Either way patterns,
+A level is pooled exactly when the budget cut it into ≥ 2 ranges and
+``workers > 1``, so there is no ``parallel_threshold``.  With
+``workers=1`` the engine degenerates to ``setm-columnar-disk``; under a
+budget nothing exceeds, to ``setm-columnar``.  Either way patterns,
 rules, and :class:`~repro.core.result.IterationStats` are identical to
-``setm`` (held to that by the engine conformance matrix and the
-differential grid in ``tests/core/test_setm_spill_parallel.py``).
+``setm`` (the engine conformance matrix and
+``tests/core/test_setm_spill_parallel.py`` hold it to that).
 
-Failure containment: a worker raising mid-partition propagates out of
-the pool dispatch, and the Figure-4 loop's ``finally`` closes the
-kernel, which removes the whole spill directory — partial partitions,
-half-written ``R_k`` files and all.  The shared pool survives worker
+Failure containment: a worker raising mid-task propagates out of the
+pool dispatch, and the Figure-4 loop's ``finally`` closes the kernel,
+which removes the spill directory — half-written shares and all — and
+releases the published ``SALES``.  The shared pool survives worker
 exceptions and stays cached; a pool broken outright is evicted and
 transparently recreated on the next run
 (:func:`~repro.core.setm_parallel.pool_map`).
@@ -50,134 +41,44 @@ transparently recreated on the next run
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Any, Literal
 
-import numpy as np
-
-from repro.core.columns import count_packed_keys, filter_by_keys
-from repro.core.partitioning import (
-    Partition,
-    concat_columns,
-    decode_buffer_chunks,
-)
+from repro.core.columns import InstanceRelation
+from repro.core.partitioning import Partition
 from repro.core.result import MiningResult
 from repro.core.setm import run_figure4_loop
 from repro.core.setm_columnar_disk import (
     DEFAULT_MEMORY_BUDGET,
-    SpilledPartitions,
-    SpilledRelation,
+    RangeTask,
     SpillingColumnarKernel,
+    run_range_task,
 )
 from repro.core.setm_parallel import (
     PoolTransportMixin,
-    _pack_counts,
-    _unpack_counts,
     resolve_start_method,
     resolved_start_method,
     validate_workers,
 )
 from repro.core.transactions import TransactionDatabase
-from repro.core.transport import (
-    TransportSession,
-    pack_buffers,
-    partition_buffer,
-)
+from repro.core.transport import TransportSession
 from repro.registry import register_engine
 
 __all__ = ["SpillParallelKernel", "setm_spill_parallel"]
 
 
-def _count_filter_partition(
-    task: tuple[Partition, str, int, str, str, str | None],
-) -> tuple[int, tuple, int, int, int, int, int]:
-    """Worker body: count one on-disk partition and spill its survivors.
-
-    Runs in the pool process.  The :class:`Partition` arrives by
-    *path* — the worker opens the spill file itself, so the task pickle
-    is a file name plus a threshold; under the ``mmap`` transport the
-    file is mapped and the int64 columns decoded as views over the map
-    instead of a whole-blob read.  The whole per-partition pipeline of
-    the serial spill engine runs here: count the pattern keys, apply the
-    HAVING threshold (global, because key ranges are disjoint), filter
-    the chunks, write the survivors to ``out_path`` in the same chunk
-    format, and delete the consumed input partition.
-
-    Returns ``(candidate_patterns, reply_envelope, rows_written,
-    chunks_written, bytes_written, bytes_read, zero_copy_bytes)``.  The
-    envelope carries the supported ``(keys, counts)`` buffers plus the
-    survivors' ``last_sid`` column — one flat int64 buffer end to end,
-    never an intermediate Python list, so the parent can price
-    ``|R'_{k+1}|`` exactly against its resident extension index.
-    """
-    partition, out_path, threshold, via, mode, reply_name = task
-    rows_written = 0
-    chunks_written = 0
-    bytes_written = 0
-    sid_parts: list[bytes] = []
-    with partition_buffer(partition, mode) as (buffer, source):
-        bytes_read = len(buffer)
-        chunks, zero_copy = decode_buffer_chunks(buffer)
-        if source not in ("shm", "mmap"):
-            zero_copy = 0
-        if chunks:
-            keys = concat_columns([chunk.keys for chunk in chunks])
-            counts = count_packed_keys(keys, via=via)
-            supported = {
-                key: count for key, count in counts if count >= threshold
-            }
-            if supported:
-                supported_keys = set(supported)
-                with open(out_path, "wb") as handle:
-                    for chunk in chunks:
-                        survivors = filter_by_keys(chunk, supported_keys)
-                        if len(survivors) == 0:
-                            continue
-                        blob = survivors.to_chunk_bytes()
-                        handle.write(blob)
-                        bytes_written += len(blob)
-                        chunks_written += 1
-                        rows_written += len(survivors)
-                        sid_parts.append(survivors.last_sid.tobytes())
-                if rows_written == 0:  # every survivor lived elsewhere
-                    os.remove(out_path)
-            # The chunk columns (and a single-chunk key view) borrow the
-            # shm/mmap buffer; drop them before the context releases it.
-            del keys
-        else:
-            counts = []
-            supported = {}
-        del chunks
-    partition.delete()
-    envelope = pack_buffers(
-        [*_pack_counts(list(supported.items())), b"".join(sid_parts)],
-        reply_name,
-    )
-    return (
-        len(counts),
-        envelope,
-        rows_written,
-        chunks_written,
-        bytes_written,
-        bytes_read,
-        zero_copy,
-    )
-
-
 class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
-    """The spilling Figure-4 steps with pooled per-partition counting.
+    """The spilling Figure-4 steps with each level's range tasks pooled.
 
-    ``merge_extend`` (budgeted slicing, key-range spilling) is
-    inherited unchanged; only :meth:`count_and_filter` changes, and
-    only for relations that actually spilled: their partitions are
-    dispatched to the shared worker pool instead of being loaded one at
-    a time.  In-memory relations — and every relation when
-    ``workers=1`` — take the serial path, so the engine degrades
-    gracefully to its two parents.
+    Planning and the task body are inherited unchanged; only
+    :meth:`_run_tasks` changes, and only for levels cut into ≥ 2 ranges
+    when ``workers > 1``: their tasks are dispatched to the shared
+    worker pool instead of running inline.  In-memory levels — and
+    every level when ``workers=1`` — take the serial path, so the
+    engine degrades gracefully to its two parents.
     """
 
-    #: Spilled partitions already live in files, so ``auto`` means
-    #: mapping them (``shm`` would still help only the reply leg).
+    #: Range tasks read files (earlier shares, the published ``SALES``
+    #: columns), so ``auto`` means mapping them.
     _AUTO_TRANSPORT = "mmap"
 
     def __init__(
@@ -202,93 +103,60 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
         self._init_transport(transport)
         self._pooled_per_k: dict[int, int] = {}
         self._in_process: list[int] = []
+        self._sales_session: TransportSession | None = None
+        self._published_sales: Partition | None = None
 
     # -- Figure-4 steps -------------------------------------------------------------
 
     def count_and_filter(self, r_prime, threshold: int):
-        if not isinstance(r_prime, SpilledPartitions):
-            # Fits one budget share: counted in-process, exactly as the
-            # serial columnar kernel would.  Empty iterations are not
-            # "in process" — there was nothing to count at all.
-            if self.size(r_prime):
-                self._in_process.append(self._k)
-            return super().count_and_filter(r_prime, threshold)
-        if self._workers <= 1 or len(r_prime.partitions) < 2:
-            if r_prime.partitions:
-                self._in_process.append(self._k)
-            return super().count_and_filter(r_prime, threshold)
+        # A level that fits one budget share is counted in-process,
+        # exactly as the serial columnar kernel would.  Empty levels are
+        # not "in process" — there was nothing to count at all.
+        if isinstance(r_prime, InstanceRelation) and len(r_prime):
+            self._in_process.append(self._k)
+        return super().count_and_filter(r_prime, threshold)
+
+    def _run_tasks(self, tasks: list[RangeTask]) -> list[tuple]:
+        if self._workers <= 1:
+            self._in_process.append(self._k)
+            return super()._run_tasks(tasks)
 
         mode = self._negotiated_transport()
-        candidate_patterns = 0
-        c_k: dict[int, int] = {}
-        paths: list[Path] = []
-        out_rows = 0
-        out_extension_rows = 0
+        sales = self._publish_sales(mode)
+        replies = []
         with TransportSession(mode) as session:
-            tasks = []
-            for p, partition in enumerate(r_prime.partitions):
-                out_path = self._spill_path(f"r-k{self._k}-p{p}")
-                tasks.append(
-                    (
-                        partition,
-                        str(out_path),
-                        threshold,
-                        self._count_via,
-                        mode,
-                        session.reply_name(p),
-                    )
+            tasks = [
+                task._replace(
+                    sales=sales, mode=mode, reply_name=session.reply_name(i)
                 )
-            replies = self._dispatch(_count_filter_partition, tasks)
-
-            # Submission order == ascending key range: the per-partition
-            # count relations are disjoint, so merging is concatenation —
-            # the same order the serial engine produces
-            # partition-at-a-time.
-            for task, reply in zip(tasks, replies):
-                (
-                    candidates,
-                    envelope,
-                    rows_written,
-                    chunks_written,
-                    bytes_written,
-                    bytes_read,
-                    zero_copy,
-                ) = reply
+                for i, task in enumerate(tasks)
+            ]
+            for reply in self._dispatch(run_range_task, tasks):
+                candidates, envelope, *tallies, zero_copy = reply
                 session.note_zero_copy(zero_copy)
-                key_bytes, tally_bytes, sid_bytes = session.collect(envelope)
-                candidate_patterns += candidates
-                keys, tallies = _unpack_counts(key_bytes, tally_bytes)
-                for key, count in zip(keys, tallies):
-                    c_k[int(key)] = int(count)
-                self._bytes_read += bytes_read
-                self._bytes_written += bytes_written
-                self._chunks_written += chunks_written
-                if rows_written:
-                    paths.append(Path(task[1]))
-                    out_rows += rows_written
-                    out_extension_rows += self._extension_rows_from_sids(
-                        sid_bytes
-                    )
+                replies.append((candidates, session.collect(envelope), *tallies))
             self._record_transport(session)
-        r_prime.partitions = []
-        self._levels.add(r_prime.k, c_k)
         self._pooled_per_k[self._k] = len(tasks)
-        return (
-            candidate_patterns,
-            c_k,
-            SpilledRelation(paths, out_rows, r_prime.k, out_extension_rows),
-        )
+        return replies
 
-    def _extension_rows_from_sids(self, sid_bytes: bytes) -> int:
-        """Exact ``|R'_{k+1}|`` contribution of one worker's survivors.
+    def _publish_sales(self, mode: str) -> Partition:
+        """The run's ``SalesIndex`` columns for the workers, published once.
 
-        The workers have no extension index; the parent gathers the
-        per-cursor extension counts over the returned ``last_sid``
-        column — 8 bytes of IPC per surviving row instead of re-reading
-        the ``R_k`` spill file.
+        ``items`` then ``ext_counts`` as raw int64, in one shared-memory
+        segment under ``shm`` and in one spooled file otherwise (mapped
+        under ``mmap``, read whole under ``pickle``).  :meth:`close`
+        releases it.
         """
-        sids = np.frombuffer(sid_bytes, dtype=np.int64)
-        return int(self._index.ext_counts[sids].sum())
+        if self._published_sales is None:
+            index = self._index
+            raw = index.items.tobytes() + index.ext_counts.tobytes()
+            session = TransportSession("shm" if mode == "shm" else "mmap")
+            (self._published_sales,) = session.publish(
+                [Partition(1, num_rows=len(index.items), payload=raw)]
+            )
+            self._sales_session = session
+            self._record_transport(session)
+        return self._published_sales
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -304,12 +172,19 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
         stats["transport"] = self.transport_stats()
         return stats
 
+    def close(self) -> None:
+        if self._sales_session is not None:
+            self._sales_session.close()
+            self._sales_session = None
+            self._published_sales = None
+        super().close()
+
 
 @register_engine(
     "setm-spill-parallel",
     description=(
-        "out-of-core AND parallel SETM: R'_k spill partitions "
-        "counted and filtered in a multiprocessing pool, by path"
+        "out-of-core AND parallel SETM: R'_k key ranges extended, "
+        "counted and filtered in a multiprocessing pool"
     ),
     representation="columnar",
     out_of_core=True,
@@ -338,7 +213,7 @@ def setm_spill_parallel(
     transport: str | None = None,
     measure_memory: bool = False,
 ) -> MiningResult:
-    """Mine with pooled counting of on-disk partitions; identical to ``setm``.
+    """Mine with each level's key ranges pooled; identical to ``setm``.
 
     Parameters
     ----------
@@ -349,13 +224,13 @@ def setm_spill_parallel(
     max_length:
         Optional cap on pattern length.
     count_via:
-        Counting strategy per partition — see
+        Counting strategy per key range — see
         :func:`repro.core.setm_columnar.setm_columnar`.
     memory_budget_bytes:
         Target resident size for the mining loop's relations, exactly
         as in :func:`repro.core.setm_columnar_disk.setm_columnar_disk`;
-        additionally the gate for the pool — only iterations the budget
-        forces to spill (≥ 2 partitions) are counted in workers.
+        additionally the gate for the pool — only levels the budget
+        cuts into ≥ 2 key ranges run in workers.
     spill_dir:
         Directory for the run's private spill files (a fresh
         subdirectory is created and removed); workers write their
@@ -368,12 +243,12 @@ def setm_spill_parallel(
         ``multiprocessing`` start method for the pool; ``None`` defers
         to ``REPRO_MP_START_METHOD``, then the platform default.
     transport:
-        How partition bytes cross the process boundary —
-        ``"pickle"`` (workers read spill files whole; replies ride the
-        result pickle), ``"mmap"`` (workers map spill files and decode
-        columns as views over the map), ``"shm"`` (replies return
-        through named shared-memory segments), or ``"auto"``/``None``
-        (prefer ``mmap`` — the partitions already live in files).
+        How the ``SALES`` columns, the ``R_k`` shares and the replies
+        cross the process boundary — ``"pickle"`` (workers read files
+        whole; replies ride the result pickle), ``"mmap"`` (workers map
+        the files and decode columns as views over the map), ``"shm"``
+        (``SALES`` in a named shared-memory segment, replies through
+        segments too), or ``"auto"``/``None`` (prefer ``mmap``).
         Results are byte-identical on every transport.
     measure_memory:
         Record loop peak memory in ``extra["peak_memory_bytes"]``; off
@@ -387,7 +262,7 @@ def setm_spill_parallel(
         telemetry of ``setm-columnar-disk`` (``memory_budget_bytes``,
         ``"spill"`` — including worker-side reads and writes) merged
         with the pool telemetry of ``setm-parallel`` (``workers``, a
-        ``"parallel"`` block with pooled iterations, partition counts,
+        ``"parallel"`` block with pooled iterations, pooled key ranges,
         and the resolved start method) and a ``"transport"`` block
         with the negotiated mode and bytes-moved / copies-avoided
         counters.

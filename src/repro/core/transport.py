@@ -579,15 +579,6 @@ class TransportSession:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def stats(self) -> dict:
-        """This session's counters (merged into engine telemetry)."""
-        return {
-            "mode": self.mode,
-            "segments": len(self._segments),
-            "spool_files": self._spooled,
-            **self.counters,
-        }
-
 
 # --------------------------------------------------------------------------
 # Per-pool negotiation: prove shm works through *this* pool before

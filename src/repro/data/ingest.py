@@ -58,7 +58,6 @@ from repro.core.columns import (
     InstanceRelation,
     SalesIndex,
     _as_int64,
-    read_chunks,
 )
 from repro.core.partitioning import Partition
 from repro.core.transactions import (
@@ -233,8 +232,8 @@ class EncodedDataset:
         if self._partitions:
             merged = _column()
             for partition in self._partitions:
-                for chunk in read_chunks(partition.read_bytes()):
-                    merged.extend(chunk.keys)
+                for chunk in partition.load():
+                    merged.frombytes(chunk.keys.tobytes())
                 partition.delete()
             if self._items is not None:
                 merged.extend(self._items)
@@ -277,7 +276,7 @@ class EncodedDataset:
         spill files.
         """
         for partition in self._partitions:
-            for chunk in read_chunks(partition.read_bytes()):
+            for chunk in partition.load():
                 yield chunk.keys
         if self._items is not None and (self._partitions or self._items):
             yield self._items
@@ -361,7 +360,7 @@ class EncodedDataset:
                 self._items = _remap_column(self._items, old_to_new)
             for partition in self._partitions:
                 pieces = []
-                for chunk in read_chunks(partition.read_bytes()):
+                for chunk in partition.load():
                     remapped = InstanceRelation(
                         None,
                         None,
@@ -662,9 +661,8 @@ class _StreamEncoder:
         catalog, remap = self.builder.build()
         self.items = _remap_column(self.items, remap)
         for partition in self.partitions:
-            data = partition.read_bytes()
             pieces = []
-            for chunk in read_chunks(data):
+            for chunk in partition.load():
                 remapped = InstanceRelation(
                     None,
                     None,

@@ -2,8 +2,9 @@
 
 Property-style coverage: for relations produced by the real kernel
 pipeline over seeded QUEST databases (and hypothesis-generated ones),
-``to_chunk_bytes`` → ``from_chunk_bytes`` must reproduce the
-``(keys, last_sid, k)`` triple exactly, for any int64 key.
+``to_chunk_bytes`` → :func:`decode_buffer_chunks` (the one decoder of
+the chunk format) must reproduce the ``(keys, last_sid, k)`` triple
+exactly, for any int64 key.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columns import (
-    InstanceRelation,
-    read_chunks,
-)
+from repro.core.columns import InstanceRelation, chunk_frames
+from repro.core.partitioning import decode_buffer_chunks
 from repro.core.setm_columnar import ColumnarKernel
 from repro.data.quest import QuestConfig, generate_quest_dataset
 
@@ -37,8 +36,9 @@ def _pipeline_relations(db):
 
 def _assert_round_trip(relation, index):
     blob = relation.to_chunk_bytes()
-    restored, end = InstanceRelation.from_chunk_bytes(blob, index=index)
-    assert end == len(blob)
+    (restored,), _ = decode_buffer_chunks(blob, index=index)
+    (frame,) = chunk_frames(blob)
+    assert frame[-1] == len(blob)
     assert restored.k == relation.k
     assert list(restored.keys) == [int(key) for key in relation.keys]
     assert list(restored.last_sid) == [int(s) for s in relation.last_sid]
@@ -70,7 +70,7 @@ class TestQuestPipelines:
         index, relations = _pipeline_relations(db)
         r_prime = relations[1]
         blob = r_prime.to_chunk_bytes()
-        restored, _ = InstanceRelation.from_chunk_bytes(blob, index=index)
+        (restored,), _ = decode_buffer_chunks(blob, index=index)
         assert list(restored.rows()) == list(r_prime.rows())
 
 
@@ -91,8 +91,8 @@ class TestKeyMagnitudes:
             index=None,
         )
         blob = relation.to_chunk_bytes()
-        restored, end = InstanceRelation.from_chunk_bytes(blob)
-        assert end == len(blob)
+        (restored,), viewed = decode_buffer_chunks(blob)
+        assert viewed == 16 * len(keys)
         assert list(restored.keys) == keys
         assert restored.k == 9
 
@@ -104,7 +104,7 @@ class TestFraming:
         )
         index, relations = _pipeline_relations(db)
         blob = b"".join(r.to_chunk_bytes() for r in relations)
-        restored = list(read_chunks(blob, index=index))
+        restored, _ = decode_buffer_chunks(blob, index=index)
         assert len(restored) == len(relations)
         for original, copy in zip(relations, restored):
             assert list(copy.keys) == [int(k) for k in original.keys]
@@ -115,7 +115,7 @@ class TestFraming:
         )
         blob = relation.to_chunk_bytes()
         with pytest.raises(ValueError, match="magic"):
-            InstanceRelation.from_chunk_bytes(b"XXXX" + blob[4:])
+            decode_buffer_chunks(b"XXXX" + blob[4:])
 
     def test_relation_without_columns_rejected(self):
         eager = InstanceRelation.from_rows([(1, 2), (1, 3)], 1)
@@ -123,13 +123,13 @@ class TestFraming:
             eager.to_chunk_bytes()
 
     def test_indexless_chunk_names_missing_index_on_derivation(self):
-        """read_chunks without index: keys/last_sid work, tids/items
+        """Decoding without index: keys/last_sid work, tids/items
         fail with a clear error, not a bare AttributeError."""
         relation = InstanceRelation(
             None, None, last_sid=[0, 1], keys=[5, 6], k=1, index=None
         )
         blob = relation.to_chunk_bytes()
-        (restored,) = list(read_chunks(blob))
+        (restored,), _ = decode_buffer_chunks(blob)
         assert list(restored.keys) == [5, 6]
         with pytest.raises(ValueError, match="SalesIndex"):
             restored.tids

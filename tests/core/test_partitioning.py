@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.columns import (
     InstanceRelation,
     extension_counts,
+    extension_totals,
 )
 from repro.core.partitioning import (
     ROW_BYTES,
@@ -24,8 +26,8 @@ from repro.core.partitioning import (
     boundaries_from_keys,
     choose_boundaries,
     concat_columns,
+    cut_ranges,
     key_ranges,
-    sample_extension_boundaries,
     split_by_key_ranges,
 )
 from repro.core.setm_columnar import ColumnarKernel
@@ -167,53 +169,97 @@ class TestKeyRangeRouting:
 
 class TestPartitionPlan:
     def test_small_relations_fit_in_memory(self):
-        plan = PartitionPlan.from_predicted_rows(10, share_bytes=1024)
+        plan = PartitionPlan.from_prefix_totals([4, 6], 10, share_bytes=1024)
         assert plan.fits_in_memory
         assert plan.num_partitions == 1
-        assert plan.predicted_bytes == 10 * ROW_BYTES
+        assert plan.predicted_rows == 10
 
     def test_oversized_relations_get_ceil_partitions(self):
-        # 1000 rows * 16 bytes = 16000 bytes over a 4096-byte share.
-        plan = PartitionPlan.from_predicted_rows(1000, share_bytes=4096)
+        # 1000 one-row prefixes * 16 bytes over a 4096-byte share.
+        plan = PartitionPlan.from_prefix_totals(
+            [1] * 1000, 10, share_bytes=4096
+        )
         assert not plan.fits_in_memory
         assert plan.num_partitions == 4
+        assert [rows for _, _, rows in plan.ranges] == [256, 256, 256, 232]
 
     def test_at_least_two_partitions_once_spilling(self):
-        plan = PartitionPlan.from_predicted_rows(257, share_bytes=4096)
+        plan = PartitionPlan.from_prefix_totals(
+            [1] * 257, 10, share_bytes=4096
+        )
         assert plan.num_partitions == 2
 
     def test_pricing_from_extension_counts_is_exact(self):
         index, relations = _pipeline_relations(_quest_db(2))
         sales = relations[0]
-        plan = PartitionPlan.from_extension_counts(
-            sales, index, share_bytes=1
+        totals = extension_totals(sales, index, None, index.base)
+        plan = PartitionPlan.from_prefix_totals(
+            totals, index.base, share_bytes=1
         )
         assert plan.predicted_rows == len(relations[1])
         assert plan.predicted_rows == int(
             sum(extension_counts(sales, index))
         )
 
+    def test_ranges_are_priced_within_a_share_and_exact(self):
+        """Every emitted R'_2 key lies in exactly one range, and each
+        range's price is exactly the rows it holds."""
+        index, relations = _pipeline_relations(_quest_db(1))
+        sales, r_prime = relations[0], relations[1]
+        share_bytes = 64 * ROW_BYTES
+        totals = extension_totals(sales, index, None, index.base)
+        plan = PartitionPlan.from_prefix_totals(
+            totals, index.base, share_bytes
+        )
+        assert plan.num_partitions >= 2
+        keys = np.sort(np.asarray(r_prime.keys))
+        previous_high = None
+        for low, high, rows in plan.ranges:
+            assert low < high
+            assert previous_high is None or low >= previous_high
+            previous_high = high
+            held = int(np.count_nonzero((keys >= low) & (keys < high)))
+            assert held == rows
+            # Only a single prefix (not cut by item here) may overflow.
+            assert rows <= 64 or high - low == index.base
+        assert plan.predicted_rows == len(keys)
+
+    def test_oversized_prefix_is_cut_by_item(self):
+        # Prefix 1 alone has 10 rows over a 4-row share: its item
+        # totals cut it into contiguous sub-ranges of [1*base, 2*base).
+        per_item = np.array([0, 0, 3, 1, 4, 2, 0, 0], dtype=np.int64)
+        plan = PartitionPlan.from_prefix_totals(
+            [2, 10, 1],
+            8,
+            share_bytes=4 * ROW_BYTES,
+            item_totals=lambda rank: per_item,
+        )
+        assert plan.ranges == [
+            (0, 8, 2),
+            (8 + 0, 8 + 4, 4),
+            (8 + 4, 8 + 5, 4),
+            (8 + 5, 8 + 8, 2),
+            (16, 24, 1),
+        ]
+
+    def test_zero_totals_plan_no_ranges(self):
+        assert cut_ranges([0, 0, 0], 4) == []
+        assert cut_ranges([], 4) == []
+        plan = PartitionPlan.from_prefix_totals([0, 0], 10, share_bytes=16)
+        assert plan.ranges == [] and plan.fits_in_memory
+
+
+class TestCutRanges:
+    def test_runs_fit_the_share_except_single_oversized_entries(self):
+        assert cut_ranges([3, 3, 3, 9, 1, 1], 6) == [
+            (0, 2), (2, 3), (3, 4), (4, 6)
+        ]
+
+    def test_zero_runs_are_dropped(self):
+        assert cut_ranges([0, 0, 9, 0], 4) == [(2, 3)]
+        assert cut_ranges([2, 0, 0, 9], 4) == [(0, 3), (3, 4)]
+
 
 class TestBoundarySampling:
-    def test_extension_sample_matches_emitted_keys(self):
-        index, relations = _pipeline_relations(_quest_db(1))
-        sales = relations[0]
-        boundaries = sample_extension_boundaries(
-            iter([sales]), index, len(sales), 3
-        )
-        assert boundaries is not None
-        emitted = sorted(int(k) for k in relations[1].keys)
-        # Sampled quantiles must land inside the emitted key domain.
-        assert emitted[0] <= boundaries[0] <= boundaries[-1] <= emitted[-1]
-
-    def test_empty_sample_returns_none(self):
-        index, relations = _pipeline_relations(_quest_db(1))
-        empty = InstanceRelation(
-            None, None, last_sid=[], keys=[], k=2, index=index
-        )
-        assert (
-            sample_extension_boundaries(iter([empty]), index, 0, 2) is None
-        )
-
     def test_boundaries_from_keys_empty_column(self):
         assert boundaries_from_keys([], 4) is None

@@ -187,6 +187,45 @@ class TestKeyDistributionDrift:
         )
 
 
+class TestOversizedPrefix:
+    """One 400-item transaction plus four short ones at an 8 KiB budget:
+    R'_2 needs hundreds of key ranges, and item 1's extensions alone
+    exceed a budget share, so the plan cuts that prefix by item
+    sub-range (at k = 2 and again at k = 3, from spilled shares)."""
+
+    @staticmethod
+    def _db():
+        return TransactionDatabase(
+            [(1, list(range(1, 401)))]
+            + [(tid, [1, 2, 3, 50 + tid]) for tid in range(2, 6)]
+        )
+
+    @pytest.mark.parametrize(
+        "engine", ["setm-columnar-disk", "setm-spill-parallel"]
+    )
+    def test_matches_setm(self, engine, monkeypatch):
+        from repro.registry import get_engine
+
+        split = []
+        item_totals = SpillingColumnarKernel._item_totals
+
+        def spy(self, r, prefixes, rank):
+            split.append(r.k + 1)
+            return item_totals(self, r, prefixes, rank)
+
+        monkeypatch.setattr(SpillingColumnarKernel, "_item_totals", spy)
+        options = {"memory_budget_bytes": 8192}
+        if engine == "setm-spill-parallel":
+            options["workers"] = 2
+        db = self._db()
+        result = get_engine(engine).runner(db, 2, **options)
+        reference = setm(db, 2)
+        assert result.count_relations == reference.count_relations
+        assert result.iterations == reference.iterations
+        assert result.extra["spill"]["partitions"][2] > 64
+        assert {2, 3} <= set(split)
+
+
 class TestHousekeeping:
     def test_spill_directory_removed_after_run(self, tmp_path, make_random_db):
         db = make_random_db(1)
@@ -204,14 +243,21 @@ class TestHousekeeping:
         self, tmp_path, make_random_db, monkeypatch
     ):
         """run_figure4_loop's finally must close the kernel: an
-        exception mid-iteration (here: inside partition counting, after
-        R'_2's partitions were spilled) cannot leak temp files."""
+        exception mid-iteration (here: inside the second key range's
+        counting, after the first range spilled its R_2 share) cannot
+        leak temp files."""
         import repro.core.setm_columnar_disk as disk_module
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("counting exploded")
+        count_supported = disk_module.count_supported
+        calls = []
 
-        monkeypatch.setattr(disk_module, "count_packed_keys", boom)
+        def boom(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise RuntimeError("counting exploded")
+            return count_supported(*args, **kwargs)
+
+        monkeypatch.setattr(disk_module, "count_supported", boom)
         with pytest.raises(RuntimeError, match="counting exploded"):
             setm_columnar_disk(
                 make_random_db(5),

@@ -3,31 +3,31 @@
 The acceptance bar: ``setm-spill-parallel`` must produce patterns,
 rules, and iteration statistics identical to ``setm`` across a QUEST ×
 minsup × workers grid under a memory budget small enough to force at
-least two spill partitions — with telemetry proving the pooled by-path
-counting branch actually ran, not a silent fallback to either parent
-engine.
+least two key ranges — with telemetry proving the pooled range tasks
+actually ran, not a silent fallback to either parent engine.
 
-Failure injection (ISSUE 5 satellite): a worker raising mid-partition
-must leave no spill files behind (the Figure-4 loop's ``finally``
-closes the kernel, which removes the spill root), and the shared pool
-must stay usable after a worker exception — or be cleanly recreated
-after an outright pool break.
+Failure injection: a worker raising mid-task must leave no spill files
+and no shared-memory segment behind (the Figure-4 loop's ``finally``
+closes the kernel, which removes the spill root and releases the
+published ``SALES`` columns), and the shared pool must stay usable
+after a worker exception — or be cleanly recreated after an outright
+pool break.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.baselines.bruteforce import bruteforce
 from repro.core.rules import generate_rules
 from repro.core.setm import run_figure4_loop, setm
-from repro.core.setm_columnar_disk import SpilledPartitions, setm_columnar_disk
+from repro.core.partitioning import Partition
+from repro.core.setm_columnar_disk import run_range_task, setm_columnar_disk
 from repro.core.setm_spill_parallel import (
     SpillParallelKernel,
     setm_spill_parallel,
 )
+from repro.core.transport import leaked_segment_names
 from repro.data.quest import QuestConfig, generate_quest_dataset
 from repro.errors import InvalidConfigError
 
@@ -229,11 +229,11 @@ class TestPlumbing:
 
 
 class _PoisoningKernel(SpillParallelKernel):
-    """Deletes one spill partition file right before pooled counting.
+    """Points one pooled range task at a ``SALES`` file that is gone.
 
-    The worker assigned the poisoned partition raises
-    ``FileNotFoundError`` mid-iteration — exactly the shape of a disk
-    failing under a live run.
+    The worker assigned the poisoned task raises ``FileNotFoundError``
+    mid-level while its siblings write their ``R_k`` shares — exactly
+    the shape of a disk failing under a live run.
     """
 
     def __init__(self, *args, **kwargs):
@@ -241,16 +241,13 @@ class _PoisoningKernel(SpillParallelKernel):
         self.seen_root = None
         self.poisoned = False
 
-    def count_and_filter(self, r_prime, threshold):
-        self.seen_root = self._spill_root
-        if (
-            isinstance(r_prime, SpilledPartitions)
-            and len(r_prime.partitions) >= 2
-            and not self.poisoned
-        ):
-            os.remove(r_prime.partitions[0].path)
+    def _dispatch(self, func, tasks):
+        if func is run_range_task and not self.poisoned:
+            self.seen_root = self._spill_root
+            missing = Partition(1, path=self._spill_root / "missing.bin")
+            tasks = [tasks[0]._replace(sales=missing), *tasks[1:]]
             self.poisoned = True
-        return super().count_and_filter(r_prime, threshold)
+        return super()._dispatch(func, tasks)
 
 
 class TestFailureInjection:
@@ -270,9 +267,11 @@ class TestFailureInjection:
             )
         assert kernel.poisoned, "the pooled branch never ran"
         # The loop's finally closed the kernel: spill root and every
-        # partial partition / half-written R_k file under it are gone.
+        # half-written R_k share under it are gone, and so is the
+        # published SALES.
         assert kernel.seen_root is not None
         assert not kernel.seen_root.exists()
+        assert leaked_segment_names() == ()
         # The pool survived the worker exception and stays cached...
         key = (kernel._start_method, 2)
         pool = pools._POOLS.get(key)
@@ -287,6 +286,21 @@ class TestFailureInjection:
         assert pools._POOLS.get(key) is pool
         assert result.same_patterns_as(setm(db, 0.01))
         assert result.extra["parallel"]["parallel_iterations"]
+
+    def test_worker_failure_releases_published_sales_segment(self):
+        db = self._grid_db()
+        kernel = _PoisoningKernel(
+            db, memory_budget_bytes=GRID_BUDGET, workers=2, transport="shm"
+        )
+        with pytest.raises(FileNotFoundError):
+            run_figure4_loop(
+                db, 0.01, kernel, algorithm="setm-spill-parallel"
+            )
+        assert kernel.poisoned, "the pooled branch never ran"
+        assert kernel.extra_stats()["transport"]["mode"] == "shm"
+        assert kernel.extra_stats()["transport"]["task_bytes_shared"] > 0
+        assert not kernel.seen_root.exists()
+        assert leaked_segment_names() == ()
 
     def test_broken_pool_is_recreated_for_the_next_run(self):
         from repro.core import setm_parallel as pools
