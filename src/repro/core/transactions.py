@@ -198,6 +198,10 @@ class CatalogBuilder:
     def __len__(self) -> int:
         return len(self._labels)
 
+    def labels(self) -> list[Item]:
+        """Every registered label, in provisional-id order."""
+        return list(self._labels)
+
     def encode(self, labels: Iterable[Item]) -> list[int]:
         """Provisional ids for ``labels``, registering new ones in bulk."""
         provisional = self._provisional

@@ -5,10 +5,12 @@ whole input file: it pulls ``(trans_id, item)`` **column batches** from
 a :class:`ChunkSource` and encodes them one bounded chunk at a time.
 This package holds the sources, one module per format:
 
-* ``csv`` — stdlib :mod:`csv`; the file must be scanned byte-for-byte
-  (row-major format), but only the ``trans_id`` and ``item`` fields are
-  ever *decoded* — extra columns pass through untouched and the
-  decode-byte saving is recorded;
+* ``csv`` — the file must be scanned byte-for-byte (row-major
+  format), but only the ``trans_id`` and ``item`` fields are ever
+  *decoded* — extra columns pass through untouched and the
+  decode-byte saving is recorded.  All-integer blocks are parsed with
+  numpy into int64 columns; every other block goes through stdlib
+  :mod:`csv`;
 * ``basket`` — the paper-shaped ``trans_id: item item ...`` lines;
   every byte is projected data, so read and decoded bytes coincide;
 * ``parquet`` / ``arrow`` — real column-projection pushdown behind the
@@ -35,6 +37,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ClassVar
+
+import numpy as np
 
 from repro.errors import InvalidConfigError
 
@@ -71,14 +75,43 @@ class ColumnChunk:
     basket format, impossible in row-per-sale formats); they still
     count toward the support denominator, so the encoder must not lose
     them.
+
+    Iterating a :class:`ChunkSource` always yields Python lists.  Inside
+    the package, :meth:`ChunkSource.iter_columns` may instead hand over
+    two int64 numpy columns for an all-integer chunk, which the
+    streaming encoder consumes without a per-row loop.
     """
 
-    trans_ids: list[int]
-    items: list[Any]
+    trans_ids: list[int] | np.ndarray
+    items: list[Any] | np.ndarray
     empty_trans_ids: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.trans_ids)
+
+    def as_lists(self) -> "ColumnChunk":
+        """This chunk with Python-list columns (ints stay Python ints)."""
+        return ColumnChunk(
+            _as_list(self.trans_ids),
+            _as_list(self.items),
+            self.empty_trans_ids,
+        )
+
+
+def _as_list(values) -> list:
+    return values if isinstance(values, list) else values.tolist()
+
+
+def join_columns(pieces: list) -> list | np.ndarray:
+    """Concatenate column pieces: int64 if every piece is, else a list."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if all(isinstance(piece, np.ndarray) for piece in pieces):
+        return np.concatenate(pieces)
+    joined: list = []
+    for piece in pieces:
+        joined.extend(_as_list(piece))
+    return joined
 
 
 @dataclass
@@ -174,6 +207,14 @@ class ChunkSource:
         self.stats = DecodeStats(format=self.format, path=str(self.path))
 
     def __iter__(self) -> Iterator[ColumnChunk]:
+        return map(ColumnChunk.as_lists, self.iter_columns())
+
+    def iter_columns(self) -> Iterator[ColumnChunk]:
+        """Iterate the chunks, keeping any int64 numpy columns as they are.
+
+        Same chunks and the same :attr:`stats` as plain iteration; only
+        the column type differs (see :class:`ColumnChunk`).
+        """
         self.stats.reset()
         return self._decode()
 
@@ -182,8 +223,8 @@ class ChunkSource:
 
     def _emit(
         self,
-        trans_ids: list[int],
-        items: list[Any],
+        trans_ids: list[int] | np.ndarray,
+        items: list[Any] | np.ndarray,
         empty_trans_ids: tuple[int, ...] = (),
     ) -> ColumnChunk:
         self.stats.chunks += 1

@@ -23,6 +23,7 @@ from repro.data.formats import (
     register_decoder,
     require_pyarrow,
 )
+from repro.errors import IngestError
 
 __all__ = ["ArrowChunkSource"]
 
@@ -58,7 +59,7 @@ class ArrowChunkSource(ChunkSource):
                 if column not in names
             ]
             if missing:
-                raise ValueError(
+                raise IngestError(
                     f"{self.path}: expected columns 'trans_id' and "
                     f"'item', got {names!r}"
                 )

@@ -24,6 +24,7 @@ from repro.data.formats import (
     parse_item,
     register_decoder,
 )
+from repro.errors import IngestError
 
 __all__ = ["BasketChunkSource", "iter_basket_transactions"]
 
@@ -34,7 +35,8 @@ def iter_basket_transactions(
     """Parse a basket file into ``(trans_id, items)`` pairs, in file order.
 
     Blank lines and ``#`` comment lines are ignored; malformed lines
-    raise ``ValueError`` with the offending line number.  Items are not
+    raise :class:`~repro.errors.IngestError` (a ``ValueError``) with the
+    offending line number.  Items are not
     de-duplicated or sorted here — that is the consumer's contract
     (:class:`TransactionDatabase` construction, or the streaming
     encoder's per-transaction normalization).
@@ -47,14 +49,14 @@ def iter_basket_transactions(
                 continue
             head, separator, tail = line.partition(":")
             if not separator:
-                raise ValueError(
+                raise IngestError(
                     f"{path}:{line_no}: expected 'trans_id: items', "
                     f"got {line!r}"
                 )
             try:
                 trans_id = int(head.strip())
             except ValueError as exc:
-                raise ValueError(
+                raise IngestError(
                     f"{path}:{line_no}: bad trans_id {head.strip()!r}"
                 ) from exc
             yield trans_id, tuple(parse_item(token) for token in tail.split())

@@ -26,6 +26,7 @@ from repro.data.formats import (
     register_decoder,
     require_pyarrow,
 )
+from repro.errors import IngestError
 
 __all__ = ["ParquetChunkSource"]
 
@@ -56,7 +57,7 @@ class ParquetChunkSource(ChunkSource):
             column for column in PROJECTED_COLUMNS if column not in names
         ]
         if missing:
-            raise ValueError(
+            raise IngestError(
                 f"{self.path}: expected columns 'trans_id' and 'item', "
                 f"got {names!r}"
             )

@@ -13,19 +13,34 @@ column is spilled through the existing
 :class:`~repro.core.partitioning.Partition` chunk machinery whenever it
 reaches half the budget.
 
+The pass works on whole columns, not rows.  Each chunk arrives as two
+parallel columns: int64 numpy arrays when the decoder could parse every
+value as a plain integer (the CSV decoder's columnar path for the
+paper's integer ``SALES`` relation), Python lists otherwise (string
+labels, the basket and Parquet/Arrow decoders, and any CSV block the
+decoder hands to :mod:`csv`).  :meth:`_StreamEncoder.add_rows` checks
+ascending ``trans_id`` with one ``diff``, carries the chunk's trailing
+basket over to the next chunk, gives every label a chunk-local code in
+sorted label order (``np.unique`` for arrays, ``sorted(set(...))`` for
+lists), sorts and de-duplicates each basket's codes with one
+composite-key sort (skipped when a vectorized check finds every basket
+already strictly ascending), takes run lengths from
+``flatnonzero(diff)``, and sends only the chunk's *distinct* labels, as
+Python objects, through the :class:`CatalogBuilder`.  Integer and
+string labels then share the rest of the path.
+
 Two problems make this more than a loop:
 
 * **The sorted-id invariant.**  :class:`ItemCatalog` assigns ids in
   sorted label order (numeric id order must equal lexicographic label
   order — the pattern-key machinery depends on it), but a single pass
   sees labels in arrival order.  The encoder therefore uses
-  *provisional* first-appearance ids
-  (:class:`~repro.core.transactions.CatalogBuilder`) and applies the
-  final ``provisional -> sorted`` remap at the end: one vectorized
-  gather over the resident column, one streamed rewrite per spilled
-  chunk.  Each transaction's labels are sorted *before* provisional
-  encoding, so the remapped rows land in exactly the whole-file order —
-  the product is byte-identical to
+  *provisional* ids (:class:`~repro.core.transactions.CatalogBuilder`)
+  and applies the final ``provisional -> sorted`` remap at the end:
+  one vectorized gather over the resident column, one streamed rewrite
+  per spilled chunk.  Each transaction's labels are sorted *before*
+  provisional encoding, so the remapped rows land in exactly the
+  whole-file order — the product is byte-identical to
   :meth:`InstanceRelation.sales_from_database`.
 * **The ordering contract.**  A bounded pass cannot regroup rows, so
   input must arrive grouped by ascending ``trans_id`` (what
@@ -66,7 +81,7 @@ from repro.core.transactions import (
     TransactionDatabase,
     absolute_support_threshold,
 )
-from repro.data.formats import ChunkSource, open_chunk_source
+from repro.data.formats import ChunkSource, join_columns, open_chunk_source
 from repro.errors import IngestError
 
 __all__ = [
@@ -319,7 +334,7 @@ class EncodedDataset:
             # Seed every existing label so the rebuilt catalog covers the
             # union even when the delta never mentions an old item.
             encoder.builder.encode(self.catalog.labels())
-            for chunk in source:
+            for chunk in source.iter_columns():
                 encoder.add_rows(chunk.trans_ids, chunk.items)
                 if chunk.empty_trans_ids:
                     encoder.empty_tids.extend(chunk.empty_trans_ids)
@@ -505,8 +520,9 @@ class _StreamEncoder:
         self.trans_ids = _column()
         self.partitions: list[Partition] = []
         self.empty_tids: list[int] = []
-        self.pending_tid: int | None = None
-        self.pending_labels: list = []
+        # The trailing basket, as (trans_ids, labels) pieces of the
+        # chunks it spans so far.
+        self.carry: list[tuple[np.ndarray, Any]] = []
         self.last_tid: int | None = None
         self.row_offset = 0
         self.spilled_chunks = 0
@@ -530,47 +546,74 @@ class _StreamEncoder:
     # -- transaction grouping ------------------------------------------------------
 
     def add_rows(self, trans_ids, labels) -> None:
-        pending_tid = self.pending_tid
-        pending_labels = self.pending_labels
-        for trans_id, label in zip(trans_ids, labels):
-            if trans_id != pending_tid:
-                if pending_tid is not None:
-                    self._flush_group(pending_tid, pending_labels)
-                self._check_ascending(trans_id)
-                pending_tid = trans_id
-                pending_labels = []
-            pending_labels.append(label)
-        self.pending_tid = pending_tid
-        self.pending_labels = pending_labels
+        """Group one chunk's rows into baskets and encode the complete ones.
 
-    def _check_ascending(self, trans_id: int) -> None:
-        if self.last_tid is not None and trans_id <= self.last_tid:
-            raise IngestError(
-                f"streaming ingest needs rows grouped by ascending "
-                f"trans_id; trans_id {trans_id!r} arrived after "
-                f"{self.last_tid!r} (for unsorted data use the "
-                f"whole-file readers in repro.data.io)"
+        ``trans_ids`` and ``labels`` are parallel columns: int64 numpy
+        arrays from the integer decode, or Python lists.  Rows of the
+        chunk's last ``trans_id`` may continue in the next chunk, so
+        that basket is carried over until a later ``trans_id`` (or
+        :meth:`finish_groups`) closes it.
+        """
+        tids = _tid_column(trans_ids)
+        if not len(tids):
+            return
+        self._check_ascending(tids)
+        if self.carry and self.carry[0][0][0] == tids[-1]:
+            self.carry.append((tids, labels))
+            return
+        cut = int(np.searchsorted(tids, tids[-1]))
+        if self.carry or cut:
+            self._encode_baskets(
+                *_concat_pieces([*self.carry, (tids[:cut], labels[:cut])])
             )
+        self.carry = [(tids[cut:], labels[cut:])]
 
-    def _flush_group(self, trans_id: int, labels: list) -> None:
-        try:
-            ordered = sorted(set(labels))
-        except TypeError as exc:
-            names = sorted({type(label).__name__ for label in labels})
-            raise TypeError(
-                "transaction items must be mutually comparable; found "
-                "mixed types: " + ", ".join(names)
-            ) from exc
-        self.items.extend(self.builder.encode(ordered))
-        self.run_lengths.append(len(ordered))
-        self.trans_ids.append(trans_id)
-        self.last_tid = trans_id
+    def _check_ascending(self, tids: np.ndarray) -> None:
+        if self.carry:
+            # The carried basket may go on; an earlier trans_id may not.
+            previous = int(self.carry[0][0][0])
+            if tids[0] < previous:
+                raise _descending(int(tids[0]), previous)
+        elif self.last_tid is not None and tids[0] <= self.last_tid:
+            raise _descending(int(tids[0]), self.last_tid)
+        steps = np.flatnonzero(tids[1:] < tids[:-1])
+        if len(steps):
+            step = int(steps[0])
+            raise _descending(int(tids[step + 1]), int(tids[step]))
+
+    def _encode_baskets(self, tids: np.ndarray, labels) -> None:
+        """Normalize and provisionally encode whole baskets, in bulk.
+
+        Labels become chunk-local codes in sorted label order; each
+        basket's codes are sorted and de-duplicated with one composite
+        ``basket * width + code`` sort, skipped when every basket is
+        already strictly ascending.  The chunk's distinct labels go
+        through the :class:`CatalogBuilder` once, and a gather turns
+        codes into provisional ids.
+        """
+        uniques, codes = _label_codes(labels)
+        starts = np.empty(len(tids), dtype=bool)
+        starts[0] = True
+        np.not_equal(tids[1:], tids[:-1], out=starts[1:])
+        basket_tids = tids[starts]
+        if not (starts[1:] | (codes[1:] > codes[:-1])).all():
+            width = len(uniques)
+            keys = np.unique((np.cumsum(starts) - 1) * width + codes)
+            baskets, codes = np.divmod(keys, width)
+            starts = np.empty(len(keys), dtype=bool)
+            starts[0] = True
+            np.not_equal(baskets[1:], baskets[:-1], out=starts[1:])
+        run_lengths = np.diff(np.flatnonzero(starts), append=len(codes))
+        provisional = np.asarray(self.builder.encode(uniques), dtype=np.int64)
+        self.items.frombytes(provisional[codes].tobytes())
+        self.run_lengths.frombytes(run_lengths.astype(np.int64).tobytes())
+        self.trans_ids.frombytes(basket_tids.tobytes())
+        self.last_tid = int(basket_tids[-1])
 
     def finish_groups(self) -> None:
-        if self.pending_tid is not None:
-            self._flush_group(self.pending_tid, self.pending_labels)
-            self.pending_tid = None
-            self.pending_labels = []
+        if self.carry:
+            self._encode_baskets(*_concat_pieces(self.carry))
+            self.carry = []
 
     # -- spilling ------------------------------------------------------------------
 
@@ -621,44 +664,41 @@ class _StreamEncoder:
         """Fold zero-item transactions into the run-length framing.
 
         Both sequences are ascending (the ordering contract), so a
-        two-way merge reproduces exactly the whole-file order; any
-        duplicate or out-of-order empty trans_id fails typed here.
+        ``searchsorted`` merge reproduces exactly the whole-file order;
+        any duplicate or out-of-order empty trans_id fails typed here.
         """
         if not self.empty_tids:
             return
-        for previous, current in zip(self.empty_tids, self.empty_tids[1:]):
-            if current <= previous:
+        empties = _tid_column(self.empty_tids)
+        steps = np.flatnonzero(empties[1:] <= empties[:-1])
+        if len(steps):
+            step = int(steps[0])
+            raise IngestError(
+                f"streaming ingest needs rows grouped by ascending "
+                f"trans_id; empty trans_id {int(empties[step + 1])!r} "
+                f"arrived after {int(empties[step])!r}"
+            )
+        tids = _as_int64(self.trans_ids)
+        slots = np.searchsorted(tids, empties)
+        if len(tids):
+            clashes = tids[np.minimum(slots, len(tids) - 1)] == empties
+            if clashes.any():
                 raise IngestError(
-                    f"streaming ingest needs rows grouped by ascending "
-                    f"trans_id; empty trans_id {current!r} arrived "
-                    f"after {previous!r}"
+                    f"duplicate trans_id {int(empties[clashes.argmax()])!r}: "
+                    "appears both empty and with items"
                 )
-        merged_tids = _column()
-        merged_runs = _column()
-        empties = iter(self.empty_tids)
-        empty_tid = next(empties, None)
-        for trans_id, run_length in zip(self.trans_ids, self.run_lengths):
-            while empty_tid is not None and empty_tid < trans_id:
-                merged_tids.append(empty_tid)
-                merged_runs.append(0)
-                empty_tid = next(empties, None)
-            if empty_tid is not None and empty_tid == trans_id:
-                raise IngestError(
-                    f"duplicate trans_id {empty_tid!r}: appears both "
-                    "empty and with items"
-                )
-            merged_tids.append(trans_id)
-            merged_runs.append(run_length)
-        while empty_tid is not None:
-            merged_tids.append(empty_tid)
-            merged_runs.append(0)
-            empty_tid = next(empties, None)
-        self.trans_ids = merged_tids
-        self.run_lengths = merged_runs
+        self.trans_ids = _column()
+        self.trans_ids.frombytes(np.insert(tids, slots, empties).tobytes())
+        runs = np.insert(_as_int64(self.run_lengths), slots, 0)
+        self.run_lengths = _column()
+        self.run_lengths.frombytes(runs.tobytes())
 
     def remap(self) -> ItemCatalog:
         """Resolve provisional ids to the final sorted-order catalog ids."""
-        catalog, remap = self.builder.build()
+        try:
+            catalog, remap = self.builder.build()
+        except TypeError:
+            raise _mixed_types(self.builder.labels()) from None
         self.items = _remap_column(self.items, remap)
         for partition in self.partitions:
             pieces = []
@@ -675,6 +715,61 @@ class _StreamEncoder:
             partition.path.write_bytes(blob)
             self.spill_bytes_written += len(blob)
         return catalog
+
+
+def _descending(trans_id: int, previous: int) -> IngestError:
+    return IngestError(
+        f"streaming ingest needs rows grouped by ascending "
+        f"trans_id; trans_id {trans_id!r} arrived after "
+        f"{previous!r} (for unsorted data use the "
+        f"whole-file readers in repro.data.io)"
+    )
+
+
+def _mixed_types(labels) -> IngestError:
+    names = sorted({type(label).__name__ for label in labels})
+    return IngestError(
+        "transaction items must be mutually comparable; found "
+        "mixed types: " + ", ".join(names)
+    )
+
+
+def _tid_column(trans_ids) -> np.ndarray:
+    """``trans_ids`` as an int64 array (list input goes through ``array``)."""
+    if isinstance(trans_ids, np.ndarray):
+        return trans_ids
+    try:
+        return np.frombuffer(_column(trans_ids), dtype=np.int64)
+    except (OverflowError, TypeError) as exc:
+        raise IngestError(
+            f"trans_ids must be integers that fit 64 bits: {exc}"
+        ) from None
+
+
+def _label_codes(labels) -> tuple[list, np.ndarray]:
+    """``(sorted distinct labels, code of every label)`` for one batch.
+
+    Codes index the sorted list, so code order is label order.  Labels
+    that cannot be ordered together fail typed.
+    """
+    if isinstance(labels, np.ndarray):
+        uniques, codes = np.unique(labels, return_inverse=True)
+        return uniques.tolist(), codes.reshape(-1).astype(np.int64, copy=False)
+    try:
+        uniques = sorted(set(labels))
+    except TypeError:
+        raise _mixed_types(labels) from None
+    index = {label: code for code, label in enumerate(uniques)}
+    codes = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+    return uniques, codes
+
+
+def _concat_pieces(pieces: list[tuple[np.ndarray, Any]]):
+    """Join ``(trans_ids, labels)`` pieces; labels stay int64 if all are."""
+    return (
+        join_columns([piece[0] for piece in pieces]),
+        join_columns([piece[1] for piece in pieces]),
+    )
 
 
 def _remap_column(values, remap: list[int]) -> array:
@@ -706,11 +801,12 @@ def stream_encode(
     Raises
     ------
     IngestError
-        Rows not grouped by ascending ``trans_id``, a duplicate group,
-        or an invalid ``memory_budget_bytes``.
+        Malformed input (from the decoder), labels that cannot be
+        ordered together, rows not grouped by ascending ``trans_id``,
+        a duplicate group, or an invalid ``memory_budget_bytes``.
     """
     encoder = _StreamEncoder(memory_budget_bytes, spill_dir)
-    for chunk in source:
+    for chunk in source.iter_columns():
         encoder.add_rows(chunk.trans_ids, chunk.items)
         if chunk.empty_trans_ids:
             encoder.empty_tids.extend(chunk.empty_trans_ids)

@@ -14,6 +14,7 @@ Hierarchy::
     │   └── InvalidSupportError               bad support / confidence value
     ├── UnknownAlgorithmError (+ ValueError)  name not in the registry
     ├── EngineOptionError (+ TypeError)       option the engine rejects
+    ├── IngestError (+ ValueError)            malformed or unsorted input file
     ├── TransportError                        partition-transport layer
     │   └── PartitionFormatError (+ ValueError)  descriptor version mismatch
     ├── StateError                            incremental mining state
@@ -90,15 +91,17 @@ class InvalidSupportError(InvalidConfigError):
 
 
 class IngestError(ReproError, ValueError):
-    """Streaming ingest rejected the input (see :mod:`repro.data.ingest`).
+    """Ingest rejected the input (see :mod:`repro.data.ingest`).
 
-    Raised when a chunked source violates the streaming contract —
-    rows not grouped by ascending ``trans_id``, a ``trans_id`` group
-    reappearing after it was flushed — conditions the whole-file
-    readers tolerate (they buffer everything and can regroup) but a
-    bounded-memory single pass cannot.  The message names the
-    offending ``trans_id`` and points at the whole-file path as the
-    fallback for unsorted data.
+    Raised for malformed input — a bad header, a short row or a
+    ``trans_id`` that is not an integer (these name ``path:line``), or
+    item labels of types that cannot be ordered together — and when a
+    chunked source violates the streaming contract: rows not grouped by
+    ascending ``trans_id``, or a ``trans_id`` group reappearing after it
+    was flushed.  The whole-file readers tolerate unsorted input (they
+    buffer everything and can regroup) but a bounded-memory single pass
+    cannot, so those messages name the offending ``trans_id`` and point
+    at the whole-file path as the fallback.
     """
 
 

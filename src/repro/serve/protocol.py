@@ -424,7 +424,12 @@ def error_status(error: ReproError) -> int:
     if isinstance(error, _errors.UnknownAlgorithmError):
         return 404
     if isinstance(
-        error, (_errors.InvalidConfigError, _errors.EngineOptionError)
+        error,
+        (
+            _errors.InvalidConfigError,
+            _errors.EngineOptionError,
+            _errors.IngestError,
+        ),
     ):
         return 400
     return 500

@@ -103,6 +103,23 @@ class TestStreamEncodeEquivalence:
             ds = load_dataset(path, chunk_rows=chunk_rows)
             assert_byte_identical(ds, db)
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_integer_database_spilled(self, tmp_path, fmt, chunk_rows):
+        # Integer labels take the columnar decode (CSV) and the array
+        # encoder; a 64-byte budget adds spill plus the final remap.
+        db = random_database(9, num_transactions=60, num_items=15)
+        path = _write(db, fmt, tmp_path)
+        ds = load_dataset(
+            path,
+            input_format=fmt,
+            chunk_rows=chunk_rows,
+            memory_budget_bytes=64,
+        )
+        assert_byte_identical(ds, db)
+        assert ds.stats.spilled_chunks >= 1
+        ds.close()
+
     def test_auto_format_detection(self, tmp_path, example_db):
         for fmt in FORMATS:
             path = _write(example_db, fmt, tmp_path)
@@ -247,6 +264,22 @@ class TestEmptyTransactions:
         assert_byte_identical(ds, db)
         # Support denominators agree: item 'a' in 2 of 4 transactions.
         assert ds.absolute_support(0.5) == db.absolute_support(0.5)
+
+    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+    def test_empty_baskets_interleaved(self, tmp_path, chunk_rows):
+        path = tmp_path / "x.basket"
+        path.write_text("1:\n2: b a\n3:\n4:\n6: c\n7: a\n9:\n10:\n")
+        ds = load_dataset(path, chunk_rows=chunk_rows)
+        assert_byte_identical(ds, read_basket_file(path))
+        assert list(ds.run_lengths) == [0, 2, 0, 0, 1, 1, 0, 0]
+
+    def test_out_of_order_empty_baskets_rejected(self, tmp_path):
+        path = tmp_path / "x.basket"
+        path.write_text("1: a\n5:\n3:\n")
+        with pytest.raises(
+            IngestError, match="empty trans_id 3 arrived after 5"
+        ):
+            load_dataset(path)
 
     def test_trailing_empty_baskets(self, tmp_path):
         path = tmp_path / "x.basket"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,8 @@ import pytest
 from repro import Miner, MiningConfig
 from repro.config import DEFAULT_ENGINE
 from repro.core.result import MiningResult
+from repro.core.transactions import TransactionDatabase
+from repro.data.ingest import load_dataset
 from repro.errors import ServerBusyError, ServerDrainingError
 from repro.registry import register_engine, unregister_engine
 from repro.serve.protocol import result_payload, rules_payload
@@ -212,6 +215,83 @@ class TestErrors:
         )
         assert status == 400
         assert document["error"]["type"] == "EngineOptionError"
+
+
+class TestAppendOp:
+    """``append`` on a stream-encoded integer dataset."""
+
+    @pytest.fixture
+    def int_service(self, tmp_path):
+        base = tmp_path / "base.csv"
+        base.write_text("trans_id,item\n1,10\n1,30\n2,30\n")
+        service = MiningService(
+            {"base": load_dataset(base)}, workers=1, default_timeout=30.0
+        )
+        yield service
+        service.drain()
+
+    def _append(self, service, tmp_path, text):
+        delta = tmp_path / "delta.csv"
+        delta.write_text(text)
+        return service.handle(
+            {"op": "append", "dataset": "base", "path": str(delta)}
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tid,item\n3,10\n", r"delta\.csv: expected header"),
+            (
+                "trans_id,item\n3,10\nthree,10\n",
+                r"delta\.csv:3: bad trans_id 'three'",
+            ),
+            ("trans_id,item\n3,10\n3,x\n", "mixed types: int, str"),
+            ("trans_id,item\n4,10\n3,20\n", "3 arrived after 4"),
+        ],
+        ids=["header", "trans_id", "mixed-labels", "descending"],
+    )
+    def test_bad_delta_is_400_ingest_error(
+        self, int_service, tmp_path, text, message
+    ):
+        status, document = self._append(int_service, tmp_path, text)
+        assert status == 400, document
+        assert document["ok"] is False
+        assert document["error"]["type"] == "IngestError"
+        assert re.search(message, document["error"]["message"])
+        # The refused delta left the dataset as it was.
+        hosted = int_service._datasets["base"].encoded_dataset
+        assert hosted.generation == 0
+        assert hosted.num_transactions == 2
+
+    def test_labels_between_existing_ones_remap_base_ids(
+        self, int_service, tmp_path
+    ):
+        status, document = self._append(
+            int_service, tmp_path, "trans_id,item\n3,20\n3,30\n4,5\n"
+        )
+        assert status == 200, document
+        info = document["result"]
+        assert info["remapped_base_ids"] is True
+        assert info["new_items"] == 2
+        hosted = int_service._datasets["base"].encoded_dataset
+        assert hosted.catalog.labels() == [5, 10, 20, 30]
+        grown = TransactionDatabase(
+            [(1, [10, 30]), (2, [30]), (3, [20, 30]), (4, [5])]
+        )
+        assert hosted.database(decoded=True) == grown
+        mined = ok(
+            int_service.handle(
+                {
+                    "op": "mine",
+                    "dataset": "base",
+                    "config": {"support": 0.25},
+                }
+            )
+        )
+        expected = result_payload(
+            Miner(grown).frequent_itemsets(MiningConfig(support=0.25))
+        )
+        assert mined["result"] == expected
 
 
 class TestQueryOp:
