@@ -18,7 +18,7 @@ instance relations, and the choice is the whole performance story:
   :class:`~repro.core.transactions.ItemCatalog`.  Rows never exist as
   Python objects inside the loop: every Figure-4 step is a few
   whole-column numpy operations — the set-oriented bulk passes (sort,
-  merge-scan, group-count, filter) the paper argues for.  Three ideas
+  merge-scan, group-count, filter) the paper argues for.  Four ideas
   carry the speedup:
 
   1. **Run-length group delimitation.**  Trans_id groups in ``SALES``
@@ -38,13 +38,20 @@ instance relations, and the choice is the whole performance story:
      in the sorted ``F_{k-1}`` keys (:func:`prefix_ranks`) — the paper's
      "simple table look-ups on relation ``C_{k-1}``" as an integer row
      reference.  At ``k <= 2`` the prefix is the item id itself.  The
-     merge computes the ranks once per ``R_{k-1}`` row, so counting is
-     one ``np.unique(return_counts=True)`` sort-and-scan (or a hash
-     pass, :func:`count_packed_keys`) — never ``tuple(row[1:])`` — and
-     the minimum-support filter is one membership mask
-     (:func:`filter_by_keys`).  Ranks follow lexicographic prefix
-     order, so key order is pattern order, and a key is bounded by
-     ``|F_{k-1}| * base``: it always fits 64 bits.
+     merge computes the ranks once per ``R_{k-1}`` row, so counting
+     never builds ``tuple(row[1:])``.  Ranks follow lexicographic
+     prefix order, so key order is pattern order, and a key is bounded
+     by ``|F_{k-1}| * base``: it always fits 64 bits.
+  4. **Direct-address counting.**  The caller knows the span a level's
+     keys lie in (``[0, |F_{k-1}| * base)``, or one planned key range),
+     so when that span is at most twice the number of keys, ``C_k`` is
+     one ``np.bincount`` over ``key - low`` and ``R_k`` is one gather
+     from the ``count >= threshold`` table — the HAVING step as the
+     paper's "simple table look-ups on relation ``C_k``"
+     (:func:`count_and_filter`).  Wider spans sort
+     (``np.unique(return_counts=True)``) and filter through a boolean
+     table, or past sixteen keys of span per row through one
+     membership probe (:func:`filter_by_keys`).
 
   The key column and ``last_sid`` together determine every logical
   column (``trans_id`` by reading the sales tid at ``last_sid``; the
@@ -87,6 +94,7 @@ __all__ = [
     "InstanceRelation",
     "SalesIndex",
     "chunk_frames",
+    "count_and_filter",
     "count_packed_keys",
     "count_sorted_rows",
     "count_supported",
@@ -96,6 +104,7 @@ __all__ = [
     "filter_by_keys",
     "prefix_ranks",
     "suffix_extend",
+    "table_fits",
 ]
 
 #: Typecode of every materialized column: signed 64-bit, enough for any
@@ -600,10 +609,10 @@ def suffix_extend(
         starts, counts = sids + 1, index.ext_counts[sids]
     else:
         starts, counts = index.item_window(sids, *items)
-    offsets = np.arange(int(counts.sum())) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    new_sids = np.repeat(starts, counts) + offsets
+    # Output row j of prev row r sits at sales position starts[r] +
+    # (j - first output row of r): one repeat of the shifted starts.
+    new_sids = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    new_sids += np.arange(len(new_sids))
     scaled = (
         _as_int64(prefix_ranks(prev_keys, prefixes)) + first_rank
     ) * index.base
@@ -670,8 +679,27 @@ class FrequentLevels:
         return table
 
 
+#: What a direct-address table may cost per row of its relation: as
+#: much as the row's own ``keys`` + ``last_sid`` columns.  An int64
+#: count table therefore serves key spans up to twice the row count,
+#: and a boolean filter table spans up to sixteen times it.
+TABLE_BYTES_PER_ROW = 16
+
+
+def table_fits(
+    span: tuple[int, int] | None, rows: int, entry_bytes: int
+) -> bool:
+    """Whether a table of ``entry_bytes`` per key of ``span`` fits ``rows``."""
+    return span is not None and (
+        entry_bytes * (span[1] - span[0]) <= TABLE_BYTES_PER_ROW * rows
+    )
+
+
 def count_packed_keys(
-    keys: Sequence[int], *, via: Literal["auto", "sort", "hash"] = "auto"
+    keys: Sequence[int],
+    *,
+    via: Literal["auto", "sort", "hash"] = "auto",
+    span: tuple[int, int] | None = None,
 ) -> list[tuple[int, int]]:
     """Group counts over pattern keys.
 
@@ -680,16 +708,35 @@ def count_packed_keys(
     ``np.unique(return_counts=True)``, emitted in ascending key order,
     which equals lexicographic pattern order.  ``via="hash"`` is one
     :class:`collections.Counter` pass (C-speed integer hashing), emitted
-    in deterministic first-occurrence order.  ``via="auto"`` is
-    ``"sort"``.  All strategies produce the same multiset of
-    ``(key, count)`` pairs.
+    in deterministic first-occurrence order.  ``via="auto"`` counts by
+    direct addressing when the caller's ``span`` — every key lies in
+    ``[low, high)`` — is narrow (:func:`count_and_filter`), and sorts
+    otherwise; it emits ascending keys either way.  All strategies
+    produce the same multiset of ``(key, count)`` pairs.
     """
-    unique, counts = _tally(_as_int64(keys), via)
+    unique, counts = _tally(_as_int64(keys), via, span)
     return list(zip(unique.tolist(), counts.tolist()))
 
 
+def _dense_counts(
+    keys: np.ndarray, via: str, span: tuple[int, int] | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(key - low, count of every key in span)``, or ``None`` to sort.
+
+    Direct addressing applies to ``via="auto"`` when an int64 count per
+    key of the span fits :data:`TABLE_BYTES_PER_ROW` (a span at most
+    twice the number of keys); ``"sort"`` and ``"hash"`` are the
+    explicit ablations and keep their strategies.
+    """
+    if via != "auto" or not table_fits(span, len(keys), 8):
+        return None
+    low, high = span
+    offsets = keys - low if low else keys
+    return offsets, np.bincount(offsets, minlength=high - low)
+
+
 def _tally(
-    keys: np.ndarray, via: str
+    keys: np.ndarray, via: str, span: tuple[int, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys and their counts, as :func:`count_packed_keys` orders them."""
     if via == "hash":
@@ -698,6 +745,11 @@ def _tally(
             np.fromiter(tally.keys(), dtype=np.int64, count=len(tally)),
             np.fromiter(tally.values(), dtype=np.int64, count=len(tally)),
         )
+    dense = _dense_counts(keys, via, span)
+    if dense is not None:
+        table = dense[1]
+        present = np.flatnonzero(table)
+        return present + span[0], table[present]
     return np.unique(keys, return_counts=True)
 
 
@@ -706,6 +758,7 @@ def count_supported(
     threshold: int,
     *,
     via: Literal["auto", "sort", "hash"] = "auto",
+    span: tuple[int, int] | None = None,
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """``C_k`` with its HAVING clause, on arrays: ``(candidates, keys, counts)``.
 
@@ -713,13 +766,78 @@ def count_supported(
     with ``count >= threshold`` as two int64 arrays in ascending key
     order — ready for :func:`filter_by_keys` — and reports how many
     distinct keys were counted.  No per-candidate Python object is
-    built on the sort path.
+    built on the sort or direct-address paths.  For callers that hold
+    only the keys (a pool worker counting one partition);
+    :func:`count_and_filter` also builds ``R_k``.
     """
-    unique, counts = _tally(_as_int64(keys), via)
+    keys = _as_int64(keys)
+    dense = _dense_counts(keys, via, span)
+    if dense is not None:
+        return _dense_supported(dense[1], threshold, span[0])[:3]
+    unique, counts = _tally(keys, via)
     keep = counts >= threshold
     supported, counts = unique[keep], counts[keep].astype(np.int64)
     order = np.argsort(supported)  # the hash pass counts unordered
     return len(unique), supported[order], counts[order]
+
+
+def _dense_supported(
+    table: np.ndarray, threshold: int, low: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``(candidates, keys, counts, kept)`` from a direct-address table.
+
+    ``kept`` is the boolean ``count >= threshold`` table over the span
+    (never true for an absent key, whatever the threshold).
+    """
+    kept = table >= max(threshold, 1)
+    supported = np.flatnonzero(kept)
+    return (
+        int(np.count_nonzero(table)),
+        supported + low,
+        table[supported],
+        kept,
+    )
+
+
+def count_and_filter(
+    relation: InstanceRelation,
+    threshold: int,
+    *,
+    via: Literal["auto", "sort", "hash"] = "auto",
+    span: tuple[int, int] | None = None,
+) -> tuple[int, np.ndarray, np.ndarray, InstanceRelation]:
+    """``C_k`` with its HAVING clause, then ``R_k``: one level's count step.
+
+    Returns ``(candidates, keys, counts, survivors)``: how many distinct
+    keys ``relation`` holds, the supported keys in ascending order with
+    their counts, and the rows of ``relation`` whose key is supported,
+    in input order.  ``span=(low, high)`` is what the caller knows
+    bounds every key — ``[0, |F_{k-1}| * base)`` for a whole level, the
+    planned ``[key_low, key_high)`` for one key range.  Under
+    ``via="auto"`` a span at most twice the row count is counted by one
+    ``np.bincount`` over ``key - low``, and the survivors are one gather
+    from the ``count >= threshold`` table; otherwise (and for
+    ``"sort"``/``"hash"``) this is :func:`count_supported` plus
+    :func:`filter_by_keys`.
+    """
+    if relation.keys is None:
+        raise ValueError("count_and_filter needs the packed-keys column")
+    keys = _as_int64(relation.keys)
+    dense = _dense_counts(keys, via, span)
+    if dense is None:
+        candidates, supported, counts = count_supported(
+            keys, threshold, via=via
+        )
+        return candidates, supported, counts, filter_by_keys(
+            relation, supported, span=span
+        )
+    offsets, table = dense
+    candidates, supported, counts, kept = _dense_supported(
+        table, threshold, span[0]
+    )
+    return candidates, supported, counts, _select_rows(
+        relation, keys, kept[offsets]
+    )
 
 
 def _member_mask(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -739,7 +857,10 @@ def _member_mask(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 def filter_by_keys(
-    relation: InstanceRelation, supported: Iterable[int]
+    relation: InstanceRelation,
+    supported: Iterable[int],
+    *,
+    span: tuple[int, int] | None = None,
 ) -> InstanceRelation:
     """``R_k`` from ``R'_k``: keep rows whose pattern key is supported.
 
@@ -747,15 +868,31 @@ def filter_by_keys(
     ``keys`` and ``last_sid`` columns are copied through it.  Input order is
     preserved, so the sorted-by-``(trans_id, items)`` invariant survives
     filtering.  ``supported`` is any collection of keys (a set, a
-    ``C_k`` dict, the arrays :func:`count_supported` returns).
-    Requires ``relation.keys``.
+    ``C_k`` dict, the arrays :func:`count_supported` returns).  With a
+    ``span`` bounding every key (as for :func:`count_and_filter`) whose
+    boolean table fits :data:`TABLE_BYTES_PER_ROW` — at most sixteen
+    keys of span per row — the mask is one gather from that table
+    instead.  Requires ``relation.keys``.
     """
     if relation.keys is None:
         raise ValueError("filter_by_keys needs the packed-keys column")
     keys = _as_int64(relation.keys)
     if not isinstance(supported, np.ndarray):
         supported = np.fromiter(supported, dtype=np.int64)
-    mask = _member_mask(keys, np.sort(supported))
+    if table_fits(span, len(keys), 1):
+        low = span[0]
+        kept = np.zeros(span[1] - low, dtype=bool)
+        kept[supported - low] = True
+        mask = kept[keys - low]
+    else:
+        mask = _member_mask(keys, np.sort(supported))
+    return _select_rows(relation, keys, mask)
+
+
+def _select_rows(
+    relation: InstanceRelation, keys: np.ndarray, mask: np.ndarray
+) -> InstanceRelation:
+    """The rows of ``relation`` under ``mask`` (itself when all are kept)."""
     if bool(mask.all()):
         return relation
     return InstanceRelation(

@@ -19,7 +19,10 @@ item_1, ..., item_k`` collapses into the counting step — a key-free
 integer sort of the rank keys (``count_via="sort"``, one
 ``np.unique``) or a single hash pass (``count_via="hash"``): the perf
 engine has no obligation to sort where the faithful one must.  The
-default ``"auto"`` means ``"sort"``.
+default ``"auto"`` counts by direct addressing — one ``np.bincount``
+over the level's key span ``[0, |F_{k-1}| * base)`` — when that span is
+at most twice ``|R'_k|``, and sorts otherwise
+(:func:`~repro.core.columns.count_and_filter`).
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from repro.core.columns import (
     FrequentLevels,
     InstanceRelation,
     SalesIndex,
+    count_and_filter,
     count_packed_keys,
-    count_supported,
-    filter_by_keys,
     suffix_extend,
 )
 from repro.core.result import MiningResult, Pattern
@@ -91,6 +93,7 @@ class ColumnarKernel(KernelLifecycle):
         self._levels = FrequentLevels(self._base)
         self._count_via: Literal["auto", "sort", "hash"] = count_via
         self._index: SalesIndex | None = None
+        self._labels: list | None = None  # id -> label, built on first decode
 
     def make_sales(self) -> InstanceRelation:
         if isinstance(self._database, TransactionDatabase):
@@ -112,7 +115,9 @@ class ColumnarKernel(KernelLifecycle):
 
     def c1_counts(self, sales: InstanceRelation) -> list[tuple[int, int]]:
         # For k = 1 the key *is* the item id; no pack pass needed.
-        return count_packed_keys(sales.keys, via=self._count_via)
+        return count_packed_keys(
+            sales.keys, via=self._count_via, span=(0, self._base)
+        )
 
     def resort_by_tid(self, r: InstanceRelation) -> InstanceRelation:
         # No-op by invariant: merge output and filter both preserve
@@ -129,18 +134,36 @@ class ColumnarKernel(KernelLifecycle):
     def count_and_filter(
         self, r_prime: InstanceRelation, threshold: int
     ) -> tuple[int, dict[int, int], InstanceRelation]:
-        candidates, keys, counts = count_supported(
-            r_prime.keys, threshold, via=self._count_via
+        candidates, keys, counts, r_next = count_and_filter(
+            r_prime,
+            threshold,
+            via=self._count_via,
+            span=self._key_span(r_prime.k),
         )
         self._levels.add(r_prime.k, keys)
         c_k = dict(zip(keys.tolist(), counts.tolist()))
-        return candidates, c_k, filter_by_keys(r_prime, keys)
+        return candidates, c_k, r_next
+
+    def _key_span(self, k: int) -> tuple[int, int]:
+        """``[0, |F_{k-1}| * base)``: every level-``k`` key lies in it.
+
+        At ``k = 2`` a key's prefix is an item id, below ``base``.
+        """
+        prefixes = self._levels.prefixes(k - 1)
+        ranks = self._base if prefixes is None else len(prefixes)
+        return 0, ranks * self._base
 
     def size(self, r: InstanceRelation) -> int:
         return len(r)
 
     def decode(self, key: int, k: int) -> Pattern:
-        return self._catalog.decode(self._levels.items(key, k))
+        labels = self._labels
+        if labels is None:
+            # Ids run 1..len(catalog) in label order.
+            labels = self._labels = [None, *self._catalog.labels()]
+        if k == 1:
+            return (labels[key],)
+        return tuple(map(labels.__getitem__, self._levels.items(key, k)))
 
 
 @register_engine(
@@ -170,11 +193,14 @@ def setm_columnar(
     max_length:
         Optional cap on pattern length.
     count_via:
-        ``"auto"`` (default; the same as ``"sort"``), ``"hash"`` (one
-        Counter pass over rank keys), or ``"sort"`` (key-free integer
-        sort + run-length scan as one ``np.unique`` — the paper-shaped
-        strategy).  Identical counts any way; the knob feeds the
-        counting-strategy ablation benchmark.
+        ``"auto"`` (default: direct addressing — one ``np.bincount``
+        over the level's key span, and the HAVING filter as one table
+        gather — when the span is at most twice the number of keys,
+        ``"sort"`` otherwise), ``"hash"`` (one Counter pass over rank
+        keys), or ``"sort"`` (key-free integer sort + run-length scan
+        as one ``np.unique`` — the paper-shaped strategy).  Identical
+        counts any way; the knob feeds the counting-strategy ablation
+        benchmark.
     measure_memory:
         Record loop peak memory in ``extra["peak_memory_bytes"]``; off
         by default (see :func:`repro.core.setm.setm`).

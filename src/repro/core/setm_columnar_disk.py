@@ -14,18 +14,22 @@ rows die at the HAVING filter.  This engine bounds them by partitioning
   ``R'_k`` into ranges of at most one budget share (a prefix too big
   for a share is cut by item sub-range).  ``|R'_k|`` is the plan's
   exact total; nothing is materialized to make the plan.
-* **One task per range.**  :func:`run_range_task` selects the range's
-  ``R_{k-1}`` rows (``SALES`` positions at ``k = 2``, so no rows move;
-  later, rows of the previous level's overlapping share files), extends
-  them, counts and HAVING-filters the keys — key ranges are disjoint,
-  so its counts are global counts — and writes the survivors as its
-  share of ``R_k``, reporting each key's extension total for the next
-  plan.  Resident memory stays at one range's slice of ``R'_k`` plus
-  the fixed residents (``SALES`` + its index + ``C_k``, which the paper
-  itself assumes memory-resident).
+* **Batches of ranges.**  :func:`run_range_batch` runs a contiguous
+  batch of planned ranges: it maps ``SALES`` once and, at ``k = 2``,
+  selects the batch's ``SALES`` positions with one scan and splits them
+  per range (no rows move); later, each range masks its rows out of the
+  previous level's overlapping share files.  Then, one range at a time,
+  it extends the range's rows, counts and HAVING-filters the keys — key
+  ranges are disjoint, so its counts are global counts, and a narrow
+  range is counted by direct addressing over ``[key_low, key_high)``
+  (:func:`~repro.core.columns.count_and_filter`) — and writes the
+  survivors as the range's share of ``R_k``, reporting each key's
+  extension total for the next plan.  Resident memory stays at one
+  range's slice of ``R'_k`` plus the fixed residents (``SALES`` + its
+  index + ``C_k``, which the paper itself assumes memory-resident).
 
-This engine runs the tasks inline, one range at a time;
-``setm-spill-parallel`` maps the same task body over a worker pool.  A
+This engine runs all of a level's ranges inline as one batch;
+``setm-spill-parallel`` maps batches of them over a worker pool.  A
 level whose ``R'_k`` fits one share runs in memory, exactly as
 ``setm-columnar`` does.  Each row's extensions depend only on its own
 ``last_sid`` and counts are per-pattern, so partitioning changes
@@ -40,7 +44,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Literal, NamedTuple
+from typing import Any, Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -48,10 +52,9 @@ from repro.core.columns import (
     InstanceRelation,
     SalesIndex,
     _as_int64,
-    count_supported,
+    count_and_filter,
     extension_item_totals,
     extension_totals,
-    filter_by_keys,
     suffix_extend,
 )
 from repro.core.partitioning import (
@@ -71,11 +74,12 @@ from repro.registry import register_engine
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
+    "KeyRange",
     "PlannedExtension",
-    "RangeTask",
+    "RangeBatch",
     "SpilledRelation",
     "SpillingColumnarKernel",
-    "run_range_task",
+    "run_range_batch",
     "setm_columnar_disk",
 ]
 
@@ -114,114 +118,181 @@ class PlannedExtension(NamedTuple):
     k: int
 
 
-class RangeTask(NamedTuple):
-    """One key range of ``R'_k``, picklable for a pool worker.
+class KeyRange(NamedTuple):
+    """One planned key range ``[key_low, key_high)`` of ``R'_k``.
 
     ``prefixes`` is the slice of sorted ``F_{k-1}`` the range covers
-    (``None`` at ``k = 2``, whose prefix is the item id); ``sources`` are
-    the ``R_{k-1}`` share files that overlap it; ``sales`` is the run's
-    :class:`SalesIndex`, or a :class:`Partition` over its published
-    ``items`` + ``ext_counts`` columns (raw int64).
+    (``None`` at ``k = 2``, whose prefix is the item id); ``sources``
+    are the ``R_{k-1}`` share files that overlap it; ``out_path``
+    receives its ``R_k`` share; ``rows`` is the plan's exact price.
     """
 
-    k: int
     key_low: int
     key_high: int
     prefixes: np.ndarray | None
     sources: list
+    out_path: str
+    rows: int
+
+
+class RangeBatch(NamedTuple):
+    """Contiguous key ranges of one level, run as one (picklable) task.
+
+    ``sales`` is the run's :class:`SalesIndex`, or a :class:`Partition`
+    over its published ``items`` + ``ext_counts`` columns (raw int64).
+    """
+
+    k: int
+    ranges: list[KeyRange]
     sales: Any
     base: int
     threshold: int
     via: str
-    out_path: str
     mode: str = "pickle"
     reply_name: str | None = None
 
 
-def run_range_task(task: RangeTask) -> tuple:
-    """The task body of both spill engines: extend → count → filter → write.
+def run_range_batch(batch: RangeBatch) -> tuple:
+    """The task body of both spill engines: per range extend → count → filter → write.
 
-    Returns ``(candidate_patterns, envelope, rows_written,
-    bytes_written, bytes_read, zero_copy_bytes)``; the envelope
+    Returns ``(candidate_patterns, envelope, rows_written, bytes_written,
+    bytes_read, zero_copy_bytes)``, where ``rows_written`` holds one
+    count per range; the envelope
     (:func:`~repro.core.transport.pack_buffers`) carries the supported
-    keys, their counts and each key's extension total as int64 buffers.
+    keys, their counts and each key's extension total as int64
+    buffers, the ranges' in key order.
     """
-    if isinstance(task.sales, SalesIndex):
-        return _extend_count_filter(task, task.sales, 0)
-    with partition_buffer(task.sales, task.mode) as (buffer, source):
+    if isinstance(batch.sales, SalesIndex):
+        return _run_batch(batch, batch.sales, 0)
+    with partition_buffer(batch.sales, batch.mode) as (buffer, source):
         columns = np.frombuffer(buffer, dtype=np.int64)
         half = len(columns) // 2
         viewed = columns.nbytes if source in ("shm", "mmap") else 0
         index = SalesIndex.from_columns(
-            columns[:half], columns[half:], task.base
+            columns[:half], columns[half:], batch.base
         )
         del columns
-        reply = _extend_count_filter(task, index, viewed)
+        reply = _run_batch(batch, index, viewed)
         del index  # views the buffer the context releases next
     return reply
 
 
-def _extend_count_filter(
-    task: RangeTask, index: SalesIndex, viewed: int
-) -> tuple:
-    rows, bytes_read, zero_copy = _range_rows(task, index)
-    base = task.base
-    first_rank = task.key_low // base
-    items = None
-    if task.key_low % base or task.key_high % base:
-        # One prefix's item sub-range (an oversized prefix, cut finer).
-        items = (task.key_low - first_rank * base,
-                 task.key_high - first_rank * base)
-    r_prime = suffix_extend(
-        rows,
-        index,
-        task.prefixes,
-        first_rank=0 if task.prefixes is None else first_rank,
-        items=items,
-    )
-    candidates, keys, counts = count_supported(
-        r_prime.keys, task.threshold, via=task.via
-    )
-    survivors = filter_by_keys(r_prime, keys)
-    written = 0
-    if len(survivors):
-        blob = survivors.to_chunk_bytes()
-        with open(task.out_path, "wb") as handle:
-            handle.write(blob)
-        written = len(blob)
-    ext = extension_totals(survivors, index, keys, len(keys))
+def _run_batch(batch: RangeBatch, index: SalesIndex, viewed: int) -> tuple:
+    candidates = bytes_written = bytes_read = 0
+    zero_copy = viewed
+    columns: tuple[list, list, list] = ([], [], [])
+    rows_written = []
+    for key_range, (rows, read, viewed_rows) in zip(
+        batch.ranges, _batch_rows(batch, index)
+    ):
+        bytes_read += read
+        zero_copy += viewed_rows
+        found, supported, counts, survivors = _extend_count_filter(
+            batch, key_range, rows, index
+        )
+        candidates += found
+        written = 0
+        if len(survivors):
+            blob = survivors.to_chunk_bytes()
+            with open(key_range.out_path, "wb") as handle:
+                handle.write(blob)
+            written = len(blob)
+        ext = extension_totals(survivors, index, supported, len(supported))
+        for column, part in zip(columns, (supported, counts, ext)):
+            column.append(part)
+        rows_written.append(len(survivors))
+        bytes_written += written
     envelope = pack_buffers(
-        [keys.tobytes(), counts.tobytes(), ext.tobytes()], task.reply_name
+        [concat_columns(column).tobytes() for column in columns],
+        batch.reply_name,
     )
-    tallies = (len(survivors), written, bytes_read, viewed + zero_copy)
+    tallies = (rows_written, bytes_written, bytes_read, zero_copy)
     return (candidates, envelope, *tallies)
 
 
-def _range_rows(
-    task: RangeTask, index: SalesIndex
-) -> tuple[InstanceRelation, int, int]:
-    """The ``R_{k-1}`` rows with an extension in the task's key range.
+def _extend_count_filter(
+    batch: RangeBatch,
+    key_range: KeyRange,
+    rows: InstanceRelation,
+    index: SalesIndex,
+) -> tuple:
+    """One range's ``(candidates, keys, counts, survivors)``."""
+    base = batch.base
+    key_low, key_high = key_range.key_low, key_range.key_high
+    first_rank = key_low // base
+    items = None
+    if key_low % base or key_high % base:
+        # One prefix's item sub-range (an oversized prefix, cut finer).
+        items = (key_low - first_rank * base, key_high - first_rank * base)
+    r_prime = suffix_extend(
+        rows,
+        index,
+        key_range.prefixes,
+        first_rank=0 if key_range.prefixes is None else first_rank,
+        items=items,
+    )
+    return count_and_filter(
+        r_prime, batch.threshold, via=batch.via, span=(key_low, key_high)
+    )
 
-    Returns ``(rows, bytes_read, zero_copy_bytes)``.  At ``k = 2`` the
-    rows are ``SALES`` positions whose item is a prefix in range;
-    later they are masked out of the overlapping share files, dropping
-    rows without extensions.
+
+def _batch_rows(
+    batch: RangeBatch, index: SalesIndex
+) -> Iterator[tuple[InstanceRelation, int, int]]:
+    """Per range, the ``R_{k-1}`` rows with an extension in it.
+
+    Yields ``(rows, bytes_read, zero_copy_bytes)`` one range at a time.
+    At ``k = 2`` the rows are ``SALES`` positions whose item is a prefix
+    in range: one scan selects the whole batch's positions, and one
+    stable sort by item interval splits them per range, each in
+    ascending position order.  Later they are masked out of the
+    overlapping share files, dropping rows without extensions.
     """
-    if task.prefixes is None:
-        low = task.key_low // task.base
-        high = -(-task.key_high // task.base)
-        items = index.items
-        # low <= item < high as one unsigned comparison.
-        sids = np.flatnonzero((items - low).view(np.uint64) < high - low)
+    if batch.k > 2:
+        for key_range in batch.ranges:
+            yield _share_rows(batch, key_range, index)
+        return
+    base = batch.base
+    # A range covers the prefix items [low, high); ranges cut from one
+    # oversized prefix share its interval, and the plan may skip items
+    # without extensions, so the intervals are numbered over every bound.
+    # (A plain np.unique would import numpy.ma in a fresh worker.)
+    lows = [key_range.key_low // base for key_range in batch.ranges]
+    highs = [-(-key_range.key_high // base) for key_range in batch.ranges]
+    bounds = np.array(sorted(set(lows + highs)), dtype=np.int64)
+    first = int(bounds[0])
+    sids = np.flatnonzero(
+        (index.items >= first) & (index.items < int(bounds[-1]))
+    )
+    # Each item's interval number, looked up in a table over the items;
+    # a type this narrow makes the stable sort a radix sort.
+    interval_of = np.repeat(
+        np.arange(len(bounds) - 1, dtype=np.min_scalar_type(len(bounds))),
+        np.diff(bounds),
+    )
+    interval = interval_of[index.items[sids] - first]
+    sids = sids[np.argsort(interval, kind="stable")]
+    ends = np.cumsum(np.bincount(interval, minlength=len(bounds)))
+    del interval
+    for low in np.searchsorted(bounds, lows).tolist():
+        picked = sids[ends[low - 1] if low else 0 : ends[low]]
         rows = InstanceRelation(
-            None, None, last_sid=sids, keys=items[sids], k=1, index=index
+            None, None, last_sid=picked, keys=index.items[picked], k=1,
+            index=index,
         )
-        return rows, 0, 0
-    low, high = int(task.prefixes[0]), int(task.prefixes[-1]) + 1
+        yield rows, 0, 0
+
+
+def _share_rows(
+    batch: RangeBatch, key_range: KeyRange, index: SalesIndex
+) -> tuple[InstanceRelation, int, int]:
+    """A ``k >= 3`` range's ``R_{k-1}`` rows, read from the share files."""
+    low = int(key_range.prefixes[0])
+    high = int(key_range.prefixes[-1]) + 1
     keys, sids = [], []
     bytes_read = zero_copy = 0
-    for partition in task.sources:
-        with partition_buffer(partition, task.mode) as (buffer, source):
+    for partition in key_range.sources:
+        with partition_buffer(partition, batch.mode) as (buffer, source):
             bytes_read += len(buffer)
             viewed = _pick_rows(
                 buffer, low, high, index.ext_counts, keys, sids
@@ -233,7 +304,7 @@ def _range_rows(
         None,
         last_sid=concat_columns(sids),
         keys=concat_columns(keys),
-        k=task.k - 1,
+        k=batch.k - 1,
         index=index,
     )
     return rows, bytes_read, zero_copy
@@ -400,82 +471,82 @@ class SpillingColumnarKernel(ColumnarKernel):
     def count_and_filter(self, r_prime, threshold: int):
         if isinstance(r_prime, InstanceRelation):
             return super().count_and_filter(r_prime, threshold)
-        tasks = self._range_tasks(r_prime, threshold)
-        replies = self._run_tasks(tasks)
+        ranges = self._key_ranges(r_prime)
+        template = RangeBatch(
+            k=r_prime.k,
+            ranges=ranges,
+            sales=self._index,
+            base=self._index.base,
+            threshold=threshold,
+            via=self._count_via,
+        )
+        replies = self._run_batches(template)
         if r_prime.k > 2:  # R_1 is SALES, which stays
             r_prime.source.delete()
 
         candidate_patterns = 0
-        shares: list[Partition] = []
+        rows_written: list[int] = []
         keys, counts, ext = [], [], []
-        for task, reply in zip(tasks, replies):
-            candidates, buffers, written_rows, written, read = reply
+        for candidates, buffers, written_rows, written, read in replies:
             candidate_patterns += candidates
             for column, data in zip((keys, counts, ext), buffers):
                 column.append(np.frombuffer(data, dtype=np.int64))
+            rows_written.extend(written_rows)
             self._bytes_written += written
             self._bytes_read += read
-            if written_rows:
-                self._chunks_written += 1
-                shares.append(
-                    Partition(
-                        r_prime.k,
-                        key_low=task.key_low,
-                        key_high=task.key_high,
-                        num_rows=written_rows,
-                        path=task.out_path,
-                    )
-                )
+        shares = [
+            Partition(
+                r_prime.k,
+                key_low=key_range.key_low,
+                key_high=key_range.key_high,
+                num_rows=rows,
+                path=key_range.out_path,
+            )
+            for key_range, rows in zip(ranges, rows_written)
+            if rows
+        ]
+        self._chunks_written += len(shares)
         keys = concat_columns(keys)
         self._levels.add(r_prime.k, keys)
         c_k = dict(zip(keys.tolist(), concat_columns(counts).tolist()))
         r_next = SpilledRelation(shares, r_prime.k, concat_columns(ext))
         return candidate_patterns, c_k, r_next
 
-    def _range_tasks(
-        self, planned: PlannedExtension, threshold: int
-    ) -> list[RangeTask]:
-        """One :class:`RangeTask` per planned key range, in key order."""
-        k = planned.k
+    def _key_ranges(self, planned: PlannedExtension) -> list[KeyRange]:
+        """One :class:`KeyRange` per planned key range, in key order."""
         base = self._index.base
-        prefixes = self._levels.prefixes(k - 1)
-        tasks = []
-        for key_low, key_high, _ in planned.plan.ranges:
+        prefixes = self._levels.prefixes(planned.k - 1)
+        ranges = []
+        for key_low, key_high, rows in planned.plan.ranges:
             first, last = key_low // base, (key_high - 1) // base
-            if prefixes is None:  # R_1 is SALES: tasks read the index
+            if prefixes is None:  # R_1 is SALES: batches read the index
                 ranks, overlapping = None, []
             else:
                 ranks = prefixes[first : last + 1]
                 overlapping = _overlapping(
                     planned.source.partitions, ranks[0], ranks[-1] + 1
                 )
-            tasks.append(
-                RangeTask(
-                    k=k,
+            ranges.append(
+                KeyRange(
                     key_low=key_low,
                     key_high=key_high,
                     prefixes=ranks,
                     sources=overlapping,
-                    sales=self._index,
-                    base=base,
-                    threshold=threshold,
-                    via=self._count_via,
-                    out_path=str(self._spill_path(f"r-k{k}")),
+                    out_path=str(self._spill_path(f"r-k{planned.k}")),
+                    rows=rows,
                 )
             )
-        return tasks
+        return ranges
 
-    def _run_tasks(self, tasks: list[RangeTask]) -> list[tuple]:
-        """Run every task inline, one range at a time; open the replies.
+    def _run_batches(self, template: RangeBatch) -> list[tuple]:
+        """Run all of the level's ranges inline as one batch; open the reply.
 
-        Each reply becomes ``(candidates, [keys, counts, ext_totals],
-        rows_written, bytes_written, bytes_read)``.
+        A reply is ``(candidates, [keys, counts, ext_totals],
+        rows_written, bytes_written, bytes_read)``, ``rows_written``
+        holding one count per range.
         """
-        replies = []
-        for task in tasks:
-            candidates, envelope, *tallies, _ = run_range_task(task)
-            replies.append((candidates, unpack_buffers(envelope)[0], *tallies))
-        return replies
+        candidates, envelope, *tallies, _ = run_range_batch(template)
+        return [(candidates, unpack_buffers(envelope)[0], *tallies)]
 
     def size(self, r) -> int:
         if isinstance(r, InstanceRelation):
@@ -548,7 +619,11 @@ def setm_columnar_disk(
         Optional cap on pattern length.
     count_via:
         Counting strategy per key range — see
-        :func:`repro.core.setm_columnar.setm_columnar`.
+        :func:`repro.core.setm_columnar.setm_columnar`.  Under
+        ``"auto"`` a range whose key span ``[key_low, key_high)`` is at
+        most twice its ``R'_k`` rows is counted by direct addressing
+        (one ``np.bincount``, the HAVING filter one table gather); a
+        wider range is sorted.
     memory_budget_bytes:
         Target resident size for the mining loop's relations.  Any
         ``R'_k`` priced above a quarter of this is cut into key ranges

@@ -168,7 +168,7 @@ def resolved_start_method(start_method: str | None) -> str:
 
 
 def _count_partition(
-    task: tuple[Partition, int, str, str, str | None],
+    task: tuple[Partition, int, str, tuple[int, int], str, str | None],
 ) -> tuple[int, tuple, int]:
     """Worker body: count one partition's pattern keys, HAVING applied.
 
@@ -178,18 +178,19 @@ def _count_partition(
     straight over that buffer
     (:func:`~repro.core.partitioning.decode_buffer_chunks`).  Key
     ranges are disjoint, so the threshold applies locally
-    (:func:`~repro.core.columns.count_supported`).  The reply's flat
+    (:func:`~repro.core.columns.count_supported`, by direct addressing
+    over the partition's key span when that is narrow).  The reply's flat
     supported ``(keys, counts)`` buffers leave through the same
     transport: a parent-named reply segment under ``shm``, the result
     pickle otherwise.  Returns ``(candidate_patterns, envelope,
     zero_copy_bytes)``.
     """
-    partition, threshold, via, mode, reply_name = task
+    partition, threshold, via, span, mode, reply_name = task
     with partition_buffer(partition, mode) as (buffer, source):
         chunks, zero_copy = decode_buffer_chunks(buffer)
         keys = concat_columns([chunk.keys for chunk in chunks])
         candidates, supported, counts = count_supported(
-            keys, threshold, via=via
+            keys, threshold, via=via, span=span
         )
         # The chunk columns borrow the shm/mmap buffer; drop them (and
         # any single-chunk key view) before the context releases it.
@@ -200,6 +201,15 @@ def _count_partition(
         zero_copy = 0
     envelope = pack_buffers([supported.tobytes(), counts.tobytes()], reply_name)
     return candidates, envelope, zero_copy
+
+
+def _bounded(partition: Partition, span: tuple[int, int]) -> tuple[int, int]:
+    """The partition's key range, its unbounded ends taken from ``span``."""
+    low, high = partition.key_low, partition.key_high
+    return (
+        span[0] if low is None else low,
+        span[1] if high is None else high,
+    )
 
 
 def _pool_alive(pool: Any) -> bool:
@@ -441,12 +451,19 @@ class ParallelColumnarKernel(PoolTransportMixin, ColumnarKernel):
             return super().count_and_filter(r_prime, threshold)
 
         mode = self._negotiated_transport()
+        span = self._key_span(r_prime.k)
         candidate_patterns = 0
         key_parts, count_parts = [], []
         with TransportSession(mode) as session:
             tasks = [
-                (published, threshold, self._count_via, mode,
-                 session.reply_name(i))
+                (
+                    published,
+                    threshold,
+                    self._count_via,
+                    _bounded(published, span),
+                    mode,
+                    session.reply_name(i),
+                )
                 for i, published in enumerate(session.publish(partitions))
             ]
             replies = self._dispatch(_count_partition, tasks)
@@ -465,7 +482,9 @@ class ParallelColumnarKernel(PoolTransportMixin, ColumnarKernel):
         self._levels.add(r_prime.k, keys)
         self._partitions_per_k[self._k] = len(partitions)
         c_k = dict(zip(keys.tolist(), np.concatenate(count_parts).tolist()))
-        return candidate_patterns, c_k, filter_by_keys(r_prime, keys)
+        return candidate_patterns, c_k, filter_by_keys(
+            r_prime, keys, span=span
+        )
 
     def _partition(self, r_prime) -> list[Partition]:
         """One picklable key-range work unit per worker."""

@@ -2,14 +2,21 @@
 
 The out-of-core engine (:mod:`repro.core.setm_columnar_disk`) plans
 ``R'_k`` as priced key ranges under a ``memory_budget_bytes`` and runs
-one task per range — extend, count, HAVING-filter, write the ``R_k``
-share — one range at a time.  This engine maps the same
-:func:`~repro.core.setm_columnar_disk.run_range_task` over the cached
+them as one batch — extend, count, HAVING-filter, write the ``R_k``
+share — one range at a time.  This engine cuts a level's ranges into
+contiguous batches and maps the same
+:func:`~repro.core.setm_columnar_disk.run_range_batch` over the cached
 worker pool of :mod:`repro.core.setm_parallel`, for databases too big
 for RAM *and* big enough to parallelize:
 
 * **Planning is inherited unchanged**; a level that fits one budget
   share never touches the disk — or the pool.
+* **Batches balance expected cost**: about
+  :data:`BATCHES_PER_WORKER` batches per worker, cut so each carries a
+  like share of the level's priced rows, a range that must be counted
+  by sorting (its key span too wide for direct addressing) weighing
+  more, and dispatched dearest first.  A batch maps ``SALES`` once, so
+  the per-task fixed cost is paid per batch, not per range.
 * **``SALES`` is published once per run**, when the first level is
   pooled: its ``SalesIndex`` columns travel over the negotiated
   transport (a shared-memory segment under ``shm``, a spooled file
@@ -41,17 +48,22 @@ transparently recreated on the next run
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any, Literal
 
-from repro.core.columns import InstanceRelation
+import numpy as np
+
+from repro.core.columns import InstanceRelation, table_fits
 from repro.core.partitioning import Partition
 from repro.core.result import MiningResult
 from repro.core.setm import run_figure4_loop
 from repro.core.setm_columnar_disk import (
     DEFAULT_MEMORY_BUDGET,
-    RangeTask,
+    KeyRange,
+    RangeBatch,
     SpillingColumnarKernel,
-    run_range_task,
+    run_range_batch,
 )
 from repro.core.setm_parallel import (
     PoolTransportMixin,
@@ -63,16 +75,58 @@ from repro.core.transactions import TransactionDatabase
 from repro.core.transport import TransportSession
 from repro.registry import register_engine
 
-__all__ = ["SpillParallelKernel", "setm_spill_parallel"]
+__all__ = ["SpillParallelKernel", "balanced_batches", "setm_spill_parallel"]
+
+#: Pool batches per worker: enough that a batch running long does not
+#: leave the other workers idle, few enough that each batch's fixed
+#: cost (mapping ``SALES``, one scan at ``k = 2``) stays small.
+BATCHES_PER_WORKER = 3
+
+#: How much more a priced row costs when its range is counted by
+#: sorting rather than by direct addressing.
+SORT_ROW_COST = 3
+
+
+def _expected_cost(key_range: KeyRange) -> int:
+    """A range's expected work: its priced rows, sorted rows weighing more."""
+    span = (key_range.key_low, key_range.key_high)
+    if table_fits(span, key_range.rows, 8):
+        return key_range.rows
+    return SORT_ROW_COST * key_range.rows
+
+
+def balanced_batches(costs: list[int], batches: int) -> list[tuple[int, int]]:
+    """``min(batches, len(costs))`` contiguous ``[start, stop)`` runs of ``costs``.
+
+    The ``i``-th cut goes where the running total comes nearest to
+    ``i / batches`` of the whole, so runs carry like costs; every run
+    holds at least one entry.
+    """
+    count = min(batches, len(costs))
+    cumulative = list(accumulate(costs))
+    total = cumulative[-1] if cumulative else 0
+    stops: list[int] = []
+    start = 0
+    for i in range(1, count):
+        target = total * i / count
+        crossing = bisect_left(cumulative, target)
+        before = cumulative[crossing - 1] if crossing else 0
+        stop = crossing + (cumulative[crossing] - target <= target - before)
+        stop = min(max(stop, start + 1), len(costs) - (count - i))
+        stops.append(stop)
+        start = stop
+    stops.append(len(costs))
+    return list(zip([0, *stops[:-1]], stops))
 
 
 class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
     """The spilling Figure-4 steps with each level's range tasks pooled.
 
-    Planning and the task body are inherited unchanged; only
-    :meth:`_run_tasks` changes, and only for levels cut into ≥ 2 ranges
-    when ``workers > 1``: their tasks are dispatched to the shared
-    worker pool instead of running inline.  In-memory levels — and
+    Planning and the batch body are inherited unchanged; only
+    :meth:`_run_batches` changes, and only for levels cut into ≥ 2
+    ranges when ``workers > 1``: their ranges are cut into
+    :func:`balanced_batches` and dispatched to the shared worker pool
+    instead of running inline as one batch.  In-memory levels — and
     every level when ``workers=1`` — take the serial path, so the
     engine degrades gracefully to its two parents.
     """
@@ -116,27 +170,42 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
             self._in_process.append(self._k)
         return super().count_and_filter(r_prime, threshold)
 
-    def _run_tasks(self, tasks: list[RangeTask]) -> list[tuple]:
+    def _run_batches(self, template: RangeBatch) -> list[tuple]:
         if self._workers <= 1:
             self._in_process.append(self._k)
-            return super()._run_tasks(tasks)
+            return super()._run_batches(template)
 
         mode = self._negotiated_transport()
         sales = self._publish_sales(mode)
+        ranges = template.ranges
+        costs = [_expected_cost(key_range) for key_range in ranges]
+        runs = balanced_batches(costs, BATCHES_PER_WORKER * self._workers)
+        # The pool hands batches out in order: dearest first, so the
+        # cheap ones fill in at the end.
+        order = sorted(
+            range(len(runs)), key=lambda i: -sum(costs[slice(*runs[i])])
+        )
         replies = []
         with TransportSession(mode) as session:
-            tasks = [
-                task._replace(
-                    sales=sales, mode=mode, reply_name=session.reply_name(i)
+            batches = [
+                template._replace(
+                    ranges=ranges[start:stop],
+                    sales=sales,
+                    mode=mode,
+                    reply_name=session.reply_name(i),
                 )
-                for i, task in enumerate(tasks)
+                for i, (start, stop) in enumerate(runs)
             ]
-            for reply in self._dispatch(run_range_task, tasks):
-                candidates, envelope, *tallies, zero_copy = reply
+            dispatched = self._dispatch(
+                run_range_batch, [batches[i] for i in order]
+            )
+            by_batch = dict(zip(order, dispatched))
+            for i in range(len(batches)):
+                candidates, envelope, *tallies, zero_copy = by_batch[i]
                 session.note_zero_copy(zero_copy)
                 replies.append((candidates, session.collect(envelope), *tallies))
             self._record_transport(session)
-        self._pooled_per_k[self._k] = len(tasks)
+        self._pooled_per_k[self._k] = len(ranges)
         return replies
 
     def _publish_sales(self, mode: str) -> Partition:
@@ -149,7 +218,11 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
         """
         if self._published_sales is None:
             index = self._index
-            raw = index.items.tobytes() + index.ext_counts.tobytes()
+            raw = bytearray(index.items.nbytes + index.ext_counts.nbytes)
+            np.concatenate(
+                (index.items, index.ext_counts),
+                out=np.frombuffer(raw, dtype=np.int64),
+            )
             session = TransportSession("shm" if mode == "shm" else "mmap")
             (self._published_sales,) = session.publish(
                 [Partition(1, num_rows=len(index.items), payload=raw)]
@@ -225,7 +298,11 @@ def setm_spill_parallel(
         Optional cap on pattern length.
     count_via:
         Counting strategy per key range — see
-        :func:`repro.core.setm_columnar.setm_columnar`.
+        :func:`repro.core.setm_columnar.setm_columnar`.  Under
+        ``"auto"`` a range whose key span ``[key_low, key_high)`` is at
+        most twice its ``R'_k`` rows is counted by direct addressing
+        (one ``np.bincount``, the HAVING filter one table gather); a
+        wider range is sorted.
     memory_budget_bytes:
         Target resident size for the mining loop's relations, exactly
         as in :func:`repro.core.setm_columnar_disk.setm_columnar_disk`;

@@ -750,9 +750,21 @@ def _label_codes(labels) -> tuple[list, np.ndarray]:
     """``(sorted distinct labels, code of every label)`` for one batch.
 
     Codes index the sorted list, so code order is label order.  Labels
-    that cannot be ordered together fail typed.
+    that cannot be ordered together fail typed.  Integer labels whose
+    span is at most twice their number are coded by direct addressing:
+    a presence table over the span, its running count, and one gather.
     """
     if isinstance(labels, np.ndarray):
+        if len(labels) and labels.dtype.kind == "i":
+            low = int(labels.min())
+            span = int(labels.max()) - low + 1
+            if span <= 2 * len(labels):
+                offsets = labels - low
+                present = np.zeros(span, dtype=bool)
+                present[offsets] = True
+                codes = np.cumsum(present, dtype=np.int64) - 1
+                uniques = np.flatnonzero(present) + low
+                return uniques.tolist(), codes[offsets]
         uniques, codes = np.unique(labels, return_inverse=True)
         return uniques.tolist(), codes.reshape(-1).astype(np.int64, copy=False)
     try:

@@ -56,6 +56,7 @@ from repro.core.transport import (
 )
 from repro.core.transactions import ItemCatalog, TransactionDatabase
 from repro.errors import (
+    IngestError,
     InvalidConfigError,
     ProtocolError,
     ReproError,
@@ -448,8 +449,12 @@ class MiningService:
         # stays importable without the optional decoders.
         from repro.data.formats import open_chunk_source
 
+        path = Path(request.params["path"])
+        if not path.is_file():
+            reason = "is a directory" if path.is_dir() else "does not exist"
+            raise IngestError(f"cannot append {str(path)!r}: the path {reason}")
         source = open_chunk_source(
-            request.params["path"],
+            path,
             input_format=request.params.get("input_format") or "auto",
             chunk_rows=request.params.get("chunk_rows"),
         )

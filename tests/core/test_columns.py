@@ -8,17 +8,23 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.columns import (
+    _dense_counts,
     _member_mask,
     FrequentLevels,
     InstanceRelation,
+    count_and_filter,
     count_packed_keys,
+    count_supported,
     count_sorted_rows,
     extension_counts,
     filter_by_keys,
     prefix_ranks,
     suffix_extend,
+    table_fits,
 )
 from repro.core.setm import merge_scan_extend, run_figure4_loop
 from repro.core.setm_columnar import ColumnarKernel
@@ -255,6 +261,126 @@ class TestFilterByKeys:
             np.isin(values, wanted).tolist()
         )
         assert _member_mask(values, wanted[:0]).tolist() == [False] * 7
+
+
+def _level(offsets, low, shuffle_seed):
+    """An ``R'_k``-shaped relation whose keys are ``low + offsets``."""
+    keys = np.asarray(offsets, dtype=np.int64) + low
+    sids = np.arange(len(keys), dtype=np.int64)
+    random.Random(shuffle_seed).shuffle(sids)
+    return InstanceRelation(None, None, last_sid=sids, keys=keys, k=2)
+
+
+def _outcome(result):
+    candidates, keys, counts, survivors = result
+    return (
+        candidates,
+        np.asarray(keys).tolist(),
+        np.asarray(counts).tolist(),
+        np.asarray(survivors.keys).tolist(),
+        np.asarray(survivors.last_sid).tolist(),
+    )
+
+
+@st.composite
+def _levels(draw):
+    """Keys inside a span of exactly 2n or 2n + 1, any threshold."""
+    n = draw(st.integers(0, 60))
+    width = 2 * n + draw(st.integers(0, 1))
+    offsets = draw(
+        st.lists(st.integers(0, max(width - 1, 0)), min_size=n, max_size=n)
+        if width
+        else st.just([])
+    )
+    low = draw(st.sampled_from([0, 1, 977, 10**12]))
+    threshold = draw(st.integers(1, 8))
+    return _level(offsets, low, draw(st.integers(0, 9))), (low, low + width), threshold
+
+
+class TestCountAndFilter:
+    """``auto`` (direct address or its sort fallback), ``sort`` and
+    ``hash`` agree on candidates, keys, counts and survivor rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_levels())
+    def test_strategies_agree(self, level):
+        relation, span, threshold = level
+        expected = _outcome(
+            count_and_filter(relation, threshold, via="sort")
+        )
+        for via in ("auto", "sort", "hash"):
+            for given_span in (span, None):
+                assert _outcome(
+                    count_and_filter(
+                        relation, threshold, via=via, span=given_span
+                    )
+                ) == expected, (via, given_span)
+        assert count_supported(
+            relation.keys, threshold, via="auto", span=span
+        )[0] == expected[0]
+        assert sorted(
+            count_packed_keys(relation.keys, via="auto", span=span)
+        ) == sorted(count_packed_keys(relation.keys, via="hash"))
+        kept = filter_by_keys(relation, expected[1], span=span)
+        assert np.asarray(kept.keys).tolist() == expected[3]
+
+    def test_span_of_exactly_2n_is_dense_and_2n_plus_1_sorts(self):
+        keys = np.array([4, 5, 5, 9], dtype=np.int64)
+        assert _dense_counts(keys, "auto", (4, 12)) is not None
+        assert _dense_counts(keys, "auto", (4, 13)) is None
+        for via in ("sort", "hash"):
+            assert _dense_counts(keys, via, (4, 12)) is None
+        assert table_fits((4, 4 + 64), 4, 1)
+        assert not table_fits((4, 4 + 65), 4, 1)
+        assert not table_fits(None, 4, 1)
+
+    @pytest.mark.parametrize(
+        "span",
+        [(3, 11), (3, 12), (3, 3 + 16 * 6), (3, 3 + 16 * 6 + 1)],
+        ids=["count-table", "filter-table", "widest-table", "probe"],
+    )
+    def test_survivors_keep_input_order(self, span):
+        relation = _level([5, 1, 5, 0, 7, 1], 3, 4)
+        candidates, keys, counts, survivors = count_and_filter(
+            relation, 2, span=span
+        )
+        assert candidates == 4
+        assert keys.tolist() == [4, 8] and counts.tolist() == [2, 2]
+        assert survivors.keys.tolist() == [8, 4, 8, 4]
+        assert survivors.last_sid.tolist() == [
+            relation.last_sid[i] for i in (0, 1, 2, 5)
+        ]
+
+    @pytest.mark.parametrize("via", ["auto", "sort", "hash"])
+    def test_edge_levels(self, via):
+        empty = _level([], 0, 0)
+        candidates, keys, counts, survivors = count_and_filter(
+            empty, 1, via=via, span=(0, 0)
+        )
+        assert (candidates, len(keys), len(counts), len(survivors)) == (
+            0, 0, 0, 0,
+        )
+        single = _level([0], 7, 0)
+        assert _outcome(
+            count_and_filter(single, 1, via=via, span=(7, 9))
+        ) == (1, [7], [1], [7], [0])
+        # A threshold above every count keeps nothing.
+        level = _level([0, 0, 1, 2, 2, 2], 0, 0)
+        candidates, keys, _, survivors = count_and_filter(
+            level, 4, via=via, span=(0, 6)
+        )
+        assert candidates == 3 and len(keys) == 0 and len(survivors) == 0
+        # Threshold 1 keeps every row: the relation itself.
+        assert count_and_filter(level, 1, via=via, span=(0, 6))[3] is level
+        # No threshold admits a key that never occurs.
+        assert _outcome(
+            count_and_filter(level, 0, via=via, span=(0, 6))
+        ) == _outcome(count_and_filter(level, 1, via="sort"))
+
+    def test_requires_keys(self):
+        bare = InstanceRelation.from_rows([(1, 5)], k=1)
+        with pytest.raises(ValueError, match="packed-keys"):
+            count_and_filter(bare, 1)
 
 
 class TestCountSortedRows:

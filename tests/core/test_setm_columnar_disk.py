@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -24,7 +25,10 @@ from repro.core.rules import generate_rules
 from repro.core.setm import setm
 from repro.core.setm_columnar import setm_columnar
 from repro.core.setm_columnar_disk import (
+    KeyRange,
+    RangeBatch,
     SpillingColumnarKernel,
+    _batch_rows,
     setm_columnar_disk,
 )
 from repro.core.transactions import TransactionDatabase
@@ -226,6 +230,35 @@ class TestOversizedPrefix:
         assert {2, 3} <= set(split)
 
 
+class TestBatchRows:
+    def test_k2_rows_are_each_ranges_positions_in_order(self, make_random_db):
+        """One scan serves the batch; each range gets exactly the SALES
+        positions whose item is one of its prefixes, ascending."""
+        kernel = SpillingColumnarKernel(make_random_db(3))
+        sales = kernel.make_sales()
+        index = sales.index
+        base = index.base
+        items = np.asarray(index.items)
+        # Full prefix ranges, a skipped prefix (a gap), and one prefix
+        # cut into two item sub-ranges.
+        cuts = [(1, 3), (3, 4), (5, 7)]
+        bounds = [(low * base, high * base) for low, high in cuts]
+        bounds += [(7 * base + 1, 7 * base + 5), (7 * base + 5, 8 * base)]
+        ranges = [
+            KeyRange(low, high, None, [], "unused", 1) for low, high in bounds
+        ]
+        batch = RangeBatch(2, ranges, index, base, 1, "auto")
+        for (low, high), (rows, read, viewed) in zip(
+            bounds, _batch_rows(batch, index), strict=True
+        ):
+            first, last = low // base, -(-high // base)
+            expected = np.flatnonzero((items >= first) & (items < last))
+            assert rows.last_sid.tolist() == expected.tolist()
+            assert rows.keys.tolist() == items[expected].tolist()
+            assert (read, viewed) == (0, 0)
+        kernel.close()
+
+
 class TestHousekeeping:
     def test_spill_directory_removed_after_run(self, tmp_path, make_random_db):
         db = make_random_db(1)
@@ -248,16 +281,16 @@ class TestHousekeeping:
         leak temp files."""
         import repro.core.setm_columnar_disk as disk_module
 
-        count_supported = disk_module.count_supported
+        count_and_filter = disk_module.count_and_filter
         calls = []
 
         def boom(*args, **kwargs):
             calls.append(1)
             if len(calls) > 1:
                 raise RuntimeError("counting exploded")
-            return count_supported(*args, **kwargs)
+            return count_and_filter(*args, **kwargs)
 
-        monkeypatch.setattr(disk_module, "count_supported", boom)
+        monkeypatch.setattr(disk_module, "count_and_filter", boom)
         with pytest.raises(RuntimeError, match="counting exploded"):
             setm_columnar_disk(
                 make_random_db(5),

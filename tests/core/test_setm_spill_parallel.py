@@ -17,14 +17,17 @@ pool break.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import bruteforce
 from repro.core.rules import generate_rules
 from repro.core.setm import run_figure4_loop, setm
 from repro.core.partitioning import Partition
-from repro.core.setm_columnar_disk import run_range_task, setm_columnar_disk
+from repro.core.setm_columnar_disk import run_range_batch, setm_columnar_disk
 from repro.core.setm_spill_parallel import (
     SpillParallelKernel,
+    balanced_batches,
     setm_spill_parallel,
 )
 from repro.core.transport import leaked_segment_names
@@ -147,6 +150,91 @@ class TestDifferentialGrid:
         )
 
 
+class _RecordingKernel(SpillParallelKernel):
+    """Records the ranges of every pooled batch, per level."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches: dict[int, list[list[tuple[int, int]]]] = {}
+
+    def _dispatch(self, func, tasks):
+        if func is run_range_batch:
+            self.batches[self._k] = [
+                [(r.key_low, r.key_high) for r in batch.ranges]
+                for batch in tasks
+            ]
+        return super()._dispatch(func, tasks)
+
+
+class TestBatches:
+    """A level's planned ranges travel to the pool as contiguous batches."""
+
+    @pytest.mark.parametrize("transport", ["pickle", "mmap", "shm"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_batches_match_setm(self, quest_references, workers, transport):
+        db, reference = quest_references[(0, 0.01)]
+        kernel = _RecordingKernel(
+            db,
+            memory_budget_bytes=GRID_BUDGET,
+            workers=workers,
+            transport=transport,
+        )
+        result = run_figure4_loop(
+            db, 0.01, kernel, algorithm="setm-spill-parallel"
+        )
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        assert result.extra["transport"]["mode"] == transport
+        assert leaked_segment_names() == ()
+        planned = result.extra["spill"]["partitions"]
+        # Telemetry still counts planned ranges, not batches.
+        assert result.extra["parallel"]["partitions"] == planned
+        assert sorted(kernel.batches) == sorted(planned)
+        for k, batches in kernel.batches.items():
+            assert all(batches)
+            assert len(batches) == min(planned[k], 3 * workers)
+            # Dispatch order follows cost; sorted back, the batches tile
+            # the planned ranges in key order.
+            ranges = [r for batch in sorted(batches) for r in batch]
+            assert len(ranges) == planned[k]
+            assert all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
+
+    def test_fewer_ranges_than_batches(self, quest_references):
+        db, reference = quest_references[(1, 0.01)]
+        kernel = _RecordingKernel(
+            db, memory_budget_bytes=GRID_BUDGET, workers=3
+        )
+        result = run_figure4_loop(
+            db, 0.01, kernel, algorithm="setm-spill-parallel"
+        )
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        few = {
+            k: batches for k, batches in kernel.batches.items()
+            if len(batches) < 3 * 3
+        }
+        assert few, "no level had fewer ranges than batches"
+        for batches in few.values():
+            assert all(len(batch) == 1 for batch in batches)
+
+    @given(
+        st.lists(st.integers(0, 50), min_size=1, max_size=40),
+        st.integers(1, 12),
+    )
+    def test_balanced_batches_cover_in_order(self, costs, batches):
+        runs = balanced_batches(costs, batches)
+        assert runs[0][0] == 0 and runs[-1][1] == len(costs)
+        assert all(start < stop for start, stop in runs)
+        assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+        assert len(runs) == min(batches, len(costs))
+
+    def test_balanced_batches_share_cost(self):
+        costs = [10] * 12 + [60, 60]
+        runs = balanced_batches(costs, 4)
+        loads = [sum(costs[start:stop]) for start, stop in runs]
+        assert loads == [60, 60, 60, 60]
+
+
 class TestGating:
     def test_generous_budget_never_spills_or_pools(self, example_db):
         result = setm_spill_parallel(example_db, 0.30, workers=4)
@@ -229,9 +317,9 @@ class TestPlumbing:
 
 
 class _PoisoningKernel(SpillParallelKernel):
-    """Points one pooled range task at a ``SALES`` file that is gone.
+    """Points one pooled range batch at a ``SALES`` file that is gone.
 
-    The worker assigned the poisoned task raises ``FileNotFoundError``
+    The worker assigned the poisoned batch raises ``FileNotFoundError``
     mid-level while its siblings write their ``R_k`` shares — exactly
     the shape of a disk failing under a live run.
     """
@@ -242,7 +330,7 @@ class _PoisoningKernel(SpillParallelKernel):
         self.poisoned = False
 
     def _dispatch(self, func, tasks):
-        if func is run_range_task and not self.poisoned:
+        if func is run_range_batch and not self.poisoned:
             self.seen_root = self._spill_root
             missing = Partition(1, path=self._spill_root / "missing.bin")
             tasks = [tasks[0]._replace(sales=missing), *tasks[1:]]

@@ -14,6 +14,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.core.transactions import TransactionDatabase
 from repro.data.ingest import (
     DEFAULT_CHUNK_ROWS,
     EncodedDataset,
+    _label_codes,
     load_dataset,
     stream_encode,
 )
@@ -149,6 +151,31 @@ class TestStreamEncodeEquivalence:
         ds = load_dataset(path, chunk_rows=1)
         db = read_basket_file(path)
         assert_byte_identical(ds, db)
+
+
+class TestLabelCodes:
+    """Integer chunks coded by direct addressing match ``np.unique``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 40), max_size=30),
+        st.sampled_from([0, 2**40, -(2**40)]),
+    )
+    def test_direct_address_matches_unique(self, values, shift):
+        labels = np.asarray(values, dtype=np.int64) + shift
+        uniques, codes = _label_codes(labels)
+        expected, inverse = np.unique(labels, return_inverse=True)
+        assert uniques == expected.tolist()
+        assert all(type(label) is int for label in uniques)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == inverse.reshape(-1).tolist()
+
+    @pytest.mark.parametrize("spread", [1, 2, 3, 2**59])
+    def test_wide_and_narrow_spans_agree(self, spread):
+        labels = np.array([5, 1, 5, 9, 1, 0], dtype=np.int64) * spread
+        uniques, codes = _label_codes(labels)
+        assert uniques == sorted(set(labels.tolist()))
+        assert [uniques[code] for code in codes] == labels.tolist()
 
 
 class TestEncodedDataset:

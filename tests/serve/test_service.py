@@ -263,6 +263,26 @@ class TestAppendOp:
         assert hosted.generation == 0
         assert hosted.num_transactions == 2
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing.csv", "does not exist"), (".", "is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_path_is_400_ingest_error(
+        self, int_service, tmp_path, name, reason
+    ):
+        path = tmp_path / name
+        status, document = int_service.handle(
+            {"op": "append", "dataset": "base", "path": str(path)}
+        )
+        assert status == 400, document
+        assert document["error"]["type"] == "IngestError"
+        message = document["error"]["message"]
+        assert str(path) in message and reason in message
+        hosted = int_service._datasets["base"].encoded_dataset
+        assert hosted.generation == 0
+        assert hosted.num_transactions == 2
+
     def test_labels_between_existing_ones_remap_base_ids(
         self, int_service, tmp_path
     ):
