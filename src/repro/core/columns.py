@@ -49,9 +49,8 @@ instance relations, and the choice is the whole performance story:
      from the ``count >= threshold`` table — the HAVING step as the
      paper's "simple table look-ups on relation ``C_k``"
      (:func:`count_and_filter`).  Wider spans sort
-     (``np.unique(return_counts=True)``) and filter through a boolean
-     table, or past sixteen keys of span per row through one
-     membership probe (:func:`filter_by_keys`).
+     (``np.unique(return_counts=True)``) and filter with one membership
+     probe (:func:`filter_by_keys`).
 
   The key column and ``last_sid`` together determine every logical
   column (``trans_id`` by reading the sales tid at ``last_sid``; the
@@ -104,7 +103,6 @@ __all__ = [
     "filter_by_keys",
     "prefix_ranks",
     "suffix_extend",
-    "table_fits",
 ]
 
 #: Typecode of every materialized column: signed 64-bit, enough for any
@@ -679,22 +677,6 @@ class FrequentLevels:
         return table
 
 
-#: What a direct-address table may cost per row of its relation: as
-#: much as the row's own ``keys`` + ``last_sid`` columns.  An int64
-#: count table therefore serves key spans up to twice the row count,
-#: and a boolean filter table spans up to sixteen times it.
-TABLE_BYTES_PER_ROW = 16
-
-
-def table_fits(
-    span: tuple[int, int] | None, rows: int, entry_bytes: int
-) -> bool:
-    """Whether a table of ``entry_bytes`` per key of ``span`` fits ``rows``."""
-    return span is not None and (
-        entry_bytes * (span[1] - span[0]) <= TABLE_BYTES_PER_ROW * rows
-    )
-
-
 def count_packed_keys(
     keys: Sequence[int],
     *,
@@ -723,12 +705,12 @@ def _dense_counts(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """``(key - low, count of every key in span)``, or ``None`` to sort.
 
-    Direct addressing applies to ``via="auto"`` when an int64 count per
-    key of the span fits :data:`TABLE_BYTES_PER_ROW` (a span at most
-    twice the number of keys); ``"sort"`` and ``"hash"`` are the
-    explicit ablations and keep their strategies.
+    Direct addressing applies to ``via="auto"`` when the span is at most
+    twice the number of keys, so the int64 count table costs no more per
+    row than the row's own ``keys`` + ``last_sid`` columns; ``"sort"``
+    and ``"hash"`` are the explicit ablations and keep their strategies.
     """
-    if via != "auto" or not table_fits(span, len(keys), 8):
+    if via != "auto" or span is None or span[1] - span[0] > 2 * len(keys):
         return None
     low, high = span
     offsets = keys - low if low else keys
@@ -829,7 +811,7 @@ def count_and_filter(
             keys, threshold, via=via
         )
         return candidates, supported, counts, filter_by_keys(
-            relation, supported, span=span
+            relation, supported
         )
     offsets, table = dense
     candidates, supported, counts, kept = _dense_supported(
@@ -857,10 +839,7 @@ def _member_mask(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 def filter_by_keys(
-    relation: InstanceRelation,
-    supported: Iterable[int],
-    *,
-    span: tuple[int, int] | None = None,
+    relation: InstanceRelation, supported: Iterable[int]
 ) -> InstanceRelation:
     """``R_k`` from ``R'_k``: keep rows whose pattern key is supported.
 
@@ -868,24 +847,15 @@ def filter_by_keys(
     ``keys`` and ``last_sid`` columns are copied through it.  Input order is
     preserved, so the sorted-by-``(trans_id, items)`` invariant survives
     filtering.  ``supported`` is any collection of keys (a set, a
-    ``C_k`` dict, the arrays :func:`count_supported` returns).  With a
-    ``span`` bounding every key (as for :func:`count_and_filter`) whose
-    boolean table fits :data:`TABLE_BYTES_PER_ROW` — at most sixteen
-    keys of span per row — the mask is one gather from that table
-    instead.  Requires ``relation.keys``.
+    ``C_k`` dict, the arrays :func:`count_supported` returns).
+    Requires ``relation.keys``.
     """
     if relation.keys is None:
         raise ValueError("filter_by_keys needs the packed-keys column")
     keys = _as_int64(relation.keys)
     if not isinstance(supported, np.ndarray):
         supported = np.fromiter(supported, dtype=np.int64)
-    if table_fits(span, len(keys), 1):
-        low = span[0]
-        kept = np.zeros(span[1] - low, dtype=bool)
-        kept[supported - low] = True
-        mask = kept[keys - low]
-    else:
-        mask = _member_mask(keys, np.sort(supported))
+    mask = _member_mask(keys, np.sort(supported))
     return _select_rows(relation, keys, mask)
 
 

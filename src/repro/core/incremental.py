@@ -840,13 +840,14 @@ class _StateCapturingKernel(ColumnarKernel):
         return counts
 
     def count_and_filter(self, r_prime, threshold):
-        span = self._key_span(r_prime.k)
         all_counts = count_packed_keys(
-            r_prime.keys, via=self._count_via, span=span
+            r_prime.keys,
+            via=self._count_via,
+            span=self._key_span(r_prime.k),
         )
         self.level_counts[r_prime.k] = dict(all_counts)
         c_k = {key: count for key, count in all_counts if count >= threshold}
-        r_next = filter_by_keys(r_prime, c_k, span=span)
+        r_next = filter_by_keys(r_prime, set(c_k))
         self._levels.add(r_prime.k, c_k)
         return len(all_counts), c_k, r_next
 

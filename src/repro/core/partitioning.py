@@ -179,11 +179,14 @@ def split_by_key_ranges(
     Partition indices ascend, so consuming the iterator in order visits
     partitions in ascending key-range order.  One ``searchsorted`` pass
     assigns every row, one stable argsort groups the rows by partition
-    (input order kept within each), and ``np.bincount`` delimits the
+    (input order kept within each; partition numbers as narrow as they
+    fit, which makes it a radix sort), and ``np.bincount`` delimits the
     groups — one pass however many partitions there are.
     """
     keys = _as_int64(relation.keys)
-    assignment = np.searchsorted(_as_int64(boundaries), keys, side="right")
+    assignment = np.searchsorted(
+        _as_int64(boundaries), keys, side="right"
+    ).astype(np.min_scalar_type(len(boundaries)))
     order = np.argsort(assignment, kind="stable")
     keys = keys[order]
     last_sid = _as_int64(relation.last_sid)[order]

@@ -17,18 +17,20 @@ rows die at the HAVING filter.  This engine bounds them by partitioning
 * **Batches of ranges.**  :func:`run_range_batch` runs a contiguous
   batch of planned ranges: it maps ``SALES`` once and, at ``k = 2``,
   selects the batch's ``SALES`` positions with one scan and splits them
-  per range (no rows move); later, each range masks its rows out of the
-  previous level's overlapping share files.  Then, one range at a time,
+  per range; later, each range masks its rows out of the previous
+  level's overlapping share files.  Then, one range at a time,
   it extends the range's rows, counts and HAVING-filters the keys — key
   ranges are disjoint, so its counts are global counts, and a narrow
   range is counted by direct addressing over ``[key_low, key_high)``
   (:func:`~repro.core.columns.count_and_filter`) — and writes the
   survivors as the range's share of ``R_k``, reporting each key's
   extension total for the next plan.  Resident memory stays at one
-  range's slice of ``R'_k`` plus the fixed residents (``SALES`` + its
-  index + ``C_k``, which the paper itself assumes memory-resident).
+  range's slice of ``R'_k``, plus at ``k = 2`` the batch's selected
+  positions, plus the fixed residents (``SALES`` + its index + ``C_k``,
+  which the paper itself assumes memory-resident): a ``k = 2`` batch is
+  cut where its positions would pass one budget share.
 
-This engine runs all of a level's ranges inline as one batch;
+This engine runs a level's ranges inline, as one batch up to that cut;
 ``setm-spill-parallel`` maps batches of them over a worker pool.  A
 level whose ``R'_k`` fits one share runs in memory, exactly as
 ``setm-columnar`` does.  Each row's extensions depend only on its own
@@ -63,6 +65,7 @@ from repro.core.partitioning import (
     PartitionPlan,
     concat_columns,
     decode_buffer_chunks,
+    split_by_key_ranges,
 )
 from repro.core.result import MiningResult
 from repro.core.setm import run_figure4_loop
@@ -242,45 +245,38 @@ def _batch_rows(
     """Per range, the ``R_{k-1}`` rows with an extension in it.
 
     Yields ``(rows, bytes_read, zero_copy_bytes)`` one range at a time.
-    At ``k = 2`` the rows are ``SALES`` positions whose item is a prefix
-    in range: one scan selects the whole batch's positions, and one
-    stable sort by item interval splits them per range, each in
-    ascending position order.  Later they are masked out of the
-    overlapping share files, dropping rows without extensions.
+    At ``k = 2`` the rows are the ``SALES`` positions with extensions
+    whose item is a prefix in range: one scan selects the whole batch's
+    positions, and :func:`~repro.core.partitioning.split_by_key_ranges`
+    splits them per item interval, each in ascending position order.
+    Later they are masked out of the overlapping share files, dropping
+    rows without extensions.
     """
     if batch.k > 2:
         for key_range in batch.ranges:
             yield _share_rows(batch, key_range, index)
         return
-    base = batch.base
     # A range covers the prefix items [low, high); ranges cut from one
     # oversized prefix share its interval, and the plan may skip items
     # without extensions, so the intervals are numbered over every bound.
-    # (A plain np.unique would import numpy.ma in a fresh worker.)
+    base = batch.base
     lows = [key_range.key_low // base for key_range in batch.ranges]
     highs = [-(-key_range.key_high // base) for key_range in batch.ranges]
-    bounds = np.array(sorted(set(lows + highs)), dtype=np.int64)
-    first = int(bounds[0])
+    bounds = sorted(set(lows + highs))
+    items = index.items
     sids = np.flatnonzero(
-        (index.items >= first) & (index.items < int(bounds[-1]))
+        (items >= bounds[0]) & (items < bounds[-1]) & (index.ext_counts > 0)
     )
-    # Each item's interval number, looked up in a table over the items;
-    # a type this narrow makes the stable sort a radix sort.
-    interval_of = np.repeat(
-        np.arange(len(bounds) - 1, dtype=np.min_scalar_type(len(bounds))),
-        np.diff(bounds),
+    selected = InstanceRelation(
+        None, None, last_sid=sids, keys=items[sids], k=1, index=index
     )
-    interval = interval_of[index.items[sids] - first]
-    sids = sids[np.argsort(interval, kind="stable")]
-    ends = np.cumsum(np.bincount(interval, minlength=len(bounds)))
-    del interval
-    for low in np.searchsorted(bounds, lows).tolist():
-        picked = sids[ends[low - 1] if low else 0 : ends[low]]
-        rows = InstanceRelation(
-            None, None, last_sid=picked, keys=index.items[picked], k=1,
-            index=index,
-        )
-        yield rows, 0, 0
+    pieces = dict(split_by_key_ranges(selected, bounds[1:-1]))
+    empty = InstanceRelation(
+        None, None, last_sid=sids[:0], keys=sids[:0], k=1, index=index
+    )
+    del selected, sids
+    for low in lows:
+        yield pieces.get(bounds.index(low), empty), 0, 0
 
 
 def _share_rows(
@@ -366,6 +362,8 @@ class SpillingColumnarKernel(ColumnarKernel):
         self._spill_root: Path | None = None
         self._sequence = 0
         self._k = 1
+        # Cumulative SALES positions with extensions, per item id.
+        self._item_positions: np.ndarray | None = None
 
         # Spill telemetry, surfaced through extra_stats().
         self._partitions_per_k: dict[int, int] = {}
@@ -539,14 +537,56 @@ class SpillingColumnarKernel(ColumnarKernel):
         return ranges
 
     def _run_batches(self, template: RangeBatch) -> list[tuple]:
-        """Run all of the level's ranges inline as one batch; open the reply.
+        """Run the level's ranges inline, batch by batch; open the replies.
 
         A reply is ``(candidates, [keys, counts, ext_totals],
         rows_written, bytes_written, bytes_read)``, ``rows_written``
         holding one count per range.
         """
-        candidates, envelope, *tallies, _ = run_range_batch(template)
-        return [(candidates, unpack_buffers(envelope)[0], *tallies)]
+        replies = []
+        for start, stop in self._capped(template, [(0, len(template.ranges))]):
+            candidates, envelope, *tallies, _ = run_range_batch(
+                template._replace(ranges=template.ranges[start:stop])
+            )
+            replies.append((candidates, unpack_buffers(envelope)[0], *tallies))
+        return replies
+
+    def _capped(
+        self, template: RangeBatch, runs: list[tuple[int, int]]
+    ) -> list[tuple[int, int]]:
+        """``runs`` of ``template.ranges``, cut again to hold one share each.
+
+        A ``k = 2`` batch holds the ``SALES`` positions it selects (and
+        their items, 16 bytes a position) through all of its ranges, so
+        a run is cut before the range whose positions would take it past
+        one budget share; a single range is never cut.  Later levels
+        read each range's rows from its share files in turn and hold
+        nothing batch-wide.
+        """
+        if template.k > 2:
+            return runs
+        index = self._index
+        if self._item_positions is None:
+            per_item = np.bincount(
+                index.items[index.ext_counts > 0], minlength=index.base
+            )
+            self._item_positions = np.concatenate(([0], np.cumsum(per_item)))
+        positions, base = self._item_positions, index.base
+        capped = []
+        for start, stop in runs:
+            held = 0
+            for i in range(start, stop):
+                key_range = template.ranges[i]
+                rows = int(
+                    positions[-(-key_range.key_high // base)]
+                    - positions[key_range.key_low // base]
+                )
+                if held and (held + rows) * ROW_BYTES > self._share_bytes:
+                    capped.append((start, i))
+                    start, held = i, 0
+                held += rows
+            capped.append((start, stop))
+        return capped
 
     def size(self, r) -> int:
         if isinstance(r, InstanceRelation):

@@ -482,9 +482,7 @@ class ParallelColumnarKernel(PoolTransportMixin, ColumnarKernel):
         self._levels.add(r_prime.k, keys)
         self._partitions_per_k[self._k] = len(partitions)
         c_k = dict(zip(keys.tolist(), np.concatenate(count_parts).tolist()))
-        return candidate_patterns, c_k, filter_by_keys(
-            r_prime, keys, span=span
-        )
+        return candidate_patterns, c_k, filter_by_keys(r_prime, keys)
 
     def _partition(self, r_prime) -> list[Partition]:
         """One picklable key-range work unit per worker."""

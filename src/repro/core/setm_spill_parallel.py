@@ -11,12 +11,12 @@ for RAM *and* big enough to parallelize:
 
 * **Planning is inherited unchanged**; a level that fits one budget
   share never touches the disk — or the pool.
-* **Batches balance expected cost**: about
-  :data:`BATCHES_PER_WORKER` batches per worker, cut so each carries a
-  like share of the level's priced rows, a range that must be counted
-  by sorting (its key span too wide for direct addressing) weighing
-  more, and dispatched dearest first.  A batch maps ``SALES`` once, so
-  the per-task fixed cost is paid per batch, not per range.
+* **Batches balance priced rows**: :data:`BATCHES_PER_WORKER`
+  contiguous batches per worker, cut so each carries a like share of
+  the level's priced rows, dispatched in key order (a ``k = 2`` batch
+  is cut again where its selected ``SALES`` positions would pass one
+  budget share, as inline).  A batch maps ``SALES`` once, so the
+  per-task fixed cost is paid per batch, not per range.
 * **``SALES`` is published once per run**, when the first level is
   pooled: its ``SalesIndex`` columns travel over the negotiated
   transport (a shared-memory segment under ``shm``, a spooled file
@@ -54,13 +54,12 @@ from typing import Any, Literal
 
 import numpy as np
 
-from repro.core.columns import InstanceRelation, table_fits
+from repro.core.columns import InstanceRelation
 from repro.core.partitioning import Partition
 from repro.core.result import MiningResult
 from repro.core.setm import run_figure4_loop
 from repro.core.setm_columnar_disk import (
     DEFAULT_MEMORY_BUDGET,
-    KeyRange,
     RangeBatch,
     SpillingColumnarKernel,
     run_range_batch,
@@ -81,18 +80,6 @@ __all__ = ["SpillParallelKernel", "balanced_batches", "setm_spill_parallel"]
 #: leave the other workers idle, few enough that each batch's fixed
 #: cost (mapping ``SALES``, one scan at ``k = 2``) stays small.
 BATCHES_PER_WORKER = 3
-
-#: How much more a priced row costs when its range is counted by
-#: sorting rather than by direct addressing.
-SORT_ROW_COST = 3
-
-
-def _expected_cost(key_range: KeyRange) -> int:
-    """A range's expected work: its priced rows, sorted rows weighing more."""
-    span = (key_range.key_low, key_range.key_high)
-    if table_fits(span, key_range.rows, 8):
-        return key_range.rows
-    return SORT_ROW_COST * key_range.rows
 
 
 def balanced_batches(costs: list[int], batches: int) -> list[tuple[int, int]]:
@@ -126,7 +113,7 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
     :meth:`_run_batches` changes, and only for levels cut into ≥ 2
     ranges when ``workers > 1``: their ranges are cut into
     :func:`balanced_batches` and dispatched to the shared worker pool
-    instead of running inline as one batch.  In-memory levels — and
+    instead of running inline.  In-memory levels — and
     every level when ``workers=1`` — take the serial path, so the
     engine degrades gracefully to its two parents.
     """
@@ -178,12 +165,12 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
         mode = self._negotiated_transport()
         sales = self._publish_sales(mode)
         ranges = template.ranges
-        costs = [_expected_cost(key_range) for key_range in ranges]
-        runs = balanced_batches(costs, BATCHES_PER_WORKER * self._workers)
-        # The pool hands batches out in order: dearest first, so the
-        # cheap ones fill in at the end.
-        order = sorted(
-            range(len(runs)), key=lambda i: -sum(costs[slice(*runs[i])])
+        runs = self._capped(
+            template,
+            balanced_batches(
+                [key_range.rows for key_range in ranges],
+                BATCHES_PER_WORKER * self._workers,
+            ),
         )
         replies = []
         with TransportSession(mode) as session:
@@ -196,12 +183,8 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
                 )
                 for i, (start, stop) in enumerate(runs)
             ]
-            dispatched = self._dispatch(
-                run_range_batch, [batches[i] for i in order]
-            )
-            by_batch = dict(zip(order, dispatched))
-            for i in range(len(batches)):
-                candidates, envelope, *tallies, zero_copy = by_batch[i]
+            for reply in self._dispatch(run_range_batch, batches):
+                candidates, envelope, *tallies, zero_copy = reply
                 session.note_zero_copy(zero_copy)
                 replies.append((candidates, session.collect(envelope), *tallies))
             self._record_transport(session)

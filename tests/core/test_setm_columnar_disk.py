@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro.baselines.bruteforce import bruteforce
+from repro.core.partitioning import ROW_BYTES
 from repro.core.rules import generate_rules
 from repro.core.setm import setm
 from repro.core.setm_columnar import setm_columnar
@@ -233,12 +234,14 @@ class TestOversizedPrefix:
 class TestBatchRows:
     def test_k2_rows_are_each_ranges_positions_in_order(self, make_random_db):
         """One scan serves the batch; each range gets exactly the SALES
-        positions whose item is one of its prefixes, ascending."""
+        positions with extensions whose item is one of its prefixes,
+        ascending."""
         kernel = SpillingColumnarKernel(make_random_db(3))
         sales = kernel.make_sales()
         index = sales.index
         base = index.base
         items = np.asarray(index.items)
+        extends = np.asarray(index.ext_counts) > 0
         # Full prefix ranges, a skipped prefix (a gap), and one prefix
         # cut into two item sub-ranges.
         cuts = [(1, 3), (3, 4), (5, 7)]
@@ -252,10 +255,45 @@ class TestBatchRows:
             bounds, _batch_rows(batch, index), strict=True
         ):
             first, last = low // base, -(-high // base)
-            expected = np.flatnonzero((items >= first) & (items < last))
+            expected = np.flatnonzero(
+                (items >= first) & (items < last) & extends
+            )
             assert rows.last_sid.tolist() == expected.tolist()
             assert rows.keys.tolist() == items[expected].tolist()
             assert (read, viewed) == (0, 0)
+        kernel.close()
+
+    @pytest.mark.parametrize("budget", [256, 1024, 4096, 2**20])
+    def test_k2_batches_hold_at_most_one_share(self, make_random_db, budget):
+        """A k = 2 batch is cut where the positions it selects would pass
+        one budget share; a lone range with positions is never cut, and
+        later levels keep their runs."""
+        kernel = SpillingColumnarKernel(
+            make_random_db(3), memory_budget_bytes=budget
+        )
+        index = kernel.make_sales().index
+        base = index.base
+        items = np.asarray(index.items)
+        extends = np.asarray(index.ext_counts) > 0
+        ranges = [
+            KeyRange(item * base, (item + 1) * base, None, [], "unused", 1)
+            for item in range(base)
+        ]
+        batch = RangeBatch(2, ranges, index, base, 1, "auto")
+        runs = kernel._capped(batch, [(0, 5), (5, len(ranges))])
+        assert runs[0][0] == 0 and runs[-1][1] == len(ranges)
+        assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+        assert 5 in {start for start, _ in runs}
+        for start, stop in runs:
+            held = items[extends & (items >= start) & (items < stop)]
+            lone = len(np.unique(held)) <= 1
+            assert lone or len(held) * ROW_BYTES <= budget // 4
+        if budget == 2**20:
+            assert runs == [(0, 5), (5, len(ranges))]
+        later = batch._replace(k=3)
+        assert kernel._capped(later, [(0, len(ranges))]) == [
+            (0, len(ranges))
+        ]
         kernel.close()
 
 

@@ -16,6 +16,7 @@ pool break.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.baselines.bruteforce import bruteforce
 from repro.core.rules import generate_rules
 from repro.core.setm import run_figure4_loop, setm
-from repro.core.partitioning import Partition
+from repro.core.partitioning import ROW_BYTES, Partition
 from repro.core.setm_columnar_disk import run_range_batch, setm_columnar_disk
 from repro.core.setm_spill_parallel import (
     SpillParallelKernel,
@@ -192,12 +193,32 @@ class TestBatches:
         assert sorted(kernel.batches) == sorted(planned)
         for k, batches in kernel.batches.items():
             assert all(batches)
-            assert len(batches) == min(planned[k], 3 * workers)
-            # Dispatch order follows cost; sorted back, the batches tile
-            # the planned ranges in key order.
-            ranges = [r for batch in sorted(batches) for r in batch]
+            assert len(batches) >= min(planned[k], 3 * workers)
+            # Dispatched in key order, the batches tile the planned ranges.
+            ranges = [r for batch in batches for r in batch]
             assert len(ranges) == planned[k]
             assert all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
+
+    def test_k2_batches_hold_at_most_one_share(self, quest_references):
+        """Pooled k = 2 batches are cut again where the SALES positions
+        they select would pass one budget share, as inline ones are."""
+        db, reference = quest_references[(0, 0.01)]
+        budget = 8 * 1024
+        kernel = _RecordingKernel(db, memory_budget_bytes=budget, workers=2)
+        result = run_figure4_loop(
+            db, 0.01, kernel, algorithm="setm-spill-parallel"
+        )
+        assert result.same_patterns_as(reference)
+        index = kernel._index
+        base = index.base
+        items = np.asarray(index.items)[np.asarray(index.ext_counts) > 0]
+        batches = kernel.batches[2]
+        assert len(batches) > 3 * 2  # the cap cut some balanced batch
+        for batch in batches:
+            first, last = batch[0][0] // base, -(-batch[-1][1] // base)
+            held = items[(items >= first) & (items < last)]
+            lone = len(batch) == 1 or len(np.unique(held)) <= 1
+            assert lone or len(held) * ROW_BYTES <= budget // 4
 
     def test_fewer_ranges_than_batches(self, quest_references):
         db, reference = quest_references[(1, 0.01)]
