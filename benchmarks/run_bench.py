@@ -22,16 +22,12 @@ out-of-core acceptance evidence, committed to ``BENCH_setm.json``.
 
 The Table 6.2 workload and the largest QUEST workload also run a
 **worker sweep**: ``setm-parallel`` at 1/2/4 workers, each run
-differentially checked against ``setm`` and recorded with its partition
-counts and its speedup over ``setm-columnar`` (the serial engine it
-shares every non-counting pass with).  The host CPU count is recorded
-alongside, and on a single-CPU host the ≥ 2-worker rows are tagged
-``coordination_overhead_only`` with ``speedup_vs_columnar`` nulled —
-pure coordination overhead must never be recorded as a parallel
-regression (ROADMAP carries the multi-core re-run item).  ``--workers
-N`` narrows the sweep to ``{1, N}`` and extends it to the tiny smoke
-(with ``parallel_threshold=0`` so the pool path runs at smoke scale),
-which is how CI exercises the pool on every push.
+differentially checked against ``setm`` and recorded with its pooled
+key ranges and its speedup over ``setm-columnar``.  The host CPU count
+is recorded alongside, and on a single-CPU host the ≥ 2-worker rows
+are tagged ``coordination_overhead_only`` with ``speedup_vs_columnar``
+nulled — pure coordination overhead must never be recorded as a
+parallel regression.  ``--workers N`` narrows the sweep to ``{1, N}``.
 
 The Table 6.2 workload (and the tiny smoke under ``--workers``)
 additionally runs the **spill-parallel sweep**: ``setm-spill-parallel``
@@ -40,20 +36,8 @@ the pooled counting of *on-disk* partitions.  Every run is
 differentially checked against ``setm``, must actually have spilled
 (≥ 2 partitions) and, above one worker, must actually have reached the
 pool; speedups are measured against ``setm-columnar-disk`` at the same
-budget and carry the same single-CPU tagging.
-
-The Table 6.2 workload (and the tiny smoke under ``--transport``) also
-runs the **transport sweep**: ``setm-parallel`` across the payload
-transports (``pickle`` vs ``shm`` vs ``mmap``) at each sweep worker
-count.  The ``pickle`` rows are the baseline; every other row records
-``bytes_copied_reduction`` — the fraction of task/reply bytes that
-left the pickle stream for shared memory or the spool — and the run
-refuses to record a reduction below 50%.  Byte counters are
-deterministic, so they are honest even on one CPU; wall-clock ratios
-(``speedup_vs_pickle``) carry the same ``coordination_overhead_only``
-tagging as every other sweep.  ``--transport T`` narrows the sweep to
-``{pickle, T}`` and extends it to the tiny smoke, which is how CI
-exercises the shm and mmap legs on every push.
+budget and carry the same single-CPU tagging.  This is how CI
+exercises the pool on every push.
 
 The Table 6.2 workload (and the tiny smoke) also runs the **serve
 scenario**: an in-process ``MiningService`` hosting the workload's
@@ -143,8 +127,10 @@ from repro.core.incremental import setm_incremental  # noqa: E402
 from repro.core.setm import setm  # noqa: E402
 from repro.core.setm_columnar import setm_columnar  # noqa: E402
 from repro.core.setm_columnar_disk import setm_columnar_disk  # noqa: E402
-from repro.core.setm_parallel import setm_parallel  # noqa: E402
-from repro.core.setm_spill_parallel import setm_spill_parallel  # noqa: E402
+from repro.core.setm_spill_parallel import (  # noqa: E402
+    setm_parallel,
+    setm_spill_parallel,
+)
 from repro.core.columns import InstanceRelation  # noqa: E402
 from repro.core.transactions import TransactionDatabase  # noqa: E402
 from repro.data.ingest import stream_encode  # noqa: E402
@@ -155,13 +141,13 @@ from repro.data.retail import generate_retail_dataset  # noqa: E402
 from repro.serve.protocol import result_payload  # noqa: E402
 from repro.serve.service import MiningService  # noqa: E402
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 ENGINES = {"setm": setm, "setm-columnar": setm_columnar}
 
 #: Worker counts swept per workload (setm-parallel, differentially
 #: checked per run).  Only the Table 6.2 retail workload and the
-#: largest QUEST workload carry the sweep by default; ``--workers N``
-#: narrows it to {1, N} and extends it to the tiny smoke.
+#: largest QUEST workload carry the sweep (their R'_2 reach the pool
+#: gate); ``--workers N`` narrows it to {1, N}.
 WORKER_SWEEPS = {
     "table6.2-retail": (1, 2, 4),
     "quest-T10.I4.D10K": (1, 2, 4),
@@ -172,22 +158,6 @@ WORKER_SWEEPS = {
 SPILL_PARALLEL_SWEEPS = {
     "table6.2-retail": (1, 2, 4),
 }
-
-#: Workloads carrying the transport sweep (setm-parallel across payload
-#: transports, ``pickle`` first — it is the reduction baseline).
-TRANSPORT_SWEEPS = {
-    "table6.2-retail": ("pickle", "shm", "mmap"),
-}
-
-#: Worker counts each transport is swept across (``--workers N``
-#: narrows this to {1, N} alongside the worker sweep).
-TRANSPORT_SWEEP_WORKERS = (1, 2, 4)
-
-#: The acceptance floor for the non-pickle transports: at least this
-#: fraction of the pickle transport's task+reply bytes must have left
-#: the pickle stream (byte counters are deterministic — this holds on
-#: any host, unlike wall-clock speedups).
-TRANSPORT_REDUCTION_FLOOR = 0.5
 
 #: Client counts swept through the in-process serve scenario (the tiny
 #: smoke carries it so CI validates the schema branch on every push).
@@ -246,8 +216,8 @@ INCREMENTAL_SPEEDUP_FLOOR = 3.0
 #: Parquet read (when pyarrow is present) must skip >= 30% of the file.
 INGEST_REDUCTION_FLOOR = 0.3
 
-#: The tiny smoke forces the pool path at smoke scale (its R'_k are far
-#: below the engine's default parallel threshold).
+#: The tiny smoke: ``--workers N`` extends the spill-parallel sweep to
+#: it, whose budget cuts its levels into pooled key ranges.
 TINY_WORKLOAD = "quest-T5.I2.D300-tiny"
 
 #: Constrained-memory scenario budgets (bytes) per workload.  2 MiB on
@@ -502,132 +472,6 @@ def _bench_spill_parallel(
         "engine": "setm-spill-parallel",
         "memory_budget_bytes": budget,
         "cpus": os.cpu_count(),
-        "runs": runs,
-    }
-
-
-def _bench_transport_sweep(
-    name: str,
-    database,
-    minsup: float,
-    transports: tuple[str, ...],
-    sweep: tuple[int, ...],
-    reference,
-    *,
-    parallel_threshold: int | None = None,
-) -> dict:
-    """The transport scenario: ``setm-parallel`` across payload transports.
-
-    One timed run per (transport, workers) cell — the interesting
-    numbers here are the *byte counters*, which are deterministic, so
-    best-of-N timing rounds would only slow the bench down.  The
-    ``pickle`` rows are the baseline: every other row's
-    ``bytes_copied_reduction`` is the fraction of pickle-stream bytes
-    (task payloads + reply buffers) the transport moved out-of-band,
-    and anything below :data:`TRANSPORT_REDUCTION_FLOOR` on a pooled
-    run aborts the bench.  Wall-clock ratios carry the standard
-    single-CPU ``coordination_overhead_only`` tagging.
-    """
-    if transports[0] != "pickle":
-        raise SystemExit(
-            f"transport sweep on {name}: 'pickle' must come first "
-            "(it is the bytes_copied_reduction baseline)"
-        )
-    options: dict = {}
-    if parallel_threshold is not None:
-        options["parallel_threshold"] = parallel_threshold
-    pickle_rows: dict[int, dict] = {}  # workers -> baseline entry
-    runs = []
-    for transport in transports:
-        for workers in sweep:
-            started = time.perf_counter()
-            result = setm_parallel(
-                database,
-                minsup,
-                workers=workers,
-                transport=transport,
-                **options,
-            )
-            elapsed = round(time.perf_counter() - started, 6)
-            if not (
-                reference.same_patterns_as(result)
-                and reference.iterations == result.iterations
-            ):
-                raise SystemExit(
-                    f"transport sweep on {name}: setm-parallel over "
-                    f"{transport!r} with {workers} workers disagrees with "
-                    "setm; refusing to record"
-                )
-            block = result.extra["transport"]
-            pickled_bytes = (
-                block["task_bytes_inline"] + block["reply_bytes_inline"]
-            )
-            entry = {
-                "transport": transport,
-                "workers": workers,
-                "mode": block["mode"],
-                "elapsed_seconds": elapsed,
-                "pickled_bytes": pickled_bytes,
-                "task_bytes_inline": block["task_bytes_inline"],
-                "task_bytes_shared": block["task_bytes_shared"],
-                "task_bytes_spooled": block["task_bytes_spooled"],
-                "reply_bytes_inline": block["reply_bytes_inline"],
-                "reply_bytes_shared": block["reply_bytes_shared"],
-                "zero_copy_bytes": block["zero_copy_bytes"],
-                "bytes_copied_reduction": None,
-                "speedup_vs_pickle": None,
-                "agreement": True,
-            }
-            if transport == "pickle":
-                pickle_rows[workers] = entry
-            else:
-                baseline = pickle_rows.get(workers)
-                if workers > 1:
-                    if baseline is None or baseline["pickled_bytes"] <= 0:
-                        raise SystemExit(
-                            f"transport sweep on {name}: no pickle-transport "
-                            f"bytes at {workers} workers to compare against "
-                            "(the pool never ran); nothing measured"
-                        )
-                    reduction = round(
-                        1 - pickled_bytes / baseline["pickled_bytes"], 4
-                    )
-                    if reduction < TRANSPORT_REDUCTION_FLOOR:
-                        raise SystemExit(
-                            f"transport sweep on {name}: {transport!r} at "
-                            f"{workers} workers moved only "
-                            f"{reduction:.0%} of the pickle bytes "
-                            "out-of-band (floor "
-                            f"{TRANSPORT_REDUCTION_FLOOR:.0%}); "
-                            "refusing to record"
-                        )
-                    entry["bytes_copied_reduction"] = reduction
-                    if baseline["elapsed_seconds"] > 0 and elapsed > 0:
-                        entry["speedup_vs_pickle"] = round(
-                            baseline["elapsed_seconds"] / elapsed, 3
-                        )
-            tagged = _tag_single_cpu(entry, "speedup_vs_pickle")
-            reduction = entry["bytes_copied_reduction"]
-            print(
-                f"  transport={transport} workers={workers}: {elapsed:.3f}s"
-                + (
-                    f", {reduction:.0%} fewer pickled bytes"
-                    if reduction is not None
-                    else ""
-                )
-                + (
-                    ""
-                    if not tagged
-                    else " (timing is coordination overhead only, 1 CPU)"
-                ),
-                flush=True,
-            )
-            runs.append(entry)
-    return {
-        "engine": "setm-parallel",
-        "cpus": os.cpu_count(),
-        "parallel_threshold": parallel_threshold,
-        "reduction_floor": TRANSPORT_REDUCTION_FLOOR,
         "runs": runs,
     }
 
@@ -1224,8 +1068,6 @@ def _bench_worker_sweep(
     reference,
     columnar_elapsed: float,
     rounds: int,
-    *,
-    parallel_threshold: int | None = None,
 ) -> dict:
     """The parallel scenario: ``setm-parallel`` across worker counts.
 
@@ -1233,13 +1075,10 @@ def _bench_worker_sweep(
     the sweep's largest worker count must actually have sent iterations
     to the pool (otherwise the numbers would measure nothing).
     """
-    options: dict = {}
-    if parallel_threshold is not None:
-        options["parallel_threshold"] = parallel_threshold
     runs = []
     for workers in sweep:
         bench = _bench_engine(
-            setm_parallel, database, minsup, rounds, workers=workers, **options
+            setm_parallel, database, minsup, rounds, workers=workers
         )
         metered = bench["metered_result"]
         if not (
@@ -1292,7 +1131,6 @@ def _bench_worker_sweep(
     return {
         "engine": "setm-parallel",
         "cpus": os.cpu_count(),
-        "parallel_threshold": parallel_threshold,
         "runs": runs,
     }
 
@@ -1302,7 +1140,6 @@ def run(
     rounds: int,
     memory_budget: int | None = None,
     workers: int | None = None,
-    transport: str | None = None,
 ) -> dict:
     workloads = []
     for name, factory, minsup in _workloads(tiny):
@@ -1361,16 +1198,10 @@ def run(
             workload_entry["constrained_memory"] = _bench_constrained(
                 name, database, minsup, budget, results["setm"], rounds
             )
-        # --workers narrows the sweep to {1, N} and extends it to the
-        # tiny smoke (with the pool forced on, since the smoke's R'_k
-        # sit below the engine's default threshold).
+        # --workers narrows the sweep to {1, N}.
         sweep = WORKER_SWEEPS.get(name, ())
-        threshold = None
-        if workers is not None:
-            if name in WORKER_SWEEPS or name == TINY_WORKLOAD:
-                sweep = tuple(sorted({1, workers}))
-            if name == TINY_WORKLOAD:
-                threshold = 0
+        if workers is not None and sweep:
+            sweep = tuple(sorted({1, workers}))
         if sweep:
             workload_entry["worker_sweep"] = _bench_worker_sweep(
                 name,
@@ -1380,33 +1211,6 @@ def run(
                 results["setm"],
                 engines["setm-columnar"]["elapsed_seconds"],
                 rounds,
-                parallel_threshold=threshold,
-            )
-        # The transport sweep: pickle vs shm vs mmap byte accounting
-        # (--transport narrows it to {pickle, T} and extends it to the
-        # tiny smoke, where the pool is forced on like the worker sweep).
-        transport_sweep = TRANSPORT_SWEEPS.get(name, ())
-        transport_threshold = None
-        if transport is not None and (
-            name in TRANSPORT_SWEEPS or name == TINY_WORKLOAD
-        ):
-            transport_sweep = tuple(
-                dict.fromkeys(("pickle", transport))
-            )
-        if transport_sweep:
-            transport_workers = TRANSPORT_SWEEP_WORKERS
-            if workers is not None:
-                transport_workers = tuple(sorted({1, workers}))
-            if name == TINY_WORKLOAD:
-                transport_threshold = 0
-            workload_entry["transport_sweep"] = _bench_transport_sweep(
-                name,
-                database,
-                minsup,
-                transport_sweep,
-                transport_workers,
-                results["setm"],
-                parallel_threshold=transport_threshold,
             )
         # The combined scenario rides on the constrained budget: pooled
         # counting of on-disk partitions, swept across worker counts.
@@ -1559,60 +1363,6 @@ def validate(document: dict) -> list[str]:
                     errors.extend(
                         _check_single_cpu_tag(
                             entry, cpus, "speedup_vs_columnar", run_prefix
-                        )
-                    )
-        if "transport_sweep" in (workload or {}):
-            sweep = need(workload, "transport_sweep", dict, where)
-            if sweep is not None:
-                prefix = f"{where}.transport_sweep"
-                need(sweep, "engine", str, prefix)
-                cpus = need(sweep, "cpus", int, prefix)
-                floor = need(
-                    sweep, "reduction_floor", (int, float), prefix
-                )
-                runs = need(sweep, "runs", list, prefix)
-                if not runs:
-                    errors.append(f"{prefix}.runs: must be a non-empty list")
-                for j, entry in enumerate(runs or ()):
-                    run_prefix = f"{prefix}.runs[{j}]"
-                    transport = need(entry, "transport", str, run_prefix)
-                    workers_value = need(entry, "workers", int, run_prefix)
-                    need(entry, "elapsed_seconds", (int, float), run_prefix)
-                    need(entry, "agreement", bool, run_prefix)
-                    for counter in (
-                        "pickled_bytes",
-                        "task_bytes_inline",
-                        "task_bytes_shared",
-                        "task_bytes_spooled",
-                        "reply_bytes_inline",
-                        "reply_bytes_shared",
-                        "zero_copy_bytes",
-                    ):
-                        need(entry, counter, int, run_prefix)
-                    if (
-                        transport in ("shm", "mmap")
-                        and isinstance(workers_value, int)
-                        and workers_value > 1
-                    ):
-                        reduction = entry.get("bytes_copied_reduction")
-                        minimum = (
-                            floor
-                            if isinstance(floor, (int, float))
-                            else TRANSPORT_REDUCTION_FLOOR
-                        )
-                        if (
-                            not isinstance(reduction, (int, float))
-                            or reduction < minimum
-                        ):
-                            errors.append(
-                                f"{run_prefix}.bytes_copied_reduction: a "
-                                f"pooled {transport} run must move at least "
-                                f"{minimum:.0%} of the pickle-transport "
-                                "bytes out-of-band"
-                            )
-                    errors.extend(
-                        _check_single_cpu_tag(
-                            entry, cpus, "speedup_vs_pickle", run_prefix
                         )
                     )
         if "spill_parallel" in (workload or {}):
@@ -1896,15 +1646,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="narrow the setm-parallel worker sweep to {1, N} and extend "
-             "it to the tiny smoke (default: per-workload sweeps in "
-             "WORKER_SWEEPS; the CI smoke passes --workers 2)",
-    )
-    parser.add_argument(
-        "--transport", choices=["pickle", "shm", "mmap"], default=None,
-        help="narrow the transport sweep to {pickle, TRANSPORT} and "
-             "extend it to the tiny smoke (default: per-workload sweeps "
-             "in TRANSPORT_SWEEPS; the CI smoke passes shm and mmap legs)",
+        help="narrow the worker sweeps to {1, N} and extend the "
+             "spill-parallel sweep to the tiny smoke (default: per-workload "
+             "sweeps; the CI smoke passes --workers 2)",
     )
     parser.add_argument(
         "--validate", type=Path, default=None, metavar="PATH",
@@ -1927,7 +1671,6 @@ def main(argv: list[str] | None = None) -> int:
         rounds=max(1, args.rounds),
         memory_budget=args.memory_budget,
         workers=args.workers,
-        transport=args.transport,
     )
     errors = validate(document)
     if errors:  # pragma: no cover - the writer always matches its schema

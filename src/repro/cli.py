@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="how parallel engines move partition bytes to "
                            "workers: pickle (serialize), shm (zero-copy "
                            "shared-memory views), mmap (map spill/spool "
-                           "files); auto picks per engine")
+                           "files); auto means mmap")
     mine.add_argument("--input-format", default=None,
                       choices=list(INPUT_FORMATS),
                       help="decode the input through the streaming ingest "

@@ -1,20 +1,16 @@
 """Partitioned execution layer: first-class key-range work units.
 
 The paper's central claim is that Figure 4's merge/count/filter passes
-are pure set operations with no cross-row dependencies.  Two engines
-exploit the same consequence in two directions:
-
-* the **spill** engines (:mod:`repro.core.setm_columnar_disk`,
-  :mod:`repro.core.setm_spill_parallel`) partition *before* extending:
-  a level-``k`` key is ``rank * base + item``, so the extensions of
-  prefix rank ``r`` are exactly the keys ``[r * base, (r + 1) * base)``
-  and a key-range partition of ``R'_k`` is a prefix-range partition of
-  ``R_{k-1}``.  A :class:`PartitionPlan` prices every range exactly
-  before a row exists; each range is then extended, counted, filtered
-  and written as its share of ``R_k`` in one task;
-* the **parallel** engine (:mod:`repro.core.setm_parallel`) range-
-  partitions a materialized ``R'_k`` into *picklable payloads* and
-  counts all partitions at once in worker processes.
+are pure set operations with no cross-row dependencies.  The spill and
+pooled engines (:mod:`repro.core.setm_columnar_disk`,
+:mod:`repro.core.setm_spill_parallel`) exploit it by partitioning
+*before* extending: a level-``k`` key is ``rank * base + item``, so the
+extensions of prefix rank ``r`` are exactly the keys
+``[r * base, (r + 1) * base)`` and a key-range partition of ``R'_k`` is
+a prefix-range partition of ``R_{k-1}``.  A :class:`PartitionPlan`
+prices every range exactly before a row exists; each range is then
+extended, counted, filtered and written as its share of ``R_k`` in one
+task, inline or in a worker process.
 
 The machinery they share lives here:
 
@@ -26,9 +22,8 @@ The machinery they share lives here:
 * :func:`decode_buffer_chunks` — the one decoder of the chunk format.
 * :class:`PartitionPlan` / :func:`cut_ranges` — exact range planning
   from per-prefix extension totals.
-* :func:`choose_boundaries` / :func:`boundaries_from_keys` — quantile
-  boundaries of an already-materialized key column, and
-  :func:`split_by_key_ranges`, which routes its rows in one pass.
+* :func:`split_by_key_ranges` — routes a relation's rows to key
+  intervals in one pass.
 
 Key-range partitioning (as opposed to hashing or row slicing) is what
 makes per-partition counts *global* counts: every occurrence of a
@@ -44,7 +39,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -61,12 +56,9 @@ __all__ = [
     "ROW_BYTES",
     "Partition",
     "PartitionPlan",
-    "boundaries_from_keys",
-    "choose_boundaries",
     "concat_columns",
     "cut_ranges",
     "decode_buffer_chunks",
-    "key_ranges",
     "split_by_key_ranges",
 ]
 
@@ -119,56 +111,6 @@ def concat_columns(columns: list) -> np.ndarray:
     if len(columns) == 1:
         return _as_int64(columns[0])
     return np.concatenate([_as_int64(column) for column in columns])
-
-
-def choose_boundaries(keys, partitions: int) -> list[int]:
-    """``partitions - 1`` ascending boundary keys (sample quantiles).
-
-    Partition ``p`` then holds the keys ``k`` with
-    ``boundaries[p-1] <= k < boundaries[p]`` under the
-    ``side="right"`` routing of :func:`split_by_key_ranges` (duplicated
-    boundary values simply leave some partitions empty — coverage stays
-    disjoint and total).
-    """
-    ordered = np.sort(_as_int64(keys))
-    n = len(ordered)
-    return [int(ordered[n * i // partitions]) for i in range(1, partitions)]
-
-
-def boundaries_from_keys(
-    keys: Sequence[int],
-    partitions: int,
-    *,
-    sample_rows: int = 2048,
-) -> list[int] | None:
-    """Boundaries for an already-materialized key column.
-
-    A strided sample (never the column's prefix, which would inherit
-    the tid-ordered input's position) feeds :func:`choose_boundaries`.
-    Returns ``None`` on an empty column.
-    """
-    n = len(keys)
-    if n == 0:
-        return None
-    stride = max(1, n // sample_rows)
-    return choose_boundaries(_as_int64(keys)[::stride], partitions)
-
-
-def key_ranges(
-    boundaries: list[int] | None, partitions: int
-) -> list[tuple[int | None, int | None]]:
-    """Per-partition ``(key_low, key_high)`` intervals for ``boundaries``.
-
-    The one owner of the boundary-interval semantics both partition
-    consumers label their :class:`Partition` work units with: partition
-    ``p`` covers ``key_low`` inclusive to ``key_high`` exclusive (the
-    :func:`split_by_key_ranges` routing), with ``None`` at unbounded
-    ends.  Without boundaries every interval is unbounded.
-    """
-    if not boundaries:
-        return [(None, None)] * partitions
-    bounds = [None, *boundaries, None]
-    return [(bounds[p], bounds[p + 1]) for p in range(partitions)]
 
 
 def split_by_key_ranges(
@@ -271,23 +213,6 @@ class Partition:
         self.payload = payload
         self.path = Path(path) if path is not None else None
         self.shm = tuple(shm) if shm is not None else None
-
-    @classmethod
-    def from_relation(
-        cls,
-        relation: InstanceRelation,
-        *,
-        key_low: int | None = None,
-        key_high: int | None = None,
-    ) -> "Partition":
-        """An in-memory partition holding ``relation``'s rows."""
-        return cls(
-            relation.k,
-            key_low=key_low,
-            key_high=key_high,
-            num_rows=len(relation),
-            payload=relation.to_chunk_bytes(),
-        )
 
     def read_bytes(self) -> bytes:
         """This partition's raw chunk bytes (memory, shared memory, or disk).

@@ -436,7 +436,7 @@ class SpillingColumnarKernel(ColumnarKernel):
         plan = PartitionPlan.from_prefix_totals(
             totals,
             index.base,
-            self._share_bytes,
+            self._level_share(int(totals.sum())),
             item_totals=lambda rank: self._item_totals(r, prefixes, rank),
         )
         k = r.k + 1
@@ -465,6 +465,10 @@ class SpillingColumnarKernel(ColumnarKernel):
             k=k,
             index=index,
         )
+
+    def _level_share(self, rows: int) -> int:
+        """The range size, in bytes, to plan an ``R'_k`` of ``rows`` in."""
+        return self._share_bytes
 
     def count_and_filter(self, r_prime, threshold: int):
         if isinstance(r_prime, InstanceRelation):

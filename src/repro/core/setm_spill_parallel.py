@@ -1,16 +1,21 @@
-"""Spill-AND-parallel SETM: priced key ranges run in a worker pool.
+"""The pooled engines: priced key ranges run in a worker pool.
 
 The out-of-core engine (:mod:`repro.core.setm_columnar_disk`) plans
 ``R'_k`` as priced key ranges under a ``memory_budget_bytes`` and runs
 them as one batch — extend, count, HAVING-filter, write the ``R_k``
-share — one range at a time.  This engine cuts a level's ranges into
-contiguous batches and maps the same
+share — one range at a time.  :class:`SpillParallelKernel` cuts a
+level's ranges into contiguous batches and maps the same
 :func:`~repro.core.setm_columnar_disk.run_range_batch` over the cached
-worker pool of :mod:`repro.core.setm_parallel`, for databases too big
-for RAM *and* big enough to parallelize:
+worker pool of :mod:`repro.core.setm_parallel`.  Two engines run it:
+``setm-spill-parallel`` under a budget the caller chooses, and
+``setm-parallel`` under the default budget.
 
-* **Planning is inherited unchanged**; a level that fits one budget
-  share never touches the disk — or the pool.
+* **Planning is inherited**, plus one gate: with ``workers > 1`` a
+  level the budget would keep whole is still pooled when its priced
+  ``|R'_k|`` reaches :data:`POOL_MIN_ROWS`, cut into
+  ``BATCHES_PER_WORKER × workers`` ranges of like priced size.  Any
+  other level that fits one budget share runs in memory, exactly as
+  ``setm-columnar`` does, and never touches the disk or the pool.
 * **Batches balance priced rows**: :data:`BATCHES_PER_WORKER`
   contiguous batches per worker, cut so each carries a like share of
   the level's priced rows, dispatched in key order (a ``k = 2`` batch
@@ -28,12 +33,11 @@ for RAM *and* big enough to parallelize:
   each key's extension total for the next plan, and I/O tallies,
   merged in key-range order (disjoint ⇒ concatenation).
 
-A level is pooled exactly when the budget cut it into ≥ 2 ranges and
-``workers > 1``, so there is no ``parallel_threshold``.  With
-``workers=1`` the engine degenerates to ``setm-columnar-disk``; under a
-budget nothing exceeds, to ``setm-columnar``.  Either way patterns,
-rules, and :class:`~repro.core.result.IterationStats` are identical to
-``setm`` (the engine conformance matrix and
+With ``workers=1`` the kernel degenerates to ``setm-columnar-disk``;
+under a budget nothing exceeds, to ``setm-columnar``.  Either way
+patterns, rules, and :class:`~repro.core.result.IterationStats` are
+identical to ``setm`` (the engine conformance matrix,
+``tests/core/test_setm_parallel.py`` and
 ``tests/core/test_setm_spill_parallel.py`` hold it to that).
 
 Failure containment: a worker raising mid-task propagates out of the
@@ -55,7 +59,7 @@ from typing import Any, Literal
 import numpy as np
 
 from repro.core.columns import InstanceRelation
-from repro.core.partitioning import Partition
+from repro.core.partitioning import ROW_BYTES, Partition
 from repro.core.result import MiningResult
 from repro.core.setm import run_figure4_loop
 from repro.core.setm_columnar_disk import (
@@ -74,12 +78,23 @@ from repro.core.transactions import TransactionDatabase
 from repro.core.transport import TransportSession
 from repro.registry import register_engine
 
-__all__ = ["SpillParallelKernel", "balanced_batches", "setm_spill_parallel"]
+__all__ = [
+    "POOL_MIN_ROWS",
+    "SpillParallelKernel",
+    "balanced_batches",
+    "setm_parallel",
+    "setm_spill_parallel",
+]
 
 #: Pool batches per worker: enough that a batch running long does not
 #: leave the other workers idle, few enough that each batch's fixed
 #: cost (mapping ``SALES``, one scan at ``k = 2``) stays small.
 BATCHES_PER_WORKER = 3
+
+#: Priced ``|R'_k|`` from which a level the budget keeps whole is still
+#: pooled.  Below it the count is a few milliseconds in process, less
+#: than publishing ``SALES`` and one pool round trip would cost.
+POOL_MIN_ROWS = 65536
 
 
 def balanced_batches(costs: list[int], batches: int) -> list[tuple[int, int]]:
@@ -109,18 +124,15 @@ def balanced_batches(costs: list[int], batches: int) -> list[tuple[int, int]]:
 class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
     """The spilling Figure-4 steps with each level's range tasks pooled.
 
-    Planning and the batch body are inherited unchanged; only
-    :meth:`_run_batches` changes, and only for levels cut into ≥ 2
-    ranges when ``workers > 1``: their ranges are cut into
-    :func:`balanced_batches` and dispatched to the shared worker pool
-    instead of running inline.  In-memory levels — and
-    every level when ``workers=1`` — take the serial path, so the
-    engine degrades gracefully to its two parents.
+    The batch body is inherited unchanged.  When ``workers > 1``,
+    :meth:`_level_share` also cuts a level of at least
+    :data:`POOL_MIN_ROWS` that the budget would keep whole, and
+    :meth:`_run_batches` cuts every planned level's ranges into
+    :func:`balanced_batches` dispatched to the shared worker pool
+    instead of running inline.  In-memory levels — and every level
+    when ``workers=1`` — take the serial path, so the kernel degrades
+    gracefully to its two parents.
     """
-
-    #: Range tasks read files (earlier shares, the published ``SALES``
-    #: columns), so ``auto`` means mapping them.
-    _AUTO_TRANSPORT = "mmap"
 
     def __init__(
         self,
@@ -149,10 +161,19 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
 
     # -- Figure-4 steps -------------------------------------------------------------
 
+    def _level_share(self, rows: int) -> int:
+        share = super()._level_share(rows)
+        if self._workers > 1 and POOL_MIN_ROWS <= rows <= share // ROW_BYTES:
+            # Kept whole by the budget, but big enough to pay for the
+            # pool: plan it as the pool's batches instead.
+            ranges = BATCHES_PER_WORKER * self._workers
+            return -(-rows // ranges) * ROW_BYTES
+        return share
+
     def count_and_filter(self, r_prime, threshold: int):
-        # A level that fits one budget share is counted in-process,
-        # exactly as the serial columnar kernel would.  Empty levels are
-        # not "in process" — there was nothing to count at all.
+        # A level kept in memory is counted in-process, exactly as the
+        # serial columnar kernel would.  Empty levels are not "in
+        # process" — there was nothing to count at all.
         if isinstance(r_prime, InstanceRelation) and len(r_prime):
             self._in_process.append(self._k)
         return super().count_and_filter(r_prime, threshold)
@@ -237,6 +258,99 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
 
 
 @register_engine(
+    "setm-parallel",
+    description=(
+        "parallel SETM: levels of at least POOL_MIN_ROWS R'_k rows cut "
+        "into key ranges, extended, counted and filtered in a "
+        "multiprocessing pool"
+    ),
+    representation="columnar",
+    parallel=True,
+    streaming_ingest=True,
+    accepted_options=(
+        "count_via",
+        "workers",
+        "start_method",
+        "transport",
+        "spill_dir",
+        "measure_memory",
+    ),
+)
+def setm_parallel(
+    database: TransactionDatabase,
+    minimum_support: float,
+    *,
+    max_length: int | None = None,
+    count_via: Literal["auto", "sort", "hash"] = "auto",
+    workers: int | None = None,
+    start_method: str | None = None,
+    transport: str | None = None,
+    spill_dir: str | os.PathLike | None = None,
+    measure_memory: bool = False,
+) -> MiningResult:
+    """Mine with big levels pooled; identical results to ``setm``.
+
+    ``setm-spill-parallel`` under the default memory budget: a level
+    whose priced ``|R'_k|`` reaches :data:`POOL_MIN_ROWS` is cut into
+    ``BATCHES_PER_WORKER × workers`` key ranges run in the worker pool;
+    smaller levels are counted in process.
+
+    Parameters
+    ----------
+    database:
+        The transactions to mine.
+    minimum_support:
+        Fractional minimum support in ``(0, 1]`` or absolute count.
+    max_length:
+        Optional cap on pattern length.
+    count_via:
+        Counting strategy per key range — see
+        :func:`setm_spill_parallel`.
+    workers:
+        Pool size; defaults to ``os.cpu_count()``.  ``workers=1``
+        forces fully serial execution (no pool, byte-identical to
+        ``setm-columnar``'s behavior under the default budget).
+    start_method:
+        ``multiprocessing`` start method for the pool; ``None`` defers
+        to ``REPRO_MP_START_METHOD``, then the platform default.
+    transport:
+        How the ``SALES`` columns, the ``R_k`` shares and the replies
+        cross the process boundary — see :func:`setm_spill_parallel`;
+        ``"auto"``/``None`` means ``mmap``.
+    spill_dir:
+        Directory for the run's private spill files (a fresh
+        subdirectory is created and removed): a pooled level's workers
+        write its ``R_k`` shares there.
+    measure_memory:
+        Record loop peak memory in ``extra["peak_memory_bytes"]``; off
+        by default (see :func:`repro.core.setm.setm`).
+
+    Returns
+    -------
+    MiningResult
+        Patterns, counts, and iteration statistics identical to
+        :func:`repro.core.setm.setm`, with the ``extra`` blocks of
+        :func:`setm_spill_parallel`.
+    """
+    return run_figure4_loop(
+        database,
+        minimum_support,
+        SpillParallelKernel(
+            database,
+            workers=workers,
+            count_via=count_via,
+            spill_dir=spill_dir,
+            start_method=start_method,
+            transport=transport,
+        ),
+        algorithm="setm-parallel",
+        max_length=max_length,
+        extra={"count_via": count_via},
+        measure_memory=measure_memory,
+    )
+
+
+@register_engine(
     "setm-spill-parallel",
     description=(
         "out-of-core AND parallel SETM: R'_k key ranges extended, "
@@ -288,9 +402,10 @@ def setm_spill_parallel(
         wider range is sorted.
     memory_budget_bytes:
         Target resident size for the mining loop's relations, exactly
-        as in :func:`repro.core.setm_columnar_disk.setm_columnar_disk`;
-        additionally the gate for the pool — only levels the budget
-        cuts into ≥ 2 key ranges run in workers.
+        as in :func:`repro.core.setm_columnar_disk.setm_columnar_disk`.
+        Levels the budget cuts into ≥ 2 key ranges run in workers, and
+        so does a level it keeps whole whose priced ``|R'_k|`` reaches
+        :data:`POOL_MIN_ROWS`.
     spill_dir:
         Directory for the run's private spill files (a fresh
         subdirectory is created and removed); workers write their
@@ -308,7 +423,7 @@ def setm_spill_parallel(
         whole; replies ride the result pickle), ``"mmap"`` (workers map
         the files and decode columns as views over the map), ``"shm"``
         (``SALES`` in a named shared-memory segment, replies through
-        segments too), or ``"auto"``/``None`` (prefer ``mmap``).
+        segments too), or ``"auto"``/``None`` (``mmap``).
         Results are byte-identical on every transport.
     measure_memory:
         Record loop peak memory in ``extra["peak_memory_bytes"]``; off
@@ -321,7 +436,7 @@ def setm_spill_parallel(
         :func:`repro.core.setm.setm`.  ``extra`` carries the spill
         telemetry of ``setm-columnar-disk`` (``memory_budget_bytes``,
         ``"spill"`` — including worker-side reads and writes) merged
-        with the pool telemetry of ``setm-parallel`` (``workers``, a
+        with the pool telemetry (``workers``, a
         ``"parallel"`` block with pooled iterations, pooled key ranges,
         and the resolved start method) and a ``"transport"`` block
         with the negotiated mode and bytes-moved / copies-avoided

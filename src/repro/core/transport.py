@@ -1,7 +1,8 @@
 """Pluggable partition transport: how chunk bytes cross process borders.
 
-The parallel engines hand :class:`~repro.core.partitioning.Partition`
-work units to pool workers and get ``(keys, counts)`` buffers back.
+The pooled kernel hands pool workers the run's ``SALES`` columns and
+the ``R_k`` shares as :class:`~repro.core.partitioning.Partition`
+descriptors and gets ``(keys, counts)`` buffers back.
 *How* those bytes move is a transport concern, and this module owns it
 behind one small surface with three implementations:
 
@@ -83,8 +84,7 @@ __all__ = [
 ]
 
 #: The legal values of the ``transport`` engine option / ``--transport``
-#: CLI flag.  ``auto`` resolves per engine: shared memory for in-memory
-#: partitions, mmap for path-backed ones.
+#: CLI flag.  ``auto`` means ``mmap``: every pooled task reads files.
 TRANSPORT_CHOICES = ("auto", "pickle", "shm", "mmap")
 
 #: Every segment this library creates is named with this prefix, so the

@@ -59,7 +59,6 @@ _BUILTIN_ENGINE_MODULES = (
     "repro.core.setm",
     "repro.core.setm_columnar",
     "repro.core.setm_columnar_disk",
-    "repro.core.setm_parallel",
     "repro.core.setm_spill_parallel",
     "repro.core.setm_disk",
     "repro.core.setm_sql",

@@ -36,6 +36,7 @@ serialization, so they are byte-for-byte what a direct
 
 from __future__ import annotations
 
+import functools
 import shutil
 import tempfile
 import threading
@@ -63,7 +64,7 @@ from repro.errors import (
     UnknownDatasetError,
 )
 from repro.miner import Miner
-from repro.registry import available_engines
+from repro.registry import available_engines, engine_specs
 from repro.serve.protocol import (
     Request,
     error_payload,
@@ -75,9 +76,19 @@ from repro.serve.scheduler import RequestScheduler
 
 __all__ = ["MiningService", "pool_crash_signature"]
 
-#: Engines that honour a ``spill_dir`` option; the service pins them to
-#: its own spill root (namespaced, so other engines never see the key).
-_SPILL_ENGINES = ("setm-columnar-disk", "setm-spill-parallel")
+
+@functools.cache
+def _spill_engines() -> tuple[str, ...]:
+    """Engines that honour a ``spill_dir`` option, read off the registry once.
+
+    The service pins them to its own spill root (namespaced, so other
+    engines never see the key).
+    """
+    return tuple(
+        spec.name
+        for spec in engine_specs()
+        if "spill_dir" in spec.accepted_options
+    )
 
 
 def pool_crash_signature(error: BaseException) -> bool:
@@ -531,7 +542,7 @@ class MiningService:
         return config.replace(state_dir=str(self._state_root / name))
 
     def _pin_spill_dir(self, config: MiningConfig) -> MiningConfig:
-        """Point the out-of-core engines at the service's spill root.
+        """Point every engine that spills at the service's spill root.
 
         Uses *namespaced* options so engines without a ``spill_dir``
         option never see the key, and never overrides a spill_dir the
@@ -541,7 +552,7 @@ class MiningService:
             return config
         options = dict(config.options)
         changed = False
-        for engine in _SPILL_ENGINES:
+        for engine in _spill_engines():
             key = f"{engine}.spill_dir"
             if key not in options:
                 options[key] = str(self._spill_root)

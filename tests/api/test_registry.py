@@ -162,9 +162,9 @@ class TestCapabilityFlags:
                 {
                     "count_via",
                     "workers",
-                    "parallel_threshold",
                     "start_method",
                     "transport",
+                    "spill_dir",
                     "measure_memory",
                 },
             ),

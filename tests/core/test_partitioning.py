@@ -1,7 +1,7 @@
 """The partitioned-execution layer (repro.core.partitioning).
 
 The layer's contract: partitions are first-class, *picklable* work
-units (the parallel engine ships them to worker processes), key-range
+units (the pooled engines ship them to worker processes), key-range
 routing is disjoint and total, and plans price ``R'_k`` exactly before
 any row is materialized.  Round-trip coverage runs over relations the
 real kernel pipeline produces on seeded QUEST databases.
@@ -23,11 +23,8 @@ from repro.core.partitioning import (
     ROW_BYTES,
     Partition,
     PartitionPlan,
-    boundaries_from_keys,
-    choose_boundaries,
     concat_columns,
     cut_ranges,
-    key_ranges,
     split_by_key_ranges,
 )
 from repro.core.setm_columnar import ColumnarKernel
@@ -47,6 +44,13 @@ def _pipeline_relations(db, minsup=0.05):
         _, _, r = kernel.count_and_filter(r_prime, threshold)
         relations.append(r)
     return sales.index, relations
+
+
+def _quantile_boundaries(keys, partitions):
+    """``partitions - 1`` ascending boundary keys at the column's quantiles."""
+    ordered = np.sort(np.asarray(keys, dtype=np.int64))
+    n = len(ordered)
+    return [int(ordered[n * i // partitions]) for i in range(1, partitions)]
 
 
 def _quest_db(seed, transactions=120):
@@ -70,11 +74,15 @@ class TestPartitionPickling:
         for relation in relations:
             if len(relation) < 4:
                 continue
-            boundaries = boundaries_from_keys(relation.keys, 3)
+            boundaries = _quantile_boundaries(relation.keys, 3)
             for p, rows in split_by_key_ranges(relation, boundaries):
                 bounds = [None, *boundaries, None]
-                partition = Partition.from_relation(
-                    rows, key_low=bounds[p], key_high=bounds[p + 1]
+                partition = Partition(
+                    rows.k,
+                    key_low=bounds[p],
+                    key_high=bounds[p + 1],
+                    num_rows=len(rows),
+                    payload=rows.to_chunk_bytes(),
                 )
                 clone = pickle.loads(pickle.dumps(partition))
                 assert clone.k == partition.k
@@ -113,7 +121,7 @@ class TestPartitionPickling:
         relation = InstanceRelation(
             None, None, last_sid=[0], keys=[5], k=1, index=None
         )
-        partition = Partition.from_relation(relation)
+        partition = Partition(1, payload=relation.to_chunk_bytes(), num_rows=1)
         partition.delete()
         with pytest.raises(ValueError, match="deleted"):
             partition.read_bytes()
@@ -125,7 +133,7 @@ class TestKeyRangeRouting:
     def test_split_is_disjoint_and_total(self, seed, partitions):
         index, relations = _pipeline_relations(_quest_db(seed))
         r_prime = relations[1]
-        boundaries = boundaries_from_keys(r_prime.keys, partitions)
+        boundaries = _quantile_boundaries(r_prime.keys, partitions)
         assert boundaries == sorted(boundaries)
         pieces = list(split_by_key_ranges(r_prime, boundaries))
         assert sum(len(rows) for _, rows in pieces) == len(r_prime)
@@ -153,14 +161,6 @@ class TestKeyRangeRouting:
         assert list(pieces[0].keys) == [1, 3]
         assert list(pieces[1].keys) == [5, 5, 7]  # low bound inclusive
         assert list(pieces[2].keys) == [9]
-
-    def test_choose_boundaries_are_quantiles(self):
-        keys = list(range(100))
-        assert choose_boundaries(keys, 4) == [25, 50, 75]
-
-    def test_key_ranges_label_the_boundary_intervals(self):
-        assert key_ranges([5, 8], 3) == [(None, 5), (5, 8), (8, None)]
-        assert key_ranges(None, 2) == [(None, None), (None, None)]
 
     def test_concat_columns_merges_heterogenous_chunks(self):
         assert list(concat_columns([[1, 2], [3]])) == [1, 2, 3]
@@ -258,8 +258,3 @@ class TestCutRanges:
     def test_zero_runs_are_dropped(self):
         assert cut_ranges([0, 0, 9, 0], 4) == [(2, 3)]
         assert cut_ranges([2, 0, 0, 9], 4) == [(0, 3), (3, 4)]
-
-
-class TestBoundarySampling:
-    def test_boundaries_from_keys_empty_column(self):
-        assert boundaries_from_keys([], 4) is None

@@ -1,13 +1,13 @@
-"""Property tests for key-range partitioning (ISSUE 5 satellite).
+"""Property tests for key-range partitioning.
 
-Hypothesis drives :func:`choose_boundaries` / :func:`split_by_key_ranges`
-through adversarial key distributions — all-equal columns, a single hot
-range swallowing most keys — and checks the two
-invariants everything downstream rests on:
+Hypothesis drives :func:`split_by_key_ranges` through adversarial key
+distributions — all-equal columns, a single hot range swallowing most
+keys — and adversarial boundaries, and checks the two invariants
+everything downstream rests on:
 
 * **routing is disjoint and total**: every row lands in exactly one
-  partition, and partition ``p``'s keys lie inside the
-  :func:`key_ranges` interval both engines label their work units with;
+  partition, and partition ``p``'s keys lie inside the interval
+  ``[boundaries[p-1], boundaries[p])`` (unbounded at the ends);
 * **spill-file round-trips survive the spawn start method**: a
   path-backed :class:`Partition` pickled into a freshly spawned worker
   process (no inherited parent memory) loads back the exact rows.
@@ -22,13 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.columns import InstanceRelation
-from repro.core.partitioning import (
-    Partition,
-    boundaries_from_keys,
-    choose_boundaries,
-    key_ranges,
-    split_by_key_ranges,
-)
+from repro.core.partitioning import Partition, split_by_key_ranges
 
 # -- adversarial key-column strategies ----------------------------------------------
 
@@ -58,6 +52,16 @@ uniform_keys = st.lists(
 
 key_columns = st.one_of(all_equal_keys, hot_range_keys, uniform_keys)
 
+#: Ascending boundaries, some inside the hot range, duplicates allowed.
+boundary_lists = st.lists(
+    st.one_of(
+        st.integers(min_value=1000, max_value=1015),
+        st.integers(min_value=-(2**62), max_value=2**62),
+    ),
+    min_size=1,
+    max_size=6,
+).map(sorted)
+
 
 def _relation(keys: list[int]) -> InstanceRelation:
     # last_sid doubles as a unique row id so totality is checkable.
@@ -73,20 +77,16 @@ def _relation(keys: list[int]) -> InstanceRelation:
 
 class TestRoutingInvariants:
     @settings(max_examples=120, deadline=None)
-    @given(keys=key_columns, partitions=st.integers(min_value=2, max_value=7))
+    @given(keys=key_columns, boundaries=boundary_lists)
     def test_split_is_disjoint_total_and_range_respecting(
-        self, keys, partitions
+        self, keys, boundaries
     ):
-        boundaries = choose_boundaries(list(keys), partitions)
-        assert len(boundaries) == partitions - 1
-        assert boundaries == sorted(boundaries)
-
         relation = _relation(keys)
-        ranges = key_ranges(boundaries, partitions)
+        bounds = [None, *boundaries, None]
         seen_rows: dict[int, tuple[int, int]] = {}
         for p, rows in split_by_key_ranges(relation, boundaries):
-            assert 0 <= p < partitions
-            low, high = ranges[p]
+            assert 0 <= p <= len(boundaries)
+            low, high = bounds[p], bounds[p + 1]
             for sid, key in zip(rows.last_sid, rows.keys):
                 sid, key = int(sid), int(key)
                 # Disjoint: no row id appears in two partitions.
@@ -101,27 +101,12 @@ class TestRoutingInvariants:
             int(k) for k in keys
         }
 
-    @settings(max_examples=60, deadline=None)
-    @given(keys=key_columns, partitions=st.integers(min_value=2, max_value=5))
-    def test_sampled_boundaries_still_route_everything(
-        self, keys, partitions
-    ):
-        """Boundaries from a strided sample must stay safe for routing."""
-        boundaries = boundaries_from_keys(list(keys), partitions, sample_rows=4)
-        assert boundaries is not None
-        relation = _relation(keys)
-        routed = sum(
-            len(rows) for _, rows in split_by_key_ranges(relation, boundaries)
-        )
-        assert routed == len(keys)
-
     @settings(max_examples=40, deadline=None)
-    @given(keys=all_equal_keys, partitions=st.integers(min_value=2, max_value=6))
+    @given(keys=all_equal_keys, boundaries=boundary_lists)
     def test_all_equal_keys_collapse_into_one_partition(
-        self, keys, partitions
+        self, keys, boundaries
     ):
         """Degenerate distributions must not lose or duplicate rows."""
-        boundaries = choose_boundaries(list(keys), partitions)
         pieces = list(split_by_key_ranges(_relation(keys), boundaries))
         assert len(pieces) == 1
         (_, rows), = pieces
@@ -177,6 +162,11 @@ class TestSpawnRoundTrips:
     def test_payload_backed_partition_loads_in_a_spawned_worker(
         self, keys, spawn_pool
     ):
-        partition = Partition.from_relation(_relation(keys))
+        relation = _relation(keys)
+        partition = Partition(
+            relation.k,
+            payload=relation.to_chunk_bytes(),
+            num_rows=len(relation),
+        )
         (restored,) = spawn_pool.apply(partition.load)
         assert [int(k) for k in restored.keys] == [int(k) for k in keys]

@@ -1,10 +1,14 @@
-"""Tests for the partition-parallel engine (repro.core.setm_parallel).
+"""Tests for the ``setm-parallel`` engine (repro.core.setm_spill_parallel).
 
-The acceptance bar: ``setm-parallel`` must produce patterns, rules, and
-iteration statistics identical to ``setm`` across a QUEST × minsup ×
-workers grid — with ``parallel_threshold=0`` so the pool path really
-runs, not the short circuit.  The pool is shared across runs, so the
-grid costs one pool start-up per worker count, not one per run.
+``setm-parallel`` runs :class:`SpillParallelKernel` under the default
+memory budget: a level whose priced ``|R'_k|`` reaches
+:data:`POOL_MIN_ROWS` is cut into ``BATCHES_PER_WORKER × workers`` key
+ranges that run in the worker pool; a smaller level is counted in
+process.  The acceptance bar: patterns, rules and iteration statistics
+identical to ``setm`` across a QUEST × minsup × workers grid — with
+``POOL_MIN_ROWS`` lowered to 1 so the pool path really runs.  The pool
+is shared across runs, so the grid costs one pool start-up per worker
+count, not one per run.
 """
 
 from __future__ import annotations
@@ -12,16 +16,20 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.bruteforce import bruteforce
+from repro.core import setm_spill_parallel as pooled
 from repro.core.rules import generate_rules
 from repro.core.setm import setm
-from repro.core.setm_parallel import (
-    DEFAULT_PARALLEL_THRESHOLD,
-    ParallelColumnarKernel,
+from repro.core.setm_columnar_disk import setm_columnar_disk
+from repro.core.setm_spill_parallel import (
+    POOL_MIN_ROWS,
+    SpillParallelKernel,
     setm_parallel,
+    setm_spill_parallel,
 )
 from repro.core.transactions import TransactionDatabase
 from repro.data.quest import QuestConfig, generate_quest_dataset
-from repro.errors import InvalidConfigError
+from repro.errors import EngineOptionError, InvalidConfigError
+from repro.registry import get_engine
 
 
 def _quest_db(seed, transactions=400):
@@ -35,6 +43,12 @@ def _quest_db(seed, transactions=400):
     )
 
 
+@pytest.fixture
+def pool_every_level(monkeypatch):
+    """Pool every non-empty level, however small."""
+    monkeypatch.setattr(pooled, "POOL_MIN_ROWS", 1)
+
+
 @pytest.fixture(scope="module")
 def quest_references():
     """``setm`` oracles per (seed, minsup) grid point."""
@@ -46,6 +60,7 @@ def quest_references():
     return grid
 
 
+@pytest.mark.usefixtures("pool_every_level")
 class TestDifferentialGrid:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("minsup", [0.01, 0.03])
@@ -54,12 +69,7 @@ class TestDifferentialGrid:
         self, quest_references, seed, minsup, workers
     ):
         db, reference = quest_references[(seed, minsup)]
-        result = setm_parallel(
-            db,
-            minsup,
-            workers=workers,
-            parallel_threshold=0,
-        )
+        result = setm_parallel(db, minsup, workers=workers)
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
         assert result.unfiltered_item_counts == (
@@ -68,68 +78,148 @@ class TestDifferentialGrid:
         assert result.extra["workers"] == workers
         if workers > 1:
             assert result.extra["parallel"]["parallel_iterations"]
+        else:
+            assert result.extra["parallel"]["parallel_iterations"] == []
 
     def test_matches_bruteforce_on_example(self, example_db):
-        result = setm_parallel(
-            example_db, 0.30, workers=2, parallel_threshold=0
-        )
+        result = setm_parallel(example_db, 0.30, workers=2)
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
 
     def test_rules_identical_to_setm(self, quest_references):
         db, reference = quest_references[(0, 0.01)]
-        result = setm_parallel(db, 0.01, workers=2, parallel_threshold=0)
+        result = setm_parallel(db, 0.01, workers=2)
         assert generate_rules(result, 0.5) == generate_rules(reference, 0.5)
 
     def test_max_length(self, quest_references):
         db, _ = quest_references[(0, 0.01)]
-        result = setm_parallel(
-            db, 0.01, workers=2, parallel_threshold=0, max_length=2
-        )
+        result = setm_parallel(db, 0.01, workers=2, max_length=2)
         assert result.max_pattern_length <= 2
 
     def test_spawn_start_method_agrees(self, quest_references):
         """The spawn leg: every shipped object must actually pickle."""
         db, reference = quest_references[(1, 0.03)]
-        result = setm_parallel(
-            db,
-            0.03,
-            workers=2,
-            parallel_threshold=0,
-            start_method="spawn",
-        )
+        result = setm_parallel(db, 0.03, workers=2, start_method="spawn")
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
         assert result.extra["parallel"]["start_method"] == "spawn"
 
 
-class TestShortCircuit:
+class TestPoolGate:
+    """A level is pooled exactly when its priced ``|R'_k|`` reaches the gate."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        """``|R'_2|`` of about 90,000 rows: above the default gate."""
+        db = generate_quest_dataset(
+            QuestConfig(
+                num_transactions=2000,
+                avg_transaction_len=10,
+                avg_pattern_len=4,
+                seed=3,
+            )
+        )
+        return db, setm(db, 0.02)
+
+    def test_default_gate_pools_a_level_above_it(self, wide):
+        db, reference = wide
+        assert reference.iterations[1].candidate_instances >= POOL_MIN_ROWS
+        result = setm_parallel(db, 0.02, workers=2)
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        parallel = result.extra["parallel"]
+        assert 2 in parallel["parallel_iterations"]
+        assert parallel["partitions"][2] >= 2
+        assert result.extra["spill"]["partitions"][2] == (
+            parallel["partitions"][2]
+        )
+
+    def test_level_at_the_gate_is_pooled(self, wide, monkeypatch):
+        db, reference = wide
+        rows = reference.iterations[1].candidate_instances
+        monkeypatch.setattr(pooled, "POOL_MIN_ROWS", rows)
+        result = setm_parallel(db, 0.02, workers=2)
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        assert result.extra["parallel"]["partitions"][2] >= 2
+
+    def test_level_below_the_gate_runs_in_process(self, wide, monkeypatch):
+        db, reference = wide
+        rows = reference.iterations[1].candidate_instances
+        monkeypatch.setattr(pooled, "POOL_MIN_ROWS", rows + 1)
+        result = setm_parallel(db, 0.02, workers=2)
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        parallel = result.extra["parallel"]
+        assert 2 not in parallel["parallel_iterations"]
+        assert 2 in parallel["short_circuited"]
+        assert 2 not in result.extra["spill"]["partitions"]
+
+    def test_levels_the_budget_cuts_are_planned_as_inline(
+        self, quest_references, pool_every_level
+    ):
+        db, reference = quest_references[(0, 0.01)]
+        inline = setm_columnar_disk(db, 0.01, memory_budget_bytes=16384)
+        pooled_run = setm_spill_parallel(
+            db, 0.01, workers=2, memory_budget_bytes=16384
+        )
+        assert pooled_run.iterations == reference.iterations
+        cut = inline.extra["spill"]["partitions"]
+        assert cut
+        # The gate also cuts the levels the budget keeps whole; the
+        # levels the budget cuts keep the budget's ranges.
+        planned = pooled_run.extra["spill"]["partitions"]
+        assert {k: planned[k] for k in cut} == cut
+
     def test_small_iterations_stay_in_process(self, example_db):
         result = setm_parallel(example_db, 0.30, workers=4)
         parallel = result.extra["parallel"]
         assert parallel["partitions"] == {}
         assert parallel["parallel_iterations"] == []
         assert parallel["short_circuited"]
-        assert parallel["threshold_rows"] == DEFAULT_PARALLEL_THRESHOLD
+        assert "threshold_rows" not in parallel
+        assert result.extra["spill"]["bytes_written"] == 0
+        assert result.extra["transport"]["sessions"] == 0
 
-    def test_workers_one_never_builds_a_pool(self, example_db):
-        from repro.core import setm_parallel as module
+    def test_workers_one_never_builds_a_pool(
+        self, example_db, pool_every_level
+    ):
+        from repro.core import setm_parallel as pools
 
-        before = dict(module._POOLS)
-        result = setm_parallel(
-            example_db, 0.30, workers=1, parallel_threshold=0
-        )
-        assert module._POOLS == before
+        before = dict(pools._POOLS)
+        result = setm_parallel(example_db, 0.30, workers=1)
+        assert pools._POOLS == before
         assert result.extra["workers"] == 1
+        assert result.extra["parallel"]["parallel_iterations"] == []
+        assert result.extra["spill"]["partitions"] == {}  # no level cut
 
-    def test_uniform_keys_fall_back_to_serial(self):
+    def test_uniform_keys_fall_back_to_serial(self, pool_every_level):
         # Every transaction is the same single pair: R'_2 has one
-        # distinct key, so at most one partition is non-empty.
+        # distinct key, which no plan can cut into two ranges.
         db = TransactionDatabase(
             (tid, ["a", "b"]) for tid in range(1, 30)
         )
-        result = setm_parallel(db, 0.5, workers=4, parallel_threshold=0)
+        result = setm_parallel(db, 0.5, workers=4)
         assert result.extra["parallel"]["partitions"] == {}
         assert result.same_patterns_as(setm(db, 0.5))
+
+    def test_pooled_shares_live_under_spill_dir(
+        self, example_db, pool_every_level, tmp_path, monkeypatch
+    ):
+        roots = []
+        close = SpillParallelKernel.close
+
+        def recording_close(kernel):
+            roots.append(kernel._spill_root)
+            close(kernel)
+
+        monkeypatch.setattr(SpillParallelKernel, "close", recording_close)
+        result = setm_parallel(
+            example_db, 0.30, workers=2, spill_dir=tmp_path
+        )
+        assert result.same_patterns_as(bruteforce(example_db, 0.30))
+        assert result.extra["spill"]["bytes_written"] > 0
+        assert len(roots) == 1 and roots[0].parent == tmp_path
+        assert list(tmp_path.iterdir()) == []  # the private root is gone
 
 
 class TestValidation:
@@ -138,11 +228,10 @@ class TestValidation:
         with pytest.raises((InvalidConfigError, ValueError)):
             setm_parallel(example_db, 0.30, workers=workers)
 
-    @pytest.mark.parametrize("threshold", [-1, 0.5, True, "none"])
-    def test_bad_threshold_rejected(self, example_db, threshold):
-        with pytest.raises((InvalidConfigError, ValueError)):
-            setm_parallel(
-                example_db, 0.30, parallel_threshold=threshold
+    def test_parallel_threshold_is_not_an_option(self, example_db):
+        with pytest.raises(EngineOptionError, match="parallel_threshold"):
+            get_engine("setm-parallel").run(
+                example_db, 0.30, options={"parallel_threshold": 0}
             )
 
     def test_bad_start_method_rejected(self, example_db):
@@ -154,26 +243,30 @@ class TestValidation:
 
         monkeypatch.setenv(START_METHOD_ENV, "teleport")
         with pytest.raises(InvalidConfigError, match="start_method"):
-            ParallelColumnarKernel(example_db)
+            SpillParallelKernel(example_db)
 
     def test_default_workers_is_cpu_count(self, example_db, monkeypatch):
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        kernel = ParallelColumnarKernel(example_db)
+        kernel = SpillParallelKernel(example_db)
         assert kernel._workers == 3
 
 
 class TestPlumbing:
     def test_registry_capability_and_options(self):
-        from repro.registry import get_engine
-
         spec = get_engine("setm-parallel")
         assert spec.parallel is True
         assert spec.out_of_core is False
         assert spec.representation == "columnar"
-        assert "workers" in spec.accepted_options
-        assert "parallel_threshold" in spec.accepted_options
+        assert spec.accepted_options == {
+            "count_via",
+            "workers",
+            "start_method",
+            "transport",
+            "spill_dir",
+            "measure_memory",
+        }
 
     def test_miner_explain_reports_worker_count(self, example_db):
         from repro.config import MiningConfig
@@ -190,7 +283,7 @@ class TestPlumbing:
         assert "parallel: yes (workers=3)" in text
         assert "parallel: no" in miner.explain(MiningConfig(support=0.3))
 
-    def test_workers_flow_through_miner(self, example_db):
+    def test_workers_flow_through_miner(self, example_db, pool_every_level):
         from repro.config import MiningConfig
         from repro.miner import Miner
 
@@ -198,8 +291,9 @@ class TestPlumbing:
             MiningConfig(
                 support=0.3,
                 algorithm="setm-parallel",
-                options={"workers": 2, "parallel_threshold": 0},
+                options={"workers": 2},
             )
         )
         assert result.extra["workers"] == 2
+        assert result.extra["parallel"]["parallel_iterations"]
         assert result.same_patterns_as(bruteforce(example_db, 0.30))

@@ -6,7 +6,7 @@ Three suites back the zero-copy transport's acceptance criteria:
   deep-pattern input) produces patterns and iteration statistics
   byte-identical to ``setm``, with the negotiated mode and
   bytes-moved/copies-avoided telemetry recorded honestly;
-* **leak audit** — a worker crash mid-count (injected through the
+* **leak audit** — a worker crash mid-batch (injected through the
   :meth:`PoolTransportMixin._dispatch` seam) leaves **zero** named
   shared-memory segments behind, and every session/envelope teardown
   path is exercised directly (an autouse fixture sweeps
@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import columns
+from repro.core import setm_spill_parallel as pooled
 from repro.core.columns import InstanceRelation
 from repro.core.partitioning import (
     PARTITION_PICKLE_VERSION,
@@ -36,8 +37,12 @@ from repro.core.partitioning import (
     decode_buffer_chunks,
 )
 from repro.core.setm import run_figure4_loop, setm
-from repro.core.setm_parallel import ParallelColumnarKernel, setm_parallel
-from repro.core.setm_spill_parallel import setm_spill_parallel
+from repro.core.setm_columnar_disk import run_range_batch
+from repro.core.setm_spill_parallel import (
+    SpillParallelKernel,
+    setm_parallel,
+    setm_spill_parallel,
+)
 from repro.core.transactions import TransactionDatabase
 from repro.core.transport import (
     SEGMENT_PREFIX,
@@ -66,6 +71,12 @@ def no_leaked_segments():
     """Every test in this file must leave the shm namespace clean."""
     yield
     assert leaked_segment_names() == ()
+
+
+@pytest.fixture
+def pool_every_level(monkeypatch):
+    """``setm-parallel`` pools every non-empty level, however small."""
+    monkeypatch.setattr(pooled, "POOL_MIN_ROWS", 1)
 
 
 @pytest.fixture(scope="module")
@@ -105,33 +116,37 @@ class TestConformanceMatrix:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_parallel_engine(self, grid, transport, start_method):
+    def test_parallel_engine(
+        self, grid, transport, start_method, pool_every_level
+    ):
         db, reference = grid
         result = setm_parallel(
             db,
             0.02,
             workers=2,
-            parallel_threshold=0,
             start_method=start_method,
             transport=transport,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
+        assert result.extra["parallel"]["parallel_iterations"]
 
         block = result.extra["transport"]
-        expected = "shm" if transport in ("auto", "shm") else transport
+        expected = "mmap" if transport == "auto" else transport
         assert block["requested"] == transport
         assert block["mode"] == expected
         assert block["fallback_reason"] is None
         assert block["sessions"] > 0
+        # Tasks carry descriptors only: SALES and the R_k shares travel
+        # by path or segment name on every transport.
+        assert block["task_bytes_inline"] == 0
         if expected == "shm":
             assert block["task_bytes_shared"] > 0
             assert block["reply_bytes_shared"] > 0
-            assert block["task_bytes_inline"] == 0
         elif expected == "mmap":
             assert block["task_bytes_spooled"] > 0
         else:
-            assert block["task_bytes_inline"] > 0
+            assert block["reply_bytes_inline"] > 0
             assert block["zero_copy_bytes"] == 0
         if expected in ("shm", "mmap"):
             assert block["zero_copy_bytes"] > 0
@@ -166,19 +181,21 @@ class TestConformanceMatrix:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_deep_patterns(self, deep_pattern_grid, transport, start_method):
+    def test_deep_patterns(
+        self, deep_pattern_grid, transport, start_method, pool_every_level
+    ):
         """Deep-level rank keys ride every transport unchanged."""
         db, reference = deep_pattern_grid
         result = setm_parallel(
             db,
             0.25,
             workers=2,
-            parallel_threshold=0,
             start_method=start_method,
             transport=transport,
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
+        assert len(result.extra["parallel"]["parallel_iterations"]) >= 2
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_deep_patterns_through_spill_mmap(
@@ -198,26 +215,31 @@ class TestConformanceMatrix:
         assert result.iterations == reference.iterations
 
 
-class _CrashAfterFirstReply(ParallelColumnarKernel):
-    """Injects a pool failure *after* worker 0 created its reply segment.
+class _CrashAfterFirstReply(SpillParallelKernel):
+    """Injects a pool failure *after* batch 0 filled its reply segment.
 
     The worst-case crash window for the shm transport: the reply
-    segment exists under the parent-issued name, but the envelope never
-    comes home.  ``_dispatch`` is the seam built for exactly this.
+    segment exists under the parent-issued name and batch 0's ``R_k``
+    shares sit in the spill root, but the envelope never comes home.
+    ``_dispatch`` is the seam built for exactly this.
     """
 
     def _dispatch(self, func, tasks):
-        if getattr(func, "__name__", "") != "_count_partition":
+        if func is not run_range_batch:
             return super()._dispatch(func, tasks)  # the shm handshake
-        func(tasks[0])  # worker 0 finishes: reply segment now exists
-        raise RuntimeError("worker crashed mid-count")
+        func(tasks[0])  # batch 0 finishes: reply segment now exists
+        assert leaked_segment_names() != ()
+        assert any(self._spill_root.iterdir())
+        raise RuntimeError("worker crashed mid-batch")
 
 
 class TestLeakAudit:
-    def test_worker_crash_leaves_zero_segments(self, grid):
+    def test_worker_crash_leaves_zero_segments(
+        self, grid, pool_every_level, tmp_path
+    ):
         db, _ = grid
         kernel = _CrashAfterFirstReply(
-            db, workers=2, parallel_threshold=0, transport="shm"
+            db, workers=2, transport="shm", spill_dir=tmp_path
         )
         with pytest.raises(RuntimeError, match="worker crashed"):
             run_figure4_loop(
@@ -227,6 +249,7 @@ class TestLeakAudit:
                 algorithm="setm-parallel",
             )
         assert leaked_segment_names() == ()
+        assert list(tmp_path.iterdir()) == []  # the spill root is removed
 
     def test_uncollected_reply_segment_is_force_unlinked(self):
         """The worker created its reply, then died before returning."""

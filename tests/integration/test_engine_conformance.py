@@ -12,7 +12,7 @@ engine cannot land without differential coverage.
 Per-engine knobs live in one place — the :data:`CONFORMANCE` table —
 including the options that force an engine's interesting path to
 actually run (a budget small enough to spill, a worker count that
-reaches the pool, a zero parallel threshold).
+reaches the pool, a lowered ``POOL_MIN_ROWS`` gate).
 
 Iteration-statistics conformance comes in tiers, because not every
 engine *should* reproduce SETM's trace:
@@ -37,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import bruteforce
+from repro.core import setm_spill_parallel
 from repro.core.rules import generate_rules
 from repro.core.setm import setm
 from repro.core.setm_sql import setm_sql
@@ -61,6 +62,8 @@ class ConformanceRow:
     options: dict = field(default_factory=dict)
     #: IterationStats tier: "exact" | "instances" | "own".
     iterations: str = "own"
+    #: ``setm_spill_parallel.POOL_MIN_ROWS`` for the run (None: as is).
+    pool_min_rows: int | None = None
     #: Why the row is shaped the way it is (documentation only).
     note: str = ""
 
@@ -77,8 +80,9 @@ CONFORMANCE: dict[str, ConformanceRow] = {
     ),
     "setm-parallel": ConformanceRow(
         iterations="exact",
-        options={"workers": 2, "parallel_threshold": 0},
-        note="zero threshold forces the pool at grid scale",
+        options={"workers": 2},
+        pool_min_rows=1,
+        note="a one-row pool gate forces the pool at grid scale",
     ),
     "setm-spill-parallel": ConformanceRow(
         iterations="exact",
@@ -239,8 +243,13 @@ def _row(name: str) -> ConformanceRow:
 
 def _run(name: str, database, minsup: float):
     spec = get_engine(name)
-    options = dict(_row(name).options)
-    return spec, spec.run(database, minsup, options=options)
+    row = _row(name)
+    with pytest.MonkeyPatch.context() as patch:
+        if row.pool_min_rows is not None:
+            patch.setattr(
+                setm_spill_parallel, "POOL_MIN_ROWS", row.pool_min_rows
+            )
+        return spec, spec.run(database, minsup, options=dict(row.options))
 
 
 class TestRegistryCoverage:
@@ -329,6 +338,8 @@ class TestConformanceMatrix:
             generate_rules(reference, 0.5)
         ), name
 
+        if row.pool_min_rows is not None:
+            assert result.extra["parallel"]["parallel_iterations"], name
         if row.iterations == "exact":
             assert result.iterations == reference.iterations, name
         elif row.iterations == "instances":

@@ -84,7 +84,7 @@ class TestTinyRun:
 
 
 class TestTinyWorkerSweep:
-    """``--workers 2`` (the CI smoke flags) adds the parallel scenario."""
+    """``--workers 2`` (the CI smoke flags) pools the tiny smoke's levels."""
 
     @pytest.fixture(scope="class")
     def document(self, run_bench, tmp_path_factory):
@@ -101,31 +101,6 @@ class TestTinyWorkerSweep:
     def test_schema_validates(self, run_bench, document):
         assert run_bench.validate(document) == []
 
-    def test_sweep_recorded_and_pool_exercised(self, document):
-        sweep = document["workloads"][0]["worker_sweep"]
-        assert sweep["engine"] == "setm-parallel"
-        assert sweep["cpus"] >= 1
-        assert sweep["parallel_threshold"] == 0
-        assert [entry["workers"] for entry in sweep["runs"]] == [1, 2]
-        for entry in sweep["runs"]:
-            assert entry["agreement"] is True
-            assert entry["elapsed_seconds"] > 0
-        # The 2-worker run really sent iterations to the pool.
-        assert sweep["runs"][-1]["parallel_iterations"]
-
-    def test_single_cpu_rows_are_tagged_not_recorded_as_regressions(
-        self, document
-    ):
-        """On a 1-CPU host, >1-worker rows must never carry a numeric
-        'speedup' (it would read as a parallel regression)."""
-        sweep = document["workloads"][0]["worker_sweep"]
-        if sweep["cpus"] != 1:
-            pytest.skip("multi-core host: real speedups are recordable")
-        for entry in sweep["runs"]:
-            if entry["workers"] > 1:
-                assert entry["coordination_overhead_only"] is True
-                assert entry["speedup_vs_columnar"] is None
-
     def test_spill_parallel_scenario_recorded(self, document):
         """--workers extends the combined scenario to the tiny smoke:
         pooled counting of on-disk partitions runs on every CI push."""
@@ -139,75 +114,6 @@ class TestTinyWorkerSweep:
             assert entry["partitions"]
             assert entry["spill_bytes_written"] > 0
         assert combined["runs"][-1]["parallel_iterations"]
-
-
-class TestTinyTransportSweep:
-    """``--transport shm`` (a CI smoke leg) adds the transport scenario."""
-
-    @pytest.fixture(scope="class")
-    def document(self, run_bench, tmp_path_factory):
-        output = tmp_path_factory.mktemp("bench") / "BENCH_setm.json"
-        code = run_bench.main(
-            [
-                "--tiny", "--rounds", "1", "--workers", "2",
-                "--transport", "shm", "--output", str(output),
-            ]
-        )
-        assert code == 0
-        return json.loads(output.read_text())
-
-    def test_schema_validates(self, run_bench, document):
-        assert run_bench.validate(document) == []
-
-    def test_sweep_records_byte_reduction(self, document):
-        sweep = document["workloads"][0]["transport_sweep"]
-        assert sweep["engine"] == "setm-parallel"
-        assert sweep["parallel_threshold"] == 0
-        assert [
-            (entry["transport"], entry["workers"])
-            for entry in sweep["runs"]
-        ] == [("pickle", 1), ("pickle", 2), ("shm", 1), ("shm", 2)]
-        baseline = sweep["runs"][1]
-        pooled = sweep["runs"][3]
-        assert baseline["pickled_bytes"] > 0
-        assert pooled["mode"] == "shm"
-        assert pooled["task_bytes_shared"] > 0
-        # The acceptance bar: >= 50% of the pickle bytes left the
-        # pickle stream (deterministic, honest even on one CPU).
-        assert pooled["bytes_copied_reduction"] >= sweep["reduction_floor"]
-
-    def test_single_cpu_timing_is_tagged(self, document):
-        sweep = document["workloads"][0]["transport_sweep"]
-        if sweep["cpus"] != 1:
-            pytest.skip("multi-core host: real speedups are recordable")
-        for entry in sweep["runs"]:
-            if entry["workers"] > 1:
-                assert entry["coordination_overhead_only"] is True
-                assert entry["speedup_vs_pickle"] is None
-
-    def test_mmap_leg(self, run_bench, tmp_path):
-        output = tmp_path / "BENCH_setm.json"
-        code = run_bench.main(
-            [
-                "--tiny", "--rounds", "1", "--workers", "2",
-                "--transport", "mmap", "--output", str(output),
-            ]
-        )
-        assert code == 0
-        document = json.loads(output.read_text())
-        assert run_bench.validate(document) == []
-        sweep = document["workloads"][0]["transport_sweep"]
-        pooled = [
-            entry
-            for entry in sweep["runs"]
-            if entry["transport"] == "mmap" and entry["workers"] > 1
-        ]
-        assert pooled
-        assert all(
-            entry["bytes_copied_reduction"] >= sweep["reduction_floor"]
-            and entry["task_bytes_spooled"] > 0
-            for entry in pooled
-        )
 
 
 class TestValidator:
@@ -318,51 +224,6 @@ class TestValidator:
         errors = run_bench.validate(document)
         assert any("coordination_overhead_only" in e for e in errors)
         assert any("speedup_vs_columnar" in e for e in errors)
-
-    def test_rejects_under_floor_transport_reduction(self, run_bench):
-        document = {
-            "schema_version": 6,
-            "generated_at": "now",
-            "python": "3",
-            "tiny": True,
-            "workloads": [
-                {
-                    "name": "w",
-                    "minsup": 0.1,
-                    "agreement": True,
-                    "dataset": {
-                        "transactions": 1,
-                        "sales_rows": 1,
-                        "distinct_items": 1,
-                    },
-                    "engines": {"setm": {}, "setm-columnar": {}},
-                    "transport_sweep": {
-                        "engine": "setm-parallel",
-                        "cpus": 2,
-                        "reduction_floor": 0.5,
-                        "runs": [
-                            {
-                                "transport": "shm",
-                                "workers": 2,
-                                "elapsed_seconds": 0.2,
-                                "agreement": True,
-                                "pickled_bytes": 90,
-                                "task_bytes_inline": 90,
-                                "task_bytes_shared": 10,
-                                "task_bytes_spooled": 0,
-                                "reply_bytes_inline": 0,
-                                "reply_bytes_shared": 0,
-                                "zero_copy_bytes": 0,
-                                "bytes_copied_reduction": 0.1,
-                                "speedup_vs_pickle": 1.0,
-                            }
-                        ],
-                    },
-                }
-            ],
-        }
-        errors = run_bench.validate(document)
-        assert any("bytes_copied_reduction" in e for e in errors)
 
     def test_rejects_pool_less_multiworker_spill_parallel_run(
         self, run_bench

@@ -624,9 +624,14 @@ class TestDrain:
             assert document["error"]["type"] == "ServerDrainingError"
 
     def test_drain_after_shm_transport_mine_leaves_no_segments(
-        self, example_db
+        self, example_db, monkeypatch
     ):
         """The drain audit covers shared memory like it covers spill."""
+        from repro.core import setm_spill_parallel
+        from repro.core.transport import leaked_segment_names, transport_totals
+
+        monkeypatch.setattr(setm_spill_parallel, "POOL_MIN_ROWS", 1)
+        before = transport_totals()["segments"]
         service = MiningService({"example": example_db}, workers=2)
         status, document = service.handle({
             "op": "mine",
@@ -634,25 +639,24 @@ class TestDrain:
             "config": {
                 "support": 0.3,
                 "algorithm": "setm-parallel",
-                "options": {
-                    "workers": 2,
-                    "parallel_threshold": 0,
-                    "transport": "shm",
-                },
+                "options": {"workers": 2, "transport": "shm"},
             },
         })
         assert status == 200, document
+        assert transport_totals()["segments"] > before  # the pool ran
         report = service.drain()
         assert report["leftover_shm_segments"] == 0
-        from repro.core.transport import leaked_segment_names
-
+        assert report["leftover_spill_files"] == 0
+        assert not service.spill_root.exists()
         assert leaked_segment_names() == ()
 
 
 class TestSpillDirInjection:
     def test_spill_engines_use_the_service_root(self, service, example_db):
         config = service._pin_spill_dir(MiningConfig(support=0.2))
-        for engine in ("setm-columnar-disk", "setm-spill-parallel"):
+        for engine in (
+            "setm-columnar-disk", "setm-parallel", "setm-spill-parallel"
+        ):
             options = config.options_for(engine)
             assert options["spill_dir"] == str(service.spill_root)
         assert "spill_dir" not in config.options_for("setm")

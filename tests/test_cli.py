@@ -248,7 +248,8 @@ class TestMine:
         document = json.loads(output)
         assert document["algorithm"] == "setm-parallel"
         assert document["workers"] == 2
-        assert document["parallel"]["threshold_rows"] > 0
+        assert "threshold_rows" not in document["parallel"]
+        assert document["spill"]["bytes_written"] == 0
 
     def test_workers_rejected_for_serial_engine(self, example_basket, capsys):
         code, _ = run_cli(
