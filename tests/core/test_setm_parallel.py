@@ -20,7 +20,9 @@ from repro.core import setm_spill_parallel as pooled
 from repro.core.rules import generate_rules
 from repro.core.setm import setm
 from repro.core.setm_columnar_disk import setm_columnar_disk
+from repro.core.partitioning import ROW_BYTES
 from repro.core.setm_spill_parallel import (
+    BATCHES_PER_WORKER,
     POOL_MIN_ROWS,
     SpillParallelKernel,
     setm_parallel,
@@ -28,7 +30,11 @@ from repro.core.setm_spill_parallel import (
 )
 from repro.core.transactions import TransactionDatabase
 from repro.data.quest import QuestConfig, generate_quest_dataset
-from repro.errors import EngineOptionError, InvalidConfigError
+from repro.errors import (
+    EngineOptionError,
+    InvalidConfigError,
+    TransportError,
+)
 from repro.registry import get_engine
 
 
@@ -222,6 +228,61 @@ class TestPoolGate:
         assert list(tmp_path.iterdir()) == []  # the private root is gone
 
 
+class TestLevelShare:
+    """The range size, in bytes, a level of ``rows`` priced rows is planned in."""
+
+    def _shares(self, db, rows, **kwargs):
+        """``(budget share, level share)`` of a fresh kernel, in bytes."""
+        kernel = SpillParallelKernel(db, **kwargs)
+        try:
+            return kernel._share_bytes, kernel._level_share(rows)
+        finally:
+            kernel.close()
+
+    def test_workers_one_keeps_the_budget_share(self, example_db):
+        budget, share = self._shares(example_db, 4 * POOL_MIN_ROWS, workers=1)
+        assert share == budget
+
+    @pytest.mark.parametrize("rows", [0, 1, POOL_MIN_ROWS - 1])
+    def test_level_below_the_gate_keeps_the_budget_share(
+        self, example_db, rows
+    ):
+        budget, share = self._shares(example_db, rows, workers=4)
+        assert share == budget
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize(
+        "rows", [POOL_MIN_ROWS, 3 * POOL_MIN_ROWS + 7]
+    )
+    def test_pooled_level_is_cut_into_the_pool_batches(
+        self, example_db, workers, rows
+    ):
+        _, share = self._shares(example_db, rows, workers=workers)
+        assert share % ROW_BYTES == 0
+        share_rows = share // ROW_BYTES
+        ranges = BATCHES_PER_WORKER * workers
+        # The smallest share that holds the level in that many ranges.
+        assert share_rows * ranges >= rows
+        assert (share_rows - 1) * ranges < rows
+
+    def test_level_filling_the_budget_share_is_still_pooled(
+        self, example_db
+    ):
+        budget, _ = self._shares(example_db, 0, workers=2)
+        _, share = self._shares(example_db, budget // ROW_BYTES, workers=2)
+        assert share < budget
+
+    def test_level_the_budget_cuts_keeps_the_budget_share(self, example_db):
+        budget, share = self._shares(
+            example_db,
+            POOL_MIN_ROWS + 1,
+            workers=2,
+            memory_budget_bytes=4 * POOL_MIN_ROWS * ROW_BYTES,
+        )
+        assert budget == POOL_MIN_ROWS * ROW_BYTES
+        assert share == budget
+
+
 class TestValidation:
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True, "4"])
     def test_bad_workers_rejected(self, example_db, workers):
@@ -237,6 +298,17 @@ class TestValidation:
     def test_bad_start_method_rejected(self, example_db):
         with pytest.raises(InvalidConfigError, match="start_method"):
             setm_parallel(example_db, 0.30, start_method="teleport")
+
+    def test_unknown_transport_rejected(self, example_db):
+        with pytest.raises(TransportError, match="carrier-pigeon"):
+            setm_parallel(example_db, 0.30, transport="carrier-pigeon")
+
+    def test_spill_dir_is_an_option(self, example_db, tmp_path):
+        result = get_engine("setm-parallel").run(
+            example_db, 0.30, options={"spill_dir": str(tmp_path)}
+        )
+        assert result.same_patterns_as(bruteforce(example_db, 0.30))
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_start_method_is_honoured(self, example_db, monkeypatch):
         from repro.core.setm_parallel import START_METHOD_ENV

@@ -249,6 +249,12 @@ class TestBatches:
         assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
         assert len(runs) == min(batches, len(costs))
 
+    def test_balanced_batches_one_batch_is_the_whole_run(self):
+        assert balanced_batches([3, 0, 9, 1], 1) == [(0, 4)]
+
+    def test_balanced_batches_more_batches_than_entries(self):
+        assert balanced_batches([5, 1, 7], 9) == [(0, 1), (1, 2), (2, 3)]
+
     def test_balanced_batches_share_cost(self):
         costs = [10] * 12 + [60, 60]
         runs = balanced_batches(costs, 4)
