@@ -14,14 +14,14 @@ then takes one separate ``measure_memory=True`` run to record
 ``peak_memory_bytes``.
 
 The Table 6.2 workload (and the ``--tiny`` smoke) additionally runs a
-**constrained-memory scenario**: ``setm-columnar-disk`` under a
+**constrained-memory scenario**: ``setm-columnar`` under a
 ``memory_budget_bytes`` small enough to force at least two spill
 partitions, differentially checked against ``setm`` and recorded with
 its measured peak memory and per-iteration partition counts — the
 out-of-core acceptance evidence, committed to ``BENCH_setm.json``.
 
 The Table 6.2 workload and the largest QUEST workload also run a
-**worker sweep**: ``setm-parallel`` at 1/2/4 workers, each run
+**worker sweep**: ``setm-columnar`` at 1/2/4 ``workers``, each run
 differentially checked against ``setm`` and recorded with its pooled
 key ranges and its speedup over ``setm-columnar``.  The host CPU count
 is recorded alongside, and on a single-CPU host the ≥ 2-worker rows
@@ -30,13 +30,13 @@ nulled — pure coordination overhead must never be recorded as a
 parallel regression.  ``--workers N`` narrows the sweep to ``{1, N}``.
 
 The Table 6.2 workload (and the tiny smoke under ``--workers``)
-additionally runs the **spill-parallel sweep**: ``setm-spill-parallel``
+additionally runs the **spill-parallel sweep**: ``setm-columnar``
 under the same constrained memory budget across the worker counts —
 the pooled counting of *on-disk* partitions.  Every run is
 differentially checked against ``setm``, must actually have spilled
 (≥ 2 partitions) and, above one worker, must actually have reached the
-pool; speedups are measured against ``setm-columnar-disk`` at the same
-budget and carry the same single-CPU tagging.  This is how CI
+pool; speedups are measured against one worker at the same budget
+and carry the same single-CPU tagging.  This is how CI
 exercises the pool on every push.
 
 The Table 6.2 workload (and the tiny smoke) also runs the **serve
@@ -126,11 +126,6 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.core.incremental import setm_incremental  # noqa: E402
 from repro.core.setm import setm  # noqa: E402
 from repro.core.setm_columnar import setm_columnar  # noqa: E402
-from repro.core.setm_columnar_disk import setm_columnar_disk  # noqa: E402
-from repro.core.setm_spill_parallel import (  # noqa: E402
-    setm_parallel,
-    setm_spill_parallel,
-)
 from repro.core.columns import InstanceRelation  # noqa: E402
 from repro.core.transactions import TransactionDatabase  # noqa: E402
 from repro.data.ingest import stream_encode  # noqa: E402
@@ -144,7 +139,7 @@ from repro.serve.service import MiningService  # noqa: E402
 SCHEMA_VERSION = 9
 ENGINES = {"setm": setm, "setm-columnar": setm_columnar}
 
-#: Worker counts swept per workload (setm-parallel, differentially
+#: Worker counts swept per workload (setm-columnar, differentially
 #: checked per run).  Only the Table 6.2 retail workload and the
 #: largest QUEST workload carry the sweep (their R'_2 reach the pool
 #: gate); ``--workers N`` narrows it to {1, N}.
@@ -154,7 +149,7 @@ WORKER_SWEEPS = {
 }
 
 #: Workloads carrying the combined constrained-memory × worker sweep
-#: (setm-spill-parallel under the workload's CONSTRAINED_BUDGETS entry).
+#: (setm-columnar under the workload's CONSTRAINED_BUDGETS entry).
 SPILL_PARALLEL_SWEEPS = {
     "table6.2-retail": (1, 2, 4),
 }
@@ -322,14 +317,14 @@ def _bench_constrained(
     reference,
     rounds: int,
 ) -> dict:
-    """The out-of-core scenario: setm-columnar-disk under ``budget`` bytes.
+    """The out-of-core scenario: setm-columnar under ``budget`` bytes.
 
     Refuses to record anything unless the budget actually forced at
     least two spill partitions and the results are identical to the
     reference engine's (patterns *and* iteration statistics).
     """
     bench = _bench_engine(
-        setm_columnar_disk,
+        setm_columnar,
         database,
         minsup,
         rounds,
@@ -347,7 +342,7 @@ def _bench_constrained(
         and reference.iterations == metered.iterations
     ):
         raise SystemExit(
-            f"constrained-memory scenario on {name}: setm-columnar-disk "
+            f"constrained-memory scenario on {name}: budgeted setm-columnar "
             "disagrees with setm; refusing to record"
         )
     print(
@@ -358,7 +353,7 @@ def _bench_constrained(
         flush=True,
     )
     return {
-        "engine": "setm-columnar-disk",
+        "engine": "setm-columnar",
         "memory_budget_bytes": budget,
         "elapsed_seconds": bench["measurements"]["elapsed_seconds"],
         "peak_memory_bytes": metered.extra["peak_memory_bytes"],
@@ -400,19 +395,19 @@ def _bench_spill_parallel(
     spill_serial_elapsed: float,
     rounds: int,
 ) -> dict:
-    """The combined scenario: ``setm-spill-parallel`` budget × workers.
+    """The combined scenario: ``setm-columnar`` budget × workers.
 
     Every run is differentially checked against the ``setm`` reference,
     must actually have spilled (≥ 2 partitions — otherwise the budget
     measured nothing), and, above one worker, must actually have sent
-    partitions to the pool.  Speedups are against ``setm-columnar-disk``
-    at the *same* budget — the serial engine it shares the whole spill
-    pipeline with — and carry the single-CPU tagging.
+    partitions to the pool.  Speedups are against one worker at the
+    *same* budget — the inline run of the same range kernel — and carry
+    the single-CPU tagging.
     """
     runs = []
     for workers in sweep:
         bench = _bench_engine(
-            setm_spill_parallel,
+            setm_columnar,
             database,
             minsup,
             rounds,
@@ -425,7 +420,7 @@ def _bench_spill_parallel(
             and reference.iterations == metered.iterations
         ):
             raise SystemExit(
-                f"spill-parallel sweep on {name}: setm-spill-parallel with "
+                f"spill-parallel sweep on {name}: setm-columnar with "
                 f"{workers} workers disagrees with setm; refusing to record"
             )
         spill = metered.extra["spill"]
@@ -461,7 +456,7 @@ def _bench_spill_parallel(
             f"  spill-parallel workers={workers}: {elapsed:.3f}s, "
             f"pooled iterations {parallel['parallel_iterations']}, "
             + (
-                f"{entry['speedup_vs_spill_serial']}x vs setm-columnar-disk"
+                f"{entry['speedup_vs_spill_serial']}x vs one worker"
                 if not note
                 else "coordination overhead only (1 CPU)"
             ),
@@ -469,7 +464,7 @@ def _bench_spill_parallel(
         )
         runs.append(entry)
     return {
-        "engine": "setm-spill-parallel",
+        "engine": "setm-columnar",
         "memory_budget_bytes": budget,
         "cpus": os.cpu_count(),
         "runs": runs,
@@ -1069,7 +1064,7 @@ def _bench_worker_sweep(
     columnar_elapsed: float,
     rounds: int,
 ) -> dict:
-    """The parallel scenario: ``setm-parallel`` across worker counts.
+    """The parallel scenario: ``setm-columnar`` across worker counts.
 
     Every run is differentially checked against the ``setm`` reference;
     the sweep's largest worker count must actually have sent iterations
@@ -1078,7 +1073,7 @@ def _bench_worker_sweep(
     runs = []
     for workers in sweep:
         bench = _bench_engine(
-            setm_parallel, database, minsup, rounds, workers=workers
+            setm_columnar, database, minsup, rounds, workers=workers
         )
         metered = bench["metered_result"]
         if not (
@@ -1086,10 +1081,13 @@ def _bench_worker_sweep(
             and reference.iterations == metered.iterations
         ):
             raise SystemExit(
-                f"worker sweep on {name}: setm-parallel with "
+                f"worker sweep on {name}: setm-columnar with "
                 f"{workers} workers disagrees with setm; refusing to record"
             )
-        parallel = metered.extra["parallel"]
+        # One worker and no budget is the in-memory kernel: no pool block.
+        parallel = metered.extra.get(
+            "parallel", {"partitions": {}, "parallel_iterations": []}
+        )
         elapsed = bench["measurements"]["elapsed_seconds"]
         speedup = (
             round(columnar_elapsed / elapsed, 3) if elapsed > 0 else None
@@ -1129,7 +1127,7 @@ def _bench_worker_sweep(
             "the pool (every iteration short-circuited); nothing measured"
         )
     return {
-        "engine": "setm-parallel",
+        "engine": "setm-columnar",
         "cpus": os.cpu_count(),
         "runs": runs,
     }

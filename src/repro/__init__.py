@@ -78,7 +78,7 @@ from repro.registry import (
     register_engine,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ALGORITHMS",

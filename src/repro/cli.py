@@ -6,7 +6,8 @@ any Python:
 * ``mine`` — mine a transaction file (``.basket`` or ``SALES`` CSV) and
   print patterns and rules;
 * ``query`` — run a declarative ``MINE`` statement (:mod:`repro.query`)
-  whose planner picks the engine from capability metadata;
+  (``USING ENGINE``, ``WITH state`` or the default engine, with the
+  ``WITH`` options passed through);
   ``--explain`` prints the plan (with every decision's reason) without
   mining;
 * ``serve`` — host transaction files behind the long-lived JSON/HTTP
@@ -25,11 +26,9 @@ Examples::
     python -m repro mine r.basket --minsup-count 25 --algorithm setm-disk \\
         --buffer-pages 128
     python -m repro mine r.basket --engine setm --json
-    python -m repro mine r.basket --engine setm-columnar-disk \\
-        --memory-budget 64M
-    python -m repro mine r.basket --engine setm-parallel --workers 4
-    python -m repro mine r.basket --engine setm-spill-parallel \\
-        --memory-budget 64M --workers 4
+    python -m repro mine r.basket --memory-budget 64M
+    python -m repro mine r.basket --workers 4
+    python -m repro mine r.basket --memory-budget 64M --workers 4
     python -m repro mine r.basket --state state/ --minsup 0.01
     python -m repro mine r.basket --append day2.basket --state state/
     python -m repro query "MINE RULES FROM r WHERE support >= 0.01 \\
@@ -59,9 +58,15 @@ from repro.analysis.cost_model import (
 from repro.analysis.report import format_kv_block, format_table
 from repro.config import DEFAULT_ENGINE, INPUT_FORMATS, MiningConfig
 from repro.core.transactions import TransactionDatabase
+from repro.core.transport import TRANSPORT_CHOICES
 from repro.errors import ReproError
 from repro.miner import Miner
-from repro.registry import available_engines, engine_specs, get_engine
+from repro.registry import (
+    ENGINE_ALIASES,
+    available_engines,
+    engine_specs,
+    get_engine,
+)
 from repro.data.example import paper_example_database
 from repro.data.hypothetical import generate_hypothetical_database
 from repro.data.io import (
@@ -94,10 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--minconf", type=float, default=0.5,
                       help="minimum confidence fraction (default 0.5)")
     mine.add_argument("--algorithm", "--engine", dest="algorithm",
-                      default=DEFAULT_ENGINE, choices=available_engines(),
+                      default=DEFAULT_ENGINE,
+                      choices=[*available_engines(), *ENGINE_ALIASES],
                       help=f"mining engine (default {DEFAULT_ENGINE}; "
                            "setm is the faithful tuple-at-a-time "
-                           "reference); --engine is an alias")
+                           "reference; setm-columnar-disk, setm-parallel "
+                           "and setm-spill-parallel are deprecated aliases "
+                           "of setm-columnar); --engine is an alias")
     mine.add_argument("--max-length", type=int, default=None,
                       help="cap on pattern length")
     mine.add_argument("--buffer-pages", type=int, default=None,
@@ -105,18 +113,22 @@ def build_parser() -> argparse.ArgumentParser:
                            "(e.g. setm-disk)")
     mine.add_argument("--memory-budget", type=_parse_bytes, default=None,
                       metavar="BYTES",
-                      help="resident-memory budget for out-of-core "
-                           "engines (e.g. setm-columnar-disk); accepts "
-                           "plain bytes or K/M/G suffixes, e.g. 64M")
+                      help="resident-memory budget of setm-columnar: "
+                           "levels priced above a quarter of it run as "
+                           "key ranges with spilled R_k shares (default: "
+                           "none, every level in memory); accepts plain "
+                           "bytes or K/M/G suffixes, e.g. 64M")
     mine.add_argument("--workers", type=int, default=None, metavar="N",
-                      help="worker processes for parallel engines "
-                           "(e.g. setm-parallel; default: the machine's "
-                           "CPU count, 1 forces serial execution)")
+                      help="worker processes of setm-columnar (default "
+                           "1, in process); with N > 1 the key ranges of "
+                           "big levels are counted in a worker pool, "
+                           "under --memory-budget or a 128M default")
     mine.add_argument("--transport", default=None,
-                      choices=["auto", "pickle", "shm", "mmap"],
-                      help="how parallel engines move partition bytes to "
-                           "workers: pickle (serialize), shm (zero-copy "
-                           "shared-memory views), mmap (map spill/spool "
+                      choices=TRANSPORT_CHOICES,
+                      help="how pooled key ranges reach the workers "
+                           "(--workers > 1): shm (zero-copy "
+                           "shared-memory views, falling back to mmap if "
+                           "the handshake fails), mmap (map spill/spool "
                            "files); auto means mmap")
     mine.add_argument("--input-format", default=None,
                       choices=list(INPUT_FORMATS),
@@ -167,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
              "directly)"
     )
     query.add_argument("--explain", action="store_true",
-                       help="print the plan — engine choice, capability "
-                            "requirements, every decision's reason — "
+                       help="print the plan — engine choice, options, "
+                            "every decision's reason — "
                             "without mining anything")
     query.add_argument("--patterns", action="store_true",
                        help="also print every frequent pattern")
@@ -566,8 +578,8 @@ def _cmd_engines(args: argparse.Namespace, out) -> int:
                 "representation": spec.representation,
                 "supports_max_length": spec.supports_max_length,
                 "reports_page_accesses": spec.reports_page_accesses,
-                "out_of_core": spec.out_of_core,
-                "parallel": spec.parallel,
+                "out_of_core": "memory_budget_bytes" in spec.accepted_options,
+                "parallel": "workers" in spec.accepted_options,
                 "streaming_ingest": spec.streaming_ingest,
                 "incremental": spec.incremental,
                 "accepted_options": sorted(spec.accepted_options),
@@ -581,8 +593,8 @@ def _cmd_engines(args: argparse.Namespace, out) -> int:
         (
             spec.name,
             spec.representation,
-            "yes" if spec.out_of_core else "no",
-            "yes" if spec.parallel else "no",
+            "yes" if "memory_budget_bytes" in spec.accepted_options else "no",
+            "yes" if "workers" in spec.accepted_options else "no",
             "yes" if spec.streaming_ingest else "no",
             "yes" if spec.incremental else "no",
             "yes" if spec.reports_page_accesses else "no",

@@ -14,7 +14,7 @@ construction, and carries:
 * ``max_length`` — optional cap on pattern length;
 * ``options`` — engine options, either plain (``{"buffer_pages": 128}``,
   ``{"workers": 4}``) or namespaced per engine
-  (``{"setm-disk.buffer_pages": 128}``, ``{"setm-parallel.workers": 4}``).
+  (``{"setm-disk.buffer_pages": 128}``, ``{"setm-columnar.workers": 4}``).
   Namespaced options are only handed to the engine they name, so one
   config can be replayed across engines without tripping option checks.
 
@@ -33,13 +33,24 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvalidConfigError, InvalidSupportError
 
-__all__ = ["DEFAULT_ENGINE", "INPUT_FORMATS", "MiningConfig"]
+__all__ = [
+    "DEFAULT_ENGINE",
+    "DEFAULT_MEMORY_BUDGET",
+    "INPUT_FORMATS",
+    "MiningConfig",
+]
 
 #: The engine a run uses when the caller names none — the one the
 #: ``MINE`` planner picks for a query with no special requirements.
 #: ``"setm"``, the tuple-at-a-time transliteration of Figure 4, stays
 #: registered as the faithful reference and oracle; name it to get it.
 DEFAULT_ENGINE = "setm-columnar"
+
+#: The ``memory_budget_bytes`` a ``setm-columnar`` run works under when
+#: it runs key ranges (``workers > 1``) and names no budget: generous for
+#: laptops, small enough that genuinely large workloads spill instead of
+#: swapping.
+DEFAULT_MEMORY_BUDGET = 128 * 2**20
 
 #: Valid ``input_format`` values: ``"auto"`` sniffs magic bytes and the
 #: file extension; the rest name a decoder in :mod:`repro.data.formats`.

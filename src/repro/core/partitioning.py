@@ -1,10 +1,10 @@
 """Partitioned execution layer: first-class key-range work units.
 
 The paper's central claim is that Figure 4's merge/count/filter passes
-are pure set operations with no cross-row dependencies.  The spill and
-pooled engines (:mod:`repro.core.setm_columnar_disk`,
-:mod:`repro.core.setm_spill_parallel`) exploit it by partitioning
-*before* extending: a level-``k`` key is ``rank * base + item``, so the
+are pure set operations with no cross-row dependencies.  The range
+kernel of ``setm-columnar`` (:mod:`repro.core.setm_columnar_disk`),
+inline under a memory budget or pooled with ``workers > 1``, exploits
+it by partitioning *before* extending: a level-``k`` key is ``rank * base + item``, so the
 extensions of prefix rank ``r`` are exactly the keys
 ``[r * base, (r + 1) * base)`` and a key-range partition of ``R'_k`` is
 a prefix-range partition of ``R_{k-1}``.  A :class:`PartitionPlan`
@@ -164,14 +164,15 @@ class Partition:
     rows in the chunk format of
     :meth:`InstanceRelation.to_chunk_bytes` — exactly one of
 
-    * ``payload`` — the chunk bytes inline (they travel inside the
-      task pickle: the ``pickle`` transport);
+    * ``payload`` — the chunk bytes inline (what a transport session
+      publishes: into a segment under ``shm``, a spool file under
+      ``mmap``);
     * ``shm`` — a ``(segment_name, offset, length)`` slice of a
       :mod:`multiprocessing.shared_memory` segment (the pickle shrinks
       to the descriptor; workers view the bytes in place: the ``shm``
       transport);
     * ``path`` — a spill file (workers read — or ``mmap`` — the file
-      themselves: the spill engines and the ``mmap`` transport).
+      themselves: the ``R_k`` shares and the ``mmap`` transport).
 
     Because every occurrence of a pattern falls in exactly one key
     range, counting a partition yields *global* counts for every

@@ -59,9 +59,10 @@ every SETM engine is a kernel plugged into it:
   per iteration for the Section 4.3 I/O analysis (``setm-disk``).
 * ``SpillingColumnarKernel`` (:mod:`repro.core.setm_columnar_disk`) —
   the columnar representation under a ``memory_budget_bytes`` cap:
-  ``R'_k`` is range-partitioned by pattern key into spill files
-  and counted/filtered partition-at-a-time, so resident memory stays
-  bounded while results stay identical (``setm-columnar-disk``).
+  ``R'_k`` is planned as priced key ranges, each extended, counted and
+  filtered in turn — inline, or in a worker pool with ``workers > 1`` —
+  with its ``R_k`` share spilled, so resident memory stays bounded
+  while results stay identical (``setm-columnar`` with either option).
 
 The merge-scan join of the tuple kernel is a real two-cursor merge over
 trans_id groups, not a hash shortcut, so the intermediate cardinalities

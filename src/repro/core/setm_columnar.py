@@ -23,13 +23,22 @@ default ``"auto"`` counts by direct addressing — one ``np.bincount``
 over the level's key span ``[0, |F_{k-1}| * base)`` — when that span is
 at most twice ``|R'_k|``, and sorts otherwise
 (:func:`~repro.core.columns.count_and_filter`).
+
+Where the relations live and who counts them are options of the one
+engine, not further engines: under ``memory_budget_bytes`` or with
+``workers > 1`` it runs the range kernel of
+:mod:`repro.core.setm_columnar_disk`, which cuts big levels into priced
+key ranges, spills their ``R_k`` shares and may count them in a worker
+pool.  With neither it runs :class:`ColumnarKernel` below.
 """
 
 from __future__ import annotations
 
+import os
 from itertools import chain
 from typing import Literal
 
+from repro.config import DEFAULT_MEMORY_BUDGET
 from repro.core.columns import (
     FrequentLevels,
     InstanceRelation,
@@ -40,7 +49,9 @@ from repro.core.columns import (
 )
 from repro.core.result import MiningResult, Pattern
 from repro.core.setm import KernelLifecycle, run_figure4_loop
+from repro.core.setm_parallel import resolve_start_method, validate_workers
 from repro.core.transactions import ItemCatalog, TransactionDatabase
+from repro.core.transport import resolve_transport
 from repro.registry import register_engine
 
 __all__ = ["ColumnarKernel", "setm_columnar"]
@@ -168,10 +179,22 @@ class ColumnarKernel(KernelLifecycle):
 
 @register_engine(
     "setm-columnar",
-    description="SETM on dictionary-encoded array columns (fast in-memory)",
+    description=(
+        "SETM on dictionary-encoded array columns: in memory by default, "
+        "key ranges spilled under memory_budget_bytes and counted in a "
+        "worker pool with workers > 1"
+    ),
     representation="columnar",
     streaming_ingest=True,
-    accepted_options=("count_via", "measure_memory"),
+    accepted_options=(
+        "count_via",
+        "measure_memory",
+        "memory_budget_bytes",
+        "workers",
+        "spill_dir",
+        "start_method",
+        "transport",
+    ),
 )
 def setm_columnar(
     database: TransactionDatabase,
@@ -180,6 +203,11 @@ def setm_columnar(
     max_length: int | None = None,
     count_via: Literal["auto", "sort", "hash"] = "auto",
     measure_memory: bool = False,
+    memory_budget_bytes: int | None = None,
+    workers: int | None = 1,
+    spill_dir: str | os.PathLike | None = None,
+    start_method: str | None = None,
+    transport: str | None = None,
 ) -> MiningResult:
     """Run SETM on the columnar kernel; same results, several times faster.
 
@@ -194,16 +222,49 @@ def setm_columnar(
         Optional cap on pattern length.
     count_via:
         ``"auto"`` (default: direct addressing — one ``np.bincount``
-        over the level's key span, and the HAVING filter as one table
-        gather — when the span is at most twice the number of keys,
-        ``"sort"`` otherwise), ``"hash"`` (one Counter pass over rank
-        keys), or ``"sort"`` (key-free integer sort + run-length scan
-        as one ``np.unique`` — the paper-shaped strategy).  Identical
-        counts any way; the knob feeds the counting-strategy ablation
-        benchmark.
+        over the level's (or key range's) key span, and the HAVING
+        filter as one table gather — when the span is at most twice the
+        number of keys, ``"sort"`` otherwise), ``"hash"`` (one Counter
+        pass over rank keys), or ``"sort"`` (key-free integer sort +
+        run-length scan as one ``np.unique`` — the paper-shaped
+        strategy).  Identical counts any way; the knob feeds the
+        counting-strategy ablation benchmark.
     measure_memory:
         Record loop peak memory in ``extra["peak_memory_bytes"]``; off
         by default (see :func:`repro.core.setm.setm`).
+    memory_budget_bytes:
+        Target resident size for the mining loop's relations; ``None``
+        (the default) keeps every level in memory.  Under a budget any
+        ``R'_k`` priced above a quarter of it is cut into key ranges of
+        at most that share, each extended, counted and filtered in
+        turn, with its ``R_k`` share spilled.  The fixed residents
+        (``SALES``, its extension index, the ``C_k`` count relations)
+        are outside the budget — the paper itself assumes ``C_k``
+        memory-resident.
+    workers:
+        Worker processes; ``1`` (the default) counts in process and
+        ``None`` means ``os.cpu_count()``.  With ``workers > 1`` the
+        run works under ``memory_budget_bytes`` or
+        :data:`~repro.config.DEFAULT_MEMORY_BUDGET`; the key ranges of a
+        level the budget cuts run in the shared worker pool, and so do
+        those of a level it keeps whole whose priced ``|R'_k|`` reaches
+        :data:`~repro.core.setm_columnar_disk.POOL_MIN_ROWS`, cut into
+        ``BATCHES_PER_WORKER × workers`` ranges.
+    spill_dir:
+        Directory for the run's private spill files (a fresh
+        subdirectory is created and removed); defaults to the system
+        temporary directory.
+    start_method:
+        ``multiprocessing`` start method for the pool; ``None`` defers
+        to ``REPRO_MP_START_METHOD``, then the platform default.
+    transport:
+        How the ``SALES`` columns, the ``R_k`` shares and the replies
+        cross the process boundary: ``"mmap"`` (workers map the files
+        and decode columns as views over the map), ``"shm"`` (``SALES``
+        in a named shared-memory segment, replies through segments
+        too; a failed handshake falls back to ``mmap``), or
+        ``"auto"``/``None`` (``mmap``).  Results are byte-identical on
+        every transport.
 
     Returns
     -------
@@ -212,12 +273,40 @@ def setm_columnar(
         item counts, and :class:`~repro.core.result.IterationStats` are
         byte-identical to :func:`repro.core.setm.setm` on the same
         input.  ``extra["iteration_seconds"]`` carries per-iteration
-        wall-clock from the shared loop skeleton.
+        wall-clock from the shared loop skeleton.  A run on the range
+        kernel also carries ``memory_budget_bytes``, a ``"spill"``
+        block (key ranges per level, bytes written and read, chunks
+        written), ``workers``, a ``"parallel"`` block (pooled levels
+        and their ranges, levels counted in process, the resolved start
+        method) and a ``"transport"`` block (negotiated mode, bytes
+        moved, copies avoided).
     """
+    workers = validate_workers(workers)
+    start_method = resolve_start_method(start_method)
+    transport = resolve_transport(transport)
+    if memory_budget_bytes is None and workers == 1:
+        kernel = ColumnarKernel(database, count_via=count_via)
+    else:
+        # Imported here: the range kernel's module subclasses ColumnarKernel.
+        from repro.core.setm_columnar_disk import SpillingColumnarKernel
+
+        kernel = SpillingColumnarKernel(
+            database,
+            memory_budget_bytes=(
+                DEFAULT_MEMORY_BUDGET
+                if memory_budget_bytes is None
+                else memory_budget_bytes
+            ),
+            workers=workers,
+            count_via=count_via,
+            spill_dir=spill_dir,
+            start_method=start_method,
+            transport=transport,
+        )
     return run_figure4_loop(
         database,
         minimum_support,
-        ColumnarKernel(database, count_via=count_via),
+        kernel,
         algorithm="setm-columnar",
         max_length=max_length,
         extra={"count_via": count_via},

@@ -1,9 +1,11 @@
-"""Out-of-core SETM: the columnar kernel under a memory budget.
+"""The range kernel of ``setm-columnar``: a memory budget and a worker pool.
 
 ``setm-columnar`` holds every ``R'_k`` in RAM — and the intermediates,
 not ``SALES``, are the multiplicatively large objects, most of whose
-rows die at the HAVING filter.  This engine bounds them by partitioning
-*before* extending, so ``R'_k`` is never written anywhere:
+rows die at the HAVING filter.  Under ``memory_budget_bytes`` or with
+``workers > 1`` it runs :class:`SpillingColumnarKernel` instead, which
+bounds them by partitioning *before* extending, so ``R'_k`` is never
+written anywhere:
 
 * **Priced key ranges.**  A level-``k`` key is ``rank * base + item``,
   so the extensions of prefix rank ``r`` are exactly the keys
@@ -29,14 +31,31 @@ rows die at the HAVING filter.  This engine bounds them by partitioning
   positions, plus the fixed residents (``SALES`` + its index + ``C_k``,
   which the paper itself assumes memory-resident): a ``k = 2`` batch is
   cut where its positions would pass one budget share.
+* **Inline or pooled.**  With one worker a level's ranges run inline,
+  as one batch up to that cut.  With ``workers > 1`` they are cut into
+  :func:`balanced_batches` mapped over the cached worker pool of
+  :mod:`repro.core.setm_parallel`; a level the budget would keep whole
+  is still pooled when its priced ``|R'_k|`` reaches
+  :data:`POOL_MIN_ROWS`.  The pool reads ``SALES`` once per run from
+  the negotiated transport (a shared-memory segment under ``shm``, a
+  spooled file workers map under ``mmap``), earlier levels' ``R_k``
+  shares by path; replies are the supported ``(keys, counts)`` arrays,
+  each key's extension total and I/O tallies, merged in key-range
+  order.
 
-This engine runs a level's ranges inline, as one batch up to that cut;
-``setm-spill-parallel`` maps batches of them over a worker pool.  A
-level whose ``R'_k`` fits one share runs in memory, exactly as
-``setm-columnar`` does.  Each row's extensions depend only on its own
+Any other level fits one share and runs in memory, exactly as
+``ColumnarKernel`` does.  Each row's extensions depend only on its own
 ``last_sid`` and counts are per-pattern, so partitioning changes
 *nothing observable*: patterns, counts, and
 :class:`~repro.core.result.IterationStats` are identical to ``setm``.
+
+Failure containment: a worker raising mid-task propagates out of the
+pool dispatch, and the Figure-4 loop's ``finally`` closes the kernel,
+which removes the spill directory — half-written shares and all — and
+releases the published ``SALES``.  The shared pool survives worker
+exceptions and stays cached; a pool broken outright is evicted and
+transparently recreated on the next run
+(:func:`~repro.core.setm_parallel.pool_map`).
 """
 
 from __future__ import annotations
@@ -44,12 +63,15 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Iterator, Literal, NamedTuple
 
 import numpy as np
 
+from repro.config import DEFAULT_MEMORY_BUDGET
 from repro.core.columns import (
     InstanceRelation,
     SalesIndex,
@@ -67,28 +89,44 @@ from repro.core.partitioning import (
     decode_buffer_chunks,
     split_by_key_ranges,
 )
-from repro.core.result import MiningResult
-from repro.core.setm import run_figure4_loop
 from repro.core.setm_columnar import ColumnarKernel
+from repro.core.setm_parallel import (
+    PoolTransportMixin,
+    resolve_start_method,
+    resolved_start_method,
+    validate_workers,
+)
 from repro.core.transactions import TransactionDatabase
-from repro.core.transport import pack_buffers, partition_buffer, unpack_buffers
+from repro.core.transport import (
+    TransportSession,
+    pack_buffers,
+    partition_buffer,
+    unpack_buffers,
+)
 from repro.errors import InvalidConfigError
-from repro.registry import register_engine
 
 __all__ = [
+    "BATCHES_PER_WORKER",
     "DEFAULT_MEMORY_BUDGET",
     "KeyRange",
+    "POOL_MIN_ROWS",
     "PlannedExtension",
     "RangeBatch",
     "SpilledRelation",
     "SpillingColumnarKernel",
+    "balanced_batches",
     "run_range_batch",
-    "setm_columnar_disk",
 ]
 
-#: Default ``memory_budget_bytes``: generous for laptops, small enough
-#: that genuinely large workloads spill instead of swapping.
-DEFAULT_MEMORY_BUDGET = 128 * 2**20
+#: Pool batches per worker: enough that a batch running long does not
+#: leave the other workers idle, few enough that each batch's fixed
+#: cost (mapping ``SALES``, one scan at ``k = 2``) stays small.
+BATCHES_PER_WORKER = 3
+
+#: Priced ``|R'_k|`` from which a level the budget keeps whole is still
+#: pooled.  Below it the count is a few milliseconds in process, less
+#: than publishing ``SALES`` and one pool round trip would cost.
+POOL_MIN_ROWS = 65536
 
 
 @dataclass
@@ -151,12 +189,12 @@ class RangeBatch(NamedTuple):
     base: int
     threshold: int
     via: str
-    mode: str = "pickle"
+    mode: str = "mmap"
     reply_name: str | None = None
 
 
 def run_range_batch(batch: RangeBatch) -> tuple:
-    """The task body of both spill engines: per range extend → count → filter → write.
+    """The task body of the range kernel: per range extend → count → filter → write.
 
     Returns ``(candidate_patterns, envelope, rows_written, bytes_written,
     bytes_read, zero_copy_bytes)``, where ``rows_written`` holds one
@@ -327,7 +365,31 @@ def _overlapping(shares: list[Partition], low: int, high: int) -> list:
     return [p for p in shares if p.key_low < high and p.key_high > low]
 
 
-class SpillingColumnarKernel(ColumnarKernel):
+def balanced_batches(costs: list[int], batches: int) -> list[tuple[int, int]]:
+    """``min(batches, len(costs))`` contiguous ``[start, stop)`` runs of ``costs``.
+
+    The ``i``-th cut goes where the running total comes nearest to
+    ``i / batches`` of the whole, so runs carry like costs; every run
+    holds at least one entry.
+    """
+    count = min(batches, len(costs))
+    cumulative = list(accumulate(costs))
+    total = cumulative[-1] if cumulative else 0
+    stops: list[int] = []
+    start = 0
+    for i in range(1, count):
+        target = total * i / count
+        crossing = bisect_left(cumulative, target)
+        before = cumulative[crossing - 1] if crossing else 0
+        stop = crossing + (cumulative[crossing] - target <= target - before)
+        stop = min(max(stop, start + 1), len(costs) - (count - i))
+        stops.append(stop)
+        start = stop
+    stops.append(len(costs))
+    return list(zip([0, *stops[:-1]], stops))
+
+
+class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
     """The columnar Figure-4 steps with budgeted, range-planned relations.
 
     Budget layout: one quarter of ``memory_budget_bytes`` is the share
@@ -336,6 +398,13 @@ class SpillingColumnarKernel(ColumnarKernel):
     (``SALES`` + index + ``C_k``).  A level whose ``R'_k`` fits within a
     share is simply kept in memory — small workloads never touch the
     disk.
+
+    With ``workers > 1``, :meth:`_level_share` also cuts a level of at
+    least :data:`POOL_MIN_ROWS` that the budget would keep whole, and
+    :meth:`_run_batches` sends every planned level's ranges to the
+    shared worker pool as :func:`balanced_batches` instead of running
+    them inline.  :class:`~repro.core.setm_parallel.PoolTransportMixin`
+    supplies the transport negotiation and the one pool dispatch seam.
     """
 
     def __init__(
@@ -343,8 +412,11 @@ class SpillingColumnarKernel(ColumnarKernel):
         database: TransactionDatabase,
         *,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
+        workers: int | None = 1,
         count_via: Literal["auto", "sort", "hash"] = "auto",
         spill_dir: str | os.PathLike | None = None,
+        start_method: str | None = None,
+        transport: str | None = None,
     ) -> None:
         super().__init__(database, count_via=count_via)
         if (
@@ -370,6 +442,15 @@ class SpillingColumnarKernel(ColumnarKernel):
         self._bytes_written = 0
         self._bytes_read = 0
         self._chunks_written = 0
+
+        self._workers = validate_workers(workers)
+        self._start_method = resolve_start_method(start_method)
+        self._init_transport(transport)
+        # Pool telemetry: ranges per pooled level, levels run in process.
+        self._pooled_per_k: dict[int, int] = {}
+        self._in_process: list[int] = []
+        self._sales_session: TransportSession | None = None
+        self._published_sales: Partition | None = None
 
     # -- spill-file plumbing --------------------------------------------------------
 
@@ -468,10 +549,21 @@ class SpillingColumnarKernel(ColumnarKernel):
 
     def _level_share(self, rows: int) -> int:
         """The range size, in bytes, to plan an ``R'_k`` of ``rows`` in."""
+        if self._workers > 1 and POOL_MIN_ROWS <= rows <= (
+            self._share_bytes // ROW_BYTES
+        ):
+            # Kept whole by the budget, but big enough to pay for the
+            # pool: plan it as the pool's batches instead.
+            ranges = BATCHES_PER_WORKER * self._workers
+            return -(-rows // ranges) * ROW_BYTES
         return self._share_bytes
 
     def count_and_filter(self, r_prime, threshold: int):
         if isinstance(r_prime, InstanceRelation):
+            # Kept in memory: counted in process, as ColumnarKernel
+            # would.  An empty level had nothing to count at all.
+            if len(r_prime):
+                self._in_process.append(self._k)
             return super().count_and_filter(r_prime, threshold)
         ranges = self._key_ranges(r_prime)
         template = RangeBatch(
@@ -541,19 +633,73 @@ class SpillingColumnarKernel(ColumnarKernel):
         return ranges
 
     def _run_batches(self, template: RangeBatch) -> list[tuple]:
-        """Run the level's ranges inline, batch by batch; open the replies.
+        """Run the level's ranges as batches, inline or pooled; open the replies.
 
         A reply is ``(candidates, [keys, counts, ext_totals],
         rows_written, bytes_written, bytes_read)``, ``rows_written``
         holding one count per range.
         """
+        ranges = template.ranges
         replies = []
-        for start, stop in self._capped(template, [(0, len(template.ranges))]):
-            candidates, envelope, *tallies, _ = run_range_batch(
-                template._replace(ranges=template.ranges[start:stop])
-            )
-            replies.append((candidates, unpack_buffers(envelope)[0], *tallies))
+        if self._workers <= 1:
+            self._in_process.append(self._k)
+            for start, stop in self._capped(template, [(0, len(ranges))]):
+                candidates, envelope, *tallies, _ = run_range_batch(
+                    template._replace(ranges=ranges[start:stop])
+                )
+                replies.append(
+                    (candidates, unpack_buffers(envelope)[0], *tallies)
+                )
+            return replies
+
+        mode = self._negotiated_transport()
+        sales = self._publish_sales(mode)
+        runs = self._capped(
+            template,
+            balanced_batches(
+                [key_range.rows for key_range in ranges],
+                BATCHES_PER_WORKER * self._workers,
+            ),
+        )
+        with TransportSession(mode) as session:
+            batches = [
+                template._replace(
+                    ranges=ranges[start:stop],
+                    sales=sales,
+                    mode=mode,
+                    reply_name=session.reply_name(i),
+                )
+                for i, (start, stop) in enumerate(runs)
+            ]
+            for reply in self._dispatch(run_range_batch, batches):
+                candidates, envelope, *tallies, zero_copy = reply
+                session.note_zero_copy(zero_copy)
+                replies.append((candidates, session.collect(envelope), *tallies))
+            self._record_transport(session)
+        self._pooled_per_k[self._k] = len(ranges)
         return replies
+
+    def _publish_sales(self, mode: str) -> Partition:
+        """The run's ``SalesIndex`` columns for the workers, published once.
+
+        ``items`` then ``ext_counts`` as raw int64, in one shared-memory
+        segment under ``shm`` and in one spooled file workers map under
+        ``mmap``.  :meth:`close` releases it.
+        """
+        if self._published_sales is None:
+            index = self._index
+            raw = bytearray(index.items.nbytes + index.ext_counts.nbytes)
+            np.concatenate(
+                (index.items, index.ext_counts),
+                out=np.frombuffer(raw, dtype=np.int64),
+            )
+            session = TransportSession(mode)
+            (self._published_sales,) = session.publish(
+                [Partition(1, num_rows=len(index.items), payload=raw)]
+            )
+            self._sales_session = session
+            self._record_transport(session)
+        return self._published_sales
 
     def _capped(
         self, template: RangeBatch, runs: list[tuple[int, int]]
@@ -617,94 +763,21 @@ class SpillingColumnarKernel(ColumnarKernel):
                 "bytes_read": self._bytes_read,
                 "chunks_written": self._chunks_written,
             },
+            "workers": self._workers,
+            "parallel": {
+                "partitions": dict(self._pooled_per_k),
+                "parallel_iterations": sorted(self._pooled_per_k),
+                "short_circuited": sorted(set(self._in_process)),
+                "start_method": resolved_start_method(self._start_method),
+            },
+            "transport": self.transport_stats(),
         }
 
     def close(self) -> None:
+        if self._sales_session is not None:
+            self._sales_session.close()
+            self._sales_session = None
+            self._published_sales = None
         if self._spill_root is not None:
             shutil.rmtree(self._spill_root, ignore_errors=True)
             self._spill_root = None
-
-
-@register_engine(
-    "setm-columnar-disk",
-    description=(
-        "out-of-core SETM: R'_k planned as priced key ranges, each "
-        "extended, counted and filtered in turn under a memory budget"
-    ),
-    representation="columnar",
-    out_of_core=True,
-    streaming_ingest=True,
-    accepted_options=(
-        "count_via",
-        "memory_budget_bytes",
-        "spill_dir",
-        "measure_memory",
-    ),
-)
-def setm_columnar_disk(
-    database: TransactionDatabase,
-    minimum_support: float,
-    *,
-    max_length: int | None = None,
-    count_via: Literal["auto", "sort", "hash"] = "auto",
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-    spill_dir: str | os.PathLike | None = None,
-    measure_memory: bool = False,
-) -> MiningResult:
-    """Mine with bounded resident memory; identical results to ``setm``.
-
-    Parameters
-    ----------
-    database:
-        The transactions to mine.
-    minimum_support:
-        Fractional minimum support in ``(0, 1]`` or absolute count.
-    max_length:
-        Optional cap on pattern length.
-    count_via:
-        Counting strategy per key range — see
-        :func:`repro.core.setm_columnar.setm_columnar`.  Under
-        ``"auto"`` a range whose key span ``[key_low, key_high)`` is at
-        most twice its ``R'_k`` rows is counted by direct addressing
-        (one ``np.bincount``, the HAVING filter one table gather); a
-        wider range is sorted.
-    memory_budget_bytes:
-        Target resident size for the mining loop's relations.  Any
-        ``R'_k`` priced above a quarter of this is cut into key ranges
-        of at most that share, each extended, counted and filtered in
-        turn, with its ``R_k`` share spilled.  The fixed residents
-        (``SALES``, its extension index, the ``C_k`` count relations)
-        are outside the budget — the paper itself assumes ``C_k``
-        memory-resident.
-    spill_dir:
-        Directory for the run's private spill files (a fresh
-        subdirectory is created and removed); defaults to the system
-        temporary directory.
-    measure_memory:
-        Record loop peak memory in ``extra["peak_memory_bytes"]``; off
-        by default (see :func:`repro.core.setm.setm`).
-
-    Returns
-    -------
-    MiningResult
-        Patterns, counts, and iteration statistics identical to
-        :func:`repro.core.setm.setm`.  ``extra`` additionally carries
-        ``memory_budget_bytes`` and a ``"spill"`` block — key ranges
-        per iteration, bytes written/read, chunks written — plus the
-        loop-level ``peak_memory_bytes`` under ``measure_memory=True``
-        (what the budget is checked against).
-    """
-    return run_figure4_loop(
-        database,
-        minimum_support,
-        SpillingColumnarKernel(
-            database,
-            memory_budget_bytes=memory_budget_bytes,
-            count_via=count_via,
-            spill_dir=spill_dir,
-        ),
-        algorithm="setm-columnar-disk",
-        max_length=max_length,
-        extra={"count_via": count_via},
-        measure_memory=measure_memory,
-    )

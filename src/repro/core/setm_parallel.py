@@ -1,8 +1,8 @@
-"""The shared worker pools of the pooled engines.
+"""The shared worker pools of ``setm-columnar`` with ``workers > 1``.
 
-``setm-parallel`` and ``setm-spill-parallel`` run one kernel,
-:class:`~repro.core.setm_spill_parallel.SpillParallelKernel`, which
-maps batches of key ranges over the pools this module owns.  Worker
+Its range kernel,
+:class:`~repro.core.setm_columnar_disk.SpillingColumnarKernel`, maps
+batches of key ranges over the pools this module owns.  Worker
 pools are created lazily, keyed by ``(start_method, workers)``, and
 **reused across runs** — a long-lived mining session (the serve layer)
 pays pool start-up once, not per request.
@@ -10,7 +10,7 @@ pays pool start-up once, not per request.
 the same at interpreter exit.
 
 :class:`PoolTransportMixin` carries what a pooled kernel needs on top
-of its serial parent: the transport negotiation, the one dispatch seam
+of the serial kernel: the transport negotiation, the one dispatch seam
 the crash-injection tests override, and the ``extra["transport"]``
 telemetry.
 """
@@ -44,7 +44,7 @@ __all__ = [
 
 
 def default_workers() -> int:
-    """The worker count a parallel engine uses when none is given.
+    """The worker count ``workers=None`` stands for.
 
     One owner for the default: the kernel applies it, and
     ``Miner.explain`` quotes it when describing a run it has not
@@ -244,7 +244,7 @@ class PoolTransportMixin:
 
         ``auto`` means ``mmap``: every task reads files (the published
         ``SALES`` columns, earlier ``R_k`` shares).  ``shm`` is proven
-        through the real pool first and demotes to ``pickle`` — reason
+        through the real pool first and demotes to ``mmap`` — reason
         recorded in the telemetry — if the handshake fails.
         """
         if self._transport_mode is None:
@@ -278,7 +278,6 @@ class PoolTransportMixin:
             **{
                 key: self._transport_counters.get(key, 0)
                 for key in (
-                    "task_bytes_inline",
                     "task_bytes_shared",
                     "task_bytes_spooled",
                     "reply_bytes_inline",

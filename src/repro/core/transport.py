@@ -4,13 +4,7 @@ The pooled kernel hands pool workers the run's ``SALES`` columns and
 the ``R_k`` shares as :class:`~repro.core.partitioning.Partition`
 descriptors and gets ``(keys, counts)`` buffers back.
 *How* those bytes move is a transport concern, and this module owns it
-behind one small surface with three implementations:
-
-``pickle``
-    The original scheme and the conformance oracle: payload bytes ride
-    inside the task pickle, replies ride inside the result pickle.
-    Every byte is serialized, piped, and deserialized — correct
-    everywhere, never zero-copy.
+behind one small surface with two implementations:
 
 ``shm``
     In-memory payloads are placed — once, contiguously — into a named
@@ -25,10 +19,12 @@ behind one small surface with three implementations:
     segment by name.
 
 ``mmap``
-    Path-backed partitions (the spill engines') are *mapped* by the
+    Path-backed partitions (the ``R_k`` shares) are *mapped* by the
     worker instead of read whole; in-memory payloads are spooled to a
     per-session temp directory first.  Same zero-copy decode, backed by
-    the page cache instead of POSIX shared memory.
+    the page cache instead of POSIX shared memory.  Replies ride in the
+    result pickle.  This is ``auto``, and where a failed ``shm``
+    handshake falls back to.
 
 Lifecycle is deliberately asymmetric: **the parent owns every named
 segment** (the ones it creates for tasks, and the reply names it hands
@@ -83,9 +79,10 @@ __all__ = [
     "unpack_buffers",
 ]
 
-#: The legal values of the ``transport`` engine option / ``--transport``
-#: CLI flag.  ``auto`` means ``mmap``: every pooled task reads files.
-TRANSPORT_CHOICES = ("auto", "pickle", "shm", "mmap")
+#: The legal values of the ``transport`` engine option, the
+#: ``--transport`` CLI flag and ``WITH transport``.  ``auto`` means
+#: ``mmap``: every pooled task reads files.
+TRANSPORT_CHOICES = ("auto", "shm", "mmap")
 
 #: Every segment this library creates is named with this prefix, so the
 #: leak audit can sweep the ``/dev/shm`` namespace for strays without
@@ -270,15 +267,15 @@ def read_segment_slice(descriptor: tuple[str, int, int]) -> bytes:
 
 @contextmanager
 def partition_buffer(
-    partition: "Partition", mode: str = "pickle"
+    partition: "Partition", mode: str = "mmap"
 ) -> Iterator[tuple[object, str]]:
     """Yield ``(buffer, source)`` for a partition's chunk bytes.
 
     ``source`` names how the bytes were obtained: ``inline`` (payload
     carried by the pickle), ``shm`` (a memoryview over an attached
     segment), ``mmap`` (a map of the spill file), or ``read`` (a whole
-    file read — the pickle-transport behaviour for path partitions, and
-    the fallback for empty files that cannot be mapped).
+    file read — path partitions under ``shm``, and the fallback for
+    empty files that cannot be mapped).
 
     ``shm``/``mmap`` buffers borrow their backing store: the caller
     must drop every view derived from the buffer before the context
@@ -393,7 +390,6 @@ _TOTALS_ZERO = {
     "sessions": 0,
     "segments": 0,
     "spool_files": 0,
-    "task_bytes_inline": 0,
     "task_bytes_shared": 0,
     "task_bytes_spooled": 0,
     "reply_bytes_inline": 0,
@@ -423,7 +419,7 @@ class TransportSession:
     """Owns the shared state of one pooled dispatch, parent side.
 
     Create it around a pooled iteration, :meth:`publish` the in-memory
-    partitions (a no-op for ``pickle``), hand each task a
+    partitions, hand each task a
     :meth:`reply_name`, :meth:`collect` each result envelope, and
     :meth:`close` in a ``finally`` — close is where task segments are
     unlinked, un-collected reply names are force-unlinked (the worker
@@ -432,7 +428,7 @@ class TransportSession:
     """
 
     def __init__(self, mode: str) -> None:
-        if mode not in ("pickle", "shm", "mmap"):
+        if mode not in ("shm", "mmap"):
             raise TransportError(
                 f"TransportSession needs a concrete mode, not {mode!r}"
             )
@@ -444,8 +440,7 @@ class TransportSession:
         self._spooled = 0
         self._closed = False
         self.counters = {
-            "task_bytes_inline": 0,
-            "task_bytes_shared": 0,
+                    "task_bytes_shared": 0,
             "task_bytes_spooled": 0,
             "reply_bytes_inline": 0,
             "reply_bytes_shared": 0,
@@ -458,8 +453,7 @@ class TransportSession:
         """Re-home in-memory payloads for this session's transport.
 
         Returns descriptor partitions to dispatch in place of the
-        originals: ``pickle`` passes them through (payload travels in
-        the task pickle), ``shm`` packs every payload into one fresh
+        originals: ``shm`` packs every payload into one fresh
         segment and returns ``(name, offset, length)`` descriptors,
         ``mmap`` spools each payload to a session temp file and
         returns path descriptors.  Path-backed inputs pass through
@@ -470,9 +464,7 @@ class TransportSession:
         if self._closed:
             raise TransportError("transport session is closed")
         inline = [p for p in partitions if p.payload is not None]
-        if self.mode == "pickle" or not inline:
-            for p in inline:
-                self.counters["task_bytes_inline"] += len(p.payload)
+        if not inline:
             return list(partitions)
         if self.mode == "shm":
             total = sum(len(p.payload) for p in inline)
@@ -614,7 +606,7 @@ def negotiate_pool_transport(
     Only ``shm`` needs negotiating: a tiny named segment is pushed
     through the *real* pool (``mapper`` runs tasks exactly as the
     engine will) and every worker must read it back byte-identical.
-    Failure demotes to ``pickle`` with the reason recorded — mining
+    Failure demotes to ``mmap`` with the reason recorded — mining
     proceeds either way.  Verdicts are cached per
     ``(start_method, workers)``; other transports pass through.
     """
@@ -636,11 +628,11 @@ def negotiate_pool_transport(
             verdict = ("shm", None)
         else:
             verdict = (
-                "pickle",
+                "mmap",
                 "shm handshake failed: worker read mismatched bytes",
             )
     except Exception as exc:
-        verdict = ("pickle", f"shm handshake failed: {exc!r}")
+        verdict = ("mmap", f"shm handshake failed: {exc!r}")
     finally:
         if segment is not None:
             release_segment(segment.name)

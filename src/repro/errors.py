@@ -302,8 +302,7 @@ class PlanError(QueryError, ValueError):
     """A parsed ``MINE`` query admits no executable plan.
 
     Raised by the planner — never mid-mine — when the query names an
-    unknown dataset or engine, or demands a capability combination no
-    registered engine provides.  The message names what was required
+    unknown dataset or engine.  The message names what was asked for
     and what the registry offers.
     """
 

@@ -21,6 +21,7 @@ rule generation of Hahsler et al.: mine once, then ask narrow questions.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from collections import OrderedDict
@@ -246,9 +247,11 @@ class Miner:
         """Describe how ``config`` would run — without mining anything.
 
         Resolves the engine, validates the options, and reports the
-        capability flags and the absolute support threshold the run
-        would apply.  Raises the same errors ``frequent_itemsets`` would,
-        so ``explain`` doubles as a dry-run validator.
+        capability flags (``out of core`` and ``parallel`` read off the
+        options the engine accepts) and the absolute support threshold
+        the run would apply.  Raises the same errors
+        ``frequent_itemsets`` would, so ``explain`` doubles as a dry-run
+        validator.
         """
         config = self._resolve_config(config, overrides)
         spec = get_engine(config.algorithm)
@@ -273,13 +276,13 @@ class Miner:
             "  out of core: "
             + (
                 "yes (honours memory_budget_bytes)"
-                if spec.out_of_core
+                if "memory_budget_bytes" in spec.accepted_options
                 else "no"
             ),
             "  parallel: "
             + (
-                f"yes (workers={self._resolve_workers(options)})"
-                if spec.parallel
+                f"yes (workers={self._resolve_workers(spec, options)})"
+                if "workers" in spec.accepted_options
                 else "no"
             ),
             "  streaming ingest: "
@@ -315,13 +318,21 @@ class Miner:
         return "\n".join(lines)
 
     @staticmethod
-    def _resolve_workers(options: dict[str, object]) -> object:
-        """The worker count a parallel engine would actually use."""
-        workers = options.get("workers")
+    def _resolve_workers(spec: EngineSpec, options: dict[str, object]) -> object:
+        """The worker count the engine would actually use.
+
+        The engine's own ``workers`` default (an alias's included) when
+        the options name none; ``None`` means the CPU count.
+        """
+        if "workers" in options:
+            workers = options["workers"]
+        else:
+            default = inspect.signature(spec.runner).parameters.get("workers")
+            workers = None if default is None else default.default
         if workers is not None:
             return workers
-        # Imported lazily: explain() must not drag the engine module in
-        # for sessions that never touch the parallel engine.
+        # Imported lazily: explain() must not drag the pool module in
+        # for sessions that never touch a pool.
         from repro.core.setm_parallel import default_workers
 
         return default_workers()

@@ -24,6 +24,7 @@ failure is a typed :class:`~repro.errors.QueryParseError`.
 from __future__ import annotations
 
 from repro.config import INPUT_FORMATS
+from repro.core.transport import TRANSPORT_CHOICES
 from repro.errors import QueryParseError
 from repro.query.ast_nodes import (
     HAS_SIDES,
@@ -34,9 +35,6 @@ from repro.query.ast_nodes import (
 from repro.query.lexer import Token, TokenType, tokenize
 
 __all__ = ["WITH_OPTIONS", "parse_byte_size", "parse_query"]
-
-#: Transports the parallel engines understand (mirrors the CLI choices).
-_TRANSPORTS = ("auto", "pickle", "shm", "mmap")
 
 #: WHERE fields carrying a threshold, with the one comparison each allows
 #: (support/confidence are lower bounds, length is an upper bound).
@@ -83,8 +81,8 @@ WITH_OPTIONS: dict[str, tuple] = {
         "a positive byte count, optionally suffixed K/M/G (e.g. '2M')",
     ),
     "transport": (
-        lambda v: v in _TRANSPORTS,
-        f"one of {', '.join(_TRANSPORTS)}",
+        lambda v: v in TRANSPORT_CHOICES,
+        f"one of {', '.join(TRANSPORT_CHOICES)}",
     ),
     "chunk_rows": (_positive_int, "an integer >= 1"),
     "input_format": (

@@ -1,32 +1,25 @@
-"""Capability-driven lowering of a :class:`MineQuery` to a plan DAG.
+"""Lowering of a :class:`MineQuery` to a plan DAG.
 
-The planner owns exactly one judgement call — *which engine runs the
-mine* — and makes it from data, never from hard-coded names: it derives
-capability **requirements** from the query and the dataset statistics,
-then selects among :func:`repro.registry.engine_specs` by capability
-flags.  Every input to the choice is recorded as a
-:class:`~repro.query.plan.Decision` with a reason string, so ``EXPLAIN``
-shows not just the winning engine but the full derivation:
+The planner makes one judgement call — *which engine runs the mine* —
+and it is a short one, because storage and execution are options of
+one engine rather than separate engines:
 
-* a configured ``state`` directory requires the ``incremental``
-  capability (an existing :class:`~repro.core.incremental.MiningState`
-  means the run counts only the appended delta);
-* an estimated encoded footprint above ``memory_budget`` requires
-  ``out_of_core`` (spill engines);
-* ``workers >= 2`` requires ``parallel`` (checked against the host's
-  CPU count, which callers may pin for deterministic plans);
-* a targeted ``lhs HAS`` constraint is planned as a post-mine filter —
-  no registered engine advertises selective generation, and the
-  decision bullet says so, so the day one does the plan will change
-  reviewably.
+* ``USING ENGINE`` names the engine outright;
+* a configured ``state`` directory selects ``setm-incremental`` (an
+  existing :class:`~repro.core.incremental.MiningState` means the run
+  counts only the appended delta);
+* every other query runs :data:`~repro.config.DEFAULT_ENGINE`.
 
-Requirements that no single engine satisfies together are relaxed
-lowest-priority-first (``parallel`` before ``out_of_core`` before
-``incremental``), each relaxation recorded; a requirement set that
-cannot be satisfied at all is a typed :class:`~repro.errors.PlanError`.
-Ties among capable engines break toward the fewest surplus
-capabilities, then the columnar representation, then the name — fully
-deterministic, so golden plans are reviewable diffs.
+``WITH memory_budget``, ``workers`` and ``transport`` pass through to
+the chosen engine as options.  The engine prices every level exactly
+and spills only the levels the budget cannot hold, so the planner does
+not second-guess it from the scan's estimated footprint (which EXPLAIN
+still shows).  An option the engine does not accept is dropped with a
+warning.  A targeted ``lhs HAS`` constraint is planned as a post-mine
+filter — no registered engine advertises selective generation, and the
+decision bullet says so.  Every decision is recorded as a
+:class:`~repro.query.plan.Decision` with a reason string, so golden
+plans are reviewable diffs.
 """
 
 from __future__ import annotations
@@ -34,28 +27,26 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.config import MiningConfig
+from repro.config import DEFAULT_ENGINE, MiningConfig
 from repro.errors import PlanError, StateError
 from repro.query.ast_nodes import MineQuery
 from repro.query.parser import parse_byte_size
 from repro.query.plan import PlanNode, QueryPlan
-from repro.registry import EngineSpec, engine_specs, find_engine
+from repro.registry import ENGINE_ALIASES, engine_specs, find_engine, get_engine
 
 __all__ = ["DatasetStats", "dataset_stats", "plan_query"]
 
 #: Modelled bytes per encoded SALES row: two int64 columns (trans_id
-#: and dictionary-encoded item).  Deliberately simple — the estimate
-#: only has to rank dataset size against the memory budget, and the
-#: model is stated in every EXPLAIN so the operator can judge it.
+#: and dictionary-encoded item).  Deliberately simple — the estimate is
+#: shown in EXPLAIN for the operator to judge; no choice rests on it.
 BYTES_PER_ROW = 16
 
 #: Default thresholds when the query leaves them out (the mine CLI's).
 DEFAULT_SUPPORT = 0.01
 DEFAULT_CONFIDENCE = 0.5
 
-#: Capability relaxation order: the *last* entry is dropped first when
-#: no registered engine carries the whole requirement set.
-_CAPABILITY_PRIORITY = ("incremental", "out_of_core", "parallel")
+#: The engine a ``state`` directory selects.
+INCREMENTAL_ENGINE = "setm-incremental"
 
 
 @dataclass(frozen=True)
@@ -120,58 +111,6 @@ def _fmt_bytes(count: int) -> str:
     return f"{count} B"
 
 
-def _has_capability(spec: EngineSpec, capability: str) -> bool:
-    return bool(getattr(spec, capability))
-
-
-def _select_engine(
-    required: list[str], node: PlanNode
-) -> tuple[EngineSpec, tuple[str, ...]]:
-    """The cheapest registered engine carrying every required capability.
-
-    Relaxes the requirement set lowest-priority-first when it is
-    unsatisfiable as a whole, recording each relaxation on ``node``.
-    Returns the winning spec *and* the requirement set that survived
-    relaxation (what the choice was actually made on).
-    """
-    specs = engine_specs()
-    wanted = list(required)
-    while True:
-        candidates = [
-            spec
-            for spec in specs
-            if all(_has_capability(spec, cap) for cap in wanted)
-        ]
-        if candidates:
-            break
-        droppable = [
-            cap for cap in _CAPABILITY_PRIORITY if cap in wanted
-        ]
-        if not droppable:
-            raise PlanError(
-                "no registered engine satisfies the query requirements; "
-                f"registry: {', '.join(spec.name for spec in specs)}"
-            )
-        dropped = droppable[-1]
-        wanted.remove(dropped)
-        node.decide(
-            "capability",
-            f"relaxed {dropped}",
-            "no registered engine combines "
-            f"{' + '.join(required)}; dropped the lowest-priority "
-            f"requirement ({dropped})",
-        )
-    surplus = [
-        cap for cap in _CAPABILITY_PRIORITY if cap not in wanted
-    ]
-
-    def rank(spec: EngineSpec) -> tuple:
-        extras = sum(1 for cap in surplus if _has_capability(spec, cap))
-        return (extras, spec.representation != "columnar", spec.name)
-
-    return min(candidates, key=rank), tuple(wanted)
-
-
 def plan_query(
     query: MineQuery,
     stats: DatasetStats,
@@ -212,11 +151,8 @@ def plan_query(
 
     mine = PlanNode("mine", "", children=[scan])
 
-    # -- capability requirements, each with its recorded reason ------------------
-    required: list[str] = []
     state_dir = query.option("state")
     if state_dir is not None:
-        required.append("incremental")
         if stats.state_generation is not None:
             mine.decide(
                 "capability",
@@ -232,45 +168,9 @@ def plan_query(
                 f"state directory {state_dir!r} holds no MiningState yet: "
                 "this full mine will materialize one for later delta runs",
             )
-
     budget_raw = query.option("memory_budget")
     budget = parse_byte_size(budget_raw) if budget_raw is not None else None
-    if budget is not None:
-        if stats.estimated_bytes > budget:
-            required.append("out_of_core")
-            mine.decide(
-                "capability",
-                "out_of_core",
-                f"estimated encoded footprint "
-                f"{_fmt_bytes(stats.estimated_bytes)} exceeds the "
-                f"{_fmt_bytes(budget)} memory_budget: intermediate "
-                "relations must spill",
-            )
-        else:
-            mine.decide(
-                "capability",
-                "in-memory",
-                f"estimated encoded footprint "
-                f"{_fmt_bytes(stats.estimated_bytes)} fits the "
-                f"{_fmt_bytes(budget)} memory_budget: no spill engine "
-                "needed",
-            )
-
     workers = query.option("workers")
-    if workers is not None and workers >= 2:
-        required.append("parallel")
-        mine.decide(
-            "capability",
-            "parallel",
-            f"workers = {workers} requested (host reports {cpus} "
-            "CPUs): partition-parallel counting",
-        )
-    elif workers == 1:
-        mine.decide(
-            "capability",
-            "serial",
-            "workers = 1 forces serial execution",
-        )
 
     # -- engine choice ------------------------------------------------------------
     if query.engine is not None:
@@ -281,43 +181,40 @@ def plan_query(
                 f"USING ENGINE names unknown engine {query.engine!r}; "
                 f"registered engines: {known}"
             )
-        mine.decide(
-            "engine",
-            spec.name,
-            "USING ENGINE overrides capability-based selection",
-        )
-        for cap in required:
-            if not _has_capability(spec, cap):
-                mine.decide(
-                    "warning",
-                    f"missing {cap}",
-                    f"explicitly chosen engine {spec.name!r} lacks the "
-                    f"{cap} capability the query's constraints call for",
-                )
-    else:
-        spec, wanted = _select_engine(required, mine)
-        satisfied = [
-            cap
-            for cap in _CAPABILITY_PRIORITY
-            if _has_capability(spec, cap)
-        ]
-        mine.decide(
-            "engine",
-            spec.name,
-            (
-                "cheapest registered engine with "
-                + " + ".join(
-                    cap for cap in _CAPABILITY_PRIORITY if cap in wanted
-                )
-                if wanted
-                else "no special capabilities required: fastest serial "
-                "in-memory engine (columnar representation preferred)"
+        reason = "USING ENGINE overrides the planner's choice"
+        if query.engine in ENGINE_ALIASES:
+            defaults = ENGINE_ALIASES[query.engine][1]
+            reason += (
+                f"; {query.engine!r} is a deprecated alias of {spec.name!r} "
+                "with "
+                + ", ".join(f"{k} = {v!r}" for k, v in defaults.items())
             )
-            + (
-                f" (capabilities: {', '.join(satisfied)})"
-                if wanted and satisfied
-                else ""
-            ),
+        mine.decide("engine", spec.name, reason)
+        if state_dir is not None and not spec.incremental:
+            mine.decide(
+                "warning",
+                "missing incremental",
+                f"explicitly chosen engine {spec.name!r} does not maintain "
+                "the state the query names; it mines from scratch",
+            )
+    elif state_dir is not None:
+        spec = get_engine(INCREMENTAL_ENGINE)
+        mine.decide(
+            "engine",
+            spec.name,
+            "cheapest registered engine with incremental "
+            "(capabilities: incremental)",
+        )
+    else:
+        spec = get_engine(DEFAULT_ENGINE)
+        mine.decide(
+            "engine",
+            spec.name,
+            "no special capabilities required: fastest serial "
+            "in-memory engine (columnar representation preferred)"
+            if budget is None and workers is None
+            else "the default engine: its memory budget and workers "
+            "are options",
         )
     mine.label = spec.name
 
@@ -346,30 +243,45 @@ def plan_query(
     accepted = spec.accepted_options
     options: dict[str, object] = {}
 
-    def offer(option: str, value: object, origin: str) -> None:
+    def offer(option: str, value: object, origin: str) -> bool:
         if option in accepted:
             options[option] = value
-        else:
-            mine.decide(
-                "option",
-                f"dropped {option}",
-                f"{origin}, but engine {spec.name!r} does not accept "
-                f"{option!r}",
-            )
+            return True
+        mine.decide(
+            "warning",
+            f"dropped {option}",
+            f"{origin}, but engine {spec.name!r} does not accept "
+            f"{option!r}",
+        )
+        return False
 
-    if workers is not None:
-        offer("workers", workers, f"WITH workers = {workers}")
-    if budget is not None:
-        offer(
-            "memory_budget_bytes",
-            budget,
-            f"WITH memory_budget = {budget_raw!r}",
+    if budget is not None and offer(
+        "memory_budget_bytes", budget, f"WITH memory_budget = {budget_raw!r}"
+    ):
+        mine.decide(
+            "storage",
+            f"budget {_fmt_bytes(budget)}",
+            f"a level whose exact R'_k price exceeds a quarter of the "
+            f"budget ({_fmt_bytes(budget // 4)}) runs as key ranges, its "
+            "R_k shares spilled; smaller levels stay in memory",
+        )
+    if workers is not None and offer(
+        "workers", workers, f"WITH workers = {workers}"
+    ):
+        mine.decide(
+            "execution",
+            "pooled" if workers >= 2 else "serial",
+            f"workers = {workers} requested (host reports {cpus} CPUs): "
+            "the key ranges of levels the budget cuts, and of levels of "
+            "at least POOL_MIN_ROWS priced rows, run in a worker pool"
+            if workers >= 2
+            else "workers = 1 forces serial execution",
         )
     transport = query.option("transport")
     if transport is not None:
         offer("transport", transport, f"WITH transport = {transport!r}")
 
-    # -- length pushdown (capability-driven, like everything else) ----------------
+    # -- length pushdown (where the engine honours max_length) --------------------
     post_length: int | None = None
     max_length: int | None = None
     if query.length is not None:
@@ -397,7 +309,8 @@ def plan_query(
     config = MiningConfig(
         support=support,
         confidence=confidence,
-        algorithm=spec.name,
+        # An alias keeps its name: Miner resolves it to its defaults.
+        algorithm=query.engine or spec.name,
         max_length=max_length,
         options=options,
         input_format=input_format,

@@ -24,15 +24,24 @@ The engine contract is unchanged from the original flat API: a callable
 ``(database, minimum_support, **options) -> MiningResult`` whose result
 agrees with every other engine (the differential tests hold all
 registered engines to ``bruteforce``'s patterns).
+
+Where an engine keeps its relations and whether it uses a worker pool
+are options of the engine (``memory_budget_bytes``, ``workers``), not
+further engines: the three engine names that used to encode them live
+on for one minor version as :data:`ENGINE_ALIASES`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import importlib
+import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.config import DEFAULT_MEMORY_BUDGET
 from repro.errors import (
     EngineOptionError,
     InvalidConfigError,
@@ -43,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.result import MiningResult
 
 __all__ = [
+    "ENGINE_ALIASES",
     "EngineSpec",
     "available_engines",
     "engine_specs",
@@ -58,8 +68,6 @@ __all__ = [
 _BUILTIN_ENGINE_MODULES = (
     "repro.core.setm",
     "repro.core.setm_columnar",
-    "repro.core.setm_columnar_disk",
-    "repro.core.setm_spill_parallel",
     "repro.core.setm_disk",
     "repro.core.setm_sql",
     "repro.core.nested_loop",
@@ -69,6 +77,22 @@ _BUILTIN_ENGINE_MODULES = (
     "repro.baselines.bruteforce",
     "repro.core.incremental",
 )
+
+#: Engine names retired in 1.11 (to be removed in 1.12): each runs
+#: ``setm-columnar`` under the defaults the old engine had.  Options the
+#: caller passes win over these; :func:`available_engines` lists none of
+#: the names.
+ENGINE_ALIASES: dict[str, tuple[str, dict[str, object]]] = {
+    "setm-columnar-disk": (
+        "setm-columnar",
+        {"memory_budget_bytes": DEFAULT_MEMORY_BUDGET},
+    ),
+    "setm-parallel": ("setm-columnar", {"workers": None}),
+    "setm-spill-parallel": (
+        "setm-columnar",
+        {"memory_budget_bytes": DEFAULT_MEMORY_BUDGET, "workers": None},
+    ),
+}
 
 _REGISTRY: dict[str, "EngineSpec"] = {}
 _builtins_loaded = False
@@ -98,15 +122,6 @@ class EngineSpec:
         ``"columnar"`` (dictionary-encoded ``array`` columns, see
         :mod:`repro.core.columns`), ``"paged"`` (the simulated-disk heap
         files), or ``"sql"`` (relations live in a SQL engine).
-    out_of_core:
-        Whether the engine bounds resident memory by spilling
-        intermediate relations to disk (honours a
-        ``memory_budget_bytes`` option), so it can mine databases whose
-        ``R'_k`` relations exceed RAM.
-    parallel:
-        Whether the engine distributes iteration work across worker
-        processes (honours a ``workers`` option, defaulting to
-        ``os.cpu_count()``; ``workers=1`` forces serial execution).
     streaming_ingest:
         Whether the engine mines a stream-encoded
         :class:`~repro.data.ingest.EncodedDataset` directly (its kernel
@@ -133,8 +148,6 @@ class EngineSpec:
     supports_max_length: bool = True
     reports_page_accesses: bool = False
     representation: str = "tuples"
-    out_of_core: bool = False
-    parallel: bool = False
     streaming_ingest: bool = False
     incremental: bool = False
     accepted_options: frozenset[str] = frozenset()
@@ -188,8 +201,6 @@ def register_engine(
     supports_max_length: bool = True,
     reports_page_accesses: bool = False,
     representation: str = "tuples",
-    out_of_core: bool = False,
-    parallel: bool = False,
     streaming_ingest: bool = False,
     incremental: bool = False,
     accepted_options: Iterable[str] = (),
@@ -213,8 +224,6 @@ def register_engine(
                 supports_max_length=supports_max_length,
                 reports_page_accesses=reports_page_accesses,
                 representation=representation,
-                out_of_core=out_of_core,
-                parallel=parallel,
                 streaming_ingest=streaming_ingest,
                 incremental=incremental,
                 accepted_options=frozenset(accepted_options),
@@ -247,9 +256,30 @@ def unregister_engine(name: str) -> EngineSpec:
 
 
 def find_engine(name: str) -> EngineSpec | None:
-    """Engine ``name`` or ``None`` — the non-raising lookup."""
+    """Engine ``name`` or ``None`` — the non-raising lookup.
+
+    A name in :data:`ENGINE_ALIASES` resolves, with a
+    :class:`DeprecationWarning`, to its target engine whose runner
+    carries the alias's option defaults.
+    """
     _ensure_builtin_engines()
-    return _REGISTRY.get(name)
+    spec = _REGISTRY.get(name)
+    if spec is not None or name not in ENGINE_ALIASES:
+        return spec
+    target, defaults = ENGINE_ALIASES[name]
+    warnings.warn(
+        f"engine {name!r} is an alias of {target!r} with "
+        + ", ".join(f"{k}={v!r}" for k, v in defaults.items())
+        + "; it is removed in 1.12",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    spec = _REGISTRY.get(target)
+    if spec is None:
+        return None
+    return dataclasses.replace(
+        spec, runner=functools.partial(spec.runner, **defaults)
+    )
 
 
 def get_engine(name: str) -> EngineSpec:

@@ -13,7 +13,7 @@ from repro.errors import (
     UnknownAlgorithmError,
 )
 from repro.miner import Miner
-from repro.registry import available_engines
+from repro.registry import ENGINE_ALIASES, available_engines
 
 
 class TestFrequentItemsets:
@@ -171,12 +171,11 @@ class TestExplain:
 
     def test_explain_reports_out_of_core_capability(self, example_db):
         miner = Miner(example_db)
-        text = miner.explain(
-            MiningConfig(support=0.3, algorithm="setm-columnar-disk")
+        text = miner.explain(MiningConfig(support=0.3))
+        assert "out of core: yes (honours memory_budget_bytes)" in text
+        assert "out of core: no" in miner.explain(
+            MiningConfig(support=0.3, algorithm="setm")
         )
-        assert "out of core: yes" in text
-        assert "memory_budget_bytes" in text
-        assert "out of core: no" in miner.explain(MiningConfig(support=0.3))
 
     def test_explain_reflects_cache_and_capabilities(self, example_db):
         miner = Miner(example_db)
@@ -194,7 +193,10 @@ class TestExplain:
 class TestLegacyEquivalence:
     """The old flat functions and the Miner agree, engine by engine."""
 
-    @pytest.mark.parametrize("name", sorted(available_engines()))
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize(
+        "name", sorted({*available_engines(), *ENGINE_ALIASES})
+    )
     def test_wrapper_matches_miner(self, name, example_db):
         via_miner = Miner(example_db).frequent_itemsets(
             MiningConfig(support=0.30, algorithm=name)

@@ -45,7 +45,6 @@ class TestHitsAndMisses:
         miner = Miner(example_db)
         config = MiningConfig(
             support=0.3,
-            algorithm="setm-columnar-disk",
             options={"memory_budget_bytes": 1 << 20},
         )
         assert miner.frequent_itemsets(config) is miner.frequent_itemsets(

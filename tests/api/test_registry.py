@@ -1,11 +1,11 @@
-"""The capability-aware engine registry."""
+"""The capability-aware engine registry and its retired-name aliases."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.baselines.bruteforce import bruteforce
-from repro.config import MiningConfig
+from repro.config import DEFAULT_MEMORY_BUDGET, MiningConfig
 from repro.errors import (
     EngineOptionError,
     InvalidConfigError,
@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.miner import Miner
 from repro.registry import (
+    ENGINE_ALIASES,
     available_engines,
     engine_specs,
     find_engine,
@@ -148,58 +149,27 @@ class TestOptionValidation:
 
 class TestCapabilityFlags:
     @pytest.mark.parametrize(
-        ("name", "reports_io", "representation", "out_of_core", "accepted"),
+        ("name", "reports_io", "representation", "accepted"),
         [
-            ("setm", False, "tuples", False,
-             {"count_via", "measure_memory"}),
-            ("setm-columnar", False, "columnar", False,
-             {"count_via", "measure_memory"}),
+            ("setm", False, "tuples", {"count_via", "measure_memory"}),
             (
-                "setm-parallel",
+                "setm-columnar",
                 False,
                 "columnar",
-                False,
                 {
                     "count_via",
+                    "measure_memory",
+                    "memory_budget_bytes",
                     "workers",
+                    "spill_dir",
                     "start_method",
                     "transport",
-                    "spill_dir",
-                    "measure_memory",
-                },
-            ),
-            (
-                "setm-columnar-disk",
-                False,
-                "columnar",
-                True,
-                {
-                    "count_via",
-                    "memory_budget_bytes",
-                    "spill_dir",
-                    "measure_memory",
-                },
-            ),
-            (
-                "setm-spill-parallel",
-                False,
-                "columnar",
-                True,
-                {
-                    "count_via",
-                    "memory_budget_bytes",
-                    "spill_dir",
-                    "workers",
-                    "start_method",
-                    "transport",
-                    "measure_memory",
                 },
             ),
             (
                 "setm-disk",
                 True,
                 "paged",
-                False,
                 {
                     "buffer_pages",
                     "sort_memory_pages",
@@ -207,51 +177,39 @@ class TestCapabilityFlags:
                     "measure_memory",
                 },
             ),
-            ("setm-sql", False, "sql", False,
-             {"backend", "strategy", "measure_memory"}),
-            ("setm-sqlite", False, "sql", False,
-             {"strategy", "measure_memory"}),
-            ("nested-loop", False, "tuples", False, set()),
-            ("nested-loop-disk", True, "paged", False, {"buffer_pages"}),
-            ("apriori", False, "tuples", False, {"counting"}),
-            ("ais", False, "tuples", False, set()),
-            ("bruteforce", False, "tuples", False, set()),
+            ("setm-sql", False, "sql", {"backend", "strategy", "measure_memory"}),
+            ("setm-sqlite", False, "sql", {"strategy", "measure_memory"}),
+            ("nested-loop", False, "tuples", set()),
+            ("nested-loop-disk", True, "paged", {"buffer_pages"}),
+            ("apriori", False, "tuples", {"counting"}),
+            ("ais", False, "tuples", set()),
+            ("bruteforce", False, "tuples", set()),
         ],
     )
-    def test_flags_per_engine(
-        self, name, reports_io, representation, out_of_core, accepted
-    ):
+    def test_flags_per_engine(self, name, reports_io, representation, accepted):
         spec = _spec(name)
         assert spec.reports_page_accesses is reports_io
         assert spec.representation == representation
-        assert spec.out_of_core is out_of_core
         assert spec.accepted_options == frozenset(accepted)
         assert spec.supports_max_length is True
 
-    def test_out_of_core_engines(self):
-        assert [s.name for s in engine_specs() if s.out_of_core] == [
-            "setm-columnar-disk",
-            "setm-spill-parallel",
-        ]
+    def test_one_engine_takes_a_budget_and_workers(self):
+        """Out of core and parallel are options, not engines: exactly
+        one engine accepts each (derived, as ``engines`` and
+        ``Miner.explain`` derive them)."""
+        for option in ("memory_budget_bytes", "workers"):
+            assert [
+                s.name for s in engine_specs() if option in s.accepted_options
+            ] == ["setm-columnar"]
 
-    def test_parallel_engines(self):
-        assert [s.name for s in engine_specs() if s.parallel] == [
-            "setm-parallel",
-            "setm-spill-parallel",
-        ]
-
-    def test_exactly_one_engine_with_both_capabilities(self):
-        assert [
-            s.name for s in engine_specs() if s.parallel and s.out_of_core
-        ] == ["setm-spill-parallel"]
+    def test_capability_fields_are_gone(self):
+        spec = _spec("setm-columnar")
+        assert not hasattr(spec, "out_of_core")
+        assert not hasattr(spec, "parallel")
 
     def test_memory_budget_flows_through_miner(self, example_db):
         result = Miner(example_db).frequent_itemsets(
-            MiningConfig(
-                support=0.3,
-                algorithm="setm-columnar-disk",
-                options={"memory_budget_bytes": 4096},
-            )
+            MiningConfig(support=0.3, options={"memory_budget_bytes": 4096})
         )
         assert result.extra["memory_budget_bytes"] == 4096
 
@@ -266,9 +224,13 @@ class TestCapabilityFlags:
 
 
 class TestDifferentialAgreement:
-    """Every registered engine finds exactly bruteforce's patterns."""
+    """Every registered engine, and every retired name, finds exactly
+    bruteforce's patterns."""
 
-    @pytest.mark.parametrize("name", sorted(set(available_engines())))
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize(
+        "name", sorted({*available_engines(), *ENGINE_ALIASES})
+    )
     def test_engine_agrees_with_bruteforce(self, name, example_db):
         oracle = bruteforce(example_db, 0.30)
         result = Miner(example_db).frequent_itemsets(
@@ -276,8 +238,10 @@ class TestDifferentialAgreement:
         )
         assert result.same_patterns_as(oracle), name
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     @pytest.mark.parametrize(
-        "name", sorted(set(available_engines()) - {"nested-loop-disk"})
+        "name",
+        sorted({*available_engines(), *ENGINE_ALIASES} - {"nested-loop-disk"}),
     )
     def test_engine_agrees_on_random_db(self, name, make_random_db):
         db = make_random_db(1234, num_transactions=40, num_items=12)
@@ -286,3 +250,71 @@ class TestDifferentialAgreement:
             MiningConfig(support=0.1, algorithm=name)
         )
         assert result.same_patterns_as(oracle), name
+
+
+#: What each retired engine gave at 1.10 on T10.I4.D10K (seed 7) at 1%
+#: support — ``(options, spill.partitions, parallel_iterations)``; the
+#: pooled ones with 2 workers.  ``setm-columnar-disk`` reported no
+#: parallel block: it pooled no level.
+ALIAS_BASELINES = {
+    "setm-columnar-disk": ({}, {}, []),
+    "setm-parallel": ({"workers": 2}, {2: 7}, [2]),
+    "setm-spill-parallel": ({"workers": 2}, {2: 7}, [2]),
+}
+
+
+class TestEngineAliases:
+    """The retired engine names run ``setm-columnar`` with their defaults."""
+
+    def test_registry_lists_eleven_engines_and_no_alias(self):
+        names = available_engines()
+        assert len(names) == 11
+        assert not set(ENGINE_ALIASES) & set(names)
+        assert set(ALIAS_BASELINES) == set(ENGINE_ALIASES)
+
+    @pytest.mark.parametrize("alias", sorted(ENGINE_ALIASES))
+    def test_alias_resolves_with_a_deprecation_warning(self, alias):
+        with pytest.warns(DeprecationWarning, match="removed in 1.12"):
+            spec = get_engine(alias)
+        target, defaults = ENGINE_ALIASES[alias]
+        assert spec.name == target == "setm-columnar"
+        assert spec.runner.keywords == defaults
+        assert spec.accepted_options == _spec("setm-columnar").accepted_options
+
+    @pytest.fixture(scope="class")
+    def t10_resident(self, quest_t10_db):
+        return Miner(quest_t10_db).frequent_itemsets(MiningConfig(support=0.01))
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("alias", sorted(ALIAS_BASELINES))
+    def test_alias_matches_the_retired_engine(
+        self, alias, quest_t10_db, t10_resident
+    ):
+        options, partitions, pooled = ALIAS_BASELINES[alias]
+        result = Miner(quest_t10_db).frequent_itemsets(
+            MiningConfig(support=0.01, algorithm=alias, options=options)
+        )
+        assert result.same_patterns_as(t10_resident)
+        assert result.iterations == t10_resident.iterations
+        assert result.extra["spill"]["partitions"] == partitions
+        assert result.extra["parallel"]["parallel_iterations"] == pooled
+        budget = ENGINE_ALIASES[alias][1].get("memory_budget_bytes")
+        assert result.extra["memory_budget_bytes"] == (
+            budget or DEFAULT_MEMORY_BUDGET
+        )
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_alias_default_workers_is_the_cpu_count(
+        self, example_db, monkeypatch
+    ):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        result = get_engine("setm-parallel").run(example_db, 0.3)
+        assert result.extra["workers"] == 3
+        # A caller's option wins over the alias default: one worker and
+        # no budget is the in-memory kernel.
+        result = get_engine("setm-parallel").run(
+            example_db, 0.3, options={"workers": 1}
+        )
+        assert "workers" not in result.extra

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.transactions import TransactionDatabase
 from repro.data.example import paper_example_database
+from repro.data.quest import QuestConfig, generate_quest_dataset
 from repro.data.retail import generate_retail_dataset
 
 
@@ -21,6 +22,13 @@ def example_db() -> TransactionDatabase:
 def small_retail_db() -> TransactionDatabase:
     """A 1/20-scale calibrated retail database (~2,300 transactions)."""
     return generate_retail_dataset(scale=0.05)
+
+
+@pytest.fixture(scope="session")
+def quest_t10_db() -> TransactionDatabase:
+    """QUEST T10.I4.D10K, seed 7 (100,747 SALES rows; ``|R'_2|`` is
+    530,543 at 1% support)."""
+    return generate_quest_dataset(QuestConfig(seed=7))
 
 
 def random_database(

@@ -19,9 +19,6 @@ class TestRegistry:
         assert {
             "setm",
             "setm-columnar",
-            "setm-columnar-disk",
-            "setm-parallel",
-            "setm-spill-parallel",
             "setm-disk",
             "setm-sql",
             "setm-sqlite",
@@ -124,7 +121,7 @@ class TestRules:
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"
 
     def test_public_names_importable(self):
         for name in repro.__all__:

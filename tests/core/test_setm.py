@@ -194,12 +194,15 @@ class TestLoopLifecycle:
 
     def test_peak_memory_recorded_for_figure4_engines(self, example_db):
         from repro.core.setm_columnar import setm_columnar
-        from repro.core.setm_columnar_disk import setm_columnar_disk
         from repro.core.setm_disk import setm_disk
 
-        for engine in (setm, setm_columnar, setm_columnar_disk, setm_disk):
+        for engine in (setm, setm_columnar, setm_disk):
             result = engine(example_db, 0.30, measure_memory=True)
             assert result.extra["peak_memory_bytes"] > 0, engine
+        budgeted = setm_columnar(
+            example_db, 0.30, memory_budget_bytes=1024, measure_memory=True
+        )
+        assert budgeted.extra["peak_memory_bytes"] > 0
 
     def test_measure_memory_false_skips_metering(self, example_db):
         import tracemalloc

@@ -1,10 +1,12 @@
-"""Tests for the spill-AND-parallel engine (repro.core.setm_spill_parallel).
+"""Tests for ``setm-columnar`` under a memory budget AND with workers.
 
-The acceptance bar: ``setm-spill-parallel`` must produce patterns,
-rules, and iteration statistics identical to ``setm`` across a QUEST ×
-minsup × workers grid under a memory budget small enough to force at
-least two key ranges — with telemetry proving the pooled range tasks
-actually ran, not a silent fallback to either parent engine.
+The acceptance bar: the range kernel
+(:class:`~repro.core.setm_columnar_disk.SpillingColumnarKernel`) must
+produce patterns, rules, and iteration statistics identical to ``setm``
+across a QUEST × minsup × workers grid under a memory budget small
+enough to force at least two key ranges — with telemetry proving the
+pooled range tasks actually ran, not a silent fallback to inline
+ranges or the in-memory kernel.
 
 Failure injection: a worker raising mid-task must leave no spill files
 and no shared-memory segment behind (the Figure-4 loop's ``finally``
@@ -25,11 +27,11 @@ from repro.baselines.bruteforce import bruteforce
 from repro.core.rules import generate_rules
 from repro.core.setm import run_figure4_loop, setm
 from repro.core.partitioning import ROW_BYTES, Partition
-from repro.core.setm_columnar_disk import run_range_batch, setm_columnar_disk
-from repro.core.setm_spill_parallel import (
-    SpillParallelKernel,
+from repro.core.setm_columnar import setm_columnar
+from repro.core.setm_columnar_disk import (
+    SpillingColumnarKernel,
     balanced_batches,
-    setm_spill_parallel,
+    run_range_batch,
 )
 from repro.core.transport import leaked_segment_names
 from repro.data.quest import QuestConfig, generate_quest_dataset
@@ -70,7 +72,7 @@ class TestDifferentialGrid:
         self, quest_references, seed, minsup, workers
     ):
         db, reference = quest_references[(seed, minsup)]
-        result = setm_spill_parallel(
+        result = setm_columnar(
             db,
             minsup,
             workers=workers,
@@ -91,14 +93,14 @@ class TestDifferentialGrid:
             assert result.extra["parallel"]["parallel_iterations"] == []
 
     def test_matches_bruteforce_on_example(self, example_db):
-        result = setm_spill_parallel(
+        result = setm_columnar(
             example_db, 0.30, workers=2, memory_budget_bytes=1024
         )
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
 
     def test_rules_identical_to_setm(self, quest_references):
         db, reference = quest_references[(0, 0.01)]
-        result = setm_spill_parallel(
+        result = setm_columnar(
             db,
             0.01,
             workers=2,
@@ -108,7 +110,7 @@ class TestDifferentialGrid:
 
     def test_max_length(self, quest_references):
         db, _ = quest_references[(0, 0.01)]
-        result = setm_spill_parallel(
+        result = setm_columnar(
             db,
             0.01,
             workers=2,
@@ -120,7 +122,7 @@ class TestDifferentialGrid:
     def test_spawn_start_method_agrees(self, quest_references):
         """The spawn leg: tasks, paths, and replies must all pickle."""
         db, reference = quest_references[(1, 0.03)]
-        result = setm_spill_parallel(
+        result = setm_columnar(
             db,
             0.03,
             workers=2,
@@ -133,15 +135,15 @@ class TestDifferentialGrid:
         assert result.extra["parallel"]["parallel_iterations"]
 
     def test_agrees_with_serial_spill_engine(self, quest_references):
-        """Same patterns, same spill partitioning as setm-columnar-disk."""
+        """Same patterns, same spill partitioning as with one worker."""
         db, _ = quest_references[(0, 0.01)]
-        pooled = setm_spill_parallel(
+        pooled = setm_columnar(
             db,
             0.01,
             workers=2,
             memory_budget_bytes=GRID_BUDGET,
         )
-        serial = setm_columnar_disk(db, 0.01, memory_budget_bytes=GRID_BUDGET)
+        serial = setm_columnar(db, 0.01, memory_budget_bytes=GRID_BUDGET)
         assert pooled.same_patterns_as(serial)
         assert pooled.iterations == serial.iterations
         # Same budget => same partition plan; only the consumer differs.
@@ -151,7 +153,7 @@ class TestDifferentialGrid:
         )
 
 
-class _RecordingKernel(SpillParallelKernel):
+class _RecordingKernel(SpillingColumnarKernel):
     """Records the ranges of every pooled batch, per level."""
 
     def __init__(self, *args, **kwargs):
@@ -170,7 +172,7 @@ class _RecordingKernel(SpillParallelKernel):
 class TestBatches:
     """A level's planned ranges travel to the pool as contiguous batches."""
 
-    @pytest.mark.parametrize("transport", ["pickle", "mmap", "shm"])
+    @pytest.mark.parametrize("transport", ["mmap", "shm"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_batches_match_setm(self, quest_references, workers, transport):
         db, reference = quest_references[(0, 0.01)]
@@ -181,7 +183,7 @@ class TestBatches:
             transport=transport,
         )
         result = run_figure4_loop(
-            db, 0.01, kernel, algorithm="setm-spill-parallel"
+            db, 0.01, kernel, algorithm="setm-columnar"
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -206,7 +208,7 @@ class TestBatches:
         budget = 8 * 1024
         kernel = _RecordingKernel(db, memory_budget_bytes=budget, workers=2)
         result = run_figure4_loop(
-            db, 0.01, kernel, algorithm="setm-spill-parallel"
+            db, 0.01, kernel, algorithm="setm-columnar"
         )
         assert result.same_patterns_as(reference)
         index = kernel._index
@@ -226,7 +228,7 @@ class TestBatches:
             db, memory_budget_bytes=GRID_BUDGET, workers=3
         )
         result = run_figure4_loop(
-            db, 0.01, kernel, algorithm="setm-spill-parallel"
+            db, 0.01, kernel, algorithm="setm-columnar"
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
@@ -264,7 +266,7 @@ class TestBatches:
 
 class TestGating:
     def test_generous_budget_never_spills_or_pools(self, example_db):
-        result = setm_spill_parallel(example_db, 0.30, workers=4)
+        result = setm_columnar(example_db, 0.30, workers=4)
         assert result.extra["spill"]["partitions"] == {}
         parallel = result.extra["parallel"]
         assert parallel["partitions"] == {}
@@ -275,7 +277,7 @@ class TestGating:
         from repro.core import setm_parallel as pools
 
         before = dict(pools._POOLS)
-        result = setm_spill_parallel(
+        result = setm_columnar(
             example_db, 0.30, workers=1, memory_budget_bytes=1024
         )
         assert pools._POOLS == before
@@ -287,27 +289,25 @@ class TestValidation:
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True, "4"])
     def test_bad_workers_rejected(self, example_db, workers):
         with pytest.raises((InvalidConfigError, ValueError)):
-            setm_spill_parallel(example_db, 0.30, workers=workers)
+            setm_columnar(example_db, 0.30, workers=workers)
 
     @pytest.mark.parametrize("budget", [0, -1, 0.5, True])
     def test_bad_budget_rejected(self, example_db, budget):
         with pytest.raises((InvalidConfigError, ValueError)):
-            setm_spill_parallel(
+            setm_columnar(
                 example_db, 0.30, memory_budget_bytes=budget
             )
 
     def test_bad_start_method_rejected(self, example_db):
         with pytest.raises(InvalidConfigError, match="start_method"):
-            setm_spill_parallel(example_db, 0.30, start_method="teleport")
+            setm_columnar(example_db, 0.30, start_method="teleport")
 
 
 class TestPlumbing:
-    def test_registry_capabilities(self):
+    def test_registry_options(self):
         from repro.registry import get_engine
 
-        spec = get_engine("setm-spill-parallel")
-        assert spec.parallel is True
-        assert spec.out_of_core is True
+        spec = get_engine("setm-columnar")
         assert spec.representation == "columnar"
         assert "workers" in spec.accepted_options
         assert "memory_budget_bytes" in spec.accepted_options
@@ -320,7 +320,6 @@ class TestPlumbing:
         text = Miner(example_db).explain(
             MiningConfig(
                 support=0.3,
-                algorithm="setm-spill-parallel",
                 options={"workers": 3, "memory_budget_bytes": 4096},
             )
         )
@@ -334,7 +333,6 @@ class TestPlumbing:
         result = Miner(example_db).frequent_itemsets(
             MiningConfig(
                 support=0.3,
-                algorithm="setm-spill-parallel",
                 options={"workers": 2, "memory_budget_bytes": 1024},
             )
         )
@@ -343,7 +341,7 @@ class TestPlumbing:
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
 
 
-class _PoisoningKernel(SpillParallelKernel):
+class _PoisoningKernel(SpillingColumnarKernel):
     """Points one pooled range batch at a ``SALES`` file that is gone.
 
     The worker assigned the poisoned batch raises ``FileNotFoundError``
@@ -378,7 +376,7 @@ class TestFailureInjection:
         )
         with pytest.raises(FileNotFoundError):
             run_figure4_loop(
-                db, 0.01, kernel, algorithm="setm-spill-parallel"
+                db, 0.01, kernel, algorithm="setm-columnar"
             )
         assert kernel.poisoned, "the pooled branch never ran"
         # The loop's finally closed the kernel: spill root and every
@@ -392,7 +390,7 @@ class TestFailureInjection:
         pool = pools._POOLS.get(key)
         assert pool is not None
         # ... and is genuinely usable: the next run reuses it and wins.
-        result = setm_spill_parallel(
+        result = setm_columnar(
             db,
             0.01,
             workers=2,
@@ -409,7 +407,7 @@ class TestFailureInjection:
         )
         with pytest.raises(FileNotFoundError):
             run_figure4_loop(
-                db, 0.01, kernel, algorithm="setm-spill-parallel"
+                db, 0.01, kernel, algorithm="setm-columnar"
             )
         assert kernel.poisoned, "the pooled branch never ran"
         assert kernel.extra_stats()["transport"]["mode"] == "shm"
@@ -423,7 +421,7 @@ class TestFailureInjection:
         db = self._grid_db()
         reference = setm(db, 0.01)
         # Prime the cache, then break the pool outright.
-        first = setm_spill_parallel(
+        first = setm_columnar(
             db,
             0.01,
             workers=2,
@@ -439,7 +437,7 @@ class TestFailureInjection:
         broken.join()
         # The stale cache entry must not fail the next run: it is
         # evicted and a fresh pool is created transparently.
-        result = setm_spill_parallel(
+        result = setm_columnar(
             db,
             0.01,
             workers=2,

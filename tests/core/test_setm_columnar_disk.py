@@ -1,8 +1,8 @@
-"""Tests for the out-of-core engine (repro.core.setm_columnar_disk).
+"""Tests for ``setm-columnar`` under a memory budget (repro.core.setm_columnar_disk).
 
 The acceptance bar: under a memory budget small enough to force at
-least two spill partitions on the Table 6.2 retail workload, the engine
-must produce patterns, rules, and iteration statistics identical to
+least two spill partitions on the Table 6.2 retail workload, the range
+kernel (one worker, ranges run inline) must produce patterns, rules, and iteration statistics identical to
 ``setm`` (and to the ``bruteforce`` oracle where the oracle is
 feasible), with measured peak memory bounded by the budget plus the
 documented fixed residents.
@@ -26,11 +26,11 @@ from repro.core.rules import generate_rules
 from repro.core.setm import setm
 from repro.core.setm_columnar import setm_columnar
 from repro.core.setm_columnar_disk import (
+    DEFAULT_MEMORY_BUDGET,
     KeyRange,
     RangeBatch,
     SpillingColumnarKernel,
     _batch_rows,
-    setm_columnar_disk,
 )
 from repro.core.transactions import TransactionDatabase
 from repro.data.retail import generate_retail_dataset
@@ -68,7 +68,7 @@ def table62_reference(table62_db):
 def table62_budgeted(table62_db):
     """The out-of-core run the acceptance criteria are checked against
     (metered: the budget is held to its peak)."""
-    return setm_columnar_disk(
+    return setm_columnar(
         table62_db,
         0.005,
         memory_budget_bytes=TABLE62_BUDGET,
@@ -78,7 +78,10 @@ def table62_budgeted(table62_db):
 
 class TestDifferential:
     def test_matches_setm_and_bruteforce_on_example(self, example_db):
-        result = setm_columnar_disk(example_db, 0.30)
+        result = setm_columnar(
+            example_db, 0.30, memory_budget_bytes=DEFAULT_MEMORY_BUDGET
+        )
+        assert result.extra["memory_budget_bytes"] == DEFAULT_MEMORY_BUDGET
         assert result.same_patterns_as(setm(example_db, 0.30))
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
 
@@ -87,14 +90,14 @@ class TestDifferential:
         db = make_random_db(seed)
         # A budget this small forces spilling even on an 80-transaction
         # database, so the differential check exercises the spill path.
-        result = setm_columnar_disk(db, 0.05, memory_budget_bytes=4096)
+        result = setm_columnar(db, 0.05, memory_budget_bytes=4096)
         assert result.extra["spill"]["max_partitions"] >= 2
         assert result.same_patterns_as(bruteforce(db, 0.05))
         assert result.same_patterns_as(setm(db, 0.05))
 
     def test_iteration_stats_match_setm_when_spilling(self, make_random_db):
         db = make_random_db(7)
-        budgeted = setm_columnar_disk(db, 0.05, memory_budget_bytes=4096)
+        budgeted = setm_columnar(db, 0.05, memory_budget_bytes=4096)
         reference = setm(db, 0.05)
         assert budgeted.iterations == reference.iterations
         assert budgeted.unfiltered_item_counts == (
@@ -103,12 +106,12 @@ class TestDifferential:
 
     def test_rules_match_setm_when_spilling(self, make_random_db):
         db = make_random_db(3)
-        budgeted = setm_columnar_disk(db, 0.05, memory_budget_bytes=4096)
+        budgeted = setm_columnar(db, 0.05, memory_budget_bytes=4096)
         reference = setm(db, 0.05)
         assert generate_rules(budgeted, 0.5) == generate_rules(reference, 0.5)
 
     def test_max_length(self, make_random_db):
-        result = setm_columnar_disk(
+        result = setm_columnar(
             make_random_db(4), 0.05, max_length=2, memory_budget_bytes=4096
         )
         assert result.max_pattern_length <= 2
@@ -176,7 +179,7 @@ class TestKeyDistributionDrift:
         budget = 256 * 1024
 
         reference = setm(db, 0.002)
-        budgeted = setm_columnar_disk(
+        budgeted = setm_columnar(
             db, 0.002, memory_budget_bytes=budget, measure_memory=True
         )
         assert budgeted.same_patterns_as(reference)
@@ -205,12 +208,8 @@ class TestOversizedPrefix:
             + [(tid, [1, 2, 3, 50 + tid]) for tid in range(2, 6)]
         )
 
-    @pytest.mark.parametrize(
-        "engine", ["setm-columnar-disk", "setm-spill-parallel"]
-    )
-    def test_matches_setm(self, engine, monkeypatch):
-        from repro.registry import get_engine
-
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_setm(self, workers, monkeypatch):
         split = []
         item_totals = SpillingColumnarKernel._item_totals
 
@@ -219,11 +218,10 @@ class TestOversizedPrefix:
             return item_totals(self, r, prefixes, rank)
 
         monkeypatch.setattr(SpillingColumnarKernel, "_item_totals", spy)
-        options = {"memory_budget_bytes": 8192}
-        if engine == "setm-spill-parallel":
-            options["workers"] = 2
         db = self._db()
-        result = get_engine(engine).runner(db, 2, **options)
+        result = setm_columnar(
+            db, 2, memory_budget_bytes=8192, workers=workers
+        )
         reference = setm(db, 2)
         assert result.count_relations == reference.count_relations
         assert result.iterations == reference.iterations
@@ -300,13 +298,18 @@ class TestBatchRows:
 class TestHousekeeping:
     def test_spill_directory_removed_after_run(self, tmp_path, make_random_db):
         db = make_random_db(1)
-        setm_columnar_disk(
+        setm_columnar(
             db, 0.05, memory_budget_bytes=4096, spill_dir=tmp_path
         )
         assert list(tmp_path.iterdir()) == []
 
     def test_small_runs_never_touch_disk(self, example_db, tmp_path):
-        result = setm_columnar_disk(example_db, 0.30, spill_dir=tmp_path)
+        result = setm_columnar(
+            example_db,
+            0.30,
+            memory_budget_bytes=DEFAULT_MEMORY_BUDGET,
+            spill_dir=tmp_path,
+        )
         assert result.extra["spill"]["bytes_written"] == 0
         assert list(tmp_path.iterdir()) == []
 
@@ -330,7 +333,7 @@ class TestHousekeeping:
 
         monkeypatch.setattr(disk_module, "count_and_filter", boom)
         with pytest.raises(RuntimeError, match="counting exploded"):
-            setm_columnar_disk(
+            setm_columnar(
                 make_random_db(5),
                 0.05,
                 memory_budget_bytes=4096,
@@ -346,11 +349,13 @@ class TestHousekeeping:
         kernel.close()
 
     def test_extra_records_budget_and_engine_name(self, example_db):
-        result = setm_columnar_disk(
+        result = setm_columnar(
             example_db, 0.30, memory_budget_bytes=123456
         )
-        assert result.algorithm == "setm-columnar-disk"
+        assert result.algorithm == "setm-columnar"
         assert result.extra["memory_budget_bytes"] == 123456
+        assert result.extra["workers"] == 1
+        assert result.extra["parallel"]["parallel_iterations"] == []
 
 
 #: Runs in a fresh interpreter whose soft descriptor limit is 64: one
@@ -359,7 +364,7 @@ class TestHousekeeping:
 _FD_LIMIT_SCRIPT = """
 import json, resource
 from repro.core.setm import setm
-from repro.core.setm_columnar_disk import setm_columnar_disk
+from repro.core.setm_columnar import setm_columnar
 from repro.core.transactions import TransactionDatabase
 
 _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
@@ -368,7 +373,7 @@ db = TransactionDatabase(
     [(1, list(range(1, 201)))]
     + [(tid, [1, 2, 3, 50 + tid]) for tid in range(2, 6)]
 )
-result = setm_columnar_disk(db, 2, memory_budget_bytes=8192)
+result = setm_columnar(db, 2, memory_budget_bytes=8192)
 reference = setm(db, 2)
 print(json.dumps({
     "max_partitions": result.extra["spill"]["max_partitions"],
@@ -404,10 +409,10 @@ class TestValidation:
     @pytest.mark.parametrize("budget", [0, -1, 1.5, True, "64M"])
     def test_bad_budget_rejected(self, example_db, budget):
         with pytest.raises((InvalidConfigError, ValueError)):
-            setm_columnar_disk(
+            setm_columnar(
                 example_db, 0.30, memory_budget_bytes=budget
             )
 
     def test_bad_support_rejected(self, example_db):
         with pytest.raises(ValueError):
-            setm_columnar_disk(example_db, 0.0)
+            setm_columnar(example_db, 0.0)

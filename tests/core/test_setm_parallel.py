@@ -1,10 +1,12 @@
-"""Tests for the ``setm-parallel`` engine (repro.core.setm_spill_parallel).
+"""Tests for ``setm-columnar`` with ``workers`` (repro.core.setm_columnar_disk).
 
-``setm-parallel`` runs :class:`SpillParallelKernel` under the default
-memory budget: a level whose priced ``|R'_k|`` reaches
-:data:`POOL_MIN_ROWS` is cut into ``BATCHES_PER_WORKER × workers`` key
-ranges that run in the worker pool; a smaller level is counted in
-process.  The acceptance bar: patterns, rules and iteration statistics
+With ``workers > 1`` and no budget, ``setm-columnar`` runs
+:class:`SpillingColumnarKernel` under the default memory budget: a
+level whose priced ``|R'_k|`` reaches :data:`POOL_MIN_ROWS` is cut into
+``BATCHES_PER_WORKER × workers`` key ranges that run in the worker
+pool; a smaller level is counted in process.  With ``workers=1`` and no
+budget it runs the in-memory ``ColumnarKernel`` and never builds a
+pool.  The acceptance bar: patterns, rules and iteration statistics
 identical to ``setm`` across a QUEST × minsup × workers grid — with
 ``POOL_MIN_ROWS`` lowered to 1 so the pool path really runs.  The pool
 is shared across runs, so the grid costs one pool start-up per worker
@@ -16,17 +18,15 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.bruteforce import bruteforce
-from repro.core import setm_spill_parallel as pooled
+from repro.core import setm_columnar_disk as pooled
 from repro.core.rules import generate_rules
 from repro.core.setm import setm
-from repro.core.setm_columnar_disk import setm_columnar_disk
+from repro.core.setm_columnar import setm_columnar
 from repro.core.partitioning import ROW_BYTES
-from repro.core.setm_spill_parallel import (
+from repro.core.setm_columnar_disk import (
     BATCHES_PER_WORKER,
     POOL_MIN_ROWS,
-    SpillParallelKernel,
-    setm_parallel,
-    setm_spill_parallel,
+    SpillingColumnarKernel,
 )
 from repro.core.transactions import TransactionDatabase
 from repro.data.quest import QuestConfig, generate_quest_dataset
@@ -75,36 +75,37 @@ class TestDifferentialGrid:
         self, quest_references, seed, minsup, workers
     ):
         db, reference = quest_references[(seed, minsup)]
-        result = setm_parallel(db, minsup, workers=workers)
+        result = setm_columnar(db, minsup, workers=workers)
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
         assert result.unfiltered_item_counts == (
             reference.unfiltered_item_counts
         )
-        assert result.extra["workers"] == workers
         if workers > 1:
+            assert result.extra["workers"] == workers
             assert result.extra["parallel"]["parallel_iterations"]
         else:
-            assert result.extra["parallel"]["parallel_iterations"] == []
+            # One worker, no budget: the in-memory kernel, no telemetry.
+            assert "parallel" not in result.extra
 
     def test_matches_bruteforce_on_example(self, example_db):
-        result = setm_parallel(example_db, 0.30, workers=2)
+        result = setm_columnar(example_db, 0.30, workers=2)
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
 
     def test_rules_identical_to_setm(self, quest_references):
         db, reference = quest_references[(0, 0.01)]
-        result = setm_parallel(db, 0.01, workers=2)
+        result = setm_columnar(db, 0.01, workers=2)
         assert generate_rules(result, 0.5) == generate_rules(reference, 0.5)
 
     def test_max_length(self, quest_references):
         db, _ = quest_references[(0, 0.01)]
-        result = setm_parallel(db, 0.01, workers=2, max_length=2)
+        result = setm_columnar(db, 0.01, workers=2, max_length=2)
         assert result.max_pattern_length <= 2
 
     def test_spawn_start_method_agrees(self, quest_references):
         """The spawn leg: every shipped object must actually pickle."""
         db, reference = quest_references[(1, 0.03)]
-        result = setm_parallel(db, 0.03, workers=2, start_method="spawn")
+        result = setm_columnar(db, 0.03, workers=2, start_method="spawn")
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
         assert result.extra["parallel"]["start_method"] == "spawn"
@@ -129,7 +130,7 @@ class TestPoolGate:
     def test_default_gate_pools_a_level_above_it(self, wide):
         db, reference = wide
         assert reference.iterations[1].candidate_instances >= POOL_MIN_ROWS
-        result = setm_parallel(db, 0.02, workers=2)
+        result = setm_columnar(db, 0.02, workers=2)
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
         parallel = result.extra["parallel"]
@@ -143,7 +144,7 @@ class TestPoolGate:
         db, reference = wide
         rows = reference.iterations[1].candidate_instances
         monkeypatch.setattr(pooled, "POOL_MIN_ROWS", rows)
-        result = setm_parallel(db, 0.02, workers=2)
+        result = setm_columnar(db, 0.02, workers=2)
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
         assert result.extra["parallel"]["partitions"][2] >= 2
@@ -152,7 +153,7 @@ class TestPoolGate:
         db, reference = wide
         rows = reference.iterations[1].candidate_instances
         monkeypatch.setattr(pooled, "POOL_MIN_ROWS", rows + 1)
-        result = setm_parallel(db, 0.02, workers=2)
+        result = setm_columnar(db, 0.02, workers=2)
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
         parallel = result.extra["parallel"]
@@ -164,8 +165,8 @@ class TestPoolGate:
         self, quest_references, pool_every_level
     ):
         db, reference = quest_references[(0, 0.01)]
-        inline = setm_columnar_disk(db, 0.01, memory_budget_bytes=16384)
-        pooled_run = setm_spill_parallel(
+        inline = setm_columnar(db, 0.01, memory_budget_bytes=16384)
+        pooled_run = setm_columnar(
             db, 0.01, workers=2, memory_budget_bytes=16384
         )
         assert pooled_run.iterations == reference.iterations
@@ -177,7 +178,7 @@ class TestPoolGate:
         assert {k: planned[k] for k in cut} == cut
 
     def test_small_iterations_stay_in_process(self, example_db):
-        result = setm_parallel(example_db, 0.30, workers=4)
+        result = setm_columnar(example_db, 0.30, workers=4)
         parallel = result.extra["parallel"]
         assert parallel["partitions"] == {}
         assert parallel["parallel_iterations"] == []
@@ -192,11 +193,12 @@ class TestPoolGate:
         from repro.core import setm_parallel as pools
 
         before = dict(pools._POOLS)
-        result = setm_parallel(example_db, 0.30, workers=1)
+        result = setm_columnar(example_db, 0.30, workers=1)
         assert pools._POOLS == before
-        assert result.extra["workers"] == 1
-        assert result.extra["parallel"]["parallel_iterations"] == []
-        assert result.extra["spill"]["partitions"] == {}  # no level cut
+        # No budget and one worker: ColumnarKernel, unchanged.
+        for block in ("workers", "parallel", "spill", "memory_budget_bytes"):
+            assert block not in result.extra
+        assert result.same_patterns_as(bruteforce(example_db, 0.30))
 
     def test_uniform_keys_fall_back_to_serial(self, pool_every_level):
         # Every transaction is the same single pair: R'_2 has one
@@ -204,7 +206,7 @@ class TestPoolGate:
         db = TransactionDatabase(
             (tid, ["a", "b"]) for tid in range(1, 30)
         )
-        result = setm_parallel(db, 0.5, workers=4)
+        result = setm_columnar(db, 0.5, workers=4)
         assert result.extra["parallel"]["partitions"] == {}
         assert result.same_patterns_as(setm(db, 0.5))
 
@@ -212,14 +214,14 @@ class TestPoolGate:
         self, example_db, pool_every_level, tmp_path, monkeypatch
     ):
         roots = []
-        close = SpillParallelKernel.close
+        close = SpillingColumnarKernel.close
 
         def recording_close(kernel):
             roots.append(kernel._spill_root)
             close(kernel)
 
-        monkeypatch.setattr(SpillParallelKernel, "close", recording_close)
-        result = setm_parallel(
+        monkeypatch.setattr(SpillingColumnarKernel, "close", recording_close)
+        result = setm_columnar(
             example_db, 0.30, workers=2, spill_dir=tmp_path
         )
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
@@ -233,7 +235,7 @@ class TestLevelShare:
 
     def _shares(self, db, rows, **kwargs):
         """``(budget share, level share)`` of a fresh kernel, in bytes."""
-        kernel = SpillParallelKernel(db, **kwargs)
+        kernel = SpillingColumnarKernel(db, **kwargs)
         try:
             return kernel._share_bytes, kernel._level_share(rows)
         finally:
@@ -287,25 +289,27 @@ class TestValidation:
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True, "4"])
     def test_bad_workers_rejected(self, example_db, workers):
         with pytest.raises((InvalidConfigError, ValueError)):
-            setm_parallel(example_db, 0.30, workers=workers)
+            setm_columnar(example_db, 0.30, workers=workers)
 
     def test_parallel_threshold_is_not_an_option(self, example_db):
         with pytest.raises(EngineOptionError, match="parallel_threshold"):
-            get_engine("setm-parallel").run(
+            get_engine("setm-columnar").run(
                 example_db, 0.30, options={"parallel_threshold": 0}
             )
 
     def test_bad_start_method_rejected(self, example_db):
         with pytest.raises(InvalidConfigError, match="start_method"):
-            setm_parallel(example_db, 0.30, start_method="teleport")
+            setm_columnar(example_db, 0.30, start_method="teleport")
 
     def test_unknown_transport_rejected(self, example_db):
         with pytest.raises(TransportError, match="carrier-pigeon"):
-            setm_parallel(example_db, 0.30, transport="carrier-pigeon")
+            setm_columnar(example_db, 0.30, transport="carrier-pigeon")
 
     def test_spill_dir_is_an_option(self, example_db, tmp_path):
-        result = get_engine("setm-parallel").run(
-            example_db, 0.30, options={"spill_dir": str(tmp_path)}
+        result = get_engine("setm-columnar").run(
+            example_db,
+            0.30,
+            options={"spill_dir": str(tmp_path), "workers": 2},
         )
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
         assert list(tmp_path.iterdir()) == []
@@ -315,56 +319,59 @@ class TestValidation:
 
         monkeypatch.setenv(START_METHOD_ENV, "teleport")
         with pytest.raises(InvalidConfigError, match="start_method"):
-            SpillParallelKernel(example_db)
+            SpillingColumnarKernel(example_db)
 
     def test_default_workers_is_cpu_count(self, example_db, monkeypatch):
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        kernel = SpillParallelKernel(example_db)
+        kernel = SpillingColumnarKernel(example_db, workers=None)
         assert kernel._workers == 3
 
 
 class TestPlumbing:
-    def test_registry_capability_and_options(self):
-        spec = get_engine("setm-parallel")
-        assert spec.parallel is True
-        assert spec.out_of_core is False
+    def test_registry_options(self):
+        spec = get_engine("setm-columnar")
         assert spec.representation == "columnar"
         assert spec.accepted_options == {
             "count_via",
+            "measure_memory",
+            "memory_budget_bytes",
             "workers",
+            "spill_dir",
             "start_method",
             "transport",
-            "spill_dir",
-            "measure_memory",
         }
 
-    def test_miner_explain_reports_worker_count(self, example_db):
+    def test_miner_explain_reports_worker_count(self, example_db, monkeypatch):
+        import os
+
         from repro.config import MiningConfig
         from repro.miner import Miner
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
         miner = Miner(example_db)
         text = miner.explain(
-            MiningConfig(
-                support=0.3,
-                algorithm="setm-parallel",
-                options={"workers": 3},
-            )
+            MiningConfig(support=0.3, options={"workers": 3})
         )
         assert "parallel: yes (workers=3)" in text
-        assert "parallel: no" in miner.explain(MiningConfig(support=0.3))
+        # setm-columnar's own default is one worker; None means the CPUs.
+        assert "parallel: yes (workers=1)" in miner.explain(
+            MiningConfig(support=0.3)
+        )
+        assert "parallel: yes (workers=5)" in miner.explain(
+            MiningConfig(support=0.3, options={"workers": None})
+        )
+        assert "parallel: no" in miner.explain(
+            MiningConfig(support=0.3, algorithm="setm")
+        )
 
     def test_workers_flow_through_miner(self, example_db, pool_every_level):
         from repro.config import MiningConfig
         from repro.miner import Miner
 
         result = Miner(example_db).frequent_itemsets(
-            MiningConfig(
-                support=0.3,
-                algorithm="setm-parallel",
-                options={"workers": 2},
-            )
+            MiningConfig(support=0.3, options={"workers": 2})
         )
         assert result.extra["workers"] == 2
         assert result.extra["parallel"]["parallel_iterations"]

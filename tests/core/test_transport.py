@@ -2,9 +2,10 @@
 
 Three suites back the zero-copy transport's acceptance criteria:
 
-* **conformance** — every transport × start method × engine (and a
-  deep-pattern input) produces patterns and iteration statistics
-  byte-identical to ``setm``, with the negotiated mode and
+* **conformance** — every transport × start method × configuration of
+  the pooled range kernel (and a deep-pattern input) produces patterns
+  and iteration statistics byte-identical to ``setm``, with the
+  negotiated mode, the ``shm`` → ``mmap`` fallback and
   bytes-moved/copies-avoided telemetry recorded honestly;
 * **leak audit** — a worker crash mid-batch (injected through the
   :meth:`PoolTransportMixin._dispatch` seam) leaves **zero** named
@@ -29,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import columns
-from repro.core import setm_spill_parallel as pooled
+from repro.core import setm_columnar_disk as pooled
 from repro.core.columns import InstanceRelation
 from repro.core.partitioning import (
     PARTITION_PICKLE_VERSION,
@@ -37,17 +38,14 @@ from repro.core.partitioning import (
     decode_buffer_chunks,
 )
 from repro.core.setm import run_figure4_loop, setm
-from repro.core.setm_columnar_disk import run_range_batch
-from repro.core.setm_spill_parallel import (
-    SpillParallelKernel,
-    setm_parallel,
-    setm_spill_parallel,
-)
+from repro.core.setm_columnar import setm_columnar
+from repro.core.setm_columnar_disk import SpillingColumnarKernel, run_range_batch
 from repro.core.transactions import TransactionDatabase
 from repro.core.transport import (
     SEGMENT_PREFIX,
     TRANSPORT_CHOICES,
     TransportSession,
+    _probe_attach,
     leaked_segment_names,
     negotiate_pool_transport,
     pack_buffers,
@@ -58,9 +56,14 @@ from repro.core.transport import (
     unpack_buffers,
 )
 from repro.data.quest import QuestConfig, generate_quest_dataset
-from repro.errors import PartitionFormatError, ReproError, TransportError
+from repro.errors import (
+    PartitionFormatError,
+    QueryParseError,
+    ReproError,
+    TransportError,
+)
 
-TRANSPORTS = ("pickle", "shm", "mmap", "auto")
+TRANSPORTS = ("shm", "mmap", "auto")
 
 #: Small enough to force >= 2 spill partitions on the grid database.
 _SPILL_BUDGET = 16 * 1024
@@ -75,7 +78,7 @@ def no_leaked_segments():
 
 @pytest.fixture
 def pool_every_level(monkeypatch):
-    """``setm-parallel`` pools every non-empty level, however small."""
+    """``workers > 1`` pools every non-empty level, however small."""
     monkeypatch.setattr(pooled, "POOL_MIN_ROWS", 1)
 
 
@@ -116,11 +119,11 @@ class TestConformanceMatrix:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_parallel_engine(
+    def test_workers(
         self, grid, transport, start_method, pool_every_level
     ):
         db, reference = grid
-        result = setm_parallel(
+        result = setm_columnar(
             db,
             0.02,
             workers=2,
@@ -138,24 +141,20 @@ class TestConformanceMatrix:
         assert block["fallback_reason"] is None
         assert block["sessions"] > 0
         # Tasks carry descriptors only: SALES and the R_k shares travel
-        # by path or segment name on every transport.
-        assert block["task_bytes_inline"] == 0
+        # by segment name or path.
         if expected == "shm":
             assert block["task_bytes_shared"] > 0
             assert block["reply_bytes_shared"] > 0
-        elif expected == "mmap":
-            assert block["task_bytes_spooled"] > 0
         else:
+            assert block["task_bytes_spooled"] > 0
             assert block["reply_bytes_inline"] > 0
-            assert block["zero_copy_bytes"] == 0
-        if expected in ("shm", "mmap"):
-            assert block["zero_copy_bytes"] > 0
+        assert block["zero_copy_bytes"] > 0
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_spill_parallel_engine(self, grid, transport, start_method):
+    def test_budget_and_workers(self, grid, transport, start_method):
         db, reference = grid
-        result = setm_spill_parallel(
+        result = setm_columnar(
             db,
             0.02,
             workers=2,
@@ -186,7 +185,7 @@ class TestConformanceMatrix:
     ):
         """Deep-level rank keys ride every transport unchanged."""
         db, reference = deep_pattern_grid
-        result = setm_parallel(
+        result = setm_columnar(
             db,
             0.25,
             workers=2,
@@ -203,7 +202,7 @@ class TestConformanceMatrix:
     ):
         """Deep-level chunks decode straight off an mmap-ed spill file."""
         db, reference = deep_pattern_grid
-        result = setm_spill_parallel(
+        result = setm_columnar(
             db,
             0.25,
             workers=2,
@@ -215,7 +214,83 @@ class TestConformanceMatrix:
         assert result.iterations == reference.iterations
 
 
-class _CrashAfterFirstReply(SpillParallelKernel):
+class _FailedHandshake(SpillingColumnarKernel):
+    """The pool cannot attach shared memory: the ``shm`` probe fails."""
+
+    def _dispatch(self, func, tasks):
+        if func is _probe_attach:
+            raise OSError("shm namespace unavailable")
+        return super()._dispatch(func, tasks)
+
+
+class TestHandshakeFallback:
+    def test_failed_handshake_mines_identically_on_mmap(
+        self, grid, pool_every_level
+    ):
+        db, reference = grid
+        reset_negotiation_cache()
+        try:
+            kernel = _FailedHandshake(db, workers=2, transport="shm")
+            result = run_figure4_loop(
+                db, 0.02, kernel, algorithm="setm-columnar"
+            )
+        finally:
+            reset_negotiation_cache()
+        block = result.extra["transport"]
+        assert (block["requested"], block["mode"]) == ("shm", "mmap")
+        assert "shm handshake failed" in block["fallback_reason"]
+        assert block["task_bytes_shared"] == 0
+        assert block["task_bytes_spooled"] > 0
+        assert result.extra["parallel"]["parallel_iterations"]
+        direct = setm_columnar(db, 0.02, workers=2, transport="mmap")
+        assert result.count_relations == direct.count_relations
+        assert result.count_relations == reference.count_relations
+        assert result.iterations == reference.iterations
+        assert result.unfiltered_item_counts == (
+            reference.unfiltered_item_counts
+        )
+
+
+class TestPickleTransportIsGone:
+    """``pickle`` is rejected, typed, at every front door."""
+
+    def test_not_a_choice(self):
+        assert "pickle" not in TRANSPORT_CHOICES
+
+    def test_miner_rejects_it(self, example_db):
+        from repro import Miner, MiningConfig
+
+        with pytest.raises(TransportError, match="pickle"):
+            Miner(example_db).frequent_itemsets(
+                MiningConfig(support=0.3, options={"transport": "pickle"})
+            )
+
+    def test_cli_rejects_it(self, example_db, tmp_path, capsys):
+        from repro.cli import main
+        from repro.data.io import write_basket_file
+
+        path = tmp_path / "example.basket"
+        write_basket_file(example_db, path)
+        with pytest.raises(SystemExit) as caught:
+            main(["mine", str(path), "--workers", "2", "--transport", "pickle"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'pickle'" in capsys.readouterr().err
+
+    def test_mine_parse_rejects_it(self):
+        from repro.query import parse_query
+
+        with pytest.raises(QueryParseError, match="transport"):
+            parse_query(
+                "MINE ITEMSETS FROM q WHERE support >= 0.3 "
+                "WITH workers = 2, transport = 'pickle'"
+            )
+
+    def test_sessions_need_a_transport_that_exists(self):
+        with pytest.raises(TransportError, match="concrete mode"):
+            TransportSession("pickle")
+
+
+class _CrashAfterFirstReply(SpillingColumnarKernel):
     """Injects a pool failure *after* batch 0 filled its reply segment.
 
     The worst-case crash window for the shm transport: the reply
@@ -246,7 +321,7 @@ class TestLeakAudit:
                 db,
                 0.02,
                 kernel,
-                algorithm="setm-parallel",
+                algorithm="setm-columnar",
             )
         assert leaked_segment_names() == ()
         assert list(tmp_path.iterdir()) == []  # the spill root is removed
@@ -288,17 +363,13 @@ class TestSessionSemantics:
             TransportSession("auto")
 
     def test_closed_session_refuses_publish(self):
-        session = TransportSession("pickle")
+        session = TransportSession("mmap")
         session.close()
         with pytest.raises(TransportError, match="closed"):
             session.publish([])
 
-    def test_pickle_publish_passes_through(self):
-        partition = Partition(2, payload=b"x" * 10, num_rows=0)
-        with TransportSession("pickle") as session:
-            (published,) = session.publish([partition])
-            assert published is partition
-            assert session.counters["task_bytes_inline"] == 10
+    def test_mmap_replies_ride_the_result(self):
+        with TransportSession("mmap") as session:
             assert session.reply_name(0) is None
 
     def test_shm_publish_round_trips_every_payload(self):
@@ -321,7 +392,7 @@ class TestSessionSemantics:
         path = tmp_path / "part.chunks"
         path.write_bytes(b"spilled")
         partition = Partition(2, path=path, num_rows=0)
-        for mode in ("pickle", "shm", "mmap"):
+        for mode in ("shm", "mmap"):
             with TransportSession(mode) as session:
                 (published,) = session.publish([partition])
                 assert published is partition
@@ -370,7 +441,7 @@ class TestEnvelopes:
 class TestPartitionBuffer:
     def test_inline_source(self):
         partition = Partition(2, payload=b"bytes", num_rows=0)
-        with partition_buffer(partition, "pickle") as (buffer, source):
+        with partition_buffer(partition) as (buffer, source):
             assert (buffer, source) == (b"bytes", "inline")
 
     def test_shm_source_is_a_borrowed_view(self):
@@ -390,7 +461,9 @@ class TestPartitionBuffer:
         with partition_buffer(partition, "mmap") as (buffer, source):
             assert source == "mmap"
             assert bytes(buffer[:]) == b"mapped bytes"
-        with partition_buffer(partition, "pickle") as (buffer, source):
+        with partition_buffer(partition) as (buffer, source):
+            assert source == "mmap"  # the default mode maps
+        with partition_buffer(partition, "shm") as (buffer, source):
             assert (buffer, source) == (b"mapped bytes", "read")
         path.write_bytes(b"")  # empty files cannot be mapped
         with partition_buffer(partition, "mmap") as (buffer, source):
@@ -417,15 +490,14 @@ class TestNegotiation:
         assert issubclass(TransportError, ReproError)
 
     def test_non_shm_requests_pass_through(self):
-        for requested in ("pickle", "mmap"):
-            assert negotiate_pool_transport(
-                requested,
-                start_method="fork",
-                workers=9,
-                mapper=None,  # must not be called
-            ) == (requested, None)
+        assert negotiate_pool_transport(
+            "mmap",
+            start_method="fork",
+            workers=9,
+            mapper=None,  # must not be called
+        ) == ("mmap", None)
 
-    def test_handshake_failure_demotes_to_pickle_and_caches(self):
+    def test_handshake_failure_demotes_to_mmap_and_caches(self):
         reset_negotiation_cache()
         try:
 
@@ -435,7 +507,7 @@ class TestNegotiation:
             mode, reason = negotiate_pool_transport(
                 "shm", start_method="fork", workers=9, mapper=broken
             )
-            assert mode == "pickle"
+            assert mode == "mmap"
             assert "handshake failed" in reason
             # The verdict is cached per pool: a now-healthy mapper is
             # not even consulted.
@@ -445,7 +517,7 @@ class TestNegotiation:
                 workers=9,
                 mapper=lambda func, tasks: [func(t) for t in tasks],
             )
-            assert mode == "pickle"
+            assert mode == "mmap"
             assert "handshake failed" in reason
         finally:
             reset_negotiation_cache()

@@ -352,14 +352,19 @@ class TestChunkAppendRoundTrip:
             ds.close()
 
 
+#: Engine configurations: ``(id, algorithm, options)``.
 ENGINES = (
-    "setm",
-    "setm-columnar",
-    "setm-columnar-disk",
-    "setm-parallel",
-    "setm-spill-parallel",
-    "apriori",
-    "bruteforce",
+    ("setm", "setm", {}),
+    ("setm-columnar", "setm-columnar", {}),
+    ("setm-columnar[budget]", "setm-columnar", {"memory_budget_bytes": 1024}),
+    ("setm-columnar[workers]", "setm-columnar", {"workers": 2}),
+    (
+        "setm-columnar[budget+workers]",
+        "setm-columnar",
+        {"memory_budget_bytes": 1024, "workers": 2},
+    ),
+    ("apriori", "apriori", {}),
+    ("bruteforce", "bruteforce", {}),
 )
 
 
@@ -368,20 +373,21 @@ class TestEngineBridge:
 
     def test_capability_flags(self):
         streaming = {
-            name for name in ENGINES if get_engine(name).streaming_ingest
+            name
+            for _, name, _ in ENGINES
+            if get_engine(name).streaming_ingest
         }
-        assert streaming == {
-            "setm-columnar",
-            "setm-columnar-disk",
-            "setm-parallel",
-            "setm-spill-parallel",
-        }
+        assert streaming == {"setm-columnar"}
 
-    @pytest.mark.parametrize("algorithm", ENGINES)
-    def test_equivalent_results(self, tmp_path, example_db, algorithm):
+    @pytest.mark.parametrize(
+        ("algorithm", "options"),
+        [engine[1:] for engine in ENGINES],
+        ids=[engine[0] for engine in ENGINES],
+    )
+    def test_equivalent_results(self, tmp_path, example_db, algorithm, options):
         data = _write(example_db, "csv", tmp_path)
         ds = load_dataset(data, chunk_rows=5)
-        config = MiningConfig(support=0.2, algorithm=algorithm)
+        config = MiningConfig(support=0.2, algorithm=algorithm, options=options)
         streamed = Miner(ds).frequent_itemsets(config)
         direct = Miner(example_db).frequent_itemsets(config)
         assert streamed.count_relations == direct.count_relations

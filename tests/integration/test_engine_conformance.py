@@ -1,18 +1,19 @@
-"""The engine conformance matrix: every registered engine, one suite.
+"""The engine conformance matrix: every engine configuration, one suite.
 
 This replaces the per-engine copy-pasted differential suites with a
-single matrix parametrized directly over
-:func:`repro.registry.engine_specs`: **every** registered engine is
-checked against the ``bruteforce`` oracle for patterns and rules, and
-against the ``setm`` reference for iteration statistics, on seeded
-QUEST × minsup grids.  A registry entry with no conformance row is
-itself a test failure (:class:`TestRegistryCoverage`), so a future
-engine cannot land without differential coverage.
+single matrix keyed by configuration — an engine plus the options
+that pick its path: **every** configuration is checked against the
+``bruteforce`` oracle for patterns and rules, and against the ``setm``
+reference for iteration statistics, on seeded QUEST × minsup grids.  A
+registry entry with no conformance row is itself a test failure
+(:class:`TestRegistryCoverage`), so a future engine cannot land without
+differential coverage.
 
-Per-engine knobs live in one place — the :data:`CONFORMANCE` table —
-including the options that force an engine's interesting path to
+Per-configuration knobs live in one place — the :data:`CONFORMANCE`
+table — including the options that force an interesting path to
 actually run (a budget small enough to spill, a worker count that
-reaches the pool, a lowered ``POOL_MIN_ROWS`` gate).
+reaches the pool, a lowered ``POOL_MIN_ROWS`` gate): ``setm-columnar``
+runs resident, under a small budget, with two workers, and with both.
 
 Iteration-statistics conformance comes in tiers, because not every
 engine *should* reproduce SETM's trace:
@@ -37,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import bruteforce
-from repro.core import setm_spill_parallel
+from repro.core import setm_columnar_disk
 from repro.core.rules import generate_rules
 from repro.core.setm import setm
 from repro.core.setm_sql import setm_sql
@@ -56,35 +57,45 @@ _SPILL_BUDGET = 16 * 1024
 
 @dataclass(frozen=True)
 class ConformanceRow:
-    """How one engine participates in the matrix."""
+    """How one engine configuration participates in the matrix.
 
+    The row's key names the configuration; ``engine`` defaults to it.
+    """
+
+    #: Registered engine the configuration runs (None: the row's key).
+    engine: str | None = None
     #: Engine options forcing the interesting path (spill, pool, ...).
     options: dict = field(default_factory=dict)
     #: IterationStats tier: "exact" | "instances" | "own".
     iterations: str = "own"
-    #: ``setm_spill_parallel.POOL_MIN_ROWS`` for the run (None: as is).
+    #: ``setm_columnar_disk.POOL_MIN_ROWS`` for the run (None: as is).
     pool_min_rows: int | None = None
     #: Why the row is shaped the way it is (documentation only).
     note: str = ""
 
 
-#: One row per registered engine.  TestRegistryCoverage fails when this
-#: table and the registry drift apart — in either direction.
+#: At least one row per registered engine.  TestRegistryCoverage fails
+#: when this table and the registry drift apart — in either direction.
 CONFORMANCE: dict[str, ConformanceRow] = {
     "setm": ConformanceRow(iterations="exact", note="the Figure-4 reference"),
-    "setm-columnar": ConformanceRow(iterations="exact"),
-    "setm-columnar-disk": ConformanceRow(
+    "setm-columnar": ConformanceRow(
+        iterations="exact", note="resident: the in-memory ColumnarKernel"
+    ),
+    "setm-columnar[budget]": ConformanceRow(
+        engine="setm-columnar",
         iterations="exact",
         options={"memory_budget_bytes": _SPILL_BUDGET},
         note="budget forces >= 2 spill partitions on the grid",
     ),
-    "setm-parallel": ConformanceRow(
+    "setm-columnar[workers]": ConformanceRow(
+        engine="setm-columnar",
         iterations="exact",
         options={"workers": 2},
         pool_min_rows=1,
         note="a one-row pool gate forces the pool at grid scale",
     ),
-    "setm-spill-parallel": ConformanceRow(
+    "setm-columnar[budget+workers]": ConformanceRow(
+        engine="setm-columnar",
         iterations="exact",
         options={"memory_budget_bytes": _SPILL_BUDGET, "workers": 2},
         note="budget forces spilling; 2 workers force pooled counting",
@@ -138,7 +149,7 @@ DELTA_CONFORMANCE: dict[str, DeltaConformanceRow] = {
 
 @dataclass(frozen=True)
 class QueryConformanceRow:
-    """How one engine is addressed through the ``MINE`` query front-end.
+    """How one engine configuration is addressed through ``MINE``.
 
     The query tier drives every engine via ``USING ENGINE`` and holds
     the result document **byte-identical** (JSON-serialized through the
@@ -148,6 +159,8 @@ class QueryConformanceRow:
     would get.
     """
 
+    #: Registered engine the configuration runs (None: the row's key).
+    engine: str | None = None
     #: WITH clause appended to the statement ("" when none is needed).
     with_clause: str = ""
     #: The equivalent direct config's engine options.
@@ -158,22 +171,25 @@ class QueryConformanceRow:
     note: str = ""
 
 
-#: One row per registered engine.  TestRegistryCoverage fails when this
-#: table and the registry drift apart — in either direction — so a new
-#: engine cannot land without query-surface coverage.
+#: At least one row per registered engine.  TestRegistryCoverage fails
+#: when this table and the registry drift apart — in either direction —
+#: so a new engine cannot land without query-surface coverage.
 QUERY_CONFORMANCE: dict[str, QueryConformanceRow] = {
     "setm": QueryConformanceRow(),
     "setm-columnar": QueryConformanceRow(),
-    "setm-columnar-disk": QueryConformanceRow(
+    "setm-columnar[budget]": QueryConformanceRow(
+        engine="setm-columnar",
         with_clause="WITH memory_budget = '16K'",
         direct_options={"memory_budget_bytes": _SPILL_BUDGET},
         note="the WITH budget must reach the engine as memory_budget_bytes",
     ),
-    "setm-parallel": QueryConformanceRow(
+    "setm-columnar[workers]": QueryConformanceRow(
+        engine="setm-columnar",
         with_clause="WITH workers = 2",
         direct_options={"workers": 2},
     ),
-    "setm-spill-parallel": QueryConformanceRow(
+    "setm-columnar[budget+workers]": QueryConformanceRow(
+        engine="setm-columnar",
         with_clause="WITH workers = 2, memory_budget = '16K'",
         direct_options={"workers": 2, "memory_budget_bytes": _SPILL_BUDGET},
     ),
@@ -195,7 +211,13 @@ QUERY_CONFORMANCE: dict[str, QueryConformanceRow] = {
 GRID_SEEDS = (0, 1)
 GRID_MINSUPS = (0.02, 0.05)
 
-ENGINE_NAMES = [spec.name for spec in engine_specs()]
+CONFIGURATIONS = list(CONFORMANCE)
+QUERY_CONFIGURATIONS = list(QUERY_CONFORMANCE)
+
+
+def _engine(table: dict, key: str) -> str:
+    """The registered engine a configuration row runs."""
+    return table[key].engine or key
 
 
 def _grid_db(seed: int) -> TransactionDatabase:
@@ -231,23 +253,14 @@ def deep_wide_references(deep_wide_db):
     return db, minsup, bruteforce(db, minsup), setm(db, minsup)
 
 
-def _row(name: str) -> ConformanceRow:
-    row = CONFORMANCE.get(name)
-    if row is None:
-        pytest.fail(
-            f"engine {name!r} is registered but has no conformance row; "
-            "add it to CONFORMANCE in test_engine_conformance.py"
-        )
-    return row
-
-
 def _run(name: str, database, minsup: float):
-    spec = get_engine(name)
-    row = _row(name)
+    """Run configuration ``name``; returns ``(spec, result)``."""
+    row = CONFORMANCE[name]
+    spec = get_engine(_engine(CONFORMANCE, name))
     with pytest.MonkeyPatch.context() as patch:
         if row.pool_min_rows is not None:
             patch.setattr(
-                setm_spill_parallel, "POOL_MIN_ROWS", row.pool_min_rows
+                setm_columnar_disk, "POOL_MIN_ROWS", row.pool_min_rows
             )
         return spec, spec.run(database, minsup, options=dict(row.options))
 
@@ -257,7 +270,8 @@ class TestRegistryCoverage:
 
     def test_every_registered_engine_has_a_conformance_row(self):
         registered = {spec.name for spec in engine_specs()}
-        missing = registered - set(CONFORMANCE)
+        covered = {_engine(CONFORMANCE, key) for key in CONFORMANCE}
+        missing = registered - covered
         assert not missing, (
             f"engines registered without conformance coverage: "
             f"{sorted(missing)}; add rows to CONFORMANCE"
@@ -265,7 +279,7 @@ class TestRegistryCoverage:
 
     def test_no_stale_conformance_rows(self):
         registered = {spec.name for spec in engine_specs()}
-        stale = set(CONFORMANCE) - registered
+        stale = {_engine(CONFORMANCE, key) for key in CONFORMANCE} - registered
         assert not stale, (
             f"conformance rows for unregistered engines: {sorted(stale)}"
         )
@@ -278,7 +292,9 @@ class TestRegistryCoverage:
 
     def test_every_registered_engine_has_a_query_conformance_row(self):
         registered = {spec.name for spec in engine_specs()}
-        missing = registered - set(QUERY_CONFORMANCE)
+        missing = registered - {
+            _engine(QUERY_CONFORMANCE, key) for key in QUERY_CONFORMANCE
+        }
         assert not missing, (
             f"engines registered without query conformance coverage: "
             f"{sorted(missing)}; add rows to QUERY_CONFORMANCE"
@@ -286,7 +302,9 @@ class TestRegistryCoverage:
 
     def test_no_stale_query_conformance_rows(self):
         registered = {spec.name for spec in engine_specs()}
-        stale = set(QUERY_CONFORMANCE) - registered
+        stale = {
+            _engine(QUERY_CONFORMANCE, key) for key in QUERY_CONFORMANCE
+        } - registered
         assert not stale, (
             f"query conformance rows for unregistered engines: "
             f"{sorted(stale)}"
@@ -314,9 +332,9 @@ class TestRegistryCoverage:
 
 
 class TestConformanceMatrix:
-    """Every engine × the example database and the QUEST grid."""
+    """Every configuration × the example database and the QUEST grid."""
 
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("name", CONFIGURATIONS)
     def test_patterns_and_rules_on_example(self, name, example_db):
         oracle = bruteforce(example_db, 0.30)
         _, result = _run(name, example_db, 0.30)
@@ -327,10 +345,10 @@ class TestConformanceMatrix:
 
     @pytest.mark.parametrize("minsup", GRID_MINSUPS)
     @pytest.mark.parametrize("seed", GRID_SEEDS)
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("name", CONFIGURATIONS)
     def test_quest_grid(self, name, seed, minsup, grid_references):
         db, oracle, reference = grid_references[(seed, minsup)]
-        row = _row(name)
+        row = CONFORMANCE[name]
         _, result = _run(name, db, minsup)
 
         assert result.same_patterns_as(oracle), name
@@ -350,7 +368,7 @@ class TestConformanceMatrix:
                 assert got.supported_patterns == want.supported_patterns
             assert len(result.iterations) == len(reference.iterations)
 
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("name", CONFIGURATIONS)
     def test_deep_wide_input(self, name, deep_wide_references):
         """3,000 items and frequent 9-patterns: keys at every depth.
 
@@ -359,7 +377,7 @@ class TestConformanceMatrix:
         oracle, and the Figure-4 engines with ``setm``'s trace.
         """
         db, minsup, oracle, reference = deep_wide_references
-        row = _row(name)
+        row = CONFORMANCE[name]
         _, result = _run(name, db, minsup)
 
         assert result.max_pattern_length == 9, name
@@ -383,12 +401,12 @@ class TestConformanceMatrix:
     def test_deep_levels_spill_and_pool(self, deep_wide_references):
         """On the deep input the spill and pool paths reach k >= 6."""
         db, minsup, _, _ = deep_wide_references
-        _, spilled = _run("setm-columnar-disk", db, minsup)
+        _, spilled = _run("setm-columnar[budget]", db, minsup)
         assert max(spilled.extra["spill"]["partitions"]) >= 6
-        _, both = _run("setm-spill-parallel", db, minsup)
+        _, both = _run("setm-columnar[budget+workers]", db, minsup)
         assert max(both.extra["parallel"]["parallel_iterations"]) >= 6
 
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("name", CONFIGURATIONS)
     def test_patterns_on_small_retail(self, name, small_retail_db):
         """The calibrated retail distribution (long-tail item
         frequencies, ~2,300 transactions) — a different shape from the
@@ -410,21 +428,24 @@ class TestConformanceMatrix:
     def test_interesting_paths_really_ran(self, grid_references):
         """The options in CONFORMANCE force spill/pool paths, provably."""
         db, _, _ = grid_references[(0, 0.02)]
-        _, spilled = _run("setm-columnar-disk", db, 0.02)
+        _, resident = _run("setm-columnar", db, 0.02)
+        assert "spill" not in resident.extra  # the in-memory kernel
+        _, spilled = _run("setm-columnar[budget]", db, 0.02)
         assert spilled.extra["spill"]["max_partitions"] >= 2
-        _, pooled = _run("setm-parallel", db, 0.02)
+        assert spilled.extra["parallel"]["parallel_iterations"] == []
+        _, pooled = _run("setm-columnar[workers]", db, 0.02)
         assert pooled.extra["parallel"]["parallel_iterations"]
-        _, both = _run("setm-spill-parallel", db, 0.02)
+        _, both = _run("setm-columnar[budget+workers]", db, 0.02)
         assert both.extra["spill"]["max_partitions"] >= 2
         assert both.extra["parallel"]["parallel_iterations"]
 
 
 class TestQueryConformance:
-    """Every engine through ``USING ENGINE``, byte-identical to direct.
+    """Every configuration through ``USING ENGINE``, byte-identical to direct.
 
     The query front-end's executor contract is that it adds no mining
-    code — so for each registered engine, a ``MINE`` statement pinning
-    that engine must produce a result document whose JSON serialization
+    code — so for each configuration, a ``MINE`` statement pinning its
+    engine, with its ``WITH`` options, must produce a result document whose JSON serialization
     equals serializing a direct :class:`~repro.miner.Miner` run of the
     equivalent config through the same payload builders.
     """
@@ -438,12 +459,8 @@ class TestQueryConformance:
         from repro.query import run_query
         from repro.serve.protocol import result_payload, rules_payload
 
-        row = QUERY_CONFORMANCE.get(name)
-        if row is None:
-            pytest.fail(
-                f"engine {name!r} has no QUERY_CONFORMANCE row; the query "
-                "surface must cover every registered engine"
-            )
+        row = QUERY_CONFORMANCE[name]
+        engine = _engine(QUERY_CONFORMANCE, name)
         with_clause = row.with_clause
         state_dir = None
         if row.needs_state:
@@ -451,7 +468,7 @@ class TestQueryConformance:
             with_clause = f"WITH state = '{tmp_path / 'query-state'}'"
         statement = (
             "MINE RULES FROM q WHERE support >= 0.3 AND confidence >= 0.7 "
-            f"USING ENGINE '{name}' {with_clause}"
+            f"USING ENGINE '{engine}' {with_clause}"
         ).strip()
         document = run_query(statement, {"q": database})
 
@@ -459,7 +476,7 @@ class TestQueryConformance:
         config = MiningConfig(
             support=0.3,
             confidence=0.7,
-            algorithm=name,
+            algorithm=engine,
             options=dict(row.direct_options),
             state_dir=state_dir,
         )
@@ -476,24 +493,31 @@ class TestQueryConformance:
             document,
         )
 
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("name", QUERY_CONFIGURATIONS)
     def test_using_engine_is_byte_identical_to_direct(
         self, name, example_db, tmp_path
     ):
         got, expected, document = self._documents(name, example_db, tmp_path)
-        assert document["engine"] == name
+        assert document["engine"] == _engine(QUERY_CONFORMANCE, name)
         assert got == expected, name
 
-    def test_planner_chosen_engine_is_byte_identical_too(self, example_db):
-        """No USING ENGINE: the capability-chosen engine still matches a
-        direct run of the exact config the plan records."""
+    @pytest.mark.parametrize(
+        "with_clause",
+        ["", "WITH memory_budget = '1K'", "WITH workers = 2, memory_budget = '1K'"],
+    )
+    def test_planner_chosen_engine_is_byte_identical_too(
+        self, example_db, with_clause
+    ):
+        """No USING ENGINE: the planner-chosen engine, with the WITH
+        options passed through, still matches a direct run of the exact
+        config the plan records."""
         import json as _json
 
         from repro.miner import Miner
         from repro.query import parse_query, plan_for, run_query
         from repro.serve.protocol import result_payload
 
-        statement = "MINE ITEMSETS FROM q WHERE support >= 0.3"
+        statement = f"MINE ITEMSETS FROM q WHERE support >= 0.3 {with_clause}"
         document = run_query(statement, {"q": example_db})
         plan = plan_for(parse_query(statement), example_db, cpu_count=1)
         direct = Miner(example_db).frequent_itemsets(plan.config)

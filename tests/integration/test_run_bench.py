@@ -60,7 +60,7 @@ class TestTinyRun:
     def test_constrained_memory_scenario_recorded(self, document):
         """The tiny smoke exercises the out-of-core spill path."""
         constrained = document["workloads"][0]["constrained_memory"]
-        assert constrained["engine"] == "setm-columnar-disk"
+        assert constrained["engine"] == "setm-columnar"
         assert constrained["agreement"] is True
         assert constrained["max_partitions"] >= 2
         assert constrained["spill_bytes_written"] > 0
@@ -105,7 +105,7 @@ class TestTinyWorkerSweep:
         """--workers extends the combined scenario to the tiny smoke:
         pooled counting of on-disk partitions runs on every CI push."""
         combined = document["workloads"][0]["spill_parallel"]
-        assert combined["engine"] == "setm-spill-parallel"
+        assert combined["engine"] == "setm-columnar"
         assert combined["memory_budget_bytes"] > 0
         assert [entry["workers"] for entry in combined["runs"]] == [1, 2]
         for entry in combined["runs"]:
@@ -171,7 +171,7 @@ class TestValidator:
                     },
                     "engines": {"setm": {}, "setm-columnar": {}},
                     "constrained_memory": {
-                        "engine": "setm-columnar-disk",
+                        "engine": "setm-columnar",
                         "memory_budget_bytes": 1024,
                         "elapsed_seconds": 0.1,
                         "peak_memory_bytes": 10,
@@ -205,7 +205,7 @@ class TestValidator:
                     },
                     "engines": {"setm": {}, "setm-columnar": {}},
                     "worker_sweep": {
-                        "engine": "setm-parallel",
+                        "engine": "setm-columnar",
                         "cpus": 1,
                         "runs": [
                             {
@@ -245,7 +245,7 @@ class TestValidator:
                     },
                     "engines": {"setm": {}, "setm-columnar": {}},
                     "spill_parallel": {
-                        "engine": "setm-spill-parallel",
+                        "engine": "setm-columnar",
                         "memory_budget_bytes": 65536,
                         "cpus": 2,
                         "runs": [

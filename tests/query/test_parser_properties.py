@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import INPUT_FORMATS
+from repro.core.transport import TRANSPORT_CHOICES
 from repro.errors import QueryParseError, ReproError
 from repro.query import HasConstraint, MineQuery, WithOption, parse_query
 from repro.query.lexer import KEYWORDS
@@ -72,7 +73,7 @@ def _with_value(name: str) -> st.SearchStrategy:
             ),
         )
     if name == "transport":
-        return st.sampled_from(["auto", "pickle", "shm", "mmap"])
+        return st.sampled_from(list(TRANSPORT_CHOICES))
     if name == "input_format":
         return st.sampled_from(list(INPUT_FORMATS))
     assert name == "state"

@@ -13,12 +13,14 @@ Regenerate after an *intentional* planner change with::
 
 and commit the diff.
 
-On top of the snapshots, :class:`TestPinnedChoices` asserts the three
-load-bearing selections directly (so the intent survives even a golden
-regeneration): a 64 KiB budget over a ~625 KiB dataset must select an
-out-of-core engine, ``workers = 2`` must select a parallel engine, and
-an existing materialized ``MiningState`` must select the incremental
-engine — each with a recorded reason.
+On top of the snapshots, :class:`TestPinnedChoices` asserts the
+load-bearing choices directly (so the intent survives even a golden
+regeneration): a memory budget — whether or not the estimated
+footprint fits it — and ``workers`` reach ``setm-columnar`` as its
+``memory_budget_bytes`` and ``workers`` options, an existing
+materialized ``MiningState`` selects the incremental engine, and an
+option the chosen engine does not accept is dropped with a warning —
+each with a recorded reason.
 """
 
 from __future__ import annotations
@@ -199,38 +201,76 @@ def _plan(text: str, stats: DatasetStats):
 
 
 class TestPinnedChoices:
-    """The three load-bearing selections, asserted independently of the
-    snapshot files (regenerating goldens cannot silently change these)."""
+    """The budget and workers reach the engine as options; state selects
+    the incremental engine (asserted independently of the snapshot
+    files, so regenerating goldens cannot silently change these)."""
 
-    def test_64k_budget_selects_a_spill_engine_with_reason(self):
+    @staticmethod
+    def _reasons(plan) -> dict:
+        return {(d.topic, d.choice): d.reason for d in plan.decisions()}
+
+    def test_64k_budget_reaches_the_engine_with_reason(self):
         plan = _plan(
             "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
             "WITH memory_budget = '64K'",
             BIG,
         )
-        assert plan.engine == "setm-columnar-disk"
-        reasons = {
-            (d.topic, d.choice): d.reason for d in plan.decisions()
-        }
-        assert ("capability", "out_of_core") in reasons
-        assert "exceeds the 64 KiB memory_budget" in (
-            reasons[("capability", "out_of_core")]
+        assert plan.engine == "setm-columnar"
+        assert plan.config.options == {"memory_budget_bytes": 64 * 1024}
+        reasons = self._reasons(plan)
+        assert ("storage", "budget 64 KiB") in reasons
+        assert "a quarter of the budget (16 KiB)" in (
+            reasons[("storage", "budget 64 KiB")]
         )
-        assert plan.config.options["memory_budget_bytes"] == 64 * 1024
 
-    def test_workers_2_selects_a_parallel_engine_with_reason(self):
+    def test_budget_the_estimate_fits_still_reaches_the_engine(self):
+        """A budget above the estimated footprint is not dropped: the
+        engine, not the 16 B/row estimate, decides what spills."""
+        plan = _plan(
+            "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
+            "WITH memory_budget = '2M'",
+            BIG,
+        )
+        assert BIG.estimated_bytes < 2 * 2**20
+        assert plan.engine == "setm-columnar"
+        assert plan.config.options == {"memory_budget_bytes": 2 * 2**20}
+        assert not [d for d in plan.decisions() if d.topic == "warning"]
+
+    def test_workers_2_reaches_the_engine_with_reason(self):
         plan = _plan(
             "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
             "WITH workers = 2",
             BIG,
         )
-        assert plan.engine == "setm-parallel"
-        reasons = {
-            (d.topic, d.choice): d.reason for d in plan.decisions()
+        assert plan.engine == "setm-columnar"
+        assert plan.config.options == {"workers": 2}
+        reasons = self._reasons(plan)
+        assert ("execution", "pooled") in reasons
+        assert "workers = 2 requested" in reasons[("execution", "pooled")]
+
+    def test_workers_1_reaches_the_engine_as_serial(self):
+        plan = _plan(
+            "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
+            "WITH workers = 1",
+            BIG,
+        )
+        assert plan.engine == "setm-columnar"
+        assert plan.config.options == {"workers": 1}
+        assert ("execution", "serial") in self._reasons(plan)
+
+    def test_budget_and_workers_both_reach_the_engine(self):
+        plan = _plan(
+            "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
+            "WITH workers = 2, memory_budget = '64K', transport = 'shm'",
+            BIG,
+        )
+        assert plan.engine == "setm-columnar"
+        assert plan.config.algorithm == "setm-columnar"
+        assert plan.config.options == {
+            "memory_budget_bytes": 64 * 1024,
+            "workers": 2,
+            "transport": "shm",
         }
-        assert ("capability", "parallel") in reasons
-        assert "workers = 2 requested" in reasons[("capability", "parallel")]
-        assert plan.config.options["workers"] == 2
 
     def test_existing_state_selects_the_incremental_engine_with_reason(self):
         plan = _plan(
@@ -239,34 +279,50 @@ class TestPinnedChoices:
             WITH_STATE,
         )
         assert plan.engine == "setm-incremental"
-        reasons = {
-            (d.topic, d.choice): d.reason for d in plan.decisions()
-        }
+        reasons = self._reasons(plan)
         assert ("capability", "incremental") in reasons
         assert "generation 3" in reasons[("capability", "incremental")]
         assert plan.config.state_dir == "state"
 
-    def test_both_budget_and_workers_selects_spill_parallel(self):
-        plan = _plan(
-            "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
-            "WITH workers = 2, memory_budget = '64K'",
-            BIG,
-        )
-        assert plan.engine == "setm-spill-parallel"
-
-    def test_unsatisfiable_combination_relaxes_lowest_priority_first(self):
+    def test_state_keeps_the_incremental_engine_and_drops_workers(self):
         plan = _plan(
             "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
             "WITH state = 'state', workers = 2",
             WITH_STATE,
         )
-        # No registered engine is incremental + parallel: the planner
-        # must keep incremental and drop parallel, saying so.
+        # setm-incremental has no workers option: the engine stays, the
+        # option goes, and EXPLAIN says so.
         assert plan.engine == "setm-incremental"
-        relaxed = [
-            d for d in plan.decisions() if d.choice == "relaxed parallel"
-        ]
-        assert relaxed and "lowest-priority" in relaxed[0].reason
+        assert "workers" not in plan.config.options
+        reasons = self._reasons(plan)
+        assert "does not accept 'workers'" in (
+            reasons[("warning", "dropped workers")]
+        )
+
+    def test_using_engine_drops_options_it_does_not_accept(self):
+        plan = _plan(
+            "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
+            "USING ENGINE 'setm' WITH workers = 2, memory_budget = '64K'",
+            BIG,
+        )
+        assert plan.engine == "setm"
+        assert plan.config.options == {}
+        reasons = self._reasons(plan)
+        assert ("warning", "dropped workers") in reasons
+        assert ("warning", "dropped memory_budget_bytes") in reasons
+
+    def test_using_an_alias_keeps_its_name_for_the_run(self):
+        with pytest.warns(DeprecationWarning, match="setm-parallel"):
+            plan = _plan(
+                "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
+                "USING ENGINE 'setm-parallel'",
+                BIG,
+            )
+        assert plan.engine == "setm-columnar"
+        # Miner resolves the alias again, with its workers=None default.
+        assert plan.config.algorithm == "setm-parallel"
+        engine = self._reasons(plan)[("engine", "setm-columnar")]
+        assert "deprecated alias" in engine and "workers = None" in engine
 
     @pytest.mark.parametrize(
         "stats", [SMALL, BIG, STREAMED], ids=["small", "big", "streamed"]

@@ -12,6 +12,7 @@ from repro.miner import Miner
 from repro.query import (
     explain_query,
     parse_query,
+    plan_for,
     resolve_database,
     run_query,
 )
@@ -127,3 +128,23 @@ class TestExplain:
             {"ex": example_db},
         )
         json.dumps(document)
+
+
+class TestBudgetHonoured:
+    """``WITH memory_budget`` reaches the engine even when the scan's
+    16 B/row estimate fits it (T10.I4.D10K is estimated at 1.5 MiB)."""
+
+    def test_2m_budget_cuts_r2_into_17_ranges(self, quest_t10_db):
+        text = (
+            "MINE ITEMSETS FROM q WHERE support >= 0.01 "
+            "WITH memory_budget = '2M'"
+        )
+        plan = plan_for(parse_query(text), quest_t10_db)
+        assert plan.engine == "setm-columnar"
+        assert plan.config.options == {"memory_budget_bytes": 2097152}
+        miner = Miner(quest_t10_db)
+        document = run_query(text, quest_t10_db, miner=miner)
+        assert document["engine"] == "setm-columnar"
+        spill = miner.last_result.extra["spill"]
+        assert spill["partitions"] == {2: 17}
+        assert miner.last_result.extra["memory_budget_bytes"] == 2097152

@@ -52,7 +52,7 @@ class TestParseRequest:
                     "confidence": 0.5,
                     "algorithm": "apriori",
                     "max_length": 3,
-                    "options": {"setm-parallel.workers": 2},
+                    "options": {"setm-columnar.workers": 2},
                 },
             }
         )
@@ -61,7 +61,7 @@ class TestParseRequest:
             confidence=0.5,
             algorithm="apriori",
             max_length=3,
-            options={"setm-parallel.workers": 2},
+            options={"setm-columnar.workers": 2},
         )
 
     def test_inline_ops_take_no_fields(self):

@@ -8,7 +8,7 @@ These tests cover the acceptance criteria of the serve subsystem:
 * a ``--queue-depth 1`` server provably answers the typed busy error
   under load (sequenced via the inline ``stats`` op, which works even
   when the queue is saturated);
-* graceful drain completes in-flight spill-parallel work, leaves zero
+* graceful drain completes in-flight budgeted, pooled work, leaves zero
   spill files, shuts the pools down, and the process exits 0.
 """
 
@@ -282,7 +282,6 @@ class TestGracefulDrain:
             def spill_mine():
                 config = {
                     "support": 0.01,
-                    "algorithm": "setm-spill-parallel",
                     "options": {
                         "memory_budget_bytes": 32768,
                         "workers": 2,
@@ -318,7 +317,7 @@ class TestGracefulDrain:
             assert not isinstance(outcomes[0], ServerDrainingError), (
                 "request was accepted before the drain; it must finish"
             )
-            assert outcomes[0]["result"]["algorithm"] == "setm-spill-parallel"
+            assert outcomes[0]["result"]["algorithm"] == "setm-columnar"
 
             assert server.wait_for_exit() == 0
         finally:

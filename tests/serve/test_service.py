@@ -16,9 +16,14 @@ from repro.core.result import MiningResult
 from repro.core.transactions import TransactionDatabase
 from repro.data.ingest import load_dataset
 from repro.errors import ServerBusyError, ServerDrainingError
-from repro.registry import register_engine, unregister_engine
+from repro.core.setm_columnar_disk import SpillingColumnarKernel
+from repro.registry import ENGINE_ALIASES, register_engine, unregister_engine
 from repro.serve.protocol import result_payload, rules_payload
-from repro.serve.service import MiningService, pool_crash_signature
+from repro.serve.service import (
+    MiningService,
+    _spill_engines,
+    pool_crash_signature,
+)
 
 
 @pytest.fixture
@@ -578,8 +583,8 @@ class TestDrain:
         with pytest.raises(ServerDrainingError):
             service.scheduler.submit(lambda: 1)
 
-    def test_drain_under_in_flight_spill_parallel(self, example_db):
-        """Drain completes spill-parallel work and leaves no spill files."""
+    def test_drain_under_in_flight_budget_and_workers(self, example_db):
+        """Drain completes budgeted, pooled work and leaves no spill files."""
         service = MiningService(
             {"example": example_db}, queue_depth=8, workers=2,
         )
@@ -588,7 +593,6 @@ class TestDrain:
             "dataset": "example",
             "config": {
                 "support": 0.2,
-                "algorithm": "setm-spill-parallel",
                 "options": {
                     "memory_budget_bytes": 4096,
                     "workers": 2,
@@ -615,9 +619,8 @@ class TestDrain:
                     MiningConfig(support=0.2)
                 )
             )
-            assert document["result"]["algorithm"] == "setm-spill-parallel"
-            got = dict(document["result"], algorithm=DEFAULT_ENGINE)
-            assert got == expected
+            assert document["result"]["algorithm"] == DEFAULT_ENGINE
+            assert document["result"] == expected
         else:
             # Only the draining rejection is acceptable; any other
             # failure is a real bug.
@@ -627,10 +630,10 @@ class TestDrain:
         self, example_db, monkeypatch
     ):
         """The drain audit covers shared memory like it covers spill."""
-        from repro.core import setm_spill_parallel
+        from repro.core import setm_columnar_disk
         from repro.core.transport import leaked_segment_names, transport_totals
 
-        monkeypatch.setattr(setm_spill_parallel, "POOL_MIN_ROWS", 1)
+        monkeypatch.setattr(setm_columnar_disk, "POOL_MIN_ROWS", 1)
         before = transport_totals()["segments"]
         service = MiningService({"example": example_db}, workers=2)
         status, document = service.handle({
@@ -638,7 +641,6 @@ class TestDrain:
             "dataset": "example",
             "config": {
                 "support": 0.3,
-                "algorithm": "setm-parallel",
                 "options": {"workers": 2, "transport": "shm"},
             },
         })
@@ -653,13 +655,40 @@ class TestDrain:
 
 class TestSpillDirInjection:
     def test_spill_engines_use_the_service_root(self, service, example_db):
+        assert _spill_engines() == ("setm-columnar",)
         config = service._pin_spill_dir(MiningConfig(support=0.2))
-        for engine in (
-            "setm-columnar-disk", "setm-parallel", "setm-spill-parallel"
-        ):
-            options = config.options_for(engine)
-            assert options["spill_dir"] == str(service.spill_root)
+        options = config.options_for("setm-columnar")
+        assert options["spill_dir"] == str(service.spill_root)
         assert "spill_dir" not in config.options_for("setm")
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("alias", sorted(ENGINE_ALIASES))
+    def test_a_retired_engine_name_spills_under_the_service_root(
+        self, service, alias, monkeypatch
+    ):
+        roots = []
+        close = SpillingColumnarKernel.close
+
+        def recording_close(kernel):
+            roots.append(kernel._spill_root)
+            close(kernel)
+
+        monkeypatch.setattr(SpillingColumnarKernel, "close", recording_close)
+        status, document = service.handle({
+            "op": "mine",
+            "dataset": "example",
+            "config": {
+                "support": 0.3,
+                "algorithm": alias,
+                "options": {"memory_budget_bytes": 1024, "workers": 1},
+            },
+        })
+        assert status == 200, document
+        assert document["result"]["algorithm"] == "setm-columnar"
+        # The 1 KiB budget spills even the example; the run's private
+        # root sat under the service's, and is gone.
+        assert len(roots) == 1 and roots[0].parent == service.spill_root
+        assert not roots[0].exists()
 
     def test_explicit_spill_dir_wins(self, service, tmp_path):
         config = service._pin_spill_dir(
@@ -668,11 +697,11 @@ class TestSpillDirInjection:
         assert config.options["spill_dir"] == str(tmp_path)
         namespaced = service._pin_spill_dir(
             MiningConfig(
-                options={"setm-spill-parallel.spill_dir": str(tmp_path)}
+                options={"setm-columnar.spill_dir": str(tmp_path)}
             )
         )
         assert (
-            namespaced.options["setm-spill-parallel.spill_dir"]
+            namespaced.options["setm-columnar.spill_dir"]
             == str(tmp_path)
         )
 

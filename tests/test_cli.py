@@ -193,7 +193,7 @@ class TestMine:
         document = json.loads(output)
         assert document["peak_memory_bytes"] > 0
 
-    def test_memory_budget_flag_reaches_out_of_core_engine(
+    def test_memory_budget_flag_reaches_the_default_engine(
         self, example_basket
     ):
         import json
@@ -201,12 +201,12 @@ class TestMine:
         code, output = run_cli(
             "mine", example_basket,
             "--minsup", "0.3", "--minconf", "0.7",
-            "--engine", "setm-columnar-disk", "--memory-budget", "64K",
+            "--memory-budget", "64K",
             "--json",
         )
         assert code == 0
         document = json.loads(output)
-        assert document["algorithm"] == "setm-columnar-disk"
+        assert document["algorithm"] == "setm-columnar"
         assert document["memory_budget_bytes"] == 64 * 1024
         assert document["num_patterns"] == 13
         assert document["spill"] is not None
@@ -231,22 +231,22 @@ class TestMine:
         code, _ = run_cli(
             "mine", example_basket,
             "--minsup", "0.3", "--minconf", "0.7",
-            "--memory-budget", "64K",
+            "--engine", "setm", "--memory-budget", "64K",
         )
         assert code == 2
         assert "memory_budget_bytes" in capsys.readouterr().err
 
-    def test_workers_flag_reaches_parallel_engine(self, example_basket):
+    def test_workers_flag_reaches_the_default_engine(self, example_basket):
         import json
 
         code, output = run_cli(
             "mine", example_basket,
             "--minsup", "0.3", "--minconf", "0.7",
-            "--engine", "setm-parallel", "--workers", "2", "--json",
+            "--workers", "2", "--json",
         )
         assert code == 0
         document = json.loads(output)
-        assert document["algorithm"] == "setm-parallel"
+        assert document["algorithm"] == "setm-columnar"
         assert document["workers"] == 2
         assert "threshold_rows" not in document["parallel"]
         assert document["spill"]["bytes_written"] == 0
@@ -255,28 +255,25 @@ class TestMine:
         code, _ = run_cli(
             "mine", example_basket,
             "--minsup", "0.3", "--minconf", "0.7",
-            "--workers", "2",
+            "--engine", "setm", "--workers", "2",
         )
         assert code == 2
         assert "workers" in capsys.readouterr().err
 
-    def test_budget_and_workers_combine_on_spill_parallel(
-        self, example_basket
-    ):
-        """--memory-budget and --workers reach the combined engine at once,
+    def test_budget_and_workers_combine(self, example_basket):
+        """--memory-budget and --workers reach setm-columnar at once,
         and the JSON document merges spill and pool telemetry."""
         import json
 
         code, output = run_cli(
             "mine", example_basket,
             "--minsup", "0.3", "--minconf", "0.7",
-            "--engine", "setm-spill-parallel",
             "--memory-budget", "1K", "--workers", "2",
             "--json",
         )
         assert code == 0
         document = json.loads(output)
-        assert document["algorithm"] == "setm-spill-parallel"
+        assert document["algorithm"] == "setm-columnar"
         assert document["memory_budget_bytes"] == 1024
         assert document["workers"] == 2
         assert document["num_patterns"] == 13
@@ -284,6 +281,22 @@ class TestMine:
         # example, so both telemetry blocks carry real content.
         assert document["spill"]["max_partitions"] >= 2
         assert document["parallel"]["parallel_iterations"]
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_retired_engine_name_still_runs(self, example_basket):
+        """--engine setm-spill-parallel: setm-columnar with its defaults."""
+        import json
+
+        code, output = run_cli(
+            "mine", example_basket,
+            "--minsup", "0.3", "--minconf", "0.7",
+            "--engine", "setm-spill-parallel", "--workers", "2", "--json",
+        )
+        assert code == 0
+        document = json.loads(output)
+        assert document["algorithm"] == "setm-columnar"
+        assert document["workers"] == 2
+        assert document["num_patterns"] == 13
 
 
 class TestQuery:
@@ -332,7 +345,8 @@ class TestQuery:
             "--explain",
         )
         assert code == 0
-        assert "mine: setm-parallel" in output
+        assert "mine: setm-columnar" in output
+        assert "options = workers = 2" in output
         assert "workers = 2 requested" in output
         assert "patterns" not in output
 
@@ -393,14 +407,16 @@ class TestEngines:
             available_engines()
         )
         by_name = {entry["name"]: entry for entry in document}
-        assert by_name["setm-columnar-disk"]["out_of_core"] is True
+        # Derived from the accepted options, not stored flags.
+        assert by_name["setm-columnar"]["out_of_core"] is True
+        assert by_name["setm-columnar"]["parallel"] is True
+        assert by_name["setm"]["out_of_core"] is False
+        assert by_name["setm"]["parallel"] is False
         assert by_name["setm-disk"]["reports_page_accesses"] is True
         assert by_name["setm"]["representation"] == "tuples"
-        assert by_name["setm-parallel"]["parallel"] is True
-        assert by_name["setm-columnar"]["parallel"] is False
         assert (
             "memory_budget_bytes"
-            in by_name["setm-columnar-disk"]["accepted_options"]
+            in by_name["setm-columnar"]["accepted_options"]
         )
 
 
