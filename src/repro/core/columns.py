@@ -101,6 +101,7 @@ __all__ = [
     "extension_item_totals",
     "extension_totals",
     "filter_by_keys",
+    "pack_chunks",
     "prefix_ranks",
     "suffix_extend",
 ]
@@ -357,6 +358,29 @@ class InstanceRelation:
 def _int64_column_bytes(values: Sequence[int]) -> bytes:
     """Flat native-int64 bytes of a column."""
     return _as_int64(values).tobytes()
+
+
+def pack_chunks(
+    chunks: Sequence[tuple[int, Sequence[int], Sequence[int]]],
+) -> bytearray:
+    """Frame ``(k, last_sid, keys)`` column pairs as consecutive chunks.
+
+    The bytes of joining each relation's
+    :meth:`InstanceRelation.to_chunk_bytes`, written straight into one
+    preallocated buffer, so every column is copied exactly once.
+    """
+    header = _CHUNK_HEADER.size
+    blob = bytearray(sum(header + 16 * len(keys) for _, _, keys in chunks))
+    offset = 0
+    for k, sids, keys in chunks:
+        n = len(keys)
+        _CHUNK_HEADER.pack_into(blob, offset, _CHUNK_MAGIC, 0, k, n, 16 * n)
+        body = offset + header
+        payload = np.frombuffer(blob, dtype=np.int64, count=2 * n, offset=body)
+        payload[:n] = sids
+        payload[n:] = keys
+        offset = body + 16 * n
+    return blob
 
 
 def _chunk_frame(data, offset: int) -> tuple[int, int, int, int, int]:

@@ -5,10 +5,17 @@ counted ``(keys, counts)`` summaries of the ``R_k`` relations are a
 *materialized view* over the ``SALES`` relation, and a view can be
 maintained under appends instead of recomputed.  A run with a
 ``state_dir`` snapshots, per iteration ``k``, the full pre-HAVING
-candidate count map of the Figure-4 loop (:class:`MiningState`, keyed by
-the dataset *generation*); when new transactions land via
+candidate counts of the Figure-4 loop (:class:`MiningState`, keyed by
+the dataset *generation*) as a sorted ``(keys, counts)`` pair of int64
+columns; when new transactions land via
 :meth:`~repro.data.ingest.EncodedDataset.append_chunks`, the next run
-counts **only the appended chunks** and merges with the saved maps.
+counts **only the appended chunks** and merges with the saved columns.
+The state stays in that shape from capture to disk and back: the
+capturing kernel keeps the arrays its count step already produced, the
+merge folds each smaller part into the sorted state by one
+``searchsorted`` and one insertion — O(state + delta), never a re-sort
+of the whole state — and save and load move the columns without
+conversion.
 
 Correctness sketch (why delta-only counting is exact)
 -----------------------------------------------------
@@ -17,12 +24,13 @@ counts are additive across disjoint transaction sets:
 ``count_D(p) = count_B(p) + count_delta(p)``.  Candidacy is structural:
 ``R_1`` is joined unfiltered (Section 4.1), so at ``k = 2`` every
 2-pattern present in the data is a candidate — the base map is complete
-there and ``state.levels[2].get(p, 0)`` is the exact base count.  For
+there and the state's count of ``p`` (zero when absent) is the exact
+base count.  For
 ``k >= 3`` a pattern is counted iff its ``(k-1)``-prefix is in the
 *global* frequent set ``F_{k-1}``, which yields three merge cases per
 level:
 
-* prefix frequent before and now — the base count is in the state map
+* prefix frequent before and now — the base count is in the state
   (or genuinely zero): a **state hit**, no base I/O;
 * prefix newly frequent (infrequent over the base alone, frequent over
   the union) — the base run never counted its extensions, so they get a
@@ -39,11 +47,11 @@ maps (candidate instances are the count sums, supported slices are the
 ``>= threshold`` subsets), so the result — patterns, counts, iteration
 trace — is byte-identical to a from-scratch mine of the full dataset;
 the append-equivalence suite and the conformance delta tier hold it
-there.  The merged maps then *become* the new state: after a delta mine
-the whole dataset is the next base.
+there.  The merged columns then *become* the new state: after a delta
+mine the whole dataset is the next base.
 
 Survivor cursors are deliberately **not** part of the state: the merged
-count maps fully determine the result, and cursors could not serve the
+counts fully determine the result, and cursors could not serve the
 newly-frequent-prefix recount anyway (those instances were never
 materialized by the base run).
 
@@ -57,7 +65,9 @@ in the ``last_sid`` column, the mining loop's rank keys in ``keys`` as
 flat int64).  A level-``k`` key ``rank * base + item`` points at row
 ``rank`` of the saved ``F_{k-1}`` — the level-``k-1`` keys whose count
 reaches the saved run's threshold — so a delta mine re-keys the state
-level by level into its own ``F_{k-1}`` (:func:`_translate_level`).
+level by level into its own ``F_{k-1}`` (:func:`_translate_level`; a
+level whose catalog and ``F_{k-1}`` did not change is kept as loaded).
+Loaded columns are read-only views over the file's bytes.
 Version 1 stored mixed-radix packed keys, which do not fit 64 bits on
 deep patterns; it is refused typed like any other version skew
 (:class:`~repro.errors.StateVersionError`): delete the directory and
@@ -72,7 +82,7 @@ import json
 import os
 import time
 from array import array
-from collections.abc import Sequence
+from itertools import chain
 from pathlib import Path
 from typing import Any, Literal
 
@@ -84,8 +94,9 @@ from repro.core.columns import (
     InstanceRelation,
     _as_int64,
     _member_mask,
-    count_packed_keys,
+    _tally,
     filter_by_keys,
+    pack_chunks,
     prefix_ranks,
     suffix_extend,
 )
@@ -122,11 +133,12 @@ def _is_absolute(support: float | int) -> bool:
     return isinstance(support, int) and not isinstance(support, bool)
 
 
-#: A level map as parallel columns: ``(keys, counts)``, sorted by key.
-#: Columns are int64 (``array('q')`` as loaded, ndarrays once merged) —
-#: the exact shape the on-disk chunk format stores, so save/load never
-#: converts through dicts.
-LevelPair = tuple[Sequence[int], Sequence[int]]
+#: A level as parallel int64 ndarray columns ``(keys, counts)``, keys
+#: unique and ascending — the exact shape the on-disk chunk format
+#: stores, so capture, merge, save and load never convert through dicts.
+#: Columns may be read-only (loaded ones view the state file's bytes):
+#: nothing writes a level's columns in place.
+LevelPair = tuple[np.ndarray, np.ndarray]
 
 _EMPTY_PAIR: LevelPair = (
     np.empty(0, dtype=np.int64),
@@ -136,50 +148,85 @@ _EMPTY_PAIR: LevelPair = (
 
 def _pair_from_dict(counts: dict[int, int]) -> LevelPair:
     """A count map as a sorted ``(keys, counts)`` column pair."""
-    keys = sorted(counts)
-    return _column(keys), _column(map(counts.__getitem__, keys))
+    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    order = np.argsort(keys)
+    return keys[order], values[order]
 
 
-def _supported_slice(
-    pair: LevelPair, threshold: int
-) -> list[tuple[int, int]]:
+def _supported(pair: LevelPair, threshold: int) -> LevelPair:
     """The ``>= threshold`` entries of a level pair, in key order."""
-    keys, counts = map(_as_int64, pair)
+    keys, counts = pair
     mask = counts >= threshold
-    return list(zip(keys[mask].tolist(), counts[mask].tolist()))
+    return keys[mask], counts[mask]
 
 
 def _combine(parts: list[LevelPair]) -> LevelPair:
-    """Sum column pairs into one sorted pair.
+    """Sum sorted column pairs into one sorted pair.
 
-    Each input pair must carry unique keys; counts of keys present in
-    several pairs are added — the whole per-level merge (state-kept +
-    recount + delta) in three C passes.
+    Each input pair must carry unique, ascending keys.  Every smaller
+    part is merged into the largest (the state, after a small append)
+    by :func:`_merge_into`, so the whole per-level merge (state-kept +
+    recount + delta) costs O(state + delta), not a re-sort of the state.
     """
-    parts = [part for part in parts if len(part[0])]
+    parts = sorted(
+        (part for part in parts if len(part[0])),
+        key=lambda part: len(part[0]),
+        reverse=True,
+    )
     if not parts:
         return _EMPTY_PAIR
-    if len(parts) == 1:
-        keys, counts = parts[0]
-        return _as_int64(keys), _as_int64(counts)
-    all_keys = np.concatenate([_as_int64(keys) for keys, _ in parts])
-    all_counts = np.concatenate([_as_int64(counts) for _, counts in parts])
-    merged_keys, inverse = np.unique(all_keys, return_inverse=True)
-    merged_counts = np.zeros(len(merged_keys), dtype=np.int64)
-    np.add.at(merged_counts, inverse, all_counts)
+    merged = parts[0]
+    for part in parts[1:]:
+        merged = _merge_into(merged, part)
+    return merged
+
+
+def _merge_into(pair: LevelPair, part: LevelPair) -> LevelPair:
+    """``pair`` plus ``part``: one ``searchsorted``, one insertion.
+
+    Keys of ``part`` already in ``pair`` add their counts; the others
+    are inserted at their sorted positions.  The sum is built in new
+    columns: neither input is written in place.
+    """
+    keys, counts = pair  # never empty: _combine merges non-empty parts
+    add_keys, add_counts = part
+    positions = np.searchsorted(keys, add_keys)
+    new_at = np.flatnonzero(keys.take(positions, mode="clip") != add_keys)
+    if not len(new_at):
+        counts = counts.copy()
+        counts[positions] += add_counts
+        return keys, counts
+    # Each key of ``part`` lands at its position in ``keys`` shifted by
+    # the new keys before it (``add_keys`` ascends, and a new key sorts
+    # before the key its position points at): an inserted key's slot,
+    # or the slot its equal key of ``pair`` moved to.
+    inserted = np.zeros(len(add_keys), dtype=np.int64)
+    inserted[new_at] = 1
+    slots = positions + np.cumsum(inserted) - inserted
+    new_slots = slots[new_at]
+    kept = np.ones(len(keys) + len(new_at), dtype=bool)
+    kept[new_slots] = False
+    merged_keys = np.empty(len(kept), dtype=np.int64)
+    merged_keys[kept] = keys
+    merged_keys[new_slots] = add_keys[new_at]
+    merged_counts = np.zeros(len(kept), dtype=np.int64)
+    merged_counts[kept] = counts
+    merged_counts[slots] += add_counts
     return merged_keys, merged_counts
 
 
 class MiningState:
-    """The materialized per-level candidate count maps of one mine.
+    """The materialized per-level candidate counts of one mine.
 
     ``levels[k]`` holds each pattern key the Figure-4 loop
-    counted at iteration ``k`` (the *pre*-HAVING map, so borderline
-    counts are preserved) with its transaction count, as a sorted
-    ``(keys, counts)`` column pair — the merge works on whole columns
-    and save/load move them without conversion; use
-    :meth:`level_counts` for a dict view.  Keys are the mining loop's
-    rank keys in the radix of ``labels`` (``base = len(labels) + 1``): a
+    counted at iteration ``k`` (the *pre*-HAVING counts, so borderline
+    ones are preserved) with its transaction count, as a sorted
+    ``(keys, counts)`` pair of int64 ndarrays (:data:`LevelPair`) — the
+    merge works on whole columns and save/load move them without
+    conversion; use :meth:`level_counts` for a dict view.  Keys are the
+    mining loop's rank keys in the radix of ``labels``
+    (``base = len(labels) + 1``): a
     level-``k`` key ``rank * base + item`` (``k >= 3``) points at row
     ``rank`` of the sorted level-``k-1`` keys whose count reaches the
     threshold over ``num_transactions``, so the levels decode from the
@@ -233,15 +280,15 @@ class MiningState:
         }
 
     def level_counts(self, k: int) -> dict[int, int]:
-        """Level ``k``'s count map as a plain dict (tests, inspection)."""
-        keys, counts = map(_as_int64, self.levels[k])
+        """Level ``k``'s counts as a plain dict (tests, inspection)."""
+        keys, counts = self.levels[k]
         return dict(zip(keys.tolist(), counts.tolist()))
 
     @classmethod
     def from_full_run(
         cls,
         database,
-        level_counts: dict[int, dict[int, int]],
+        level_counts: dict[int, LevelPair],
         minimum_support: float | int,
         max_length: int | None,
     ) -> "MiningState":
@@ -276,8 +323,12 @@ class MiningState:
         """
         root = Path(state_dir)
         root.mkdir(parents=True, exist_ok=True)
-        blob = b"".join(
-            _level_chunk(k, self.levels[k]) for k in sorted(self.levels)
+        # One chunk per level, counts riding in the last_sid column.
+        blob = pack_chunks(
+            [
+                (k, counts, keys)
+                for k, (keys, counts) in sorted(self.levels.items())
+            ]
         )
         manifest = {
             "version": STATE_VERSION,
@@ -325,10 +376,10 @@ class MiningState:
         """
         root = Path(state_dir)
         manifest_path = root / _MANIFEST_NAME
-        if not manifest_path.exists():
-            return None
         try:
-            doc = json.loads(manifest_path.read_text())
+            doc = json.loads(manifest_path.read_bytes())
+        except FileNotFoundError:
+            return None
         except (OSError, ValueError) as exc:
             raise StateError(
                 f"unreadable mining-state manifest {manifest_path}: {exc}"
@@ -346,12 +397,10 @@ class MiningState:
             raise StateError(
                 f"mining state in {root} has no readable level maps: {exc}"
             ) from exc
-        levels: dict[int, LevelPair] = {}
-        for chunk in decode_buffer_chunks(data)[0]:
-            levels[chunk.k] = (
-                _column(chunk.keys.tobytes()),
-                _column(chunk.last_sid.tobytes()),
-            )
+        levels: dict[int, LevelPair] = {
+            chunk.k: (chunk.keys, chunk.last_sid)
+            for chunk in decode_buffer_chunks(data)[0]
+        }
         if sorted(levels) != doc.get("levels"):
             raise StateError(
                 f"mining state in {root} is corrupt: level maps "
@@ -374,13 +423,6 @@ class MiningState:
             raise StateError(
                 f"mining-state manifest {manifest_path} is missing {exc}"
             ) from exc
-
-
-def _level_chunk(k: int, pair: LevelPair) -> bytes:
-    """One level pair as a spill-format chunk (counts ride in last_sid)."""
-    keys, counts = pair
-    relation = InstanceRelation(None, None, last_sid=counts, keys=keys, k=k)
-    return relation.to_chunk_bytes()
 
 
 # -- state <-> dataset matching ----------------------------------------------------
@@ -443,16 +485,23 @@ def _check_state_covers(
             )
 
 
-def _catalog_remap(state: MiningState, catalog) -> list[int]:
+def _catalog_remap(state: MiningState, catalog, labels: list) -> np.ndarray:
     """``old id -> new id`` from the state's catalog to the dataset's.
 
-    Appends can grow the catalog, and new labels sorting between old
-    ones shift every later id.  Both catalogs list labels sorted, so the
-    remap is strictly increasing (identity when the vocabulary did not
-    grow).
+    ``labels`` is the dataset catalog's sorted label list.  Appends can
+    grow the catalog, and new labels sorting between old ones shift
+    every later id.  Both catalogs list labels sorted, so the remap is
+    strictly increasing, and the identity when the vocabulary did not
+    grow (returned without a lookup per label).
     """
+    if state.labels == labels:
+        return np.arange(len(labels) + 1, dtype=np.int64)
     try:
-        return [0] + [catalog.id_of(label) for label in state.labels]
+        return np.fromiter(
+            chain((0,), map(catalog.id_mapping().__getitem__, state.labels)),
+            dtype=np.int64,
+            count=len(state.labels) + 1,
+        )
     except KeyError as exc:
         raise StateMismatchError(
             f"saved state knows item {exc.args[0]!r} which the dataset's "
@@ -463,13 +512,40 @@ def _catalog_remap(state: MiningState, catalog) -> list[int]:
 def _translate_level(
     pair: LevelPair,
     k: int,
-    old_prefixes: Sequence[int],
+    old_prefixes: np.ndarray,
     levels: FrequentLevels,
-    old_to_new: list[int],
+    old_to_new: np.ndarray,
     old_base: int,
     threshold_base: int,
-) -> tuple[LevelPair, Sequence[int]]:
+) -> tuple[LevelPair, np.ndarray]:
     """One state level, re-keyed from the saved run into this run's keys.
+
+    When the catalog did not grow (``old_base == levels.base``, so the
+    remap is the identity) and, at ``k >= 3``, the saved ``F_{k-1}``
+    translated to this run's ``F_{k-1}`` row for row, every key keeps
+    its value and the level is returned as it is (:func:`_rekey_level`
+    would compute the same pair).
+    """
+    keys, counts = pair
+    if old_base == levels.base and (
+        k <= 2 or np.array_equal(old_prefixes, levels.prefixes(k - 1))
+    ):
+        return pair, keys[counts >= threshold_base]
+    return _rekey_level(
+        pair, k, old_prefixes, levels, old_to_new, old_base, threshold_base
+    )
+
+
+def _rekey_level(
+    pair: LevelPair,
+    k: int,
+    old_prefixes: np.ndarray,
+    levels: FrequentLevels,
+    old_to_new: np.ndarray,
+    old_base: int,
+    threshold_base: int,
+) -> tuple[LevelPair, np.ndarray]:
+    """:func:`_translate_level`'s general path: re-key every entry.
 
     A saved level-``k`` key ``rank * old_base + item`` names row
     ``rank`` of the *saved* ``F_{k-1}``, whose keys this run already
@@ -485,24 +561,25 @@ def _translate_level(
     ``count >= threshold_base``, ``-1`` where dropped) for the next
     level's call.
     """
-    keys, counts = map(_as_int64, pair)
-    frequent = levels.prefixes(k - 1) if k >= 3 else None
-    mapping = np.asarray(old_to_new, dtype=np.int64)
+    keys, counts = pair
     if k == 1:
-        new = mapping[keys]
+        new = old_to_new[keys]
     else:
-        prefix, item = np.divmod(keys, old_base)
-        if frequent is None:
-            ranks = mapping[prefix]
+        prefix = keys // old_base
+        item = old_to_new[keys - prefix * old_base]
+        if k == 2:
+            new = old_to_new[prefix] * levels.base + item
         else:
-            prefix = _as_int64(old_prefixes)[prefix]
+            # F_{k-1} is not empty: the loop only reaches level k when
+            # level k-1 kept rows.
+            frequent = levels.prefixes(k - 1)
+            prefix = old_prefixes[prefix]
             ranks = np.searchsorted(frequent, prefix)
-            hit = ranks < len(frequent)
-            hit[hit] = frequent[ranks[hit]] == prefix[hit]
-            ranks[~hit] = -1
-        new = np.where(ranks >= 0, ranks * levels.base + mapping[item], -1)
-    keep = new >= 0
-    return (new[keep], counts[keep]), new[counts >= threshold_base]
+            ranks[ranks == len(frequent)] = 0
+            hit = frequent[ranks] == prefix
+            new = np.where(hit, ranks * levels.base + item, -1)
+            return (new[hit], counts[hit]), new[counts >= threshold_base]
+    return (new, counts), new[counts >= threshold_base]
 
 
 # -- the delta mine ----------------------------------------------------------------
@@ -564,13 +641,14 @@ class _BaseColumns:
 
 def _recount_base(
     columns: _BaseColumns,
-    q_new: set[int],
+    q_new: np.ndarray,
     levels: FrequentLevels,
     k_prev: int,
 ) -> tuple[LevelPair, int]:
     """Targeted base recount through a prefix-filtered extension chain.
 
-    Instances of the newly frequent prefixes are re-derived level by
+    Instances of the newly frequent prefixes ``q_new`` (sorted keys of
+    ``F_{k_prev}``) are re-derived level by
     level — filter to the length-``j`` prefixes of ``q_new``, extend
     with the later items of the same transaction — so the recount only
     materializes rows that can still reach one of the patterns, instead
@@ -588,7 +666,7 @@ def _recount_base(
     reason.
     """
     base = levels.base
-    wanted = {k_prev: np.array(sorted(q_new), dtype=np.int64)}
+    wanted = {k_prev: q_new}
     for j in range(k_prev, 1, -1):
         parents = wanted[j] // base
         if j > 2:
@@ -631,11 +709,14 @@ def _mine_delta(
     same loop condition, same ``max_length`` break point, same terminal
     empty iteration — but every level's candidate map is assembled by
     merging the state with counts over the delta transactions only.
-    Returns the result plus the merged maps as the next base state.
+    Returns the result plus the merged columns as the next base state.
     """
     started = time.perf_counter()
     with memory_meter(measure_memory) as traced_peak:
         catalog = dataset.catalog
+        catalog_labels = catalog.labels()
+        # Ids run 1..len(catalog) in label order, as ColumnarKernel.decode.
+        labels = [None, *catalog_labels]
         base = dataset.base
         threshold = absolute_support_threshold(
             minimum_support, dataset.num_transactions
@@ -643,13 +724,13 @@ def _mine_delta(
         threshold_base = absolute_support_threshold(
             minimum_support, max(1, state.num_transactions)
         )
-        old_to_new = _catalog_remap(state, catalog)
+        old_to_new = _catalog_remap(state, catalog, catalog_labels)
         old_base = len(state.labels) + 1
         levels = FrequentLevels(base)
         t_base = state.num_transactions
         s_base = state.num_sales_rows
 
-        def translate(k: int, old_prefixes: Sequence[int]):
+        def translate(k: int, old_prefixes: np.ndarray):
             return _translate_level(
                 state.levels.get(k, _EMPTY_PAIR),
                 k,
@@ -669,16 +750,22 @@ def _mine_delta(
         )
         index = delta_sales.index
 
-        # k = 1: merge the delta item counts onto the state's C_1.
-        pair1, _ = translate(1, ())
+        # k = 1: add the state's C_1 onto the delta's item counts, one
+        # direct-address table over the item ids.
+        pair1, _ = translate(1, _EMPTY_PAIR[0])
         state_hits = len(pair1[0])
-        merged_pair = _combine(
-            [pair1, np.unique(_as_int64(delta_sales.keys), return_counts=True)]
-        )
-        supported = _supported_slice(merged_pair, threshold)
-        f_list = [key for key, _ in supported]
+        table = np.bincount(_as_int64(delta_items), minlength=base)
+        table[pair1[0]] += pair1[1]
+        present = np.flatnonzero(table)
+        merged_pair = present, table[present]
+        f_keys, f_counts = _supported(merged_pair, threshold)
         count_relations: dict[int, dict] = {
-            1: {catalog.decode((key,)): count for key, count in supported}
+            1: dict(
+                zip(
+                    zip(map(labels.__getitem__, f_keys.tolist())),
+                    f_counts.tolist(),
+                )
+            )
         }
         num_sales = dataset.num_sales_rows
         iterations = [
@@ -687,7 +774,7 @@ def _mine_delta(
                 candidate_instances=num_sales,
                 supported_instances=num_sales,
                 candidate_patterns=len(merged_pair[0]),
-                supported_patterns=len(f_list),
+                supported_patterns=len(f_keys),
             )
         ]
         merged_levels: dict[int, LevelPair] = {1: merged_pair}
@@ -697,7 +784,7 @@ def _mine_delta(
         # carries no prefix condition, so no recount at k = 2.
         r_delta = delta_sales
         # The saved F_{k-1} in this run's keys (-1 where dropped).
-        old_frequent: Sequence[int] = ()
+        old_frequent = _EMPTY_PAIR[0]
         base_columns: _BaseColumns | None = None
         recounted = 0
         base_rows_rescanned = 0
@@ -716,10 +803,8 @@ def _mine_delta(
 
             parts = [kept]
             if k >= 3:
-                q_new = set(f_list).difference(
-                    _as_int64(old_frequent).tolist()
-                )
-                if q_new:
+                q_new = f_keys[~_member_mask(f_keys, np.sort(old_frequent))]
+                if len(q_new):
                     if base_columns is None:
                         base_columns = _BaseColumns(dataset, t_base, s_base)
                     recount_pair, rows = _recount_base(
@@ -732,26 +817,25 @@ def _mine_delta(
             parts.append(np.unique(_as_int64(r_prime.keys), return_counts=True))
             merged_pair = _combine(parts)
 
-            supported = _supported_slice(merged_pair, threshold)
-            f_list = [key for key, _ in supported]
-            levels.add(k, f_list)
-            supported_instances = sum(count for _, count in supported)
+            f_keys, f_counts = _supported(merged_pair, threshold)
+            levels.add(k, f_keys)
+            supported_instances = int(f_counts.sum())
             iterations.append(
                 IterationStats(
                     k=k,
                     candidate_instances=int(merged_pair[1].sum()),
                     supported_instances=supported_instances,
                     candidate_patterns=len(merged_pair[0]),
-                    supported_patterns=len(f_list),
+                    supported_patterns=len(f_keys),
                 )
             )
-            if f_list:
+            if len(f_keys):
                 count_relations[k] = {
-                    catalog.decode(levels.items(key, k)): count
-                    for key, count in supported
+                    tuple(map(labels.__getitem__, levels.items(key, k))): count
+                    for key, count in zip(f_keys.tolist(), f_counts.tolist())
                 }
             merged_levels[k] = merged_pair
-            r_delta = filter_by_keys(r_prime, set(f_list))
+            r_delta = filter_by_keys(r_prime, f_keys)
             old_frequent = next_old_frequent
             current_size = supported_instances
             iteration_seconds[k] = time.perf_counter() - tick
@@ -791,13 +875,12 @@ def _mine_delta(
             minimum_support=minimum_support,
             support_threshold=threshold,
             count_relations=count_relations,
-            unfiltered_item_counts={
-                catalog.decode((key,))[0]: count
-                for key, count in zip(
-                    merged_levels[1][0].tolist(),
+            unfiltered_item_counts=dict(
+                zip(
+                    map(labels.__getitem__, merged_levels[1][0].tolist()),
                     merged_levels[1][1].tolist(),
                 )
-            },
+            ),
             iterations=iterations,
             elapsed_seconds=time.perf_counter() - started,
             extra=extra,
@@ -811,7 +894,7 @@ def _mine_delta(
                 if dataset.num_transactions
                 else None
             ),
-            labels=catalog.labels(),
+            labels=catalog_labels,
             support=minimum_support,
             max_length=max_length,
             levels=merged_levels,
@@ -823,33 +906,38 @@ def _mine_delta(
 
 
 class _StateCapturingKernel(ColumnarKernel):
-    """A :class:`ColumnarKernel` that keeps every level's full count map.
+    """A :class:`ColumnarKernel` that keeps every level's full counts.
 
-    The shared loop discards ``all_counts`` after deriving
-    ``candidate_patterns``; state capture needs the whole pre-HAVING map
-    (borderline counts included), so this kernel stashes it per level.
+    The shared loop discards the unsupported counts after deriving
+    ``candidate_patterns``; state capture needs the whole pre-HAVING
+    level (borderline counts included), so this kernel keeps the sorted
+    ``(keys, counts)`` arrays its count step produces, per level.
     """
 
     def __init__(self, database, *, count_via="auto") -> None:
         super().__init__(database, count_via=count_via)
-        self.level_counts: dict[int, dict[int, int]] = {}
+        self.level_counts: dict[int, LevelPair] = {}
+
+    def _capture(self, k: int, keys, span: tuple[int, int]) -> LevelPair:
+        unique, counts = _tally(_as_int64(keys), self._count_via, span)
+        if self._count_via == "hash":  # the hash pass counts unordered
+            order = np.argsort(unique)
+            unique, counts = unique[order], counts[order]
+        self.level_counts[k] = unique, counts
+        return unique, counts
 
     def c1_counts(self, sales):
-        counts = super().c1_counts(sales)
-        self.level_counts[1] = dict(counts)
-        return counts
+        keys, counts = self._capture(1, sales.keys, (0, self._base))
+        return list(zip(keys.tolist(), counts.tolist()))
 
     def count_and_filter(self, r_prime, threshold):
-        all_counts = count_packed_keys(
-            r_prime.keys,
-            via=self._count_via,
-            span=self._key_span(r_prime.k),
+        keys, counts = self._capture(
+            r_prime.k, r_prime.keys, self._key_span(r_prime.k)
         )
-        self.level_counts[r_prime.k] = dict(all_counts)
-        c_k = {key: count for key, count in all_counts if count >= threshold}
-        r_next = filter_by_keys(r_prime, set(c_k))
-        self._levels.add(r_prime.k, c_k)
-        return len(all_counts), c_k, r_next
+        supported, counts = _supported((keys, counts), threshold)
+        self._levels.add(r_prime.k, supported)
+        c_k = dict(zip(supported.tolist(), counts.tolist()))
+        return len(keys), c_k, filter_by_keys(r_prime, supported)
 
 
 @register_engine(

@@ -31,7 +31,7 @@ from repro.config import MiningConfig, _validate_confidence
 from repro.core.result import MiningResult, Pattern
 from repro.core.rules import Rule, generate_rules
 from repro.core.transactions import Item, TransactionDatabase
-from repro.errors import InvalidConfigError, ReproError
+from repro.errors import EngineOptionError, InvalidConfigError, ReproError
 from repro.registry import EngineSpec, get_engine
 
 __all__ = ["Miner"]
@@ -213,7 +213,12 @@ class Miner:
         the run goes through an ``incremental``-capable engine (a
         non-incremental ``algorithm`` is switched to
         ``"setm-incremental"`` — results are byte-identical by the
-        conformance contract) with the config's ``state_dir``.  The
+        conformance contract) with the config's ``state_dir``.  On that
+        switch, each plain option the incremental engine does not take
+        (``setm-columnar``'s ``memory_budget_bytes`` or ``workers``, say)
+        moves into the namespace of the engine the caller named
+        (``"<engine>.<option>"``), after being checked against that
+        engine, so it neither reaches nor fails the incremental run.  The
         first call over a dataset performs a full mine that materializes
         the state; every call after an
         :meth:`~repro.data.ingest.EncodedDataset.append_chunks` counts
@@ -227,6 +232,9 @@ class Miner:
         InvalidConfigError
             No ``state_dir`` is configured — delta mining needs
             somewhere to keep the materialized counts.
+        EngineOptionError
+            A plain option is accepted by neither the named engine nor
+            the incremental one.
         StateMismatchError
             The saved state does not cover this dataset/config.
         StateVersionError
@@ -240,7 +248,25 @@ class Miner:
             )
         spec = get_engine(config.algorithm)
         if not spec.incremental:
-            config = config.replace(algorithm="setm-incremental")
+            incremental = get_engine("setm-incremental")
+            options: dict[str, object] = {}
+            moved = set()
+            for key, value in config.options.items():
+                if "." in key or key in incremental.accepted_options:
+                    options[key] = value
+                else:
+                    moved.add(key)
+                    # A namespaced entry already given wins, as in
+                    # MiningConfig.options_for.
+                    options.setdefault(f"{spec.name}.{key}", value)
+            unknown = moved - spec.accepted_options
+            if unknown:
+                raise EngineOptionError(
+                    spec.name, unknown, spec.accepted_options
+                )
+            config = config.replace(
+                algorithm=incremental.name, options=options
+            )
         return self.frequent_itemsets(config)
 
     def explain(self, config: MiningConfig | None = None, **overrides: object) -> str:

@@ -91,6 +91,75 @@ class TestCaching:
         assert low.support_threshold != high.support_threshold
 
 
+class TestMineDelta:
+    """``mine_delta`` reroutes to ``setm-incremental``; options follow."""
+
+    def _appended(self, example_db, tmp_path):
+        from repro.data.formats import open_chunk_source
+        from repro.data.ingest import stream_encode
+        from repro.data.io import write_basket_file
+
+        base = tmp_path / "base.basket"
+        write_basket_file(example_db, base)
+        dataset = stream_encode(open_chunk_source(base))
+        delta = tmp_path / "delta.basket"
+        delta.write_text("101: A B C\n102: B C\n")
+        return dataset, open_chunk_source(delta)
+
+    def test_columnar_options_move_out_of_the_incremental_run(
+        self, example_db, tmp_path
+    ):
+        dataset, delta = self._appended(example_db, tmp_path)
+        try:
+            miner = Miner(dataset)
+            config = MiningConfig(
+                support=0.3,
+                algorithm="setm-columnar",
+                options={"memory_budget_bytes": 32768, "workers": 2},
+                state_dir=str(tmp_path / "state"),
+            )
+            full = miner.mine_delta(config)
+            assert full.algorithm == "setm-incremental"
+            assert full.extra["incremental"]["mode"] == "full"
+            dataset.append_chunks(delta)
+            result = miner.mine_delta(config)
+            assert result.extra["incremental"]["mode"] == "delta"
+            # The budgeted, pooled columnar mine of the grown data agrees.
+            reference = miner.frequent_itemsets(config)
+            assert reference.algorithm == "setm-columnar"
+            assert result.count_relations == reference.count_relations
+            assert result.iterations == reference.iterations
+        finally:
+            dataset.close()
+
+    def test_options_the_incremental_engine_takes_stay_plain(
+        self, example_db, tmp_path
+    ):
+        result = Miner(example_db).mine_delta(
+            MiningConfig(
+                support=0.3,
+                algorithm="setm-columnar",
+                options={"measure_memory": True, "workers": 2},
+                state_dir=str(tmp_path / "state"),
+            )
+        )
+        assert result.algorithm == "setm-incremental"
+        assert result.extra["peak_memory_bytes"] > 0
+
+    def test_option_neither_engine_takes_fails_typed(
+        self, example_db, tmp_path
+    ):
+        with pytest.raises(EngineOptionError, match="setm-columnar"):
+            Miner(example_db).mine_delta(
+                MiningConfig(
+                    support=0.3,
+                    algorithm="setm-columnar",
+                    options={"buffer_pages": 8},
+                    state_dir=str(tmp_path / "state"),
+                )
+            )
+
+
 class TestRulesAndQueries:
     def test_rules_need_confidence(self, example_db):
         with pytest.raises(InvalidConfigError, match="confidence"):

@@ -106,12 +106,9 @@ class TestDefaultPathIsUnmetered:
                         "config": {
                             "support": 0.3,
                             "algorithm": engine,
-                            # Namespaced: refresh reroutes to the
-                            # incremental engine, which takes neither.
-                            "options": {
-                                f"{engine}.{key}": value
-                                for key, value in options.items()
-                            },
+                            # refresh reroutes to the incremental
+                            # engine, which keeps these out of its run.
+                            "options": options,
                         },
                     }
                 )
