@@ -20,7 +20,7 @@ partitions, differentially checked against ``setm`` and recorded with
 its measured peak memory and per-iteration partition counts — the
 out-of-core acceptance evidence, committed to ``BENCH_setm.json``.
 
-The Table 6.2 workload and the largest QUEST workload also run a
+The largest QUEST workload also runs a
 **worker sweep**: ``setm-columnar`` at 1/2/4 ``workers``, each run
 differentially checked against ``setm`` and recorded with its pooled
 key ranges and its speedup over ``setm-columnar``.  The host CPU count
@@ -140,11 +140,10 @@ SCHEMA_VERSION = 9
 ENGINES = {"setm": setm, "setm-columnar": setm_columnar}
 
 #: Worker counts swept per workload (setm-columnar, differentially
-#: checked per run).  Only the Table 6.2 retail workload and the
-#: largest QUEST workload carry the sweep (their R'_2 reach the pool
-#: gate); ``--workers N`` narrows it to {1, N}.
+#: checked per run).  Only the largest QUEST workload carries the sweep
+#: (its R'_2 reaches the pool gate, POOL_MIN_ROWS; Table 6.2's does
+#: not); ``--workers N`` narrows it to {1, N}.
 WORKER_SWEEPS = {
-    "table6.2-retail": (1, 2, 4),
     "quest-T10.I4.D10K": (1, 2, 4),
 }
 

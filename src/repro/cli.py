@@ -56,9 +56,13 @@ from repro.analysis.cost_model import (
     strategy_speedup,
 )
 from repro.analysis.report import format_kv_block, format_table
-from repro.config import DEFAULT_ENGINE, INPUT_FORMATS, MiningConfig
+from repro.config import (
+    DEFAULT_ENGINE,
+    INPUT_FORMATS,
+    TRANSPORT_CHOICES,
+    MiningConfig,
+)
 from repro.core.transactions import TransactionDatabase
-from repro.core.transport import TRANSPORT_CHOICES
 from repro.errors import ReproError
 from repro.miner import Miner
 from repro.registry import (
@@ -119,17 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
                            "none, every level in memory); accepts plain "
                            "bytes or K/M/G suffixes, e.g. 64M")
     mine.add_argument("--workers", type=int, default=None, metavar="N",
-                      help="worker processes of setm-columnar (default "
-                           "1, in process); with N > 1 the key ranges of "
-                           "big levels are counted in a worker pool, "
-                           "under --memory-budget or a 128M default")
+                      help="worker threads of setm-columnar (default 1, "
+                           "inline); with N > 1 the key ranges of big "
+                           "levels are counted on a thread pool, under "
+                           "--memory-budget or a 128M default")
     mine.add_argument("--transport", default=None,
                       choices=TRANSPORT_CHOICES,
-                      help="how pooled key ranges reach the workers "
-                           "(--workers > 1): shm (zero-copy "
-                           "shared-memory views, falling back to mmap if "
-                           "the handshake fails), mmap (map spill/spool "
-                           "files); auto means mmap")
+                      help="deprecated, no effect (workers are threads); "
+                           "removed in 1.12")
     mine.add_argument("--input-format", default=None,
                       choices=list(INPUT_FORMATS),
                       help="decode the input through the streaming ingest "
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "it are rejected as busy (default 16)")
     serve.add_argument("--serve-workers", type=int, default=2, metavar="N",
                        help="request worker threads (default 2; mining "
-                            "itself may use engine worker processes)")
+                            "itself may use engine worker threads)")
     serve.add_argument("--request-timeout", type=float, default=60.0,
                        metavar="SECONDS",
                        help="default per-request deadline (default 60)")
@@ -346,7 +347,6 @@ def _mining_report(result, rules) -> dict:
         "spill": result.extra.get("spill"),
         "workers": result.extra.get("workers"),
         "parallel": result.extra.get("parallel"),
-        "transport": result.extra.get("transport"),
         # Streaming-ingest telemetry (chunks, rows, bytes decoded,
         # bytes_read_reduction); None when the input was whole-file read.
         "ingest": result.extra.get("ingest"),

@@ -38,6 +38,7 @@ __all__ = [
     "DEFAULT_MEMORY_BUDGET",
     "INPUT_FORMATS",
     "MiningConfig",
+    "TRANSPORT_CHOICES",
 ]
 
 #: The engine a run uses when the caller names none — the one the
@@ -55,6 +56,11 @@ DEFAULT_MEMORY_BUDGET = 128 * 2**20
 #: Valid ``input_format`` values: ``"auto"`` sniffs magic bytes and the
 #: file extension; the rest name a decoder in :mod:`repro.data.formats`.
 INPUT_FORMATS = ("auto", "csv", "basket", "parquet", "arrow")
+
+#: Values the deprecated ``transport`` option (``--transport``, ``WITH
+#: transport``) still accepts: it chose how data reached worker
+#: processes, and workers are threads since 1.11.  Removed in 1.12.
+TRANSPORT_CHOICES = ("auto", "shm", "mmap")
 
 
 def _validate_support(value: object) -> None:

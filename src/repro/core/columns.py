@@ -404,11 +404,10 @@ def chunk_frames(data) -> Iterator[tuple[int, int, int, int, int]]:
     Yields ``(k, n, sid_offset, key_offset, end)`` per chunk: the header
     fields plus the byte offsets of the ``last_sid`` column, the
     ``keys`` column, and the chunk's end.  ``data`` may be
-    any buffer (bytes, a :class:`memoryview` over shared memory, an
-    ``mmap``) — nothing is sliced or copied, which is the point: the
-    zero-copy transport decoders use these offsets to construct int64
-    column views directly over the source buffer instead of copying the
-    payload through intermediate ``bytes``.
+    any buffer (bytes, a :class:`memoryview`, an ``mmap``) — nothing is
+    sliced or copied, which is the point: the decoder uses these offsets
+    to construct int64 column views directly over the source buffer
+    instead of copying the payload through intermediate ``bytes``.
     """
     offset = 0
     total = len(data)
@@ -517,22 +516,6 @@ class SalesIndex:
             np.cumsum(lengths) - lengths, lengths
         )
         self.ext_counts = expanded - 1 - position
-
-    @classmethod
-    def from_columns(
-        cls, items: np.ndarray, ext_counts: np.ndarray, base: int
-    ) -> "SalesIndex":
-        """An index over already-computed columns (a pool worker's view).
-
-        The merge needs only ``items``, ``ext_counts`` and ``base``;
-        the trans_id column is not derivable from them.
-        """
-        index = cls.__new__(cls)
-        index.items = items
-        index.ext_counts = ext_counts
-        index.base = base
-        index._run_lengths = index._trans_ids = index._tids = None
-        return index
 
     def item_window(
         self, sids: np.ndarray, low: int, high: int

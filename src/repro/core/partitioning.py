@@ -10,15 +10,13 @@ extensions of prefix rank ``r`` are exactly the keys
 a prefix-range partition of ``R_{k-1}``.  A :class:`PartitionPlan`
 prices every range exactly before a row exists; each range is then
 extended, counted, filtered and written as its share of ``R_k`` in one
-task, inline or in a worker process.
+task, inline or on a worker thread.
 
 The machinery they share lives here:
 
 * :class:`Partition` — one key-range slice of a relation as serialized
   chunks (:meth:`~repro.core.columns.InstanceRelation.to_chunk_bytes`),
-  held in memory (``payload``), in shared memory (``shm``) or on disk
-  (``path``).  Picklable either way, so a partition can be handed to a
-  worker process as-is.
+  held in memory (``payload``) or on disk (``path``).
 * :func:`decode_buffer_chunks` — the one decoder of the chunk format.
 * :class:`PartitionPlan` / :func:`cut_ranges` — exact range planning
   from per-prefix extension totals.
@@ -49,10 +47,7 @@ from repro.core.columns import (
     _as_int64,
     chunk_frames,
 )
-from repro.errors import PartitionFormatError
-
 __all__ = [
-    "PARTITION_PICKLE_VERSION",
     "ROW_BYTES",
     "Partition",
     "PartitionPlan",
@@ -73,22 +68,19 @@ def decode_buffer_chunks(
 ) -> tuple[list[InstanceRelation], int]:
     """Decode chunks from *any* buffer, int64 columns as zero-copy views.
 
-    The one decoder of the chunk format — spill files, pool payloads,
+    The one decoder of the chunk format — spill files, range shares,
     the ingest spill and the incremental state all read through it, so
     no two readers can drift.  ``data`` may be ``bytes``, a
-    :class:`memoryview` over a shared-memory segment or an ``mmap``-ed
-    spill file: the int64 ``keys``/``last_sid`` columns are built with
-    ``np.frombuffer`` *directly over that buffer* — no intermediate
-    ``bytes``, no ``array`` copy.  ``index`` reattaches the
-    lazily-derived columns.
+    :class:`memoryview` or an ``mmap``-ed file: the int64
+    ``keys``/``last_sid`` columns are built with ``np.frombuffer``
+    *directly over that buffer* — no intermediate ``bytes``, no
+    ``array`` copy.  ``index`` reattaches the lazily-derived columns.
 
     Returns ``(chunks, zero_copy_bytes)`` where ``zero_copy_bytes``
-    counts the column bytes that were *viewed* rather than copied — the
-    transport telemetry's ``copies_avoided`` evidence.
+    counts the column bytes that were *viewed* rather than copied.
 
     The views borrow ``data``: the caller must drop every chunk before
-    releasing the underlying segment or map (the worker bodies do, by
-    construction — replies are packed into fresh buffers).
+    releasing an underlying map.
     """
     chunks: list[InstanceRelation] = []
     zero_copy_bytes = 0
@@ -146,15 +138,6 @@ def split_by_key_ranges(
         )
 
 
-#: Version tag written into every :class:`Partition` pickle.  Bumped
-#: whenever the descriptor layout changes; a pool member reading a
-#: different version raises the typed
-#: :class:`~repro.errors.PartitionFormatError` instead of a garbled
-#: unpickle (mixed-version pools are a deployment error, not a data
-#: corruption).
-PARTITION_PICKLE_VERSION = 2
-
-
 class Partition:
     """One key-range slice of an ``R'_k`` relation, as serialized chunks.
 
@@ -164,28 +147,15 @@ class Partition:
     rows in the chunk format of
     :meth:`InstanceRelation.to_chunk_bytes` — exactly one of
 
-    * ``payload`` — the chunk bytes inline (what a transport session
-      publishes: into a segment under ``shm``, a spool file under
-      ``mmap``);
-    * ``shm`` — a ``(segment_name, offset, length)`` slice of a
-      :mod:`multiprocessing.shared_memory` segment (the pickle shrinks
-      to the descriptor; workers view the bytes in place: the ``shm``
-      transport);
-    * ``path`` — a spill file (workers read — or ``mmap`` — the file
-      themselves: the ``R_k`` shares and the ``mmap`` transport).
+    * ``payload`` — the chunk bytes inline;
+    * ``path`` — a spill file (the ``R_k`` shares, the ingest spill).
 
     Because every occurrence of a pattern falls in exactly one key
     range, counting a partition yields *global* counts for every
     pattern it contains.
-
-    Partitions are picklable whatever the descriptor; the pickle carries
-    :data:`PARTITION_PICKLE_VERSION` so version skew inside a pool
-    fails typed and early.
     """
 
-    __slots__ = (
-        "k", "key_low", "key_high", "num_rows", "payload", "path", "shm"
-    )
+    __slots__ = ("k", "key_low", "key_high", "num_rows", "payload", "path")
 
     def __init__(
         self,
@@ -196,16 +166,11 @@ class Partition:
         num_rows: int = 0,
         payload: bytes | None = None,
         path: str | os.PathLike | None = None,
-        shm: tuple[str, int, int] | None = None,
     ) -> None:
-        sources = sum(
-            source is not None for source in (payload, path, shm)
-        )
-        if sources != 1:
+        if (payload is None) == (path is None):
             raise ValueError(
                 "a Partition is backed by exactly one chunk source: "
-                "pass payload= (in memory), path= (spill file), or "
-                "shm= (shared-memory slice)"
+                "pass payload= (in memory) or path= (spill file)"
             )
         self.k = k
         self.key_low = key_low
@@ -213,23 +178,11 @@ class Partition:
         self.num_rows = num_rows
         self.payload = payload
         self.path = Path(path) if path is not None else None
-        self.shm = tuple(shm) if shm is not None else None
 
     def read_bytes(self) -> bytes:
-        """This partition's raw chunk bytes (memory, shared memory, or disk).
-
-        For ``shm``-backed partitions this *copies* the slice out of
-        the segment — the convenience accessor; the zero-copy path is
-        :func:`repro.core.transport.partition_buffer`.
-        """
+        """This partition's raw chunk bytes (memory or disk)."""
         if self.payload is not None:
             return self.payload
-        if self.shm is not None:
-            # Imported lazily: this module stays a dependency near-leaf
-            # and the transport module imports Partition from here.
-            from repro.core.transport import read_segment_slice
-
-            return read_segment_slice(self.shm)
         if self.path is None:
             raise ValueError("partition already deleted; no chunk source left")
         return self.path.read_bytes()
@@ -243,9 +196,6 @@ class Partition:
     def delete(self) -> None:
         """Drop the chunk source: unlink the spill file / free the payload.
 
-        A ``shm`` descriptor is only *detached* here — the segment's
-        create/unlink lifecycle belongs to the parent-side transport
-        session, never to the (possibly many) partitions viewing it.
         Reading a deleted partition raises a clear :class:`ValueError`
         from :meth:`read_bytes`; deleting twice is a no-op.
         """
@@ -256,45 +206,9 @@ class Partition:
                 pass
             self.path = None
         self.payload = None
-        self.shm = None
-
-    # Explicit, versioned pickle state: the descriptor travels to pool
-    # processes on every dispatch, so its layout is a wire format.  The
-    # "v" tag turns a mixed-version pool into a typed refusal instead
-    # of a garbled unpickle.
-    def __getstate__(self):
-        return {
-            "v": PARTITION_PICKLE_VERSION,
-            "k": self.k,
-            "key_low": self.key_low,
-            "key_high": self.key_high,
-            "num_rows": self.num_rows,
-            "payload": self.payload,
-            "path": str(self.path) if self.path is not None else None,
-            "shm": self.shm,
-        }
-
-    def __setstate__(self, state) -> None:
-        version = state.get("v") if isinstance(state, dict) else None
-        if version != PARTITION_PICKLE_VERSION:
-            raise PartitionFormatError(PARTITION_PICKLE_VERSION, version)
-        self.k = state["k"]
-        self.key_low = state["key_low"]
-        self.key_high = state["key_high"]
-        self.num_rows = state["num_rows"]
-        self.payload = state["payload"]
-        path = state["path"]
-        self.path = Path(path) if path is not None else None
-        shm = state["shm"]
-        self.shm = tuple(shm) if shm is not None else None
 
     def __repr__(self) -> str:
-        if self.payload is not None:
-            source = "payload"
-        elif self.shm is not None:
-            source = f"shm={self.shm[0]}+{self.shm[1]}"
-        else:
-            source = f"path={self.path}"
+        source = "payload" if self.payload is not None else f"path={self.path}"
         return (
             f"Partition(k={self.k}, rows={self.num_rows}, "
             f"range=[{self.key_low}, {self.key_high}), {source})"

@@ -28,8 +28,8 @@ Where the relations live and who counts them are options of the one
 engine, not further engines: under ``memory_budget_bytes`` or with
 ``workers > 1`` it runs the range kernel of
 :mod:`repro.core.setm_columnar_disk`, which cuts big levels into priced
-key ranges, spills their ``R_k`` shares and may count them in a worker
-pool.  With neither it runs :class:`ColumnarKernel` below.
+key ranges, spills their ``R_k`` shares and may count them on worker
+threads.  With neither it runs :class:`ColumnarKernel` below.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from repro.core.columns import (
 )
 from repro.core.result import MiningResult, Pattern
 from repro.core.setm import KernelLifecycle, run_figure4_loop
-from repro.core.setm_parallel import resolve_start_method, validate_workers
+from repro.core.setm_parallel import validate_workers, warn_retired_options
 from repro.core.transactions import ItemCatalog, TransactionDatabase
-from repro.core.transport import resolve_transport
 from repro.registry import register_engine
 
 __all__ = ["ColumnarKernel", "setm_columnar"]
@@ -181,8 +180,8 @@ class ColumnarKernel(KernelLifecycle):
     "setm-columnar",
     description=(
         "SETM on dictionary-encoded array columns: in memory by default, "
-        "key ranges spilled under memory_budget_bytes and counted in a "
-        "worker pool with workers > 1"
+        "key ranges spilled under memory_budget_bytes and counted on "
+        "worker threads with workers > 1"
     ),
     representation="columnar",
     streaming_ingest=True,
@@ -242,29 +241,23 @@ def setm_columnar(
         are outside the budget — the paper itself assumes ``C_k``
         memory-resident.
     workers:
-        Worker processes; ``1`` (the default) counts in process and
-        ``None`` means ``os.cpu_count()``.  With ``workers > 1`` the
-        run works under ``memory_budget_bytes`` or
+        Worker threads of the mining process; ``1`` (the default)
+        counts inline and ``None`` means ``os.cpu_count()``.  With
+        ``workers > 1`` the run works under ``memory_budget_bytes`` or
         :data:`~repro.config.DEFAULT_MEMORY_BUDGET`; the key ranges of a
-        level the budget cuts run in the shared worker pool, and so do
-        those of a level it keeps whole whose priced ``|R'_k|`` reaches
+        level the budget cuts run on the shared thread pool, as many at
+        once as their working sets fit the budget, and so do those of a
+        level it keeps whole whose priced ``|R'_k|`` reaches
         :data:`~repro.core.setm_columnar_disk.POOL_MIN_ROWS`, cut into
         ``BATCHES_PER_WORKER × workers`` ranges.
     spill_dir:
         Directory for the run's private spill files (a fresh
         subdirectory is created and removed); defaults to the system
         temporary directory.
-    start_method:
-        ``multiprocessing`` start method for the pool; ``None`` defers
-        to ``REPRO_MP_START_METHOD``, then the platform default.
-    transport:
-        How the ``SALES`` columns, the ``R_k`` shares and the replies
-        cross the process boundary: ``"mmap"`` (workers map the files
-        and decode columns as views over the map), ``"shm"`` (``SALES``
-        in a named shared-memory segment, replies through segments
-        too; a failed handshake falls back to ``mmap``), or
-        ``"auto"``/``None`` (``mmap``).  Results are byte-identical on
-        every transport.
+    start_method, transport:
+        Deprecated and without effect since workers are threads (a set
+        value, like the ``REPRO_MP_START_METHOD`` environment variable,
+        raises a :class:`DeprecationWarning`); removed in 1.12.
 
     Returns
     -------
@@ -276,14 +269,11 @@ def setm_columnar(
         wall-clock from the shared loop skeleton.  A run on the range
         kernel also carries ``memory_budget_bytes``, a ``"spill"``
         block (key ranges per level, bytes written and read, chunks
-        written), ``workers``, a ``"parallel"`` block (pooled levels
-        and their ranges, levels counted in process, the resolved start
-        method) and a ``"transport"`` block (negotiated mode, bytes
-        moved, copies avoided).
+        written), ``workers`` and a ``"parallel"`` block (pooled levels
+        and their ranges, levels counted inline).
     """
     workers = validate_workers(workers)
-    start_method = resolve_start_method(start_method)
-    transport = resolve_transport(transport)
+    warn_retired_options(start_method=start_method, transport=transport)
     if memory_budget_bytes is None and workers == 1:
         kernel = ColumnarKernel(database, count_via=count_via)
     else:
@@ -300,8 +290,6 @@ def setm_columnar(
             workers=workers,
             count_via=count_via,
             spill_dir=spill_dir,
-            start_method=start_method,
-            transport=transport,
         )
     return run_figure4_loop(
         database,

@@ -33,15 +33,16 @@ written anywhere:
   cut where its positions would pass one budget share.
 * **Inline or pooled.**  With one worker a level's ranges run inline,
   as one batch up to that cut.  With ``workers > 1`` they are cut into
-  :func:`balanced_batches` mapped over the cached worker pool of
-  :mod:`repro.core.setm_parallel`; a level the budget would keep whole
-  is still pooled when its priced ``|R'_k|`` reaches
-  :data:`POOL_MIN_ROWS`.  The pool reads ``SALES`` once per run from
-  the negotiated transport (a shared-memory segment under ``shm``, a
-  spooled file workers map under ``mmap``), earlier levels' ``R_k``
-  shares by path; replies are the supported ``(keys, counts)`` arrays,
-  each key's extension total and I/O tallies, merged in key-range
-  order.
+  :func:`balanced_batches` mapped over the cached thread pool of
+  :mod:`repro.core.setm_parallel`.  The batches run in the mining
+  process: they read the run's ``SalesIndex`` in place, earlier levels'
+  ``R_k`` shares by path, and return their supported ``(keys,
+  counts)`` arrays and each key's extension total directly, merged in
+  key-range order.  How many run at once is capped so that their
+  working sets fit the budget (:meth:`SpillingColumnarKernel._threads`).
+  A level the budget would keep whole is still pooled when its priced
+  ``|R'_k|`` reaches :data:`POOL_MIN_ROWS`; its ``R_k`` survivors stay
+  in memory, as the budget allows, instead of becoming share files.
 
 Any other level fits one share and runs in memory, exactly as
 ``ColumnarKernel`` does.  Each row's extensions depend only on its own
@@ -49,13 +50,14 @@ Any other level fits one share and runs in memory, exactly as
 *nothing observable*: patterns, counts, and
 :class:`~repro.core.result.IterationStats` are identical to ``setm``.
 
-Failure containment: a worker raising mid-task propagates out of the
-pool dispatch, and the Figure-4 loop's ``finally`` closes the kernel,
-which removes the spill directory — half-written shares and all — and
-releases the published ``SALES``.  The shared pool survives worker
-exceptions and stays cached; a pool broken outright is evicted and
-transparently recreated on the next run
-(:func:`~repro.core.setm_parallel.pool_map`).
+Failure containment: a batch raising mid-task propagates its own
+exception out of the pool dispatch once every other running batch has
+finished (:func:`~repro.core.setm_parallel.pool_map`), and the
+Figure-4 loop's ``finally`` closes the kernel, which removes the spill
+directory — half-written shares and all.  The cached pool survives and
+serves the next run.  Batches are threads of the mining process, so a
+batch that crashes the interpreter (a segfault in native code) takes
+the process with it: nothing isolates it any more.
 """
 
 from __future__ import annotations
@@ -90,23 +92,13 @@ from repro.core.partitioning import (
     split_by_key_ranges,
 )
 from repro.core.setm_columnar import ColumnarKernel
-from repro.core.setm_parallel import (
-    PoolTransportMixin,
-    resolve_start_method,
-    resolved_start_method,
-    validate_workers,
-)
+from repro.core.setm_parallel import PoolTransportMixin, validate_workers
 from repro.core.transactions import TransactionDatabase
-from repro.core.transport import (
-    TransportSession,
-    pack_buffers,
-    partition_buffer,
-    unpack_buffers,
-)
 from repro.errors import InvalidConfigError
 
 __all__ = [
     "BATCHES_PER_WORKER",
+    "BatchReply",
     "DEFAULT_MEMORY_BUDGET",
     "KeyRange",
     "POOL_MIN_ROWS",
@@ -124,9 +116,12 @@ __all__ = [
 BATCHES_PER_WORKER = 3
 
 #: Priced ``|R'_k|`` from which a level the budget keeps whole is still
-#: pooled.  Below it the count is a few milliseconds in process, less
-#: than publishing ``SALES`` and one pool round trip would cost.
-POOL_MIN_ROWS = 65536
+#: pooled.  Measured on a 2-CPU host (in-process medians, against the
+#: resident kernel): a level of 126,646 rows (Table 6.2 retail, ``k =
+#: 2``) ran 0.90x with 2 threads and 0.73x with 4; levels of 525,931
+#: (QUEST T10.I4.D10K) and 5,278,645 rows (T10.I4.D100K) ran 1.04-1.09x
+#: and 1.06x with 2.
+POOL_MIN_ROWS = 2**18
 
 
 @dataclass
@@ -152,11 +147,17 @@ class SpilledRelation:
 
 
 class PlannedExtension(NamedTuple):
-    """``R'_k`` before materialization: priced key ranges of its ``R_{k-1}``."""
+    """``R'_k`` before materialization: priced key ranges of its ``R_{k-1}``.
+
+    ``in_memory`` marks a level cut only for the pool: the budget would
+    keep it whole, so its ``R_{k-1}`` rows are read and its ``R_k``
+    survivors kept in memory rather than in share files.
+    """
 
     source: Any
     plan: PartitionPlan
     k: int
+    in_memory: bool = False
 
 
 class KeyRange(NamedTuple):
@@ -164,91 +165,88 @@ class KeyRange(NamedTuple):
 
     ``prefixes`` is the slice of sorted ``F_{k-1}`` the range covers
     (``None`` at ``k = 2``, whose prefix is the item id); ``sources``
-    are the ``R_{k-1}`` share files that overlap it; ``out_path``
-    receives its ``R_k`` share; ``rows`` is the plan's exact price.
+    hold its ``R_{k-1}`` rows: the share files that overlap it, or the
+    in-memory relation itself.  ``out_path`` receives its ``R_k`` share
+    (``None``: the survivors stay in memory); ``rows`` is the plan's
+    exact price.
     """
 
     key_low: int
     key_high: int
     prefixes: np.ndarray | None
     sources: list
-    out_path: str
+    out_path: str | None
     rows: int
 
 
 class RangeBatch(NamedTuple):
-    """Contiguous key ranges of one level, run as one (picklable) task.
-
-    ``sales`` is the run's :class:`SalesIndex`, or a :class:`Partition`
-    over its published ``items`` + ``ext_counts`` columns (raw int64).
-    """
+    """Contiguous key ranges of one level, run as one task."""
 
     k: int
     ranges: list[KeyRange]
-    sales: Any
+    sales: SalesIndex
     base: int
     threshold: int
     via: str
-    mode: str = "mmap"
-    reply_name: str | None = None
 
 
-def run_range_batch(batch: RangeBatch) -> tuple:
-    """The task body of the range kernel: per range extend → count → filter → write.
+class BatchReply(NamedTuple):
+    """What one :class:`RangeBatch` found, its ranges in key order.
 
-    Returns ``(candidate_patterns, envelope, rows_written, bytes_written,
-    bytes_read, zero_copy_bytes)``, where ``rows_written`` holds one
-    count per range; the envelope
-    (:func:`~repro.core.transport.pack_buffers`) carries the supported
-    keys, their counts and each key's extension total as int64
-    buffers, the ranges' in key order.
+    ``keys``/``counts`` are the supported patterns, ``ext_totals`` each
+    key's extension total; ``rows_written`` holds one ``R_k`` row count
+    per range; ``survivors`` holds the ranges' ``R_k`` rows when they
+    stay in memory (empty otherwise).
     """
-    if isinstance(batch.sales, SalesIndex):
-        return _run_batch(batch, batch.sales, 0)
-    with partition_buffer(batch.sales, batch.mode) as (buffer, source):
-        columns = np.frombuffer(buffer, dtype=np.int64)
-        half = len(columns) // 2
-        viewed = columns.nbytes if source in ("shm", "mmap") else 0
-        index = SalesIndex.from_columns(
-            columns[:half], columns[half:], batch.base
-        )
-        del columns
-        reply = _run_batch(batch, index, viewed)
-        del index  # views the buffer the context releases next
-    return reply
+
+    candidates: int
+    keys: np.ndarray
+    counts: np.ndarray
+    ext_totals: np.ndarray
+    rows_written: list[int]
+    bytes_written: int
+    bytes_read: int
+    survivors: list[InstanceRelation]
 
 
-def _run_batch(batch: RangeBatch, index: SalesIndex, viewed: int) -> tuple:
+def run_range_batch(batch: RangeBatch) -> BatchReply:
+    """The task body of the range kernel: per range extend → count → filter → keep.
+
+    Each range's survivors are written as its ``R_k`` share file, or
+    kept in the reply when the range has no ``out_path``.
+    """
+    index = batch.sales
     candidates = bytes_written = bytes_read = 0
-    zero_copy = viewed
     columns: tuple[list, list, list] = ([], [], [])
     rows_written = []
-    for key_range, (rows, read, viewed_rows) in zip(
+    survivors_kept = []
+    for key_range, (rows, read) in zip(
         batch.ranges, _batch_rows(batch, index)
     ):
         bytes_read += read
-        zero_copy += viewed_rows
         found, supported, counts, survivors = _extend_count_filter(
             batch, key_range, rows, index
         )
         candidates += found
-        written = 0
-        if len(survivors):
+        if key_range.out_path is None:
+            survivors_kept.append(survivors)
+        elif len(survivors):
             blob = survivors.to_chunk_bytes()
             with open(key_range.out_path, "wb") as handle:
                 handle.write(blob)
-            written = len(blob)
+            bytes_written += len(blob)
         ext = extension_totals(survivors, index, supported, len(supported))
         for column, part in zip(columns, (supported, counts, ext)):
             column.append(part)
         rows_written.append(len(survivors))
-        bytes_written += written
-    envelope = pack_buffers(
-        [concat_columns(column).tobytes() for column in columns],
-        batch.reply_name,
+    return BatchReply(
+        candidates,
+        *(concat_columns(column) for column in columns),
+        rows_written,
+        bytes_written,
+        bytes_read,
+        survivors_kept,
     )
-    tallies = (rows_written, bytes_written, bytes_read, zero_copy)
-    return (candidates, envelope, *tallies)
 
 
 def _extend_count_filter(
@@ -279,16 +277,16 @@ def _extend_count_filter(
 
 def _batch_rows(
     batch: RangeBatch, index: SalesIndex
-) -> Iterator[tuple[InstanceRelation, int, int]]:
+) -> Iterator[tuple[InstanceRelation, int]]:
     """Per range, the ``R_{k-1}`` rows with an extension in it.
 
-    Yields ``(rows, bytes_read, zero_copy_bytes)`` one range at a time.
-    At ``k = 2`` the rows are the ``SALES`` positions with extensions
-    whose item is a prefix in range: one scan selects the whole batch's
-    positions, and :func:`~repro.core.partitioning.split_by_key_ranges`
-    splits them per item interval, each in ascending position order.
-    Later they are masked out of the overlapping share files, dropping
-    rows without extensions.
+    Yields ``(rows, bytes_read)`` one range at a time.  At ``k = 2`` the
+    rows are the ``SALES`` positions with extensions whose item is a
+    prefix in range: one scan selects the whole batch's positions, and
+    :func:`~repro.core.partitioning.split_by_key_ranges` splits them per
+    item interval, each in ascending position order.  Later they are
+    masked out of the range's sources, dropping rows without
+    extensions.
     """
     if batch.k > 2:
         for key_range in batch.ranges:
@@ -314,25 +312,35 @@ def _batch_rows(
     )
     del selected, sids
     for low in lows:
-        yield pieces.get(bounds.index(low), empty), 0, 0
+        yield pieces.get(bounds.index(low), empty), 0
 
 
 def _share_rows(
     batch: RangeBatch, key_range: KeyRange, index: SalesIndex
-) -> tuple[InstanceRelation, int, int]:
-    """A ``k >= 3`` range's ``R_{k-1}`` rows, read from the share files."""
+) -> tuple[InstanceRelation, int]:
+    """A ``k >= 3`` range's ``R_{k-1}`` rows, from share files or memory.
+
+    Only the rows with key in the range's prefixes and with extensions
+    are copied out.
+    """
     low = int(key_range.prefixes[0])
     high = int(key_range.prefixes[-1]) + 1
     keys, sids = [], []
-    bytes_read = zero_copy = 0
-    for partition in key_range.sources:
-        with partition_buffer(partition, batch.mode) as (buffer, source):
-            bytes_read += len(buffer)
-            viewed = _pick_rows(
-                buffer, low, high, index.ext_counts, keys, sids
-            )
-            if source in ("shm", "mmap"):
-                zero_copy += viewed
+    bytes_read = 0
+    for source in key_range.sources:
+        if isinstance(source, Partition):
+            data = source.read_bytes()
+            bytes_read += len(data)
+            chunks = decode_buffer_chunks(data)[0]
+        else:
+            chunks = [source]
+        for chunk in chunks:
+            chunk_keys = _as_int64(chunk.keys)
+            chunk_sids = _as_int64(chunk.last_sid)
+            mask = (chunk_keys >= low) & (chunk_keys < high)
+            mask &= index.ext_counts[chunk_sids] > 0
+            keys.append(chunk_keys[mask])
+            sids.append(chunk_sids[mask])
     rows = InstanceRelation(
         None,
         None,
@@ -341,23 +349,7 @@ def _share_rows(
         k=batch.k - 1,
         index=index,
     )
-    return rows, bytes_read, zero_copy
-
-
-def _pick_rows(buffer, low, high, ext_counts, keys: list, sids: list) -> int:
-    """Append copies of the rows of ``buffer`` with key in ``[low, high)``.
-
-    Rows without extensions are dropped too.  The decoded views die with
-    this frame, before the caller releases ``buffer``; returns the
-    column bytes viewed.
-    """
-    chunks, viewed = decode_buffer_chunks(buffer)
-    for chunk in chunks:
-        mask = (chunk.keys >= low) & (chunk.keys < high)
-        mask &= ext_counts[chunk.last_sid] > 0
-        keys.append(chunk.keys[mask])
-        sids.append(chunk.last_sid[mask])
-    return viewed
+    return rows, bytes_read
 
 
 def _overlapping(shares: list[Partition], low: int, high: int) -> list:
@@ -402,9 +394,9 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
     With ``workers > 1``, :meth:`_level_share` also cuts a level of at
     least :data:`POOL_MIN_ROWS` that the budget would keep whole, and
     :meth:`_run_batches` sends every planned level's ranges to the
-    shared worker pool as :func:`balanced_batches` instead of running
+    shared thread pool as :func:`balanced_batches` instead of running
     them inline.  :class:`~repro.core.setm_parallel.PoolTransportMixin`
-    supplies the transport negotiation and the one pool dispatch seam.
+    supplies the one pool dispatch seam.
     """
 
     def __init__(
@@ -415,8 +407,6 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
         workers: int | None = 1,
         count_via: Literal["auto", "sort", "hash"] = "auto",
         spill_dir: str | os.PathLike | None = None,
-        start_method: str | None = None,
-        transport: str | None = None,
     ) -> None:
         super().__init__(database, count_via=count_via)
         if (
@@ -444,13 +434,9 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
         self._chunks_written = 0
 
         self._workers = validate_workers(workers)
-        self._start_method = resolve_start_method(start_method)
-        self._init_transport(transport)
         # Pool telemetry: ranges per pooled level, levels run in process.
         self._pooled_per_k: dict[int, int] = {}
         self._in_process: list[int] = []
-        self._sales_session: TransportSession | None = None
-        self._published_sales: Partition | None = None
 
     # -- spill-file plumbing --------------------------------------------------------
 
@@ -514,18 +500,21 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
         else:
             size = index.base if prefixes is None else len(prefixes)
             totals = extension_totals(r, index, prefixes, size)
+        rows = int(totals.sum())
         plan = PartitionPlan.from_prefix_totals(
             totals,
             index.base,
-            self._level_share(int(totals.sum())),
+            self._level_share(rows),
             item_totals=lambda rank: self._item_totals(r, prefixes, rank),
         )
         k = r.k + 1
         if not plan.fits_in_memory:
-            self._partitions_per_k[k] = plan.num_partitions
-            if k > 2 and isinstance(r, InstanceRelation):
-                r = self._spill(r)  # the range tasks read R_{k-1} shares
-            return PlannedExtension(r, plan, k)
+            in_memory = self._pooled_whole(rows)
+            if not in_memory:
+                self._partitions_per_k[k] = plan.num_partitions
+                if k > 2 and isinstance(r, InstanceRelation):
+                    r = self._spill(r)  # the range tasks read R_{k-1} shares
+            return PlannedExtension(r, plan, k, in_memory)
 
         # Fits one budget share: materialize in memory, as the plain
         # columnar kernel would.
@@ -547,13 +536,20 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
             index=index,
         )
 
+    def _pooled_whole(self, rows: int) -> bool:
+        """Whether an ``R'_k`` of ``rows`` is pooled only by the gate.
+
+        The budget would keep it whole, but it is big enough to pay for
+        the pool.
+        """
+        return self._workers > 1 and POOL_MIN_ROWS <= rows <= (
+            self._share_bytes // ROW_BYTES
+        )
+
     def _level_share(self, rows: int) -> int:
         """The range size, in bytes, to plan an ``R'_k`` of ``rows`` in."""
-        if self._workers > 1 and POOL_MIN_ROWS <= rows <= (
-            self._share_bytes // ROW_BYTES
-        ):
-            # Kept whole by the budget, but big enough to pay for the
-            # pool: plan it as the pool's batches instead.
+        if self._pooled_whole(rows):
+            # Plan it as the pool's batches instead.
             ranges = BATCHES_PER_WORKER * self._workers
             return -(-rows // ranges) * ROW_BYTES
         return self._share_bytes
@@ -575,19 +571,31 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
             via=self._count_via,
         )
         replies = self._run_batches(template)
-        if r_prime.k > 2:  # R_1 is SALES, which stays
-            r_prime.source.delete()
+        if isinstance(r_prime.source, SpilledRelation):
+            r_prime.source.delete()  # R_1 is SALES, which stays
 
         candidate_patterns = 0
         rows_written: list[int] = []
-        keys, counts, ext = [], [], []
-        for candidates, buffers, written_rows, written, read in replies:
-            candidate_patterns += candidates
-            for column, data in zip((keys, counts, ext), buffers):
-                column.append(np.frombuffer(data, dtype=np.int64))
-            rows_written.extend(written_rows)
-            self._bytes_written += written
-            self._bytes_read += read
+        for reply in replies:
+            candidate_patterns += reply.candidates
+            rows_written.extend(reply.rows_written)
+            self._bytes_written += reply.bytes_written
+            self._bytes_read += reply.bytes_read
+        keys = concat_columns([reply.keys for reply in replies])
+        counts = concat_columns([reply.counts for reply in replies])
+        self._levels.add(r_prime.k, keys)
+        c_k = dict(zip(keys.tolist(), counts.tolist()))
+        if r_prime.in_memory:
+            kept = [rows for reply in replies for rows in reply.survivors]
+            r_next = InstanceRelation(
+                None,
+                None,
+                last_sid=concat_columns([rows.last_sid for rows in kept]),
+                keys=concat_columns([rows.keys for rows in kept]),
+                k=r_prime.k,
+                index=self._index,
+            )
+            return candidate_patterns, c_k, r_next
         shares = [
             Partition(
                 r_prime.k,
@@ -600,10 +608,8 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
             if rows
         ]
         self._chunks_written += len(shares)
-        keys = concat_columns(keys)
-        self._levels.add(r_prime.k, keys)
-        c_k = dict(zip(keys.tolist(), concat_columns(counts).tolist()))
-        r_next = SpilledRelation(shares, r_prime.k, concat_columns(ext))
+        ext = concat_columns([reply.ext_totals for reply in replies])
+        r_next = SpilledRelation(shares, r_prime.k, ext)
         return candidate_patterns, c_k, r_next
 
     def _key_ranges(self, planned: PlannedExtension) -> list[KeyRange]:
@@ -614,46 +620,41 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
         for key_low, key_high, rows in planned.plan.ranges:
             first, last = key_low // base, (key_high - 1) // base
             if prefixes is None:  # R_1 is SALES: batches read the index
-                ranks, overlapping = None, []
+                ranks, sources = None, []
             else:
                 ranks = prefixes[first : last + 1]
-                overlapping = _overlapping(
-                    planned.source.partitions, ranks[0], ranks[-1] + 1
+                sources = (
+                    [planned.source]
+                    if isinstance(planned.source, InstanceRelation)
+                    else _overlapping(
+                        planned.source.partitions, ranks[0], ranks[-1] + 1
+                    )
                 )
             ranges.append(
                 KeyRange(
                     key_low=key_low,
                     key_high=key_high,
                     prefixes=ranks,
-                    sources=overlapping,
-                    out_path=str(self._spill_path(f"r-k{planned.k}")),
+                    sources=sources,
+                    out_path=(
+                        None
+                        if planned.in_memory
+                        else str(self._spill_path(f"r-k{planned.k}"))
+                    ),
                     rows=rows,
                 )
             )
         return ranges
 
-    def _run_batches(self, template: RangeBatch) -> list[tuple]:
-        """Run the level's ranges as batches, inline or pooled; open the replies.
-
-        A reply is ``(candidates, [keys, counts, ext_totals],
-        rows_written, bytes_written, bytes_read)``, ``rows_written``
-        holding one count per range.
-        """
+    def _run_batches(self, template: RangeBatch) -> list[BatchReply]:
+        """Run the level's ranges as batches, inline or pooled, in key order."""
         ranges = template.ranges
-        replies = []
         if self._workers <= 1:
             self._in_process.append(self._k)
-            for start, stop in self._capped(template, [(0, len(ranges))]):
-                candidates, envelope, *tallies, _ = run_range_batch(
-                    template._replace(ranges=ranges[start:stop])
-                )
-                replies.append(
-                    (candidates, unpack_buffers(envelope)[0], *tallies)
-                )
-            return replies
-
-        mode = self._negotiated_transport()
-        sales = self._publish_sales(mode)
+            return [
+                run_range_batch(template._replace(ranges=ranges[start:stop]))
+                for start, stop in self._capped(template, [(0, len(ranges))])
+            ]
         runs = self._capped(
             template,
             balanced_batches(
@@ -661,45 +662,48 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
                 BATCHES_PER_WORKER * self._workers,
             ),
         )
-        with TransportSession(mode) as session:
-            batches = [
-                template._replace(
-                    ranges=ranges[start:stop],
-                    sales=sales,
-                    mode=mode,
-                    reply_name=session.reply_name(i),
-                )
-                for i, (start, stop) in enumerate(runs)
-            ]
-            for reply in self._dispatch(run_range_batch, batches):
-                candidates, envelope, *tallies, zero_copy = reply
-                session.note_zero_copy(zero_copy)
-                replies.append((candidates, session.collect(envelope), *tallies))
-            self._record_transport(session)
+        batches = [
+            template._replace(ranges=ranges[start:stop])
+            for start, stop in runs
+        ]
+        replies = self._dispatch(
+            run_range_batch, batches, self._threads(batches)
+        )
         self._pooled_per_k[self._k] = len(ranges)
         return replies
 
-    def _publish_sales(self, mode: str) -> Partition:
-        """The run's ``SalesIndex`` columns for the workers, published once.
+    def _threads(self, batches: list[RangeBatch]) -> int:
+        """How many of a level's batches may run at once.
 
-        ``items`` then ``ext_counts`` as raw int64, in one shared-memory
-        segment under ``shm`` and in one spooled file workers map under
-        ``mmap``.  :meth:`close` releases it.
+        A batch in flight holds, at ``k = 2``, the ``SALES`` positions
+        it selects, and one range's slice of ``R'_k`` at a time — each at
+        most one of the budget's four shares.  Batches run together only
+        while their largest holding fits the budget as many times over:
+        a level the budget cuts runs at least two at a time, and a level
+        pooled only by :data:`POOL_MIN_ROWS` (all of it fits one share)
+        one per worker.
         """
-        if self._published_sales is None:
-            index = self._index
-            raw = bytearray(index.items.nbytes + index.ext_counts.nbytes)
-            np.concatenate(
-                (index.items, index.ext_counts),
-                out=np.frombuffer(raw, dtype=np.int64),
+        held = max(
+            max(key_range.rows for key_range in batch.ranges)
+            + (self._positions(batch.ranges) if batch.k == 2 else 0)
+            for batch in batches
+        )
+        fits = self._budget // max(1, held * ROW_BYTES)
+        return max(1, min(self._workers, fits))
+
+    def _positions(self, ranges: list[KeyRange]) -> int:
+        """The ``SALES`` positions a ``k = 2`` batch of ``ranges`` selects."""
+        index = self._index
+        if self._item_positions is None:
+            per_item = np.bincount(
+                index.items[index.ext_counts > 0], minlength=index.base
             )
-            session = TransportSession(mode)
-            (self._published_sales,) = session.publish(
-                [Partition(1, num_rows=len(index.items), payload=raw)]
-            )
-            self._sales_session = session
-            self._record_transport(session)
-        return self._published_sales
+            self._item_positions = np.concatenate(([0], np.cumsum(per_item)))
+        positions, base = self._item_positions, index.base
+        return int(
+            positions[-(-ranges[-1].key_high // base)]
+            - positions[ranges[0].key_low // base]
+        )
 
     def _capped(
         self, template: RangeBatch, runs: list[tuple[int, int]]
@@ -710,27 +714,15 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
         their items, 16 bytes a position) through all of its ranges, so
         a run is cut before the range whose positions would take it past
         one budget share; a single range is never cut.  Later levels
-        read each range's rows from its share files in turn and hold
-        nothing batch-wide.
+        read each range's rows in turn and hold nothing batch-wide.
         """
         if template.k > 2:
             return runs
-        index = self._index
-        if self._item_positions is None:
-            per_item = np.bincount(
-                index.items[index.ext_counts > 0], minlength=index.base
-            )
-            self._item_positions = np.concatenate(([0], np.cumsum(per_item)))
-        positions, base = self._item_positions, index.base
         capped = []
         for start, stop in runs:
             held = 0
             for i in range(start, stop):
-                key_range = template.ranges[i]
-                rows = int(
-                    positions[-(-key_range.key_high // base)]
-                    - positions[key_range.key_low // base]
-                )
+                rows = self._positions(template.ranges[i : i + 1])
                 if held and (held + rows) * ROW_BYTES > self._share_bytes:
                     capped.append((start, i))
                     start, held = i, 0
@@ -768,16 +760,10 @@ class SpillingColumnarKernel(PoolTransportMixin, ColumnarKernel):
                 "partitions": dict(self._pooled_per_k),
                 "parallel_iterations": sorted(self._pooled_per_k),
                 "short_circuited": sorted(set(self._in_process)),
-                "start_method": resolved_start_method(self._start_method),
             },
-            "transport": self.transport_stats(),
         }
 
     def close(self) -> None:
-        if self._sales_session is not None:
-            self._sales_session.close()
-            self._sales_session = None
-            self._published_sales = None
         if self._spill_root is not None:
             shutil.rmtree(self._spill_root, ignore_errors=True)
             self._spill_root = None

@@ -1,45 +1,42 @@
-"""The shared worker pools of ``setm-columnar`` with ``workers > 1``.
+"""The shared worker threads of ``setm-columnar`` with ``workers > 1``.
 
 Its range kernel,
 :class:`~repro.core.setm_columnar_disk.SpillingColumnarKernel`, maps
-batches of key ranges over the pools this module owns.  Worker
-pools are created lazily, keyed by ``(start_method, workers)``, and
-**reused across runs** — a long-lived mining session (the serve layer)
-pays pool start-up once, not per request.
+batches of key ranges over the thread pools this module owns.  The
+batches run in the mining process itself: they read the run's
+``SALES`` index in place and return their arrays directly, and NumPy
+releases the interpreter lock in most of their work (sorts,
+``searchsorted``, gathers, ``bincount``).  Pools are created lazily,
+one per worker count, and **reused across runs** — a long-lived mining
+session (the serve layer) starts its threads once, not per request.
 :func:`shutdown_worker_pools` tears them down; an ``atexit`` hook does
 the same at interpreter exit.
 
 :class:`PoolTransportMixin` carries what a pooled kernel needs on top
-of the serial kernel: the transport negotiation, the one dispatch seam
-the crash-injection tests override, and the ``extra["transport"]``
-telemetry.
+of the serial kernel: the one dispatch seam the crash-injection tests
+override.
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import threading
-from multiprocessing.pool import RUN as _POOL_RUN
+import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Sequence
 
-from repro.core.transport import (
-    TransportSession,
-    negotiate_pool_transport,
-    resolve_transport,
-)
 from repro.errors import InvalidConfigError
 
 __all__ = [
     "PoolTransportMixin",
+    "START_METHOD_ENV",
     "default_workers",
     "pool_map",
     "pool_stats",
-    "resolve_start_method",
-    "resolved_start_method",
     "shutdown_worker_pools",
     "validate_workers",
+    "warn_retired_options",
 ]
 
 
@@ -53,22 +50,19 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-#: Environment override for the pool start method (the CI matrix runs
-#: the suite under both ``fork`` and ``spawn`` through this).
+#: Environment variable that chose the process pools' start method.
+#: Deprecated with the ``start_method`` and ``transport`` options: a
+#: set value warns and has no effect.  All three go in 1.12.
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
 
-#: Live pools keyed by ``(start_method, workers)``.  Shared across
-#: kernels and runs on purpose: pool start-up (especially under
-#: ``spawn``) costs more than a whole small mining run, and a serving
-#: process should pay it once.
-_POOLS: dict[tuple[str | None, int], Any] = {}
+#: Live pools keyed by worker count.  Shared across kernels and runs,
+#: so a serving process starts its threads once.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
 
 #: Guards every read-modify-write of ``_POOLS``.  The serve layer's
 #: scheduler threads hit the cache concurrently; without the lock two
-#: threads could both miss and each start a pool (leaking one), or one
-#: could evict an entry mid-lookup of another.  Reentrant because an
-#: eviction path may run inside a section that already holds it.
-_POOLS_LOCK = threading.RLock()
+#: threads could both miss and each start a pool (leaking one).
+_POOLS_LOCK = threading.Lock()
 
 
 def validate_workers(workers: int | None) -> int:
@@ -90,199 +84,121 @@ def validate_workers(workers: int | None) -> int:
     return workers
 
 
-def resolve_start_method(start_method: str | None) -> str | None:
-    """A validated pool start method (``None`` → env override → platform).
+def warn_retired_options(**options: Any) -> None:
+    """Warn once per retired option that was set; they have no effect.
 
-    ``None`` defers first to the ``REPRO_MP_START_METHOD`` environment
-    variable (the CI matrix's knob), then to the platform default at
-    pool-creation time.
+    ``start_method``, ``transport`` and :data:`START_METHOD_ENV` chose
+    how the process pools started and what crossed into them.  Workers
+    are threads of the mining process since 1.11, so the values are
+    accepted and ignored until their removal in 1.12.
     """
-    if start_method is None:
-        start_method = os.environ.get(START_METHOD_ENV) or None
-    if (
-        start_method is not None
-        and start_method not in multiprocessing.get_all_start_methods()
-    ):
-        raise InvalidConfigError(
-            f"start_method must be one of "
-            f"{multiprocessing.get_all_start_methods()} or None; "
-            f"got {start_method!r}"
+    retired = [name for name, value in options.items() if value is not None]
+    if os.environ.get(START_METHOD_ENV):
+        retired.append(START_METHOD_ENV)
+    for name in retired:
+        warnings.warn(
+            f"{name} is deprecated and has no effect: workers are threads "
+            "of the mining process; it is removed in 1.12",
+            DeprecationWarning,
+            stacklevel=3,
         )
-    return start_method
 
 
-def resolved_start_method(start_method: str | None) -> str:
-    """The concrete method a ``None`` configuration resolves to."""
-    return start_method or multiprocessing.get_start_method()
+def _shared_pool(workers: int) -> ThreadPoolExecutor:
+    """The (lazily created, cached) pool of ``workers`` threads.
 
-
-def _pool_alive(pool: Any) -> bool:
-    """Whether a pool can still accept work.
-
-    A pool survives *worker* exceptions (they propagate out of ``map``
-    and the processes live on), but a terminated/closed/broken pool is
-    permanently dead — ``map`` would raise ``ValueError: Pool not
-    running`` forever.  The state attribute is CPython-internal, so an
-    implementation without it is conservatively treated as alive.
+    Called with ``_POOLS_LOCK`` held, so concurrent callers get the
+    *same* pool object, never two racing pools.
     """
-    return getattr(pool, "_state", _POOL_RUN) == _POOL_RUN
+    pool = _POOLS.get(workers)
+    if pool is None:
+        pool = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-mine"
+        )
+        if not _POOLS:
+            atexit.register(shutdown_worker_pools)
+        _POOLS[workers] = pool
+    return pool
 
 
-def _shared_pool(start_method: str | None, workers: int):
-    """The (lazily created, cached) pool for this configuration.
+def pool_map(workers: int, func: Any, tasks: Sequence, threads: int) -> list:
+    """``[func(task) for task in tasks]`` on the cached pool, in task order.
 
-    A cached pool that died since the last run (terminated by a test,
-    broken by a crashed worker) is discarded and transparently
-    recreated — a stale cache entry must never fail a fresh run.
-
-    Thread-safe: concurrent callers of the same configuration get the
-    *same* pool object (one of them creates it; the others wait on the
-    lock), never two racing pools.
+    At most ``threads`` tasks run at once: that many of the pool's
+    ``workers`` threads each take the next task in turn, so a level of
+    many small tasks costs a handful of futures, not one each.  Returns
+    only once no task is running.  A failing task's exception propagates
+    unchanged, after the tasks not yet started are skipped and the
+    running ones have finished — so the caller's clean-up (removing the
+    spill directory) never races a task still writing into it.  The
+    pool survives and serves the next run.
     """
-    key = (start_method, workers)
+    results: list = [None] * len(tasks)
+    pending = iter(range(len(tasks)))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def run() -> None:
+        while not failed.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = func(tasks[i])
+            except BaseException:
+                failed.set()
+                raise
+
+    # Submitted under the lock, so a concurrent shutdown either comes
+    # first (and this map starts a fresh pool) or waits for the runners.
     with _POOLS_LOCK:
-        pool = _POOLS.get(key)
-        if pool is not None and not _pool_alive(pool):
-            del _POOLS[key]
-            pool = None
-        if pool is None:
-            context = multiprocessing.get_context(start_method)
-            pool = context.Pool(processes=workers)
-            if not _POOLS:
-                atexit.register(shutdown_worker_pools)
-            _POOLS[key] = pool
-        return pool
-
-
-def pool_map(
-    start_method: str | None, workers: int, func: Any, tasks: Sequence
-) -> list:
-    """Map ``func`` over ``tasks`` on the cached pool for this config.
-
-    Worker exceptions propagate unchanged (the pool itself survives
-    them and stays cached for the next run).  If the dispatch itself
-    fails because the pool broke mid-flight, the dead pool is evicted
-    from the cache so the next run starts a fresh one instead of
-    hitting ``Pool not running`` forever.
-    """
-    key = (start_method, workers)
-    pool = _shared_pool(start_method, workers)
-    try:
-        return pool.map(func, tasks, chunksize=1)
-    except BaseException:
-        with _POOLS_LOCK:
-            if not _pool_alive(pool) and _POOLS.get(key) is pool:
-                del _POOLS[key]
-        raise
+        pool = _shared_pool(workers)
+        runners = [
+            pool.submit(run) for _ in range(max(1, min(threads, len(tasks))))
+        ]
+    wait(runners)
+    for runner in runners:
+        runner.result()
+    return results
 
 
 def pool_stats() -> list[dict[str, Any]]:
-    """A snapshot of the cached pools: configuration and liveness.
+    """A snapshot of the cached pools: one ``{"workers": n}`` per pool.
 
-    One entry per cached pool, sorted by configuration.  ``start_method``
-    reports the *resolved* method (what ``None`` meant at creation
-    time), ``alive`` whether the pool can still accept work.  The serve
-    layer's ``stats`` op surfaces this.
+    Sorted by worker count; the serve layer's ``stats`` op surfaces it.
     """
     with _POOLS_LOCK:
-        snapshot = list(_POOLS.items())
-    return [
-        {
-            "start_method": resolved_start_method(start_method),
-            "workers": workers,
-            "alive": _pool_alive(pool),
-        }
-        for (start_method, workers), pool in sorted(
-            snapshot, key=lambda item: (item[0][0] or "", item[0][1])
-        )
-    ]
+        return [{"workers": workers} for workers in sorted(_POOLS)]
 
 
 def shutdown_worker_pools() -> None:
-    """Terminate every cached worker pool (idempotent and thread-safe).
+    """Stop every cached worker pool (idempotent and thread-safe).
 
-    Long-lived processes that want to release the workers — or tests
-    that must not leak them across start-method changes — call this;
-    an ``atexit`` hook calls it at interpreter exit regardless.
+    Long-lived processes that want to release the threads call this;
+    an ``atexit`` hook calls it at interpreter exit regardless.  Each
+    pool finishes the tasks it was given first.
     """
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
     for pool in pools:
-        pool.terminate()
-        pool.join()
+        pool.shutdown(wait=True)
 
 
 class PoolTransportMixin:
-    """Transport negotiation + telemetry of a pooled kernel.
+    """The pool dispatch seam of a pooled kernel.
 
-    Expects the host kernel to provide ``self._workers`` and
-    ``self._start_method`` before :meth:`_init_transport` runs.  The
-    kernel dispatches through :meth:`_dispatch` — the one seam the
-    crash-injection tests override — and reports
-    :meth:`transport_stats` in its ``extra_stats``.
+    Expects the host kernel to provide ``self._workers``.  The kernel
+    dispatches through :meth:`_dispatch` — the one seam the
+    crash-injection tests override.  The name predates the threads; the
+    benchmark's tracer (``perfbench/tracer.py``) matches it to name the
+    ``pool.count_filter`` span.
     """
 
-    def _init_transport(self, transport: str | None) -> None:
-        self._transport_requested = resolve_transport(transport)
-        self._transport_mode: str | None = None
-        self._transport_fallback: str | None = None
-        self._transport_sessions = 0
-        self._transport_counters: dict[str, int] = {}
+    def _dispatch(self, func, tasks: list, threads: int) -> list:
+        """Run one level's tasks on the shared pool, ``threads`` at once.
 
-    def _dispatch(self, func, tasks: list) -> list:
-        """Run one iteration's tasks on the shared pool.
-
-        The one seam between the kernel and the pool — the
-        crash-injection tests override it to poison tasks mid-flight
-        and prove the transport session cleans up anyway.
+        Replies come back in task order.
         """
-        return pool_map(self._start_method, self._workers, func, tasks)
-
-    def _negotiated_transport(self) -> str:
-        """The concrete transport for this kernel's pool (cached).
-
-        ``auto`` means ``mmap``: every task reads files (the published
-        ``SALES`` columns, earlier ``R_k`` shares).  ``shm`` is proven
-        through the real pool first and demotes to ``mmap`` — reason
-        recorded in the telemetry — if the handshake fails.
-        """
-        if self._transport_mode is None:
-            requested = self._transport_requested
-            concrete = "mmap" if requested == "auto" else requested
-            self._transport_mode, self._transport_fallback = (
-                negotiate_pool_transport(
-                    concrete,
-                    start_method=self._start_method,
-                    workers=self._workers,
-                    mapper=self._dispatch,
-                )
-            )
-        return self._transport_mode
-
-    def _record_transport(self, session: TransportSession) -> None:
-        """Fold one session's counters into the run telemetry."""
-        self._transport_sessions += 1
-        for key, value in session.counters.items():
-            self._transport_counters[key] = (
-                self._transport_counters.get(key, 0) + value
-            )
-
-    def transport_stats(self) -> dict[str, Any]:
-        """The ``extra["transport"]`` telemetry block for this run."""
-        return {
-            "requested": self._transport_requested,
-            "mode": self._transport_mode,
-            "fallback_reason": self._transport_fallback,
-            "sessions": self._transport_sessions,
-            **{
-                key: self._transport_counters.get(key, 0)
-                for key in (
-                    "task_bytes_shared",
-                    "task_bytes_spooled",
-                    "reply_bytes_inline",
-                    "reply_bytes_shared",
-                    "zero_copy_bytes",
-                )
-            },
-        }
+        return pool_map(self._workers, func, tasks, threads)

@@ -15,8 +15,6 @@ Hierarchy::
     ├── UnknownAlgorithmError (+ ValueError)  name not in the registry
     ├── EngineOptionError (+ TypeError)       option the engine rejects
     ├── IngestError (+ ValueError)            malformed or unsorted input file
-    ├── TransportError                        partition-transport layer
-    │   └── PartitionFormatError (+ ValueError)  descriptor version mismatch
     ├── StateError                            incremental mining state
     │   ├── StateVersionError (+ ValueError)  on-disk state version skew
     │   └── StateMismatchError (+ ValueError) state does not cover the run
@@ -45,7 +43,6 @@ __all__ = [
     "IngestError",
     "InvalidConfigError",
     "InvalidSupportError",
-    "PartitionFormatError",
     "PlanError",
     "ProtocolError",
     "QueryError",
@@ -58,7 +55,6 @@ __all__ = [
     "StateError",
     "StateMismatchError",
     "StateVersionError",
-    "TransportError",
     "UnknownAlgorithmError",
     "UnknownDatasetError",
     "WorkerCrashError",
@@ -154,44 +150,6 @@ class EngineOptionError(ReproError, TypeError):
         super().__init__(
             f"engine {engine!r} does not accept option(s) {rejected}; "
             f"accepted options: {legal}"
-        )
-
-
-class TransportError(ReproError):
-    """A partition-transport failure (shared memory, mmap, descriptors)."""
-
-
-class PartitionFormatError(TransportError, ValueError):
-    """A :class:`~repro.core.partitioning.Partition` pickle carried an
-    unknown descriptor version.
-
-    Raised *instead of* a garbled unpickle when work units from a
-    different library version land in a mixed-version worker pool —
-    the receiving side refuses the state outright and names both
-    versions, so the operator sees a deployment-skew problem, not a
-    corrupt-data one.
-
-    Attributes
-    ----------
-    expected:
-        The descriptor version this process writes and reads.
-    found:
-        The version carried by the rejected pickle (``None`` when the
-        state predates versioning entirely).
-    """
-
-    def __init__(self, expected: int, found: object) -> None:
-        self.expected = expected
-        self.found = found
-        origin = (
-            "a pre-versioning release"
-            if found is None
-            else f"descriptor version {found!r}"
-        )
-        super().__init__(
-            f"Partition pickle from {origin} cannot be read by this "
-            f"process (expects version {expected}); all pool members "
-            "must run the same library version"
         )
 
 

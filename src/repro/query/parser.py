@@ -23,8 +23,7 @@ failure is a typed :class:`~repro.errors.QueryParseError`.
 
 from __future__ import annotations
 
-from repro.config import INPUT_FORMATS
-from repro.core.transport import TRANSPORT_CHOICES
+from repro.config import INPUT_FORMATS, TRANSPORT_CHOICES
 from repro.errors import QueryParseError
 from repro.query.ast_nodes import (
     HAS_SIDES,

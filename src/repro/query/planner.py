@@ -10,8 +10,9 @@ one engine rather than separate engines:
   counts only the appended delta);
 * every other query runs :data:`~repro.config.DEFAULT_ENGINE`.
 
-``WITH memory_budget``, ``workers`` and ``transport`` pass through to
-the chosen engine as options.  The engine prices every level exactly
+``WITH memory_budget`` and ``workers`` pass through to the chosen
+engine as options; ``WITH transport`` is deprecated, warns and is
+dropped (workers are threads).  The engine prices every level exactly
 and spills only the levels the budget cannot hold, so the planner does
 not second-guess it from the scan's estimated footprint (which EXPLAIN
 still shows).  An option the engine does not accept is dropped with a
@@ -25,6 +26,7 @@ plans are reviewable diffs.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 from repro.config import DEFAULT_ENGINE, MiningConfig
@@ -277,9 +279,13 @@ def plan_query(
             if workers >= 2
             else "workers = 1 forces serial execution",
         )
-    transport = query.option("transport")
-    if transport is not None:
-        offer("transport", transport, f"WITH transport = {transport!r}")
+    if query.option("transport") is not None:
+        warnings.warn(
+            "WITH transport is deprecated and has no effect: workers are "
+            "threads of the mining process; it is removed in 1.12",
+            DeprecationWarning,
+            stacklevel=2,
+        )
 
     # -- length pushdown (where the engine honours max_length) --------------------
     post_length: int | None = None

@@ -4,8 +4,8 @@ The paper's thesis is that association-rule mining belongs *inside* the
 database system rather than in one-shot batch programs; this package
 finishes the thought operationally — a resident service that owns the
 shared dictionary-encoded :class:`~repro.core.transactions.TransactionDatabase`,
-the per-config :class:`~repro.miner.Miner` session caches, and the warm
-``setm_parallel`` worker pools, and answers small targeted questions
+the per-config :class:`~repro.miner.Miner` session caches, and the
+``setm_parallel`` thread pools it starts once, and answers small targeted questions
 (``mine`` / ``patterns`` / ``support_of`` / ``rules_about``) cheaply
 enough to serve interactively.
 
@@ -25,14 +25,30 @@ Layering (each module usable on its own):
   typed errors the server answered with.
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.scheduler import RequestScheduler
-from repro.serve.server import MiningServer
-from repro.serve.service import MiningService
+import importlib
 
-__all__ = [
-    "MiningServer",
-    "MiningService",
-    "RequestScheduler",
-    "ServeClient",
-]
+#: Public name -> defining module.  Imported on first attribute access
+#: (PEP 562), so importing one submodule — ``repro.serve.protocol`` for
+#: the query executor, say — loads neither the HTTP client nor the
+#: server.
+_EXPORTS = {
+    "MiningServer": "repro.serve.server",
+    "MiningService": "repro.serve.service",
+    "RequestScheduler": "repro.serve.scheduler",
+    "ServeClient": "repro.serve.client",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -20,8 +20,8 @@ worker threads drains the queue.  Three deliberate policies:
   time — resolves the task with
   :class:`~repro.errors.WorkerCrashError` carrying the original cause.
 
-Mining work itself runs in ``setm_parallel``'s *process* pools; these
-workers are threads that mostly wait on them, so a handful suffices.
+Pooled mining fans out further onto ``setm_parallel``'s shared thread
+pools, so a handful of these workers suffices.
 """
 
 from __future__ import annotations

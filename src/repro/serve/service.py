@@ -23,11 +23,9 @@ refresh as data lands instead of re-encoding + re-mining.
 Spill discipline: the service owns a spill root directory and injects it
 (as *namespaced* engine options, so non-spilling engines never see it)
 into every request config.  Graceful drain finishes in-flight work,
-terminates the shared worker pools via
+stops the shared worker threads via
 :func:`~repro.core.setm_parallel.shutdown_worker_pools`, and reports the
-number of leftover spill files *and* leftover shared-memory segments
-(the zero-copy transport's namespace) — zero of each, unless an engine
-leaked.
+number of leftover spill files — zero, unless an engine leaked.
 
 Responses are decoded back to the datasets' original item labels before
 serialization, so they are byte-for-byte what a direct
@@ -50,11 +48,6 @@ from repro.config import MiningConfig, _validate_confidence
 from repro.core.result import MiningResult
 from repro.core.rules import generate_rules
 from repro.core.setm_parallel import pool_stats, shutdown_worker_pools
-from repro.core.transport import (
-    cleanup_segments,
-    leaked_segment_names,
-    transport_totals,
-)
 from repro.core.transactions import ItemCatalog, TransactionDatabase
 from repro.errors import (
     IngestError,
@@ -171,7 +164,7 @@ class MiningService:
         it with a typed ``ServerBusyError``).
     workers:
         Scheduler worker threads (the mining itself may additionally
-        fan out to ``setm_parallel``'s process pools).
+        fan out to ``setm_parallel``'s thread pools).
     default_timeout:
         Per-request deadline in seconds when the request carries none;
         ``None`` disables the default deadline.
@@ -667,7 +660,6 @@ class MiningService:
                 ),
             },
             "pools": pool_stats(),
-            "transport": transport_totals(),
         }
 
     def drain(self) -> dict[str, Any]:
@@ -676,11 +668,10 @@ class MiningService:
         Admission closes immediately (new submissions get the typed
         draining error); queued and in-flight requests complete and
         their waiting clients are answered; the shared worker pools are
-        terminated; the spill root *and* the shared-memory namespace
-        are audited (the report carries both leftover counts — zero
-        unless an engine leaked) and, when service-owned, the spill
-        root is removed; any leaked segments are unlinked after being
-        counted.  Idempotent: repeat drains return the first report.
+        stopped; the spill root is audited (the report carries the
+        leftover file count — zero unless an engine leaked) and, when
+        service-owned, removed.  Idempotent: repeat drains return the
+        first report.
         """
         with self._drain_lock:
             if self._drain_report is not None:
@@ -700,14 +691,10 @@ class MiningService:
             # it is service-owned and simply removed, never counted as
             # a leak.
             shutil.rmtree(self._state_root, ignore_errors=True)
-            leftover_segments = len(leaked_segment_names())
-            if leftover_segments:  # count honestly, then still clean up
-                cleanup_segments()
             self._drain_report = {
                 "drained": True,
                 "queue": self._scheduler.stats(),
                 "leftover_spill_files": leftover,
-                "leftover_shm_segments": leftover_segments,
                 "pools": pool_stats(),
             }
             return self._drain_report

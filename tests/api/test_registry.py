@@ -253,9 +253,12 @@ class TestDifferentialAgreement:
 
 
 #: What each retired engine gave at 1.10 on T10.I4.D10K (seed 7) at 1%
-#: support — ``(options, spill.partitions, parallel_iterations)``; the
-#: pooled ones with 2 workers.  ``setm-columnar-disk`` reported no
-#: parallel block: it pooled no level.
+#: support — ``(options, planned key ranges per level,
+#: parallel_iterations)``; the pooled ones with 2 workers.
+#: ``setm-columnar-disk`` reported no parallel block: it pooled no level.
+#: At 1.10 the pooled level's ranges were also spilled; since 1.11 a
+#: level pooled only by the gate keeps its ``R_2`` in memory, so they
+#: are reported under ``parallel.partitions`` alone.
 ALIAS_BASELINES = {
     "setm-columnar-disk": ({}, {}, []),
     "setm-parallel": ({"workers": 2}, {2: 7}, [2]),
@@ -296,7 +299,8 @@ class TestEngineAliases:
         )
         assert result.same_patterns_as(t10_resident)
         assert result.iterations == t10_resident.iterations
-        assert result.extra["spill"]["partitions"] == partitions
+        assert result.extra["spill"]["partitions"] == {}
+        assert result.extra["parallel"]["partitions"] == partitions
         assert result.extra["parallel"]["parallel_iterations"] == pooled
         budget = ENGINE_ALIASES[alias][1].get("memory_budget_bytes")
         assert result.extra["memory_budget_bytes"] == (

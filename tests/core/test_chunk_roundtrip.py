@@ -9,10 +9,12 @@ exactly, for any int64 key.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import columns
 from repro.core.columns import InstanceRelation, chunk_frames
 from repro.core.partitioning import decode_buffer_chunks
 from repro.core.setm_columnar import ColumnarKernel
@@ -95,6 +97,49 @@ class TestKeyMagnitudes:
         assert viewed == 16 * len(keys)
         assert list(restored.keys) == keys
         assert restored.k == 9
+
+
+class TestBorrowedBuffers:
+    """The decoder views any buffer; filtered columns stay int64 buffers."""
+
+    def test_round_trip_from_a_memoryview(self):
+        keys = [5, 2**62, 0, 7]
+        blob = InstanceRelation(
+            None, None, last_sid=list(range(4)), keys=keys, k=2, index=None
+        ).to_chunk_bytes()
+        (restored,), viewed = decode_buffer_chunks(memoryview(blob))
+        assert restored.keys.tolist() == keys
+        assert restored.last_sid.tolist() == [0, 1, 2, 3]
+        assert viewed == 16 * len(keys)
+
+    def test_int64_columns_are_views_not_copies(self):
+        blob = InstanceRelation(
+            None,
+            None,
+            last_sid=list(range(100)),
+            keys=list(range(100)),
+            k=2,
+            index=None,
+        ).to_chunk_bytes()
+        chunks, _ = decode_buffer_chunks(blob)
+        for chunk in chunks:
+            assert not chunk.keys.flags.owndata  # frombuffer view
+            assert not chunk.last_sid.flags.owndata
+
+    def test_filter_emits_int64_ndarray(self):
+        relation = InstanceRelation(
+            None,
+            None,
+            last_sid=np.arange(5, dtype=np.int64),
+            keys=np.array([5, 9, 9, 12, 5], dtype=np.int64),
+            k=2,
+            index=None,
+        )
+        survivors = columns.filter_by_keys(relation, {9, 12})
+        assert survivors.last_sid.dtype == np.int64
+        assert columns._int64_column_bytes(survivors.last_sid) == (
+            survivors.last_sid.tobytes()
+        )
 
 
 class TestFraming:

@@ -1,8 +1,8 @@
 """The partitioned-execution layer (repro.core.partitioning).
 
 The layer's contract: partitions are first-class, *picklable* work
-units (the pooled engines ship them to worker processes), key-range
-routing is disjoint and total, and plans price ``R'_k`` exactly before
+units read from memory or a spill file, key-range routing is disjoint
+and total, and plans price ``R'_k`` exactly before
 any row is materialized.  Round-trip coverage runs over relations the
 real kernel pipeline produces on seeded QUEST databases.
 """
@@ -123,6 +123,32 @@ class TestPartitionPickling:
         )
         partition = Partition(1, payload=relation.to_chunk_bytes(), num_rows=1)
         partition.delete()
+        with pytest.raises(ValueError, match="deleted"):
+            partition.read_bytes()
+
+
+class TestPartitionBuffer:
+    """``read_bytes`` serves exactly the one chunk source a partition has."""
+
+    def test_inline_source(self):
+        partition = Partition(2, payload=b"bytes", num_rows=0)
+        assert partition.read_bytes() == b"bytes"
+
+    def test_path_source_reads_the_file_as_it_is(self, tmp_path):
+        path = tmp_path / "part.chunks"
+        path.write_bytes(b"spilled bytes")
+        partition = Partition(2, path=path, num_rows=0)
+        assert partition.read_bytes() == b"spilled bytes"
+        path.write_bytes(b"")  # an empty share reads as no chunks
+        assert partition.read_bytes() == b""
+        assert partition.load() == []
+
+    def test_deleted_partition_raises(self, tmp_path):
+        path = tmp_path / "part.chunks"
+        path.write_bytes(b"x")
+        partition = Partition(2, path=path, num_rows=0)
+        partition.delete()
+        assert not path.exists()
         with pytest.raises(ValueError, match="deleted"):
             partition.read_bytes()
 

@@ -8,14 +8,12 @@ everything downstream rests on:
 * **routing is disjoint and total**: every row lands in exactly one
   partition, and partition ``p``'s keys lie inside the interval
   ``[boundaries[p-1], boundaries[p])`` (unbounded at the ends);
-* **spill-file round-trips survive the spawn start method**: a
-  path-backed :class:`Partition` pickled into a freshly spawned worker
-  process (no inherited parent memory) loads back the exact rows.
+* **partitions load back on a worker thread**: a path- or
+  payload-backed :class:`Partition` read by a thread of the shared
+  worker pool, as the pooled batches read theirs, yields the exact rows.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.columns import InstanceRelation
 from repro.core.partitioning import Partition, split_by_key_ranges
+from repro.core.setm_parallel import pool_map
 
 # -- adversarial key-column strategies ----------------------------------------------
 
@@ -113,8 +112,8 @@ class TestRoutingInvariants:
         assert len(rows) == len(keys)
 
 
-#: Adversarial columns for the cross-process round-trip (fixed examples:
-#: one spawn pool serves them all; hypothesis would re-spawn per example).
+#: Adversarial columns for the worker-thread round trip (fixed examples,
+#: so each case is one pool dispatch).
 ADVERSARIAL_COLUMNS = [
     [7] * 33,  # all-equal
     [1000, 1001, 1000, 1002] * 12 + [2**61, -(2**61)],  # hot range
@@ -122,26 +121,15 @@ ADVERSARIAL_COLUMNS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def spawn_pool():
-    """One spawn-context worker shared by every round-trip case.
-
-    ``spawn`` starts from a clean interpreter — nothing inherited from
-    the parent's memory — so a successful load proves the partition
-    *fully* travels by path + pickle, exactly as the pooled engines
-    ship their work units on the CI spawn leg.
-    """
-    context = multiprocessing.get_context("spawn")
-    pool = context.Pool(processes=1)
-    yield pool
-    pool.terminate()
-    pool.join()
+def _load_on_a_worker_thread(partition: Partition) -> InstanceRelation:
+    ((restored,),) = pool_map(2, Partition.load, [partition], 1)
+    return restored
 
 
-class TestSpawnRoundTrips:
+class TestWorkerThreadRoundTrips:
     @pytest.mark.parametrize("keys", ADVERSARIAL_COLUMNS)
-    def test_path_backed_partition_loads_in_a_spawned_worker(
-        self, keys, tmp_path, spawn_pool
+    def test_path_backed_partition_loads_on_a_worker_thread(
+        self, keys, tmp_path
     ):
         relation = _relation(keys)
         path = tmp_path / "partition.chunks"
@@ -153,20 +141,18 @@ class TestSpawnRoundTrips:
             path=path,
             num_rows=len(relation),
         )
-        (restored,) = spawn_pool.apply(partition.load)
+        restored = _load_on_a_worker_thread(partition)
         assert restored.k == relation.k
         assert [int(k) for k in restored.keys] == [int(k) for k in keys]
         assert [int(s) for s in restored.last_sid] == list(range(len(keys)))
 
     @pytest.mark.parametrize("keys", ADVERSARIAL_COLUMNS)
-    def test_payload_backed_partition_loads_in_a_spawned_worker(
-        self, keys, spawn_pool
-    ):
+    def test_payload_backed_partition_loads_on_a_worker_thread(self, keys):
         relation = _relation(keys)
         partition = Partition(
             relation.k,
             payload=relation.to_chunk_bytes(),
             num_rows=len(relation),
         )
-        (restored,) = spawn_pool.apply(partition.load)
+        restored = _load_on_a_worker_thread(partition)
         assert [int(k) for k in restored.keys] == [int(k) for k in keys]

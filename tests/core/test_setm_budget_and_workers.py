@@ -8,12 +8,10 @@ enough to force at least two key ranges — with telemetry proving the
 pooled range tasks actually ran, not a silent fallback to inline
 ranges or the in-memory kernel.
 
-Failure injection: a worker raising mid-task must leave no spill files
-and no shared-memory segment behind (the Figure-4 loop's ``finally``
-closes the kernel, which removes the spill root and releases the
-published ``SALES`` columns), and the shared pool must stay usable
-after a worker exception — or be cleanly recreated after an outright
-pool break.
+Failure injection: a batch raising mid-level must propagate its own
+exception and leave no spill files behind (the Figure-4 loop's
+``finally`` closes the kernel, which removes the spill root), and the
+shared thread pool must serve the next run.
 """
 
 from __future__ import annotations
@@ -26,14 +24,13 @@ from hypothesis import strategies as st
 from repro.baselines.bruteforce import bruteforce
 from repro.core.rules import generate_rules
 from repro.core.setm import run_figure4_loop, setm
-from repro.core.partitioning import ROW_BYTES, Partition
+from repro.core.partitioning import ROW_BYTES
 from repro.core.setm_columnar import setm_columnar
 from repro.core.setm_columnar_disk import (
     SpillingColumnarKernel,
     balanced_batches,
     run_range_batch,
 )
-from repro.core.transport import leaked_segment_names
 from repro.data.quest import QuestConfig, generate_quest_dataset
 from repro.errors import InvalidConfigError
 
@@ -65,7 +62,7 @@ def quest_references():
 
 
 class TestDifferentialGrid:
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("minsup", [0.01, 0.03])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_setm_across_grid(
@@ -119,21 +116,6 @@ class TestDifferentialGrid:
         )
         assert result.max_pattern_length <= 2
 
-    def test_spawn_start_method_agrees(self, quest_references):
-        """The spawn leg: tasks, paths, and replies must all pickle."""
-        db, reference = quest_references[(1, 0.03)]
-        result = setm_columnar(
-            db,
-            0.03,
-            workers=2,
-            memory_budget_bytes=GRID_BUDGET,
-            start_method="spawn",
-        )
-        assert result.same_patterns_as(reference)
-        assert result.iterations == reference.iterations
-        assert result.extra["parallel"]["start_method"] == "spawn"
-        assert result.extra["parallel"]["parallel_iterations"]
-
     def test_agrees_with_serial_spill_engine(self, quest_references):
         """Same patterns, same spill partitioning as with one worker."""
         db, _ = quest_references[(0, 0.01)]
@@ -160,35 +142,29 @@ class _RecordingKernel(SpillingColumnarKernel):
         super().__init__(*args, **kwargs)
         self.batches: dict[int, list[list[tuple[int, int]]]] = {}
 
-    def _dispatch(self, func, tasks):
+    def _dispatch(self, func, tasks, threads):
         if func is run_range_batch:
             self.batches[self._k] = [
                 [(r.key_low, r.key_high) for r in batch.ranges]
                 for batch in tasks
             ]
-        return super()._dispatch(func, tasks)
+        return super()._dispatch(func, tasks, threads)
 
 
 class TestBatches:
     """A level's planned ranges travel to the pool as contiguous batches."""
 
-    @pytest.mark.parametrize("transport", ["mmap", "shm"])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_batches_match_setm(self, quest_references, workers, transport):
+    def test_batches_match_setm(self, quest_references, workers):
         db, reference = quest_references[(0, 0.01)]
         kernel = _RecordingKernel(
-            db,
-            memory_budget_bytes=GRID_BUDGET,
-            workers=workers,
-            transport=transport,
+            db, memory_budget_bytes=GRID_BUDGET, workers=workers
         )
         result = run_figure4_loop(
             db, 0.01, kernel, algorithm="setm-columnar"
         )
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
-        assert result.extra["transport"]["mode"] == transport
-        assert leaked_segment_names() == ()
         planned = result.extra["spill"]["partitions"]
         # Telemetry still counts planned ranges, not batches.
         assert result.extra["parallel"]["partitions"] == planned
@@ -264,6 +240,68 @@ class TestBatches:
         assert loads == [60, 60, 60, 60]
 
 
+class _ThreadsKernel(SpillingColumnarKernel):
+    """Records, per pooled level, the threads it ran on and the most
+    rows one of its batches holds at once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.levels: list[tuple[int, int]] = []
+
+    def _dispatch(self, func, tasks, threads):
+        if func is run_range_batch:
+            index = self._index
+            base = index.base
+            items = np.asarray(index.items)[np.asarray(index.ext_counts) > 0]
+            held = 0
+            for batch in tasks:
+                rows = max(key_range.rows for key_range in batch.ranges)
+                if batch.k == 2:
+                    # A k = 2 batch also holds the SALES positions it
+                    # selects, for all of its ranges.
+                    first = batch.ranges[0].key_low // base
+                    last = -(-batch.ranges[-1].key_high // base)
+                    rows += int(np.count_nonzero(
+                        (items >= first) & (items < last)
+                    ))
+                held = max(held, rows)
+            self.levels.append((threads, held))
+        return super()._dispatch(func, tasks, threads)
+
+
+class TestThreadCap:
+    """Batches run together only while their holdings fit the budget."""
+
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    @pytest.mark.parametrize("budget", [4096, GRID_BUDGET, 2 * 1024 * 1024])
+    def test_threads_fit_the_budget(
+        self, quest_references, monkeypatch, budget, workers
+    ):
+        from repro.core import setm_columnar_disk as pooled
+
+        # Pool every level, so the generous budget's whole levels run
+        # on the pool too.
+        monkeypatch.setattr(pooled, "POOL_MIN_ROWS", 1)
+        db, reference = quest_references[(0, 0.01)]
+        kernel = _ThreadsKernel(
+            db, memory_budget_bytes=budget, workers=workers
+        )
+        result = run_figure4_loop(
+            db, 0.01, kernel, algorithm="setm-columnar"
+        )
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        assert kernel.levels, "no level ran on the pool"
+        for threads, held in kernel.levels:
+            assert 1 <= threads <= workers
+            # Never more at once than the budget holds...
+            assert threads == 1 or threads * held * ROW_BYTES <= budget
+            # ... and never fewer than it does.
+            assert threads == workers or (
+                (threads + 1) * held * ROW_BYTES > budget
+            )
+
+
 class TestGating:
     def test_generous_budget_never_spills_or_pools(self, example_db):
         result = setm_columnar(example_db, 0.30, workers=4)
@@ -297,10 +335,6 @@ class TestValidation:
             setm_columnar(
                 example_db, 0.30, memory_budget_bytes=budget
             )
-
-    def test_bad_start_method_rejected(self, example_db):
-        with pytest.raises(InvalidConfigError, match="start_method"):
-            setm_columnar(example_db, 0.30, start_method="teleport")
 
 
 class TestPlumbing:
@@ -341,53 +375,65 @@ class TestPlumbing:
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
 
 
-class _PoisoningKernel(SpillingColumnarKernel):
-    """Points one pooled range batch at a ``SALES`` file that is gone.
+class BatchFailed(Exception):
+    """The injected failure: one batch's own exception."""
 
-    The worker assigned the poisoned batch raises ``FileNotFoundError``
-    mid-level while its siblings write their ``R_k`` shares — exactly
-    the shape of a disk failing under a live run.
+
+class _FailAfterFirstBatch(SpillingColumnarKernel):
+    """Fails the first pooled batch *after* it wrote its ``R_k`` shares.
+
+    Its siblings keep running and writing theirs on the other threads —
+    the shape of a disk failing under a live run.  ``_dispatch`` is the
+    seam built for exactly this.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, fail_index=0, **kwargs):
         super().__init__(*args, **kwargs)
+        self.fail_index = fail_index
         self.seen_root = None
         self.poisoned = False
 
-    def _dispatch(self, func, tasks):
-        if func is run_range_batch and not self.poisoned:
-            self.seen_root = self._spill_root
-            missing = Partition(1, path=self._spill_root / "missing.bin")
-            tasks = [tasks[0]._replace(sales=missing), *tasks[1:]]
-            self.poisoned = True
-        return super()._dispatch(func, tasks)
+    def _dispatch(self, func, tasks, threads):
+        if func is not run_range_batch or self.poisoned:
+            return super()._dispatch(func, tasks, threads)
+        self.poisoned = True
+        self.seen_root = self._spill_root
+        failing = tasks[self.fail_index]
+
+        def poisoned(batch):
+            reply = func(batch)
+            if batch is failing:
+                if self._spill_root is not None:
+                    assert any(self._spill_root.iterdir())
+                raise BatchFailed(f"batch {self.fail_index} failed mid-level")
+            return reply
+
+        return super()._dispatch(poisoned, tasks, threads)
 
 
 class TestFailureInjection:
     def _grid_db(self):
         return _quest_db(0, transactions=200)
 
-    def test_worker_failure_leaves_no_spill_files(self):
+    def test_failing_batch_leaves_no_spill_files(self, tmp_path):
         from repro.core import setm_parallel as pools
 
         db = self._grid_db()
-        kernel = _PoisoningKernel(
-            db, memory_budget_bytes=GRID_BUDGET, workers=2
+        kernel = _FailAfterFirstBatch(
+            db, memory_budget_bytes=GRID_BUDGET, workers=2, spill_dir=tmp_path
         )
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(BatchFailed, match="batch 0 failed"):
             run_figure4_loop(
                 db, 0.01, kernel, algorithm="setm-columnar"
             )
         assert kernel.poisoned, "the pooled branch never ran"
-        # The loop's finally closed the kernel: spill root and every
-        # half-written R_k share under it are gone, and so is the
-        # published SALES.
+        # The loop's finally closed the kernel: the spill root and every
+        # R_k share written under it are gone.
         assert kernel.seen_root is not None
         assert not kernel.seen_root.exists()
-        assert leaked_segment_names() == ()
-        # The pool survived the worker exception and stays cached...
-        key = (kernel._start_method, 2)
-        pool = pools._POOLS.get(key)
+        assert list(tmp_path.iterdir()) == []
+        # The pool survived the batch's exception and stays cached...
+        pool = pools._POOLS.get(2)
         assert pool is not None
         # ... and is genuinely usable: the next run reuses it and wins.
         result = setm_columnar(
@@ -396,31 +442,15 @@ class TestFailureInjection:
             workers=2,
             memory_budget_bytes=GRID_BUDGET,
         )
-        assert pools._POOLS.get(key) is pool
+        assert pools._POOLS.get(2) is pool
         assert result.same_patterns_as(setm(db, 0.01))
         assert result.extra["parallel"]["parallel_iterations"]
 
-    def test_worker_failure_releases_published_sales_segment(self):
-        db = self._grid_db()
-        kernel = _PoisoningKernel(
-            db, memory_budget_bytes=GRID_BUDGET, workers=2, transport="shm"
-        )
-        with pytest.raises(FileNotFoundError):
-            run_figure4_loop(
-                db, 0.01, kernel, algorithm="setm-columnar"
-            )
-        assert kernel.poisoned, "the pooled branch never ran"
-        assert kernel.extra_stats()["transport"]["mode"] == "shm"
-        assert kernel.extra_stats()["transport"]["task_bytes_shared"] > 0
-        assert not kernel.seen_root.exists()
-        assert leaked_segment_names() == ()
-
-    def test_broken_pool_is_recreated_for_the_next_run(self):
+    def test_stopped_pool_is_recreated_for_the_next_run(self):
         from repro.core import setm_parallel as pools
 
         db = self._grid_db()
         reference = setm(db, 0.01)
-        # Prime the cache, then break the pool outright.
         first = setm_columnar(
             db,
             0.01,
@@ -428,15 +458,8 @@ class TestFailureInjection:
             memory_budget_bytes=GRID_BUDGET,
         )
         assert first.same_patterns_as(reference)
-        key = (first.extra["parallel"]["start_method"], 2)
-        key = (
-            key if key in pools._POOLS else (None, 2)
-        )
-        broken = pools._POOLS[key]
-        broken.terminate()
-        broken.join()
-        # The stale cache entry must not fail the next run: it is
-        # evicted and a fresh pool is created transparently.
+        stopped = pools._POOLS[2]
+        pools.shutdown_worker_pools()
         result = setm_columnar(
             db,
             0.01,
@@ -445,4 +468,51 @@ class TestFailureInjection:
         )
         assert result.same_patterns_as(reference)
         assert result.extra["parallel"]["parallel_iterations"]
-        assert pools._POOLS[key] is not broken
+        assert pools._POOLS[2] is not stopped
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("fail_index", [0, -1])
+    def test_any_failing_batch_propagates_its_own_exception(
+        self, tmp_path, fail_index, workers
+    ):
+        from repro.core import setm_parallel as pools
+
+        db = self._grid_db()
+        kernel = _FailAfterFirstBatch(
+            db,
+            memory_budget_bytes=GRID_BUDGET,
+            workers=workers,
+            spill_dir=tmp_path,
+            fail_index=fail_index,
+        )
+        with pytest.raises(BatchFailed) as caught:
+            run_figure4_loop(db, 0.01, kernel, algorithm="setm-columnar")
+        # The batch's own exception, not a wrapper around it.
+        assert type(caught.value) is BatchFailed
+        assert f"batch {fail_index} failed" in str(caught.value)
+        assert kernel.poisoned
+        assert not kernel.seen_root.exists()
+        assert list(tmp_path.iterdir()) == []
+        pool = pools._POOLS[workers]
+        result = setm_columnar(
+            db, 0.01, workers=workers, memory_budget_bytes=GRID_BUDGET
+        )
+        assert pools._POOLS[workers] is pool
+        assert result.same_patterns_as(setm(db, 0.01))
+
+    def test_failing_gate_pooled_batch_leaves_nothing_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        """A level pooled only by the gate keeps its survivors in memory:
+        its batches write no share, so a failure has nothing to remove."""
+        from repro.core import setm_columnar_disk as pooled
+
+        monkeypatch.setattr(pooled, "POOL_MIN_ROWS", 1)
+        db = self._grid_db()
+        kernel = _FailAfterFirstBatch(db, workers=2, spill_dir=tmp_path)
+        with pytest.raises(BatchFailed, match="batch 0 failed"):
+            run_figure4_loop(db, 0.01, kernel, algorithm="setm-columnar")
+        assert kernel.poisoned
+        assert kernel.seen_root is None
+        assert kernel._spill_root is None
+        assert list(tmp_path.iterdir()) == []

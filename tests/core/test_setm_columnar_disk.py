@@ -5,7 +5,8 @@ least two spill partitions on the Table 6.2 retail workload, the range
 kernel (one worker, ranges run inline) must produce patterns, rules, and iteration statistics identical to
 ``setm`` (and to the ``bruteforce`` oracle where the oracle is
 feasible), with measured peak memory bounded by the budget plus the
-documented fixed residents.
+documented fixed residents — with one worker and with the batches on
+worker threads, whose allocations the metering sees too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.setm_columnar_disk import (
     _batch_rows,
 )
 from repro.core.transactions import TransactionDatabase
+from repro.data.quest import QuestConfig, generate_quest_dataset
 from repro.data.retail import generate_retail_dataset
 from repro.errors import InvalidConfigError
 
@@ -160,6 +162,81 @@ class TestTable62Acceptance:
         )
 
 
+#: A budget far below any level: every level is cut into many ranges.
+TINY_BUDGET = 4 * 1024
+
+
+@pytest.fixture(scope="module")
+def tiny_budget_db():
+    """A QUEST database whose ``R'_2`` the tiny budget cuts ~100 ways."""
+    return generate_quest_dataset(
+        QuestConfig(
+            num_transactions=1000,
+            avg_transaction_len=6,
+            avg_pattern_len=2,
+            seed=0,
+        )
+    )
+
+
+class TestThreadedMemoryBudget:
+    """Concurrent batches share the process: the budget covers them all.
+
+    Batches run at once only while their holdings fit the budget, so
+    the metered peak obeys the same bound at every worker count.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    def test_table62_budget_holds_at_every_worker_count(
+        self, table62_db, table62_reference, workers
+    ):
+        result = setm_columnar(
+            table62_db,
+            0.005,
+            memory_budget_bytes=TABLE62_BUDGET,
+            workers=workers,
+            measure_memory=True,
+        )
+        assert result.same_patterns_as(table62_reference)
+        assert result.iterations == table62_reference.iterations
+        assert result.extra["spill"]["max_partitions"] >= 2
+        fixed_allowance = (
+            FIXED_RESIDENT_BYTES_PER_ROW * table62_db.num_sales_rows
+        )
+        assert result.extra["peak_memory_bytes"] <= (
+            BUDGET_TOLERANCE * TABLE62_BUDGET + fixed_allowance
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    def test_tiny_budget_threads_add_at_most_the_allowance(
+        self, tiny_budget_db, workers
+    ):
+        """At 4 KiB the per-range bookkeeping alone passes the bound even
+        inline (about 1.5 KB of Python objects per 1 KiB share), so the
+        threads are held to it on top of the inline run's peak."""
+        db = tiny_budget_db
+        inline = setm_columnar(
+            db, 0.02, memory_budget_bytes=TINY_BUDGET, measure_memory=True
+        )
+        result = setm_columnar(
+            db,
+            0.02,
+            memory_budget_bytes=TINY_BUDGET,
+            workers=workers,
+            measure_memory=True,
+        )
+        assert result.same_patterns_as(setm(db, 0.02))
+        assert result.iterations == inline.iterations
+        assert result.extra["spill"]["max_partitions"] >= 64
+        allowance = (
+            BUDGET_TOLERANCE * TINY_BUDGET
+            + FIXED_RESIDENT_BYTES_PER_ROW * db.num_sales_rows
+        )
+        assert result.extra["peak_memory_bytes"] <= (
+            inline.extra["peak_memory_bytes"] + allowance
+        )
+
+
 class TestKeyDistributionDrift:
     """Partition boundaries must survive key distributions that drift
     with trans_id (quantiles of the first slice alone would funnel later
@@ -249,7 +326,7 @@ class TestBatchRows:
             KeyRange(low, high, None, [], "unused", 1) for low, high in bounds
         ]
         batch = RangeBatch(2, ranges, index, base, 1, "auto")
-        for (low, high), (rows, read, viewed) in zip(
+        for (low, high), (rows, read) in zip(
             bounds, _batch_rows(batch, index), strict=True
         ):
             first, last = low // base, -(-high // base)
@@ -258,7 +335,7 @@ class TestBatchRows:
             )
             assert rows.last_sid.tolist() == expected.tolist()
             assert rows.keys.tolist() == items[expected].tolist()
-            assert (read, viewed) == (0, 0)
+            assert read == 0
         kernel.close()
 
     @pytest.mark.parametrize("budget", [256, 1024, 4096, 2**20])

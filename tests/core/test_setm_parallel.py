@@ -4,13 +4,16 @@ With ``workers > 1`` and no budget, ``setm-columnar`` runs
 :class:`SpillingColumnarKernel` under the default memory budget: a
 level whose priced ``|R'_k|`` reaches :data:`POOL_MIN_ROWS` is cut into
 ``BATCHES_PER_WORKER × workers`` key ranges that run in the worker
-pool; a smaller level is counted in process.  With ``workers=1`` and no
+pool and keep their ``R_k`` survivors in memory; a smaller level is
+counted in process.  With ``workers=1`` and no
 budget it runs the in-memory ``ColumnarKernel`` and never builds a
 pool.  The acceptance bar: patterns, rules and iteration statistics
 identical to ``setm`` across a QUEST × minsup × workers grid — with
 ``POOL_MIN_ROWS`` lowered to 1 so the pool path really runs.  The pool
 is shared across runs, so the grid costs one pool start-up per worker
-count, not one per run.
+count, not one per run.  A conformance matrix repeats the bar at
+``workers`` 1, 2 and 4, with and without a budget, and on a
+deep-pattern input.
 """
 
 from __future__ import annotations
@@ -30,11 +33,7 @@ from repro.core.setm_columnar_disk import (
 )
 from repro.core.transactions import TransactionDatabase
 from repro.data.quest import QuestConfig, generate_quest_dataset
-from repro.errors import (
-    EngineOptionError,
-    InvalidConfigError,
-    TransportError,
-)
+from repro.errors import EngineOptionError, InvalidConfigError
 from repro.registry import get_engine
 
 
@@ -84,6 +83,9 @@ class TestDifferentialGrid:
         if workers > 1:
             assert result.extra["workers"] == workers
             assert result.extra["parallel"]["parallel_iterations"]
+            # Pooled only by the gate: every R_k stays in memory.
+            assert result.extra["spill"]["bytes_written"] == 0
+            assert result.extra["spill"]["partitions"] == {}
         else:
             # One worker, no budget: the in-memory kernel, no telemetry.
             assert "parallel" not in result.extra
@@ -102,13 +104,98 @@ class TestDifferentialGrid:
         result = setm_columnar(db, 0.01, workers=2, max_length=2)
         assert result.max_pattern_length <= 2
 
-    def test_spawn_start_method_agrees(self, quest_references):
-        """The spawn leg: every shipped object must actually pickle."""
-        db, reference = quest_references[(1, 0.03)]
-        result = setm_columnar(db, 0.03, workers=2, start_method="spawn")
+
+#: Small enough to force >= 2 spill partitions on the conformance grid.
+_SPILL_BUDGET = 16 * 1024
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """One QUEST database + its ``setm`` reference for the matrix."""
+    db = generate_quest_dataset(
+        QuestConfig(
+            num_transactions=150,
+            avg_transaction_len=6,
+            avg_pattern_len=2,
+            seed=0,
+        )
+    )
+    return db, setm(db, 0.02)
+
+
+@pytest.fixture(scope="module")
+def deep_pattern_grid():
+    """Frequent 8-patterns over a wide sample of a 3,000-item range."""
+    import random
+
+    rng = random.Random(0)
+    items = list(range(1, 3001))
+    transactions = [(tid, rng.sample(items, 10)) for tid in range(1, 41)]
+    core = rng.sample(items, 8)
+    transactions += [
+        (tid, core + rng.sample(items, 2)) for tid in range(100, 125)
+    ]
+    db = TransactionDatabase(transactions)
+    reference = setm(db, 0.25)
+    assert reference.max_pattern_length >= 8
+    return db, reference
+
+
+class TestConformanceMatrix:
+    """Every worker count, with and without a budget, byte-identical to
+    ``setm`` — pooled levels included."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers(self, grid, workers, pool_every_level):
+        db, reference = grid
+        result = setm_columnar(db, 0.02, workers=workers)
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
-        assert result.extra["parallel"]["start_method"] == "spawn"
+        if workers > 1:
+            assert result.extra["parallel"]["parallel_iterations"]
+        else:
+            assert "parallel" not in result.extra
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("budget", [4096, _SPILL_BUDGET])
+    def test_budget_and_workers(self, grid, budget, workers):
+        db, reference = grid
+        result = setm_columnar(
+            db, 0.02, workers=workers, memory_budget_bytes=budget
+        )
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        assert result.extra["spill"]["max_partitions"] >= 2
+        assert result.extra["spill"]["bytes_written"] > 0
+        parallel = result.extra["parallel"]
+        if workers > 1:
+            # Every level the budget cuts runs on the pool.
+            assert set(result.extra["spill"]["partitions"]) <= set(
+                parallel["parallel_iterations"]
+            )
+        else:
+            assert parallel["parallel_iterations"] == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_deep_patterns(self, deep_pattern_grid, workers, pool_every_level):
+        """Deep-level rank keys come back from the pool unchanged."""
+        db, reference = deep_pattern_grid
+        result = setm_columnar(db, 0.25, workers=workers)
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        if workers > 1:
+            assert len(result.extra["parallel"]["parallel_iterations"]) >= 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_deep_patterns_through_spill(self, deep_pattern_grid, workers):
+        """Deep-level chunks decode straight off the spilled shares."""
+        db, reference = deep_pattern_grid
+        result = setm_columnar(
+            db, 0.25, workers=workers, memory_budget_bytes=4096
+        )
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        assert result.extra["spill"]["bytes_written"] > 0
 
 
 class TestPoolGate:
@@ -116,10 +203,10 @@ class TestPoolGate:
 
     @pytest.fixture(scope="class")
     def wide(self):
-        """``|R'_2|`` of about 90,000 rows: above the default gate."""
+        """``|R'_2|`` of about 315,000 rows: above the default gate."""
         db = generate_quest_dataset(
             QuestConfig(
-                num_transactions=2000,
+                num_transactions=7000,
                 avg_transaction_len=10,
                 avg_pattern_len=4,
                 seed=3,
@@ -136,9 +223,11 @@ class TestPoolGate:
         parallel = result.extra["parallel"]
         assert 2 in parallel["parallel_iterations"]
         assert parallel["partitions"][2] >= 2
-        assert result.extra["spill"]["partitions"][2] == (
-            parallel["partitions"][2]
-        )
+        # The budget keeps the level whole: its R_2 survivors stay in
+        # memory instead of becoming share files.
+        spill = result.extra["spill"]
+        assert spill["partitions"] == {}
+        assert spill["bytes_written"] == spill["chunks_written"] == 0
 
     def test_level_at_the_gate_is_pooled(self, wide, monkeypatch):
         db, reference = wide
@@ -172,10 +261,11 @@ class TestPoolGate:
         assert pooled_run.iterations == reference.iterations
         cut = inline.extra["spill"]["partitions"]
         assert cut
-        # The gate also cuts the levels the budget keeps whole; the
-        # levels the budget cuts keep the budget's ranges.
-        planned = pooled_run.extra["spill"]["partitions"]
-        assert {k: planned[k] for k in cut} == cut
+        # The gate also cuts the levels the budget keeps whole, and
+        # spills none of them; the levels the budget cuts keep the
+        # budget's ranges.
+        assert pooled_run.extra["spill"]["partitions"] == cut
+        assert set(cut) < set(pooled_run.extra["parallel"]["partitions"])
 
     def test_small_iterations_stay_in_process(self, example_db):
         result = setm_columnar(example_db, 0.30, workers=4)
@@ -185,7 +275,6 @@ class TestPoolGate:
         assert parallel["short_circuited"]
         assert "threshold_rows" not in parallel
         assert result.extra["spill"]["bytes_written"] == 0
-        assert result.extra["transport"]["sessions"] == 0
 
     def test_workers_one_never_builds_a_pool(
         self, example_db, pool_every_level
@@ -222,7 +311,11 @@ class TestPoolGate:
 
         monkeypatch.setattr(SpillingColumnarKernel, "close", recording_close)
         result = setm_columnar(
-            example_db, 0.30, workers=2, spill_dir=tmp_path
+            example_db,
+            0.30,
+            workers=2,
+            memory_budget_bytes=1024,
+            spill_dir=tmp_path,
         )
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
         assert result.extra["spill"]["bytes_written"] > 0
@@ -297,14 +390,6 @@ class TestValidation:
                 example_db, 0.30, options={"parallel_threshold": 0}
             )
 
-    def test_bad_start_method_rejected(self, example_db):
-        with pytest.raises(InvalidConfigError, match="start_method"):
-            setm_columnar(example_db, 0.30, start_method="teleport")
-
-    def test_unknown_transport_rejected(self, example_db):
-        with pytest.raises(TransportError, match="carrier-pigeon"):
-            setm_columnar(example_db, 0.30, transport="carrier-pigeon")
-
     def test_spill_dir_is_an_option(self, example_db, tmp_path):
         result = get_engine("setm-columnar").run(
             example_db,
@@ -314,19 +399,114 @@ class TestValidation:
         assert result.same_patterns_as(bruteforce(example_db, 0.30))
         assert list(tmp_path.iterdir()) == []
 
-    def test_env_start_method_is_honoured(self, example_db, monkeypatch):
-        from repro.core.setm_parallel import START_METHOD_ENV
-
-        monkeypatch.setenv(START_METHOD_ENV, "teleport")
-        with pytest.raises(InvalidConfigError, match="start_method"):
-            SpillingColumnarKernel(example_db)
-
     def test_default_workers_is_cpu_count(self, example_db, monkeypatch):
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         kernel = SpillingColumnarKernel(example_db, workers=None)
         assert kernel._workers == 3
+
+
+class TestRetiredOptions:
+    """``start_method``, ``transport`` and ``REPRO_MP_START_METHOD`` warn
+    and do nothing in 1.11: workers are threads."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"start_method": "spawn"},
+            {"transport": "shm"},
+            {"transport": "carrier-pigeon"},
+            {"start_method": "fork", "transport": "mmap"},
+        ],
+    )
+    def test_engine_options_warn_and_change_nothing(
+        self, quest_references, pool_every_level, options
+    ):
+        db, reference = quest_references[(1, 0.03)]
+        with pytest.warns(DeprecationWarning, match="removed in 1.12") as seen:
+            result = setm_columnar(db, 0.03, workers=2, **options)
+        assert len(seen) == len(options)
+        for name in options:
+            assert any(name in str(w.message) for w in seen)
+        assert result.same_patterns_as(reference)
+        assert result.iterations == reference.iterations
+        assert "start_method" not in result.extra["parallel"]
+        assert "transport" not in result.extra
+
+    def test_env_start_method_warns(self, example_db, monkeypatch):
+        from repro.core.setm_parallel import START_METHOD_ENV
+
+        monkeypatch.setenv(START_METHOD_ENV, "teleport")
+        with pytest.warns(DeprecationWarning, match=START_METHOD_ENV):
+            result = setm_columnar(example_db, 0.30, workers=2)
+        assert result.same_patterns_as(bruteforce(example_db, 0.30))
+
+    def test_unset_options_do_not_warn(self, example_db, monkeypatch):
+        import warnings
+
+        from repro.core.setm_parallel import START_METHOD_ENV
+
+        monkeypatch.delenv(START_METHOD_ENV, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            setm_columnar(example_db, 0.30, workers=2)
+
+    def test_miner_option_warns(self, example_db):
+        from repro.config import MiningConfig
+        from repro.miner import Miner
+
+        with pytest.warns(DeprecationWarning, match="transport"):
+            result = Miner(example_db).frequent_itemsets(
+                MiningConfig(
+                    support=0.3, options={"workers": 2, "transport": "mmap"}
+                )
+            )
+        assert result.same_patterns_as(bruteforce(example_db, 0.30))
+
+    def test_cli_flag_warns(self, example_db, tmp_path, capsys):
+        from repro.cli import main
+        from repro.data.io import write_basket_file
+
+        path = tmp_path / "example.basket"
+        write_basket_file(example_db, path)
+        with pytest.warns(DeprecationWarning, match="transport"):
+            code = main(
+                ["mine", str(path), "--minsup", "0.3", "--workers", "2",
+                 "--transport", "shm"]
+            )
+        assert code == 0
+        assert "13 frequent patterns" in capsys.readouterr().out
+
+
+class TestPickleTransportIsGone:
+    """``pickle`` stays rejected where the retired option is still parsed."""
+
+    def test_not_a_choice(self):
+        from repro.config import TRANSPORT_CHOICES
+
+        assert "pickle" not in TRANSPORT_CHOICES
+
+    def test_cli_rejects_it(self, example_db, tmp_path, capsys):
+        from repro.cli import main
+        from repro.data.io import write_basket_file
+
+        path = tmp_path / "example.basket"
+        write_basket_file(example_db, path)
+        with pytest.raises(SystemExit) as caught:
+            main(["mine", str(path), "--workers", "2", "--transport", "pickle"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'pickle'" in capsys.readouterr().err
+
+    def test_mine_parse_rejects_it(self):
+        from repro.errors import QueryParseError
+        from repro.query import parse_query
+
+        with pytest.raises(QueryParseError, match="transport"):
+            parse_query(
+                "MINE ITEMSETS FROM q WHERE support >= 0.3 "
+                "WITH workers = 2, transport = 'pickle'"
+            )
 
 
 class TestPlumbing:

@@ -20,8 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import INPUT_FORMATS
-from repro.core.transport import TRANSPORT_CHOICES
+from repro.config import INPUT_FORMATS, TRANSPORT_CHOICES
 from repro.errors import QueryParseError, ReproError
 from repro.query import HasConstraint, MineQuery, WithOption, parse_query
 from repro.query.lexer import KEYWORDS

@@ -259,17 +259,19 @@ class TestPinnedChoices:
         assert ("execution", "serial") in self._reasons(plan)
 
     def test_budget_and_workers_both_reach_the_engine(self):
-        plan = _plan(
-            "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
-            "WITH workers = 2, memory_budget = '64K', transport = 'shm'",
-            BIG,
-        )
+        # WITH transport is deprecated: it warns and never reaches the
+        # engine (workers are threads).
+        with pytest.warns(DeprecationWarning, match="WITH transport"):
+            plan = _plan(
+                "MINE ITEMSETS FROM sales WHERE support >= 0.01 "
+                "WITH workers = 2, memory_budget = '64K', transport = 'shm'",
+                BIG,
+            )
         assert plan.engine == "setm-columnar"
         assert plan.config.algorithm == "setm-columnar"
         assert plan.config.options == {
             "memory_budget_bytes": 64 * 1024,
             "workers": 2,
-            "transport": "shm",
         }
 
     def test_existing_state_selects_the_incremental_engine_with_reason(self):

@@ -540,10 +540,7 @@ class TestStats:
         example = stats["server"]["datasets"]["example"]
         assert example["transactions"] == 10
         assert isinstance(stats["pools"], list)
-        transport = stats["transport"]
-        assert transport["sessions"] >= 0
-        assert {"task_bytes_shared", "reply_bytes_shared",
-                "zero_copy_bytes"} <= set(transport)
+        assert "transport" not in stats
 
     def test_cache_hit_flag_in_responses(self, service):
         first = ok(service.handle({"op": "mine", "dataset": "example",
@@ -561,7 +558,7 @@ class TestDrain:
         report = ok(service.handle({"op": "drain"}))["result"]
         assert report["drained"] is True
         assert report["leftover_spill_files"] == 0
-        assert report["leftover_shm_segments"] == 0
+        assert "leftover_shm_segments" not in report
         assert not service.spill_root.exists()
         status, document = service.handle(
             {"op": "mine", "dataset": "example"}
@@ -610,7 +607,6 @@ class TestDrain:
         report = service.drain()
         thread.join(60)
         assert report["leftover_spill_files"] == 0
-        assert report["leftover_shm_segments"] == 0
         assert results, "request thread never finished"
         status, document = results[0]
         if status == 200:
@@ -626,31 +622,29 @@ class TestDrain:
             # failure is a real bug.
             assert document["error"]["type"] == "ServerDrainingError"
 
-    def test_drain_after_shm_transport_mine_leaves_no_segments(
+    def test_drain_after_pooled_mine_stops_the_pools(
         self, example_db, monkeypatch
     ):
-        """The drain audit covers shared memory like it covers spill."""
+        """A pooled mine's threads are stopped and its shares audited."""
         from repro.core import setm_columnar_disk
-        from repro.core.transport import leaked_segment_names, transport_totals
 
         monkeypatch.setattr(setm_columnar_disk, "POOL_MIN_ROWS", 1)
-        before = transport_totals()["segments"]
         service = MiningService({"example": example_db}, workers=2)
         status, document = service.handle({
             "op": "mine",
             "dataset": "example",
             "config": {
                 "support": 0.3,
-                "options": {"workers": 2, "transport": "shm"},
+                "options": {"workers": 3, "memory_budget_bytes": 1024},
             },
         })
         assert status == 200, document
-        assert transport_totals()["segments"] > before  # the pool ran
+        stats = ok(service.handle({"op": "stats"}))["result"]
+        assert {"workers": 3} in stats["pools"]  # the pool ran
         report = service.drain()
-        assert report["leftover_shm_segments"] == 0
+        assert report["pools"] == []
         assert report["leftover_spill_files"] == 0
         assert not service.spill_root.exists()
-        assert leaked_segment_names() == ()
 
 
 class TestSpillDirInjection:
